@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
 from . import serialize
 from .cohomology import (DeformationDirection, RBFComplex, check_infinitesimal,
-                         cohomology_H1, cohomology_H23, rigidity_certificate,
-                         _linearized_report, deformation_equivalence_witness)
+                         cohomology_H1, cohomology_H23, _linearized_report,
+                         deformation_equivalence_witness)
 from .errors import (BudgetExceededError, ConsistencyError, LyfamError,
                      MalformedInputError, PreconditionError)
 from .ly import (adjoint_representation, check_cocycle23, check_ly_axioms,
@@ -245,7 +246,7 @@ def cmd_cohomology(args):
     if args.h1 or not (args.h1 or args.h23 or args.max_n):
         dim, reps = cohomology_H1(cx)
         result["H1"] = dim
-        result["rigid"] = rigidity_certificate(cx) if dim == 0 else False
+        result["rigid"] = dim == 0
         result["representatives"] = [serialize.cochain_to_json(c)
                                      for c in reps]
         summary.append("H1=%d" % dim)
@@ -346,8 +347,10 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
     random.seed(seed)
     print("seed: %d" % seed, file=sys.stderr)
+    # the budget reaches every coboundary through the environment; it is
+    # scoped to this call so that it does not leak into later in-process calls
+    saved_budget = os.environ.get("LYFAM_BUDGET")
     if args.budget is not None:
-        import os
         os.environ["LYFAM_BUDGET"] = str(args.budget)
     try:
         return args.func(args)
@@ -359,6 +362,11 @@ def main(argv=None) -> int:
         return code
     except (OSError,) as exc:
         return _emit(args, "error", "i/o error: %s" % exc)
+    finally:
+        if saved_budget is None:
+            os.environ.pop("LYFAM_BUDGET", None)
+        else:
+            os.environ["LYFAM_BUDGET"] = saved_budget
 
 
 if __name__ == "__main__":

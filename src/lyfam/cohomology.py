@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, PreconditionError
-from .linalg import (mat_vec, nullspace_basis, quotient_dim,
-                     quotient_representatives, solve, vec_add, vec_scale,
-                     vec_sub, zeros)
+from .linalg import (form_columns, form_kernel, form_rows, generic_vector,
+                     mat_vec, quotient_dim, quotient_representatives, solve,
+                     vec_add, vec_scale, vec_sub, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_full_coords, cochain_zero, delta_omega,
                     delta_star_omega, skew_basis)
@@ -197,6 +197,7 @@ class RBFComplex:
         self.induced_rep = induced_rep_on_L(ctx, check=False,
                                             algebra=self.induced_algebra)
         self._bases = {}
+        self._d1 = None
 
     @property
     def dims(self):
@@ -212,6 +213,15 @@ class RBFComplex:
     def zero_cochain(self, degree) -> CochainFamily:
         return cochain_zero(self.context.semigroup, self.context.dimV,
                             self.context.dimL, degree)
+
+    def d1_symbolic(self) -> CochainFamily:
+        """partial_deg1 of the symbolic degree-1 cochain (cached): each
+        coordinate is a row of the degree-1 coboundary matrix on the skew
+        basis.  Its cross-check against the generic coboundary runs once
+        here and covers every input by linearity."""
+        if self._d1 is None:
+            self._d1 = partial_deg1(self, self.skew_basis_at(1).symbolic())
+        return self._d1
 
 
 def _coerce_deg1(cx: RBFComplex, f) -> CochainFamily:
@@ -342,34 +352,25 @@ def _wedge_basis_elements(n):
     return out
 
 
-def _map_matrix(images):
-    if not images:
-        return []
-    ncoords = len(images[0])
-    return [[img[i] for img in images] for i in range(ncoords)]
-
-
 def _boundary_coords(cx: RBFComplex):
-    """Coordinates (in the degree-1 basis) of the degree-0 coboundaries."""
+    """Degree-0 coboundaries of the wedge basis e_a ^ e_b (a < b), as forms
+    over the wedge basis, one per degree-1 basis coordinate."""
     ctx = cx.context
-    basis1 = cx.skew_basis_at(1)
-    n = ctx.dimL
-    E = [ctx.algebra.basis(i) for i in range(n)]
-    coords = []
-    for a, b in _wedge_basis_elements(n):
-        f = partial_deg0(cx, DegreeZeroElement([(E[a], E[b])]))
-        coords.append(basis1.project(f))
-    return coords
+    E = [ctx.algebra.basis(i) for i in range(ctx.dimL)]
+    wedge = _wedge_basis_elements(ctx.dimL)
+    generic = DegreeZeroElement(
+        [(vec_scale(g, E[a]), E[b])
+         for g, (a, b) in zip(generic_vector(len(wedge)), wedge)])
+    return cx.skew_basis_at(1).project(partial_deg0(cx, generic))
 
 
 def cohomology_H1(cx: RBFComplex):
     """(dimension, representative degree-1 cocycles) of ker d1 / im d0."""
     cx.context.semigroup.require_unit()
     basis1 = cx.skew_basis_at(1)
-    images = [cochain_full_coords(partial_deg1(cx, basis1.embed(i)))
-              for i in range(basis1.size)]
-    z_basis = nullspace_basis(_map_matrix(images))
-    b_coords = _boundary_coords(cx)
+    z_basis = form_kernel(cochain_full_coords(cx.d1_symbolic()), basis1.size)
+    b_coords = form_columns(_boundary_coords(cx),
+                            len(_wedge_basis_elements(cx.context.dimL)))
     dim = quotient_dim(z_basis, b_coords)
     reps = quotient_representatives(z_basis, b_coords)
     return dim, [basis1.combine(v) for v in reps]
@@ -378,16 +379,12 @@ def cohomology_H1(cx: RBFComplex):
 def cohomology_H23(cx: RBFComplex, budget=None) -> int:
     """dim of (ker d meet ker d*) over the image of the degree-1 coboundary."""
     bas = cx.skew_basis_at((2, 3), budget)
-    images = []
-    for i in range(bas.size):
-        c = bas.embed(i)
-        images.append(cochain_full_coords(partial_23(cx, c, budget))
-                      + cochain_full_coords(partial_star_23(cx, c)))
-    rows = _map_matrix(images)
-    z_basis = nullspace_basis(rows) if rows else []
-    basis1 = cx.skew_basis_at(1)
-    b_coords = [bas.project(partial_deg1(cx, basis1.embed(i)))
-                for i in range(basis1.size)]
+    c = bas.symbolic()
+    rows = (cochain_full_coords(partial_23(cx, c, budget))
+            + cochain_full_coords(partial_star_23(cx, c)))
+    z_basis = form_kernel(rows, bas.size)
+    b_coords = form_columns(bas.project(cx.d1_symbolic()),
+                            cx.skew_basis_at(1).size)
     return quotient_dim(z_basis, b_coords)
 
 
@@ -476,13 +473,8 @@ def deformation_equivalence_witness(cx: RBFComplex, d1, d2):
     E = [ctx.algebra.basis(i) for i in range(n)]
     wedge = _wedge_basis_elements(n)
     basis1 = cx.skew_basis_at(1)
-    cols = [basis1.project(partial_deg0(cx, DegreeZeroElement([(E[a], E[b])])))
-            for a, b in wedge]
     target = vec_sub(basis1.project(f1), basis1.project(f2))
-    mat = _map_matrix(cols)
-    if not mat:
-        return DegreeZeroElement([]) if not any(target) else None
-    x = solve(mat, target)
+    x = solve(form_rows(_boundary_coords(cx), len(wedge)), target)
     if x is None:
         return None
     witness = DegreeZeroElement(

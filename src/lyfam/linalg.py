@@ -93,6 +93,110 @@ def flatten(m):
 
 
 # ---------------------------------------------------------------------------
+# sparse linear forms
+
+class LinearForm(dict):
+    """Exact sparse linear form: basis index -> nonzero int/Fraction.
+
+    Forms add and subtract with forms and with the scalar 0, and scale by
+    scalars, so a multilinear evaluator written for scalars runs unchanged on
+    vectors of forms.  A result without terms is the int 0: truthiness
+    follows the zero-skipping of scalars, and an all-zero coordinate compares
+    equal on every route.  Forms are never changed in place once built.
+    """
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not isinstance(other, LinearForm):
+            if other:
+                raise TypeError("a linear form plus a nonzero constant")
+            return self
+        if len(other) > len(self):
+            self, other = other, self
+        out = LinearForm(self)
+        for k, v in other.items():
+            w = out.get(k, 0) + v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+        return out or 0
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LinearForm({k: -v for k, v in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, c):
+        if isinstance(c, LinearForm):
+            raise TypeError("the product of two linear forms is not linear")
+        if not c:
+            return 0
+        if c == 1:
+            return self
+        return LinearForm({k: c * v for k, v in self.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, dict):
+            return dict.__eq__(self, other)
+        return not self and other == 0
+
+    def __ne__(self, other):
+        return not self == other
+
+
+def generic_vector(n):
+    """The forms {0: 1}, ..., {n-1: 1}: coordinates of a generic vector."""
+    return [LinearForm({i: 1}) for i in range(n)]
+
+
+def form_rows(forms, ncols):
+    """The forms as the dense rows of a len(forms) x ncols matrix."""
+    rows = [[0] * ncols for _ in forms]
+    for row, f in zip(rows, forms):
+        if f:
+            for k, v in f.items():
+                row[k] = v
+    return rows
+
+
+def form_columns(forms, ncols):
+    """The matrix whose rows are `forms`, as a list of its ncols columns."""
+    cols = [[0] * len(forms) for _ in range(ncols)]
+    for r, f in enumerate(forms):
+        if f:
+            for k, v in f.items():
+                cols[k][r] = v
+    return cols
+
+
+def distinct_rows(forms, ncols):
+    """Dense rows of the distinct nonzero forms, each taken up to a nonzero
+    scalar; they span the same row space as all of `forms`."""
+    seen = {}
+    for f in forms:
+        if f:
+            items = sorted(f.items())
+            lead = Fraction(items[0][1])
+            seen.setdefault(tuple((k, v / lead) for k, v in items), None)
+    rows = []
+    for key in seen:
+        row = [0] * ncols
+        for k, v in key:
+            row[k] = v
+        rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # elimination kernel
 
 def _rref(rows):
@@ -129,11 +233,12 @@ def rank(m) -> int:
     return len(_rref(m)[0])
 
 
-def nullspace_basis(m):
-    """Basis of {v : m v = 0}, one vector per free column."""
-    if not m:
-        return []
-    ncols = len(m[0])
+def nullspace_basis(m, ncols):
+    """Basis of {v : m v = 0} for an (any) x ncols matrix, one vector per
+    free column; a matrix without rows has the whole domain as kernel."""
+    if any(len(row) != ncols for row in m):
+        raise PreconditionError("nullspace_basis: rows must have %d entries"
+                                % ncols)
     red, pivots = _rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -145,6 +250,16 @@ def nullspace_basis(m):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+def form_kernel(forms, ncols):
+    """Kernel of the matrix whose rows are the linear forms `forms`.
+
+    Only the distinct nonzero rows, each up to a nonzero scalar, are
+    eliminated.  They span the same row space, whose reduced echelon form is
+    unique, so the basis equals that of the full matrix.
+    """
+    return nullspace_basis(distinct_rows(forms, ncols), ncols)
 
 
 def solve(m, b):

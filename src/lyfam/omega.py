@@ -13,9 +13,9 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import (mat_lincomb, mat_mul, mat_sub, mat_vec, nullspace_basis,
-                     quotient_dim, vec_add, vec_scale, vec_sub, zero_vec,
-                     zeros)
+from .linalg import (form_columns, form_kernel, generic_vector, mat_lincomb,
+                     mat_mul, mat_sub, mat_vec, quotient_dim, vec_add,
+                     vec_scale, vec_sub, zero_vec, zeros)
 from .ly import split_joint
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of
@@ -596,6 +596,12 @@ class SkewBasis:
                 self.add_embedded(c, idx, v)
         return c
 
+    def symbolic(self) -> CochainFamily:
+        """The generic skew cochain sum_i e_i {i: 1}, with linear-form
+        entries.  A linear operator evaluated on it gives, at each output
+        coordinate, the row of its matrix on this basis."""
+        return self.combine(generic_vector(self.size))
+
 
 def skew_basis(degree, dims, s: FiniteCommutativeSemigroup,
                budget: int | None = None) -> SkewBasis:
@@ -811,14 +817,6 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
 # ---------------------------------------------------------------------------
 # cohomology dimensions of the indexed complex
 
-def _map_matrix(images):
-    """Rows = output coordinates, columns = domain basis, from image vectors."""
-    if not images:
-        return []
-    ncoords = len(images[0])
-    return [[img[i] for img in images] for i in range(ncoords)]
-
-
 def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
                           max_n: int, budget: int | None = None):
     """[dim H^1, dim H^(2,3), ..., dim H^(2 max_n, 2 max_n + 1)].
@@ -831,32 +829,19 @@ def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
         raise PreconditionError("max_n must be >= 0")
     s = O.semigroup
     dims_pair = (O.dim, r.dim)
-    out = []
     basis1 = skew_basis(1, dims_pair, s)
-    images1 = [cochain_full_coords(delta_omega(O, r, basis1.embed(i), budget))
-               for i in range(basis1.size)]
-    kernel1 = nullspace_basis(_map_matrix(images1))
-    out.append(len(kernel1) if images1 else basis1.size)
-    if max_n < 1:
-        return out
-    prev_basis = basis1
-    prev_images_coords = None  # coords of delta(previous basis) in next skew basis
+    prev_size = basis1.size
+    prev_image = delta_omega(O, r, basis1.symbolic(), budget)
+    out = [len(form_kernel(cochain_full_coords(prev_image), prev_size))]
     for n in range(1, max_n + 1):
-        degree = (2 * n, 2 * n + 1)
-        bas = skew_basis(degree, dims_pair, s, budget)
-        prev_images = [delta_omega(O, r, prev_basis.embed(i), budget)
-                       for i in range(prev_basis.size)]
-        b_coords = [bas.project(c) for c in prev_images]
-        images = [cochain_full_coords(delta_omega(O, r, bas.embed(i), budget))
-                  for i in range(bas.size)]
-        rows = _map_matrix(images)
+        bas = skew_basis((2 * n, 2 * n + 1), dims_pair, s, budget)
+        b_coords = form_columns(bas.project(prev_image), prev_size)
+        c = bas.symbolic()
+        image = delta_omega(O, r, c, budget)
+        rows = cochain_full_coords(image)
         if n == 1:
-            star = [cochain_full_coords(delta_star_omega(O, r, bas.embed(i)))
-                    for i in range(bas.size)]
-            rows = rows + _map_matrix(star)
-        z_basis = nullspace_basis(rows) if rows else [
-            [1 if i == j else 0 for j in range(bas.size)]
-            for i in range(bas.size)]
+            rows += cochain_full_coords(delta_star_omega(O, r, c))
+        z_basis = form_kernel(rows, bas.size)
         out.append(quotient_dim(z_basis, b_coords))
-        prev_basis = bas
+        prev_size, prev_image = bas.size, image
     return out

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -142,3 +143,15 @@ def test_seed_is_printed(files, capsys):
     _, a_path, _, _, _ = files
     assert main(["--seed", "123", "validate", a_path, "ly"]) == 0
     assert "seed: 123" in capsys.readouterr().err
+
+
+def test_budget_is_scoped_to_one_call(tmp_path, a1, s1, monkeypatch):
+    monkeypatch.delenv("LYFAM_BUDGET", raising=False)
+    p = tmp_path / "ctx.json"
+    sz.save_json(str(p), sz.context_to_json(identity_family(a1, s1)))
+    assert main(["--budget", "5", "cohomology", str(p), "--h23"]) == 1
+    assert "LYFAM_BUDGET" not in os.environ
+    assert main(["cohomology", str(p), "--h23"]) == 0
+    monkeypatch.setenv("LYFAM_BUDGET", "7")
+    assert main(["--budget", "100000", "cohomology", str(p), "--h23"]) == 0
+    assert os.environ["LYFAM_BUDGET"] == "7"
