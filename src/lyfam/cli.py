@@ -13,9 +13,9 @@ import random
 import sys
 
 from . import serialize
-from .cohomology import (DeformationDirection, RBFComplex, check_infinitesimal,
-                         cohomology_H1, cohomology_H23, _linearized_report,
-                         deformation_equivalence_witness)
+from .cohomology import (DeformationDirection, RBFComplex, cohomology_H1,
+                         cohomology_H23, deformation_equivalence_witness,
+                         infinitesimal_report)
 from .errors import (BudgetExceededError, ConsistencyError, LyfamError,
                      MalformedInputError, PreconditionError)
 from .ly import (adjoint_representation, check_cocycle23, check_ly_axioms,
@@ -99,11 +99,10 @@ def _load_bilinear(path):
     n = int(d["dim"])
     from .linalg import zero_vec
     t = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for ent in d.get("entries", []):
-        i, j, k = (int(x) for x in ent[:3])
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise MalformedInputError("bilinear entry out of range: %r" % (ent,))
-        t[i][j][k] = serialize.parse_scalar(ent[3])
+    for (i, j, k), v in serialize.sparse_entries(d.get("entries", []),
+                                                 "bilinear", "i,j,k",
+                                                 (n, n, n)):
+        t[i][j][k] = v
     return t
 
 
@@ -271,11 +270,9 @@ def cmd_deform(args):
     cx = RBFComplex(ctx)
     d1 = DeformationDirection(serialize.load_object(args.t1, "direction"))
     if args.t2 is None:
-        f = d1.as_cochain(ctx)
-        verdict = check_infinitesimal(cx, f)
-        if verdict:
+        rep = infinitesimal_report(cx, d1)
+        if rep.ok:
             return _emit(args, "ok", "cocycle: true", {"cocycle": True})
-        rep = _linearized_report(cx, f)
         first = rep.violations[0]
         return _emit(args, "violations",
                      "cocycle: false (first violated tuple: %s %s)"

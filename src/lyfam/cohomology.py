@@ -12,19 +12,16 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, PreconditionError
-from .linalg import (form_columns, form_kernel, form_rows, generic_vector,
-                     mat_vec, quotient_dim, quotient_representatives, solve,
-                     vec_add, vec_scale, vec_sub, zeros)
+from .linalg import (contract, form_columns, form_kernel, form_rows,
+                     generic_vector, identity, mat_vec, quotient_dim,
+                     quotient_representatives, solve, vec_add, vec_scale,
+                     vec_sub, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_full_coords, cochain_zero, delta_omega,
                     delta_star_omega, skew_basis)
 from .rbfamily import TwistedRBContext, check_twisted_rb_family
 from .report import Report
 from .semigroup import product, product_of
-
-
-def _v_basis(nv):
-    return [[1 if p == q else 0 for q in range(nv)] for p in range(nv)]
 
 
 def induced_omega_ly_on_V(ctx: TwistedRBContext,
@@ -36,7 +33,7 @@ def induced_omega_ly_on_V(ctx: TwistedRBContext,
             raise PreconditionError("input is not a twisted Rota-Baxter family")
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     nv, M = ctx.dimV, s.order
-    U = _v_basis(nv)
+    U = identity(nv)
     T = [[ctx.T(a, u) for u in U] for a in range(M)]
     binary = [[[[None for _ in range(nv)] for _ in range(nv)]
                for _ in range(M)] for _ in range(M)]
@@ -77,8 +74,8 @@ def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
         algebra = induced_omega_ly_on_V(ctx, check=check)
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     n, nv, M = ctx.dimL, ctx.dimV, s.order
-    U = _v_basis(nv)
-    E = [A.basis(i) for i in range(n)]
+    U, E = identity(nv), identity(n)
+    D = ctx.D()
     T = [[ctx.T(a, u) for u in U] for a in range(M)]
     rho = [[[None for _ in range(nv)] for _ in range(M)] for _ in range(M)]
     theta = [[[[[None for _ in range(nv)] for _ in range(nv)]
@@ -90,10 +87,9 @@ def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
                 Tu = T[a][i]
                 mat = zeros(n, n)
                 for col in range(n):
-                    x = E[col]
-                    v = A.bracket(Tu, x)
-                    inner = mat_vec(r.rho_of(x), U[i])
-                    inner = vec_add(inner, c.g1_of(x, Tu))
+                    v = A.bracket(Tu, E[col])
+                    inner = mat_vec(r.rho[col], U[i])
+                    inner = vec_add(inner, contract(c.gamma1[col], Tu))
                     v = vec_add(v, ctx.T(sa, inner))
                     for row in range(n):
                         mat[row][col] = v[row]
@@ -108,12 +104,12 @@ def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
                         Tv = T[b][j]
                         mat = zeros(n, n)
                         for col in range(n):
-                            x = E[col]
-                            v = A.tri(x, Tu, Tv)
-                            inner = mat_vec(ctx.D_of(x, Tu), U[j])
-                            inner = vec_sub(inner,
-                                            mat_vec(r.theta_of(x, Tv), U[i]))
-                            inner = vec_add(inner, c.g2_of(x, Tu, Tv))
+                            v = contract(A.ternary[col], Tu, Tv)
+                            inner = mat_vec(contract(D[col], Tu), U[j])
+                            inner = vec_sub(inner, mat_vec(
+                                contract(r.theta[col], Tv), U[i]))
+                            inner = vec_add(inner, contract(c.gamma2[col],
+                                                            Tu, Tv))
                             v = vec_sub(v, ctx.T(sab, inner))
                             for row in range(n):
                                 mat[row][col] = v[row]
@@ -130,7 +126,7 @@ def rep_d_closed_form_report(ctx: TwistedRBContext,
         rep = induced_rep_on_L(ctx)
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     n, nv, M = ctx.dimL, ctx.dimV, s.order
-    U = _v_basis(nv)
+    U = identity(nv)
     E = [A.basis(i) for i in range(n)]
     out = Report()
     D = rep.d_tensor()
@@ -238,7 +234,7 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
     ctx.semigroup.require_unit()
     A, c = ctx.algebra, ctx.cocycle
     nv, n, M = ctx.dimV, ctx.dimL, ctx.semigroup.order
-    U = _v_basis(nv)
+    U = identity(nv)
     maps = []
     for al in range(M):
         mat = zeros(n, nv)
@@ -264,7 +260,7 @@ def partial_deg1(cx: RBFComplex, f) -> CochainFamily:
     ctx = cx.context
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     nv, n, M = ctx.dimV, ctx.dimL, s.order
-    U = _v_basis(nv)
+    U = identity(nv)
     T = [[ctx.T(a, u) for u in U] for a in range(M)]
     out = cx.zero_cochain((2, 3))
     for a1, a2 in itertools.product(range(M), repeat=2):
@@ -396,7 +392,7 @@ def _linearized_report(cx: RBFComplex, f: CochainFamily) -> Report:
     ctx = cx.context
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     nv, M = ctx.dimV, s.order
-    U = _v_basis(nv)
+    U = identity(nv)
     T = [[ctx.T(a, u) for u in U] for a in range(M)]
     T1 = [[f.one_apply(a, u) for u in U] for a in range(M)]
     rep = Report()
@@ -444,21 +440,25 @@ def _linearized_report(cx: RBFComplex, f: CochainFamily) -> Report:
     return rep
 
 
-def check_infinitesimal(cx: RBFComplex, d) -> bool:
-    """Whether d is the infinitesimal of a linear deformation.
+def infinitesimal_report(cx: RBFComplex, d) -> Report:
+    """The first-order deformation equations of d, evaluated directly.
 
-    Evaluates the first-order equations directly and, independently, tests
-    that the degree-1 coboundary of d vanishes; a disagreement between the
-    two routes is an internal error.
+    Independently tests that the degree-1 coboundary of d vanishes; a
+    disagreement between the two routes is an internal error.
     """
     f = _coerce_deg1(cx, d)
-    direct = _linearized_report(cx, f).ok
+    rep = _linearized_report(cx, f)
     via_coboundary = not any(cochain_full_coords(partial_deg1(cx, f)))
-    if direct != via_coboundary:
+    if rep.ok != via_coboundary:
         raise ConsistencyError(
             "deformation-equation route and coboundary route disagree "
-            "(direct=%s, coboundary=%s)" % (direct, via_coboundary))
-    return direct
+            "(direct=%s, coboundary=%s)" % (rep.ok, via_coboundary))
+    return rep
+
+
+def check_infinitesimal(cx: RBFComplex, d) -> bool:
+    """Whether d is the infinitesimal of a linear deformation."""
+    return infinitesimal_report(cx, d).ok
 
 
 def deformation_equivalence_witness(cx: RBFComplex, d1, d2):

@@ -74,17 +74,53 @@ def mat_scale(c, a):
     return [vec_scale(c, r) for r in a]
 
 
-def mat_lincomb(coeffs, mats, rows, cols):
-    """Sum of coeffs[i] * mats[i]; returns a zero matrix when all coeffs vanish."""
-    out = zeros(rows, cols)
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        for i, row in enumerate(m):
-            orow = out[i]
-            for j, x in enumerate(row):
+def contract(table, *vecs):
+    """Value at vecs of the multilinear map with structure constants table.
+
+    table is a nested list: table[i1]...[ik] is the value at the basis tuple
+    (e_i1, ..., e_ik), a vector or a matrix (a list of rows).  The result
+    has the same shape, also when every coefficient vanishes; only a table
+    without entries (a zero-dimensional argument space) gives [].  Zero
+    coefficients and zero table entries are skipped, so each argument costs
+    only its support.  Entries may be scalars or LinearForms.
+    """
+    # (coefficient, sub-table) for every nonzero product of coordinates;
+    # plain loops with a counter are the fastest form on CPython 3.11
+    terms = [(1, table)]
+    for v in vecs:
+        nxt = []
+        for c, sub in terms:
+            i = 0
+            for x in v:
                 if x:
-                    orow[j] += c * x
+                    nxt.append((c * x, sub[i]))
+                i += 1
+        terms = nxt
+    if terms:
+        leaf = terms[0][1]
+    else:
+        leaf = table
+        for _ in vecs:
+            leaf = leaf[0] if leaf else []
+    if leaf and type(leaf[0]) is list:
+        out = []
+        for a in range(len(leaf)):
+            orow = [0] * len(leaf[a])
+            for c, m in terms:
+                j = 0
+                for x in m[a]:
+                    if x:
+                        orow[j] += c * x
+                    j += 1
+            out.append(orow)
+        return out
+    out = [0] * len(leaf)
+    for c, v in terms:
+        k = 0
+        for x in v:
+            if x:
+                out[k] += c * x
+            k += 1
     return out
 
 

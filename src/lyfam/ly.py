@@ -55,40 +55,11 @@ class LYAlgebra:
                                linalg.vec_add(self.ternary[i][j][k], self.ternary[j][i][k]))
         return rep
 
-    # -- multilinear evaluation with zero skipping
     def bracket(self, x, y):
-        out = linalg.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                v = self.binary[i][j]
-                c = xi * yj
-                for k, vk in enumerate(v):
-                    if vk:
-                        out[k] += c * vk
-        return out
+        return linalg.contract(self.binary, x, y)
 
     def tri(self, x, y, z):
-        out = linalg.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, zk in enumerate(z):
-                    if not zk:
-                        continue
-                    v = self.ternary[i][j][k]
-                    d = c * zk
-                    for l, vl in enumerate(v):
-                        if vl:
-                            out[l] += d * vl
-        return out
+        return linalg.contract(self.ternary, x, y, z)
 
     def basis(self, i):
         e = linalg.zero_vec(self.dim)
@@ -112,26 +83,10 @@ class Representation:
 
     def rho_of(self, x):
         """Matrix of rho(v) for a coefficient vector v over the algebra basis."""
-        return linalg.mat_lincomb(x, self.rho, self.space_dim, self.space_dim)
+        return linalg.contract(self.rho, x)
 
     def theta_of(self, x, y):
-        n = self.space_dim
-        out = linalg.zeros(n, n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                m = self.theta[i][j]
-                for a in range(n):
-                    row = m[a]
-                    orow = out[a]
-                    for b in range(n):
-                        if row[b]:
-                            orow[b] += c * row[b]
-        return out
+        return linalg.contract(self.theta, x, y)
 
 
 def zero_representation(alg_dim: int, space_dim: int) -> Representation:
@@ -148,38 +103,10 @@ class Cocycle23:
     gamma2: list  # g2[i][j][k] -> Vector(space_dim)
 
     def g1_of(self, x, y):
-        n = len(self.gamma1[0][0])
-        out = linalg.zero_vec(n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, vk in enumerate(self.gamma1[i][j]):
-                    if vk:
-                        out[k] += c * vk
-        return out
+        return linalg.contract(self.gamma1, x, y)
 
     def g2_of(self, x, y, z):
-        n = len(self.gamma2[0][0][0])
-        out = linalg.zero_vec(n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, zk in enumerate(z):
-                    if not zk:
-                        continue
-                    d = c * zk
-                    for l, vl in enumerate(self.gamma2[i][j][k]):
-                        if vl:
-                            out[l] += d * vl
-        return out
+        return linalg.contract(self.gamma2, x, y, z)
 
     def is_zero(self) -> bool:
         return (all(not any(v) for row in self.gamma1 for v in row)
@@ -212,46 +139,40 @@ def zero_cocycle(alg_dim: int, space_dim: int) -> Cocycle23:
 def check_ly_axioms(A: LYAlgebra) -> Report:
     rep = A.invariant_report()
     n = A.dim
-    basis = [A.basis(i) for i in range(n)]
-    br, tr = A.bracket, A.tri
+    E = linalg.identity(n)
+    b, t = A.binary, A.ternary
+    br, tr, ct = A.bracket, A.tri, linalg.contract
+    add, sub = linalg.vec_add, linalg.vec_sub
     for i in range(n):
-        x = basis[i]
         for j in range(n):
-            y = basis[j]
             for k in range(n):
-                z = basis[k]
-                res = br(br(x, y), z)
-                res = linalg.vec_add(res, br(br(y, z), x))
-                res = linalg.vec_add(res, br(br(z, x), y))
-                res = linalg.vec_add(res, tr(x, y, z))
-                res = linalg.vec_add(res, tr(z, x, y))
-                res = linalg.vec_add(res, tr(y, z, x))
+                res = br(b[i][j], E[k])
+                res = add(res, br(b[j][k], E[i]))
+                res = add(res, br(b[k][i], E[j]))
+                res = add(res, t[i][j][k])
+                res = add(res, t[k][i][j])
+                res = add(res, t[j][k][i])
                 rep.record("LY-2.1", (i, j, k), res)
                 for a in range(n):
-                    w = basis[a]
-                    res = tr(br(x, y), z, w)
-                    res = linalg.vec_add(res, tr(br(y, z), x, w))
-                    res = linalg.vec_add(res, tr(br(z, x), y, w))
+                    res = tr(b[i][j], E[k], E[a])
+                    res = add(res, tr(b[j][k], E[i], E[a]))
+                    res = add(res, tr(b[k][i], E[j], E[a]))
                     rep.record("LY-2.2", (i, j, k, a), res)
     for a in range(n):
-        va = basis[a]
-        for b in range(n):
-            vb = basis[b]
+        for c in range(n):
+            tac = t[a][c]
             for i in range(n):
-                x = basis[i]
                 for j in range(n):
-                    y = basis[j]
-                    res = tr(va, vb, br(x, y))
-                    res = linalg.vec_sub(res, br(tr(va, vb, x), y))
-                    res = linalg.vec_sub(res, br(x, tr(va, vb, y)))
-                    rep.record("LY-2.3", (a, b, i, j), res)
+                    res = ct(tac, b[i][j])
+                    res = sub(res, br(tac[i], E[j]))
+                    res = sub(res, ct(b[i], tac[j]))
+                    rep.record("LY-2.3", (a, c, i, j), res)
                     for k in range(n):
-                        z = basis[k]
-                        res = tr(va, vb, tr(x, y, z))
-                        res = linalg.vec_sub(res, tr(tr(va, vb, x), y, z))
-                        res = linalg.vec_sub(res, tr(x, tr(va, vb, y), z))
-                        res = linalg.vec_sub(res, tr(x, y, tr(va, vb, z)))
-                        rep.record("LY-2.4", (a, b, i, j, k), res)
+                        res = ct(tac, t[i][j][k])
+                        res = sub(res, tr(tac[i], E[j], E[k]))
+                        res = sub(res, ct(t[i], tac[j], E[k]))
+                        res = sub(res, ct(t[i][j], tac[k]))
+                        rep.record("LY-2.4", (a, c, i, j, k), res)
     return rep
 
 
@@ -272,114 +193,79 @@ def derived_D(A: LYAlgebra, r: Representation):
     return out
 
 
-def _d_of(A, r, D, x, y):
-    return linalg.mat_lincomb(
-        [xi * yj for xi in x for yj in y],
-        [D[i][j] for i in range(A.dim) for j in range(A.dim)],
-        r.space_dim, r.space_dim)
-
-
 def check_representation(A: LYAlgebra, r: Representation) -> Report:
     rep = Report()
     n = A.dim
-    basis = [A.basis(i) for i in range(n)]
+    E = linalg.identity(n)
     D = derived_D(A, r)
-
-    def rho(x):
-        return r.rho_of(x)
-
-    def theta(x, y):
-        return r.theta_of(x, y)
-
-    def dd(x, y):
-        return _d_of(A, r, D, x, y)
-
-    mm = linalg.mat_mul
+    b, t, rho, theta = A.binary, A.ternary, r.rho, r.theta
+    ct, mm = linalg.contract, linalg.mat_mul
+    add, sub = linalg.mat_add, linalg.mat_sub
     for i in range(n):
-        x = basis[i]
         for j in range(n):
-            y = basis[j]
             for k in range(n):
-                z = basis[k]
-                res = theta(A.bracket(x, y), z)
-                res = linalg.mat_sub(res, mm(theta(x, z), rho(y)))
-                res = linalg.mat_add(res, mm(theta(y, z), rho(x)))
+                res = ct(theta, b[i][j], E[k])
+                res = sub(res, mm(theta[i][k], rho[j]))
+                res = add(res, mm(theta[j][k], rho[i]))
                 rep.record("REP-2.5", (i, j, k), linalg.flatten(res))
 
-                res = mm(dd(x, y), rho(z))
-                res = linalg.mat_sub(res, mm(rho(z), dd(x, y)))
-                res = linalg.mat_sub(res, rho(A.tri(x, y, z)))
+                res = mm(D[i][j], rho[k])
+                res = sub(res, mm(rho[k], D[i][j]))
+                res = sub(res, ct(rho, t[i][j][k]))
                 rep.record("REP-2.6", (i, j, k), linalg.flatten(res))
 
-                res = theta(x, A.bracket(y, z))
-                res = linalg.mat_sub(res, mm(rho(y), theta(x, z)))
-                res = linalg.mat_add(res, mm(rho(z), theta(x, y)))
+                res = ct(theta[i], b[j][k])
+                res = sub(res, mm(rho[j], theta[i][k]))
+                res = add(res, mm(rho[k], theta[i][j]))
                 rep.record("REP-2.7", (i, j, k), linalg.flatten(res))
 
     for a in range(n):
-        va = basis[a]
-        for b in range(n):
-            vb = basis[b]
+        for c in range(n):
+            tac = t[a][c]
             for i in range(n):
-                x = basis[i]
                 for j in range(n):
-                    y = basis[j]
-                    res = mm(dd(va, vb), theta(x, y))
-                    res = linalg.mat_sub(res, mm(theta(x, y), dd(va, vb)))
-                    res = linalg.mat_sub(res, theta(A.tri(va, vb, x), y))
-                    res = linalg.mat_sub(res, theta(x, A.tri(va, vb, y)))
-                    rep.record("REP-2.8", (a, b, i, j), linalg.flatten(res))
+                    res = mm(D[a][c], theta[i][j])
+                    res = sub(res, mm(theta[i][j], D[a][c]))
+                    res = sub(res, ct(theta, tac[i], E[j]))
+                    res = sub(res, ct(theta[i], tac[j]))
+                    rep.record("REP-2.8", (a, c, i, j), linalg.flatten(res))
 
     for a in range(n):
-        va = basis[a]
         for i in range(n):
-            x = basis[i]
             for j in range(n):
-                y = basis[j]
                 for k in range(n):
-                    z = basis[k]
-                    res = theta(va, A.tri(x, y, z))
-                    res = linalg.mat_sub(res, mm(theta(y, z), theta(va, x)))
-                    res = linalg.mat_add(res, mm(theta(x, z), theta(va, y)))
-                    res = linalg.mat_sub(res, mm(dd(x, y), theta(va, z)))
+                    res = ct(theta[a], t[i][j][k])
+                    res = sub(res, mm(theta[j][k], theta[a][i]))
+                    res = add(res, mm(theta[i][k], theta[a][j]))
+                    res = sub(res, mm(D[i][j], theta[a][k]))
                     rep.record("REP-2.9", (a, i, j, k), linalg.flatten(res))
 
     # redundant consequences of the definition, kept as a consistency self-test
     for i in range(n):
-        x = basis[i]
         for j in range(n):
-            y = basis[j]
             for k in range(n):
-                z = basis[k]
-                res = dd(A.bracket(x, y), z)
-                res = linalg.mat_add(res, dd(A.bracket(y, z), x))
-                res = linalg.mat_add(res, dd(A.bracket(z, x), y))
+                res = ct(D, b[i][j], E[k])
+                res = add(res, ct(D, b[j][k], E[i]))
+                res = add(res, ct(D, b[k][i], E[j]))
                 rep.record("REP-2.11", (i, j, k), linalg.flatten(res))
     for a in range(n):
-        va = basis[a]
-        for b in range(n):
-            vb = basis[b]
+        for c in range(n):
+            tac = t[a][c]
             for i in range(n):
-                x = basis[i]
                 for j in range(n):
-                    y = basis[j]
-                    res = mm(dd(va, vb), dd(x, y))
-                    res = linalg.mat_sub(res, mm(dd(x, y), dd(va, vb)))
-                    res = linalg.mat_sub(res, dd(A.tri(va, vb, x), y))
-                    res = linalg.mat_sub(res, dd(x, A.tri(va, vb, y)))
-                    rep.record("REP-2.12", (a, b, i, j), linalg.flatten(res))
+                    res = mm(D[a][c], D[i][j])
+                    res = sub(res, mm(D[i][j], D[a][c]))
+                    res = sub(res, ct(D, tac[i], E[j]))
+                    res = sub(res, ct(D[i], tac[j]))
+                    rep.record("REP-2.12", (a, c, i, j), linalg.flatten(res))
     for i in range(n):
-        x = basis[i]
         for j in range(n):
-            y = basis[j]
             for k in range(n):
-                z = basis[k]
                 for a in range(n):
-                    va = basis[a]
-                    res = theta(A.tri(x, y, z), va)
-                    res = linalg.mat_sub(res, mm(theta(x, va), theta(z, y)))
-                    res = linalg.mat_add(res, mm(theta(y, va), theta(z, x)))
-                    res = linalg.mat_add(res, mm(theta(z, va), dd(x, y)))
+                    res = ct(theta, t[i][j][k], E[a])
+                    res = sub(res, mm(theta[i][a], theta[k][j]))
+                    res = add(res, mm(theta[j][a], theta[k][i]))
+                    res = add(res, mm(theta[k][a], D[i][j]))
                     rep.record("REP-2.13", (i, j, k, a), linalg.flatten(res))
     return rep
 
@@ -412,66 +298,56 @@ def adjoint_representation(A: LYAlgebra) -> Representation:
 def check_cocycle23(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:
     rep = c.invariant_report()
     n = A.dim
-    basis = [A.basis(i) for i in range(n)]
+    E = linalg.identity(n)
     D = derived_D(A, r)
-    mv = linalg.mat_vec
-    va = linalg.vec_add
-    vs = linalg.vec_sub
-
-    def dd(x, y):
-        return _d_of(A, r, D, x, y)
+    b, t, g1, g2 = A.binary, A.ternary, c.gamma1, c.gamma2
+    ct, mv = linalg.contract, linalg.mat_vec
+    va, vs = linalg.vec_add, linalg.vec_sub
 
     for i1 in range(n):
-        x1 = basis[i1]
         for j1 in range(n):
-            y1 = basis[j1]
             for k in range(n):
-                z = basis[k]
-                res = linalg.vec_neg(mv(r.rho[i1], c.g1_of(y1, z)))
-                res = vs(res, mv(r.rho[j1], c.g1_of(z, x1)))
-                res = vs(res, mv(r.rho[k], c.g1_of(x1, y1)))
-                res = va(res, c.g1_of(A.bracket(x1, y1), z))
-                res = va(res, c.g1_of(A.bracket(y1, z), x1))
-                res = va(res, c.g1_of(A.bracket(z, x1), y1))
-                res = va(res, c.gamma2[i1][j1][k])
-                res = va(res, c.gamma2[k][i1][j1])
-                res = va(res, c.gamma2[j1][k][i1])
+                res = linalg.vec_neg(mv(r.rho[i1], g1[j1][k]))
+                res = vs(res, mv(r.rho[j1], g1[k][i1]))
+                res = vs(res, mv(r.rho[k], g1[i1][j1]))
+                res = va(res, ct(g1, b[i1][j1], E[k]))
+                res = va(res, ct(g1, b[j1][k], E[i1]))
+                res = va(res, ct(g1, b[k][i1], E[j1]))
+                res = va(res, g2[i1][j1][k])
+                res = va(res, g2[k][i1][j1])
+                res = va(res, g2[j1][k][i1])
                 rep.record("COC-2.14", (i1, j1, k), res)
 
     for i1 in range(n):
-        x1 = basis[i1]
         for j1 in range(n):
-            y1 = basis[j1]
+            t11 = t[i1][j1]
             for i2 in range(n):
-                x2 = basis[i2]
                 for j2 in range(n):
-                    y2 = basis[j2]
-                    res = mv(r.theta[i1][j2], c.gamma1[j1][i2])
-                    res = va(res, mv(r.theta[j1][j2], c.gamma1[i2][i1]))
-                    res = va(res, mv(r.theta[i2][j2], c.gamma1[i1][j1]))
-                    res = va(res, c.g2_of(A.bracket(x1, y1), x2, y2))
-                    res = va(res, c.g2_of(A.bracket(y1, x2), x1, y2))
-                    res = va(res, c.g2_of(A.bracket(x2, x1), y1, y2))
+                    res = mv(r.theta[i1][j2], g1[j1][i2])
+                    res = va(res, mv(r.theta[j1][j2], g1[i2][i1]))
+                    res = va(res, mv(r.theta[i2][j2], g1[i1][j1]))
+                    res = va(res, ct(g2, b[i1][j1], E[i2], E[j2]))
+                    res = va(res, ct(g2, b[j1][i2], E[i1], E[j2]))
+                    res = va(res, ct(g2, b[i2][i1], E[j1], E[j2]))
                     rep.record("COC-2.15", (i1, j1, i2, j2), res)
 
-                    res = linalg.vec_neg(mv(r.rho[i2], c.gamma2[i1][j1][j2]))
-                    res = va(res, mv(r.rho[j2], c.gamma2[i1][j1][i2]))
-                    res = va(res, c.g2_of(x1, y1, A.bracket(x2, y2)))
-                    res = va(res, mv(D[i1][j1], c.gamma1[i2][j2]))
-                    res = vs(res, c.g1_of(A.tri(x1, y1, x2), y2))
-                    res = vs(res, c.g1_of(x2, A.tri(x1, y1, y2)))
+                    res = linalg.vec_neg(mv(r.rho[i2], g2[i1][j1][j2]))
+                    res = va(res, mv(r.rho[j2], g2[i1][j1][i2]))
+                    res = va(res, ct(g2[i1][j1], b[i2][j2]))
+                    res = va(res, mv(D[i1][j1], g1[i2][j2]))
+                    res = vs(res, ct(g1, t11[i2], E[j2]))
+                    res = vs(res, ct(g1[i2], t11[j2]))
                     rep.record("COC-2.16", (i1, j1, i2, j2), res)
 
                     for k in range(n):
-                        z = basis[k]
-                        res = linalg.vec_neg(mv(r.theta[j2][k], c.gamma2[i1][j1][i2]))
-                        res = va(res, mv(r.theta[i2][k], c.gamma2[i1][j1][j2]))
-                        res = va(res, mv(D[i1][j1], c.gamma2[i2][j2][k]))
-                        res = vs(res, mv(D[i2][j2], c.gamma2[i1][j1][k]))
-                        res = vs(res, c.g2_of(A.tri(x1, y1, x2), y2, z))
-                        res = vs(res, c.g2_of(x2, A.tri(x1, y1, y2), z))
-                        res = va(res, c.g2_of(x1, y1, A.tri(x2, y2, z)))
-                        res = vs(res, c.g2_of(x2, y2, A.tri(x1, y1, z)))
+                        res = linalg.vec_neg(mv(r.theta[j2][k], g2[i1][j1][i2]))
+                        res = va(res, mv(r.theta[i2][k], g2[i1][j1][j2]))
+                        res = va(res, mv(D[i1][j1], g2[i2][j2][k]))
+                        res = vs(res, mv(D[i2][j2], g2[i1][j1][k]))
+                        res = vs(res, ct(g2, t11[i2], E[j2], E[k]))
+                        res = vs(res, ct(g2[i2], t11[j2], E[k]))
+                        res = va(res, ct(g2[i1][j1], t[i2][j2][k]))
+                        res = vs(res, ct(g2[i2][j2], t11[k]))
                         rep.record("COC-2.17", (i1, j1, i2, j2, k), res)
     return rep
 
@@ -495,15 +371,14 @@ def check_jacobi(binary) -> Report:
         for j in range(i, n):
             rep.record("invariant:skew-binary", (i, j),
                        linalg.vec_add(binary[i][j], binary[j][i]))
-    basis = [A.basis(i) for i in range(n)]
+    E = linalg.identity(n)
+    b = A.binary
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                res = A.bracket(A.bracket(basis[i], basis[j]), basis[k])
-                res = linalg.vec_add(
-                    res, A.bracket(A.bracket(basis[j], basis[k]), basis[i]))
-                res = linalg.vec_add(
-                    res, A.bracket(A.bracket(basis[k], basis[i]), basis[j]))
+                res = A.bracket(b[i][j], E[k])
+                res = linalg.vec_add(res, A.bracket(b[j][k], E[i]))
+                res = linalg.vec_add(res, A.bracket(b[k][i], E[j]))
                 rep.record("jacobi", (i, j, k), res)
     return rep
 
@@ -516,8 +391,8 @@ def ly_from_lie(lie_binary) -> LYAlgebra:
             "input bracket is not a Lie bracket: %s" % sorted(jac.laws()))
     n = len(lie_binary)
     lie = LYAlgebra(n, lie_binary, zero_ly(n).ternary)
-    basis = [lie.basis(i) for i in range(n)]
-    ternary = [[[lie.bracket(lie.bracket(basis[i], basis[j]), basis[k])
+    E = linalg.identity(n)
+    ternary = [[[lie.bracket(lie.binary[i][j], E[k])
                  for k in range(n)] for j in range(n)] for i in range(n)]
     return LYAlgebra(n, lie_binary, ternary)
 
@@ -525,29 +400,15 @@ def ly_from_lie(lie_binary) -> LYAlgebra:
 def check_leibniz(star) -> Report:
     """Left Leibniz law x*(y*z) = (x*y)*z + y*(x*z) for a product tensor."""
     n = len(star)
-    # reuse the trilinear machinery through direct tensor evaluation
-    def prod(x, y):
-        out = linalg.zero_vec(n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, vk in enumerate(star[i][j]):
-                    if vk:
-                        out[k] += c * vk
-        return out
-
+    ct = linalg.contract
     rep = Report()
-    basis = [[1 if p == q else 0 for q in range(n)] for p in range(n)]
+    E = linalg.identity(n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                res = prod(basis[i], prod(basis[j], basis[k]))
-                res = linalg.vec_sub(res, prod(prod(basis[i], basis[j]), basis[k]))
-                res = linalg.vec_sub(res, prod(basis[j], prod(basis[i], basis[k])))
+                res = ct(star[i], star[j][k])
+                res = linalg.vec_sub(res, ct(star, star[i][j], E[k]))
+                res = linalg.vec_sub(res, ct(star[j], star[i][k]))
                 rep.record("leibniz-left", (i, j, k), res)
     return rep
 
@@ -558,25 +419,10 @@ def ly_from_leibniz(star) -> LYAlgebra:
     if not law.ok:
         raise PreconditionError("input product violates the left Leibniz law")
     n = len(star)
-
-    def prod(x, y):
-        out = linalg.zero_vec(n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, vk in enumerate(star[i][j]):
-                    if vk:
-                        out[k] += c * vk
-        return out
-
-    basis = [[1 if p == q else 0 for q in range(n)] for p in range(n)]
-    binary = [[linalg.vec_sub(prod(basis[i], basis[j]), prod(basis[j], basis[i]))
+    E = linalg.identity(n)
+    binary = [[linalg.vec_sub(star[i][j], star[j][i])
                for j in range(n)] for i in range(n)]
-    ternary = [[[linalg.vec_neg(prod(prod(basis[i], basis[j]), basis[k]))
+    ternary = [[[linalg.vec_neg(linalg.contract(star, star[i][j], E[k]))
                  for k in range(n)] for j in range(n)] for i in range(n)]
     out = LYAlgebra(n, binary, ternary)
     chk = check_ly_axioms(out)

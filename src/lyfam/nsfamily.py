@@ -26,52 +26,17 @@ class NSFamilyAlgebra:
     ternary_curly: list  # c[beta][gamma][i][j][k] -> Vector
     ternary_square: list  # q[alpha][beta][gamma][i][j][k] -> Vector
 
-    # ------------------------------------------------------------------
-    # multilinear evaluation with zero skipping
-
-    def _bi(self, tensor, x, y):
-        out = linalg.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, vk in enumerate(tensor[i][j]):
-                    if vk:
-                        out[k] += c * vk
-        return out
-
-    def _tri(self, tensor, x, y, z):
-        out = linalg.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, zk in enumerate(z):
-                    if not zk:
-                        continue
-                    d = c * zk
-                    for l, vl in enumerate(tensor[i][j][k]):
-                        if vl:
-                            out[l] += d * vl
-        return out
-
     def bl(self, a, x, y):
-        return self._bi(self.bullet[a], x, y)
+        return linalg.contract(self.bullet[a], x, y)
 
     def vv(self, a, b, x, y):
-        return self._bi(self.vee[a][b], x, y)
+        return linalg.contract(self.vee[a][b], x, y)
 
     def cu(self, b, g, x, y, z):
-        return self._tri(self.ternary_curly[b][g], x, y, z)
+        return linalg.contract(self.ternary_curly[b][g], x, y, z)
 
     def sq(self, a, b, g, x, y, z):
-        return self._tri(self.ternary_square[a][b][g], x, y, z)
+        return linalg.contract(self.ternary_square[a][b][g], x, y, z)
 
     # derived operations
     def star2(self, a, b, x, y):
@@ -173,11 +138,19 @@ _FAMILY_TO_PLAIN = {
 
 
 def check_ns_family_axioms(N: NSFamilyAlgebra, law_prefix: str = None) -> Report:
+    """The NS family axioms on every index and basis tuple.
+
+    Basis arguments are table lookups and the derived brackets come from the
+    tensors of `derived_brackets`; by multilinearity this is the same as
+    evaluating every term at basis vectors.
+    """
     rep = N.invariant_report()
-    s = N.semigroup
-    n, m = N.dim, s.order
-    basis = [N.basis(i) for i in range(n)]
-    add, sub = linalg.vec_add, linalg.vec_sub
+    s, n = N.semigroup, N.dim
+    E = linalg.identity(n)
+    BL, VV = N.bullet, N.vee
+    CU, SQ = N.ternary_curly, N.ternary_square
+    S2, S3, DB = derived_brackets(N)
+    ct, add, sub = linalg.contract, linalg.vec_add, linalg.vec_sub
 
     def rec(law, witness, res):
         if law_prefix is not None:
@@ -190,144 +163,133 @@ def check_ns_family_axioms(N: NSFamilyAlgebra, law_prefix: str = None) -> Report
             ab = product(s, a, b)
             for g in elems:
                 abg = product(s, ab, g)
+                bg, ga = product(s, b, g), product(s, g, a)
                 for i in range(n):
-                    x = basis[i]
                     for j in range(n):
-                        y = basis[j]
-                        st = N.star2(a, b, x, y)
+                        st = S2[a][b][i][j]
                         for k in range(n):
-                            z = basis[k]
+                            dbk = DB[a][b][g][i][j][k]
                             # (4.21): three elements, three indices
-                            bg, ga = product(s, b, g), product(s, g, a)
-                            res = N.vv(ab, g, st, z)
-                            res = add(res, N.vv(bg, a, N.star2(b, g, y, z), x))
-                            res = add(res, N.vv(ga, b, N.star2(g, a, z, x), y))
-                            res = sub(res, N.bl(g, z, N.vv(a, b, x, y)))
-                            res = sub(res, N.bl(a, x, N.vv(b, g, y, z)))
-                            res = sub(res, N.bl(b, y, N.vv(g, a, z, x)))
-                            res = add(res, N.sq(a, b, g, x, y, z))
-                            res = add(res, N.sq(b, g, a, y, z, x))
-                            res = add(res, N.sq(g, a, b, z, x, y))
+                            res = ct(VV[ab][g], st, E[k])
+                            res = add(res, ct(VV[bg][a], S2[b][g][j][k], E[i]))
+                            res = add(res, ct(VV[ga][b], S2[g][a][k][i], E[j]))
+                            res = sub(res, ct(BL[g][k], VV[a][b][i][j]))
+                            res = sub(res, ct(BL[a][i], VV[b][g][j][k]))
+                            res = sub(res, ct(BL[b][j], VV[g][a][k][i]))
+                            res = add(res, SQ[a][b][g][i][j][k])
+                            res = add(res, SQ[b][g][a][j][k][i])
+                            res = add(res, SQ[g][a][b][k][i][j])
                             rec("NSF-4.21", (a, b, g, i, j, k), res)
                             for l in range(n):
-                                w = basis[l]
                                 # (4.16): a passive, x, y, z indexed a,b,g
-                                res = N.cu(ab, g, w, st, z)
-                                res = sub(res, N.cu(a, g, N.bl(b, y, w), x, z))
-                                res = add(res, N.cu(b, g, N.bl(a, x, w), y, z))
+                                res = ct(CU[ab][g][l], st, E[k])
+                                res = sub(res, ct(CU[a][g], BL[b][j][l],
+                                                  E[i], E[k]))
+                                res = add(res, ct(CU[b][g], BL[a][i][l],
+                                                  E[j], E[k]))
                                 rec("NSF-4.16", (a, b, g, i, j, k, l), res)
                                 # (4.17)
-                                res = N.star3(a, b, x, y, N.bl(g, z, w))
-                                res = sub(res, N.bl(g, z, N.star3(a, b, x, y, w)))
-                                res = sub(res, N.bl(abg, N.dbl(a, b, g, x, y, z), w))
+                                res = ct(S3[a][b][i][j], BL[g][k][l])
+                                res = sub(res, ct(BL[g][k], S3[a][b][i][j][l]))
+                                res = sub(res, ct(BL[abg], dbk, E[l]))
                                 rec("NSF-4.17", (a, b, g, i, j, k, l), res)
                                 # (4.18): {a,x,[y,z]*_{b,g}}_{a?,..}
-                                res = N.cu(a, bg, w, x, N.star2(b, g, y, z))
-                                res = sub(res, N.bl(b, y, N.cu(a, g, w, x, z)))
-                                res = add(res, N.bl(g, z, N.cu(a, b, w, x, y)))
+                                res = ct(CU[a][bg][l][i], S2[b][g][j][k])
+                                res = sub(res, ct(BL[b][j], CU[a][g][l][i][k]))
+                                res = add(res, ct(BL[g][k], CU[a][b][l][i][j]))
                                 rec("NSF-4.18", (a, b, g, i, j, k, l), res)
                                 # (4.28)
-                                res = N.star3(ab, g, st, z, w)
-                                res = add(res, N.star3(
-                                    bg, a, N.star2(b, g, y, z), x, w))
-                                res = add(res, N.star3(
-                                    ga, b, N.star2(g, a, z, x), y, w))
+                                res = ct(S3[ab][g], st, E[k], E[l])
+                                res = add(res, ct(S3[bg][a], S2[b][g][j][k],
+                                                  E[i], E[l]))
+                                res = add(res, ct(S3[ga][b], S2[g][a][k][i],
+                                                  E[j], E[l]))
                                 rec("NSF-4.28", (a, b, g, i, j, k, l), res)
     for a in elems:
         for b in elems:
             ab = product(s, a, b)
             for g in elems:
                 abg = product(s, ab, g)
+                bg, ga = product(s, b, g), product(s, g, a)
                 for si in elems:
                     absi = product(s, ab, si)
                     gsi = product(s, g, si)
+                    bgsi = product_of(s, [b, g, si])
                     for i in range(n):
-                        x = basis[i]
                         for j in range(n):
-                            y = basis[j]
+                            S3ab = S3[a][b][i][j]
                             for k in range(n):
-                                z = basis[k]
+                                dbk = DB[a][b][g][i][j][k]
                                 for l in range(n):
-                                    w = basis[l]
+                                    dbl = DB[a][b][si][i][j][l]
                                     # (4.22)
-                                    res = N.cu(g, si, N.vv(a, b, x, y), z, w)
-                                    res = add(res, N.cu(
-                                        a, si, N.vv(b, g, y, z), x, w))
-                                    res = add(res, N.cu(
-                                        b, si, N.vv(g, a, z, x), y, w))
-                                    res = add(res, N.sq(
-                                        ab, g, si, N.star2(a, b, x, y), z, w))
-                                    res = add(res, N.sq(
-                                        product(s, b, g), a, si,
-                                        N.star2(b, g, y, z), x, w))
-                                    res = add(res, N.sq(
-                                        product(s, g, a), b, si,
-                                        N.star2(g, a, z, x), y, w))
+                                    res = ct(CU[g][si], VV[a][b][i][j],
+                                             E[k], E[l])
+                                    res = add(res, ct(CU[a][si], VV[b][g][j][k],
+                                                      E[i], E[l]))
+                                    res = add(res, ct(CU[b][si], VV[g][a][k][i],
+                                                      E[j], E[l]))
+                                    res = add(res, ct(SQ[ab][g][si],
+                                                      S2[a][b][i][j], E[k], E[l]))
+                                    res = add(res, ct(SQ[bg][a][si],
+                                                      S2[b][g][j][k], E[i], E[l]))
+                                    res = add(res, ct(SQ[ga][b][si],
+                                                      S2[g][a][k][i], E[j], E[l]))
                                     rec("NSF-4.22", (a, b, g, si, i, j, k, l), res)
                                     # (4.23)
                                     res = linalg.vec_neg(
-                                        N.bl(g, z, N.sq(a, b, si, x, y, w)))
-                                    res = add(res, N.bl(
-                                        si, w, N.sq(a, b, g, x, y, z)))
-                                    res = add(res, N.sq(
-                                        a, b, gsi, x, y, N.star2(g, si, z, w)))
-                                    res = add(res, N.star3(
-                                        a, b, x, y, N.vv(g, si, z, w)))
-                                    res = sub(res, N.vv(
-                                        abg, si, N.dbl(a, b, g, x, y, z), w))
-                                    res = sub(res, N.vv(
-                                        g, absi, z, N.dbl(a, b, si, x, y, w)))
+                                        ct(BL[g][k], SQ[a][b][si][i][j][l]))
+                                    res = add(res, ct(BL[si][l],
+                                                      SQ[a][b][g][i][j][k]))
+                                    res = add(res, ct(SQ[a][b][gsi][i][j],
+                                                      S2[g][si][k][l]))
+                                    res = add(res, ct(S3ab, VV[g][si][k][l]))
+                                    res = sub(res, ct(VV[abg][si], dbk, E[l]))
+                                    res = sub(res, ct(VV[g][absi][k], dbl))
                                     rec("NSF-4.23", (a, b, g, si, i, j, k, l), res)
                                     for p in range(n):
-                                        t = basis[p]
                                         # (4.19): elements x,y,b=t,z,a=w
-                                        res = N.star3(
-                                            a, b, x, y, N.cu(g, si, t, z, w))
-                                        res = sub(res, N.cu(
-                                            g, si, N.star3(a, b, x, y, t), z, w))
-                                        res = sub(res, N.cu(
-                                            abg, si, t,
-                                            N.dbl(a, b, g, x, y, z), w))
-                                        res = sub(res, N.cu(
-                                            g, absi, t, z,
-                                            N.dbl(a, b, si, x, y, w)))
+                                        res = ct(S3ab, CU[g][si][p][k][l])
+                                        res = sub(res, ct(CU[g][si], S3ab[p],
+                                                          E[k], E[l]))
+                                        res = sub(res, ct(CU[abg][si][p], dbk,
+                                                          E[l]))
+                                        res = sub(res, ct(CU[g][absi][p][k], dbl))
                                         rec("NSF-4.19",
                                             (a, b, g, si, i, j, k, l, p), res)
                                         # (4.20): elements b=t,x,y,z,a=w
-                                        res = N.cu(
-                                            a, product_of(s, [b, g, si]), t, x,
-                                            N.dbl(b, g, si, y, z, w))
-                                        res = sub(res, N.cu(
-                                            g, si, N.cu(a, b, t, x, y), z, w))
-                                        res = add(res, N.cu(
-                                            b, si, N.cu(a, g, t, x, z), y, w))
-                                        res = sub(res, N.star3(
-                                            b, g, y, z, N.cu(a, si, t, x, w)))
+                                        res = ct(CU[a][bgsi][p][i],
+                                                 DB[b][g][si][j][k][l])
+                                        res = sub(res, ct(CU[g][si],
+                                                          CU[a][b][p][i][j],
+                                                          E[k], E[l]))
+                                        res = add(res, ct(CU[b][si],
+                                                          CU[a][g][p][i][k],
+                                                          E[j], E[l]))
+                                        res = sub(res, ct(S3[b][g][j][k],
+                                                          CU[a][si][p][i][l]))
                                         rec("NSF-4.20",
                                             (a, b, g, si, i, j, k, l, p), res)
                                         # (4.29)
-                                        res = N.star3(
-                                            a, b, x, y, N.star3(g, si, z, w, t))
-                                        res = sub(res, N.star3(
-                                            g, si, z, w, N.star3(a, b, x, y, t)))
-                                        res = sub(res, N.star3(
-                                            abg, si, N.dbl(a, b, g, x, y, z),
-                                            w, t))
-                                        res = sub(res, N.star3(
-                                            g, absi, z,
-                                            N.dbl(a, b, si, x, y, w), t))
+                                        res = ct(S3ab, S3[g][si][k][l][p])
+                                        res = sub(res, ct(S3[g][si][k][l],
+                                                          S3ab[p]))
+                                        res = sub(res, ct(S3[abg][si], dbk,
+                                                          E[l], E[p]))
+                                        res = sub(res, ct(S3[g][absi][k], dbl,
+                                                          E[p]))
                                         rec("NSF-4.29",
                                             (a, b, g, si, i, j, k, l, p), res)
                                         # (4.30): elements b=t,x,y,z,a=w
-                                        res = N.cu(
-                                            abg, si, t,
-                                            N.dbl(a, b, g, x, y, z), w)
-                                        res = sub(res, N.cu(
-                                            a, si, N.cu(g, b, t, z, y), x, w))
-                                        res = add(res, N.cu(
-                                            b, si, N.cu(g, a, t, z, x), y, w))
-                                        res = add(res, N.cu(
-                                            g, si, N.star3(a, b, x, y, t), z, w))
+                                        res = ct(CU[abg][si][p], dbk, E[l])
+                                        res = sub(res, ct(CU[a][si],
+                                                          CU[g][b][p][k][j],
+                                                          E[i], E[l]))
+                                        res = add(res, ct(CU[b][si],
+                                                          CU[g][a][p][k][i],
+                                                          E[j], E[l]))
+                                        res = add(res, ct(CU[g][si], S3ab[p],
+                                                          E[k], E[l]))
                                         rec("NSF-4.30",
                                             (a, b, g, si, i, j, k, l, p), res)
     # (4.24): five elements, five indices
@@ -343,39 +305,34 @@ def check_ns_family_axioms(N: NSFamilyAlgebra, law_prefix: str = None) -> Report
                         abta = product(s, ab, ta)
                         gsita = product(s, gsi, ta)
                         for i in range(n):
-                            x = basis[i]
                             for j in range(n):
-                                y = basis[j]
                                 for k in range(n):
-                                    z = basis[k]
+                                    dbk = DB[a][b][g][i][j][k]
                                     for l in range(n):
-                                        w = basis[l]
+                                        dbl = DB[a][b][si][i][j][l]
                                         for p in range(n):
-                                            t = basis[p]
-                                            res = linalg.vec_neg(N.cu(
-                                                si, ta,
-                                                N.sq(a, b, g, x, y, z), w, t))
-                                            res = add(res, N.cu(
-                                                g, ta,
-                                                N.sq(a, b, si, x, y, w), z, t))
-                                            res = add(res, N.star3(
-                                                a, b, x, y,
-                                                N.sq(g, si, ta, z, w, t)))
-                                            res = sub(res, N.star3(
-                                                g, si, z, w,
-                                                N.sq(a, b, ta, x, y, t)))
-                                            res = sub(res, N.sq(
-                                                abg, si, ta,
-                                                N.dbl(a, b, g, x, y, z), w, t))
-                                            res = sub(res, N.sq(
-                                                g, absi, ta, z,
-                                                N.dbl(a, b, si, x, y, w), t))
-                                            res = add(res, N.sq(
-                                                a, b, gsita, x, y,
-                                                N.dbl(g, si, ta, z, w, t)))
-                                            res = sub(res, N.sq(
-                                                g, si, abta, z, w,
-                                                N.dbl(a, b, ta, x, y, t)))
+                                            res = linalg.vec_neg(ct(
+                                                CU[si][ta], SQ[a][b][g][i][j][k],
+                                                E[l], E[p]))
+                                            res = add(res, ct(
+                                                CU[g][ta], SQ[a][b][si][i][j][l],
+                                                E[k], E[p]))
+                                            res = add(res, ct(
+                                                S3[a][b][i][j],
+                                                SQ[g][si][ta][k][l][p]))
+                                            res = sub(res, ct(
+                                                S3[g][si][k][l],
+                                                SQ[a][b][ta][i][j][p]))
+                                            res = sub(res, ct(
+                                                SQ[abg][si][ta], dbk, E[l], E[p]))
+                                            res = sub(res, ct(
+                                                SQ[g][absi][ta][k], dbl, E[p]))
+                                            res = add(res, ct(
+                                                SQ[a][b][gsita][i][j],
+                                                DB[g][si][ta][k][l][p]))
+                                            res = sub(res, ct(
+                                                SQ[g][si][abta][k][l],
+                                                DB[a][b][ta][i][j][p]))
                                             rec("NSF-4.24",
                                                 (a, b, g, si, ta, i, j, k, l, p),
                                                 res)
@@ -434,7 +391,7 @@ def ns_from_twisted_rb(ctx, check: bool = True) -> NSFamilyAlgebra:
             raise PreconditionError("input is not a twisted Rota-Baxter family")
     s = ctx.semigroup
     nv, m = ctx.dimV, s.order
-    vb = [[1 if p == q else 0 for q in range(nv)] for p in range(nv)]
+    vb = linalg.identity(nv)
     Tu = [[ctx.T(a, vb[i]) for i in range(nv)] for a in range(m)]
     r, c = ctx.rep, ctx.cocycle
     bl = [[[linalg.mat_vec(r.rho_of(Tu[a][i]), vb[j])

@@ -13,9 +13,9 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import (form_columns, form_kernel, generic_vector, mat_lincomb,
-                     mat_mul, mat_sub, mat_vec, quotient_dim, vec_add,
-                     vec_scale, vec_sub, zero_vec, zeros)
+from .linalg import (contract, form_columns, form_kernel, generic_vector,
+                     identity, mat_add, mat_mul, mat_sub, mat_vec, quotient_dim,
+                     vec_add, vec_neg, vec_scale, vec_sub, zero_vec, zeros)
 from .ly import split_joint
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of
@@ -54,33 +54,11 @@ class OmegaLYAlgebra:
 
     def br(self, a, b, x, y):
         """[x, y]_{a,b} for arbitrary vectors x, y."""
-        out = zero_vec(self.dim)
-        tab = self.binary[a][b]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = tab[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    out = vec_add(out, vec_scale(xi * yj, row[j]))
-        return out
+        return contract(self.binary[a][b], x, y)
 
     def tr(self, a, b, c, x, y, z):
         """{x, y, z}_{a,b,c} for arbitrary vectors."""
-        out = zero_vec(self.dim)
-        tab = self.ternary[a][b][c]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ti = tab[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                tij = ti[j]
-                for k, zk in enumerate(z):
-                    if zk:
-                        out = vec_add(out, vec_scale(xi * yj * zk, tij[k]))
-        return out
+        return contract(self.ternary[a][b][c], x, y, z)
 
     def invariant_report(self) -> Report:
         """Skewness of both bracket families (simultaneous index swap)."""
@@ -122,43 +100,44 @@ def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
     s = O.semigroup
     n = O.dim
     M = s.order
-    E = [O.basis(i) for i in range(n)]
+    E = identity(n)
+    B, T = O.binary, O.ternary
     p2 = lambda a, b: product(s, a, b)
     p3 = lambda a, b, c: product_of(s, (a, b, c))
     for a, b, c in itertools.product(range(M), repeat=3):
         for i, j, k in itertools.product(range(n), repeat=3):
-            x, y, z = E[i], E[j], E[k]
-            r = O.br(p2(a, b), c, O.br(a, b, x, y), z)
-            r = vec_add(r, O.br(p2(b, c), a, O.br(b, c, y, z), x))
-            r = vec_add(r, O.br(p2(c, a), b, O.br(c, a, z, x), y))
-            r = vec_add(r, O.ternary[a][b][c][i][j][k])
-            r = vec_add(r, O.ternary[b][c][a][j][k][i])
-            r = vec_add(r, O.ternary[c][a][b][k][i][j])
+            r = contract(B[p2(a, b)][c], B[a][b][i][j], E[k])
+            r = vec_add(r, contract(B[p2(b, c)][a], B[b][c][j][k], E[i]))
+            r = vec_add(r, contract(B[p2(c, a)][b], B[c][a][k][i], E[j]))
+            r = vec_add(r, T[a][b][c][i][j][k])
+            r = vec_add(r, T[b][c][a][j][k][i])
+            r = vec_add(r, T[c][a][b][k][i][j])
             rep.record("OLY-5.2", (a, b, c, i, j, k), tuple(r))
     for a, b, c, d in itertools.product(range(M), repeat=4):
         for i, j, k, l in itertools.product(range(n), repeat=4):
-            x, y, z, w = E[i], E[j], E[k], E[l]
-            r = O.tr(p2(a, b), c, d, O.br(a, b, x, y), z, w)
-            r = vec_add(r, O.tr(p2(b, c), a, d, O.br(b, c, y, z), x, w))
-            r = vec_add(r, O.tr(p2(c, a), b, d, O.br(c, a, z, x), y, w))
+            r = contract(T[p2(a, b)][c][d], B[a][b][i][j], E[k], E[l])
+            r = vec_add(r, contract(T[p2(b, c)][a][d], B[b][c][j][k],
+                                    E[i], E[l]))
+            r = vec_add(r, contract(T[p2(c, a)][b][d], B[c][a][k][i],
+                                    E[j], E[l]))
             rep.record("OLY-5.3", (a, b, c, d, i, j, k, l), tuple(r))
     for si, a, b, c in itertools.product(range(M), repeat=4):
         for ii, jj, kk, ll in itertools.product(range(n), repeat=4):
-            aa, x, y, z = E[ii], E[jj], E[kk], E[ll]
-            lhs = O.tr(si, a, p2(b, c), aa, x, O.br(b, c, y, z))
-            rhs = O.br(p3(si, a, b), c, O.tr(si, a, b, aa, x, y), z)
-            rhs = vec_add(rhs, O.br(b, p3(si, a, c), y, O.tr(si, a, c, aa, x, z)))
+            lhs = contract(T[si][a][p2(b, c)][ii][jj], B[b][c][kk][ll])
+            rhs = contract(B[p3(si, a, b)][c], T[si][a][b][ii][jj][kk], E[ll])
+            rhs = vec_add(rhs, contract(B[b][p3(si, a, c)][kk],
+                                        T[si][a][c][ii][jj][ll]))
             rep.record("OLY-5.4", (si, a, b, c, ii, jj, kk, ll),
                        tuple(vec_sub(lhs, rhs)))
     for si, ta, a, b, c in itertools.product(range(M), repeat=5):
         for ii, jj, kk, ll, mm in itertools.product(range(n), repeat=5):
-            aa, bb, x, y, z = E[ii], E[jj], E[kk], E[ll], E[mm]
-            lhs = O.tr(si, ta, p3(a, b, c), aa, bb, O.tr(a, b, c, x, y, z))
-            rhs = O.tr(p3(si, ta, a), b, c, O.tr(si, ta, a, aa, bb, x), y, z)
-            rhs = vec_add(rhs, O.tr(a, p3(si, ta, b), c, x,
-                                    O.tr(si, ta, b, aa, bb, y), z))
-            rhs = vec_add(rhs, O.tr(a, b, p3(si, ta, c), x, y,
-                                    O.tr(si, ta, c, aa, bb, z)))
+            lhs = contract(T[si][ta][p3(a, b, c)][ii][jj], T[a][b][c][kk][ll][mm])
+            rhs = contract(T[p3(si, ta, a)][b][c], T[si][ta][a][ii][jj][kk],
+                           E[ll], E[mm])
+            rhs = vec_add(rhs, contract(T[a][p3(si, ta, b)][c][kk],
+                                        T[si][ta][b][ii][jj][ll], E[mm]))
+            rhs = vec_add(rhs, contract(T[a][b][p3(si, ta, c)][kk][ll],
+                                        T[si][ta][c][ii][jj][mm]))
             rep.record("OLY-5.5", (si, ta, a, b, c, ii, jj, kk, ll, mm),
                        tuple(vec_sub(lhs, rhs)))
     return rep
@@ -175,13 +154,14 @@ def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,
         raise PreconditionError("binary tensor is not skew: %s"
                                 % (bad.violations[0],))
     M, n = s.order, dim
-    E = [O.basis(i) for i in range(n)]
+    E = identity(n)
+    B = O.binary
     rep = Report()
     for a, b, c in itertools.product(range(M), repeat=3):
         for i, j, k in itertools.product(range(n), repeat=3):
-            r = O.br(product(s, a, b), c, O.br(a, b, E[i], E[j]), E[k])
-            r = vec_add(r, O.br(product(s, b, c), a, O.br(b, c, E[j], E[k]), E[i]))
-            r = vec_add(r, O.br(product(s, c, a), b, O.br(c, a, E[k], E[i]), E[j]))
+            r = O.br(product(s, a, b), c, B[a][b][i][j], E[k])
+            r = vec_add(r, O.br(product(s, b, c), a, B[b][c][j][k], E[i]))
+            r = vec_add(r, O.br(product(s, c, a), b, B[c][a][k][i], E[j]))
             rep.record("OLIE-jacobi", (a, b, c, i, j, k), tuple(r))
     if not rep.ok:
         raise PreconditionError("indexed Jacobi identity fails: %s"
@@ -248,7 +228,7 @@ class OmegaRepresentation:
         if self._D is not None:
             return self._D
         s = self.algebra.semigroup
-        M, n, m = s.order, self.algebra.dim, self.dim
+        M, n = s.order, self.algebra.dim
         D = [[[[[None for _ in range(n)] for _ in range(n)]
                for _ in range(M)] for _ in range(M)] for _ in range(M)]
         for a in range(M):
@@ -262,8 +242,8 @@ class OmegaRepresentation:
                             mat = mat_sub(self.theta[b][a][c][j][i],
                                           self.theta[a][b][c][i][j])
                             coeffs = self.algebra.binary[a][b][i][j]
-                            mat = mat_sub(mat, mat_lincomb(
-                                coeffs, self.rho[ab][c], m, m))
+                            mat = mat_sub(mat, contract(self.rho[ab][c],
+                                                        coeffs))
                             mat_pr = mat_mul(self.rho[a][bc][i], self.rho[b][c][j])
                             mat = [vec_add(r, p) for r, p in zip(mat, mat_pr)]
                             mat_pl = mat_mul(self.rho[b][ac][j], self.rho[a][c][i])
@@ -271,40 +251,6 @@ class OmegaRepresentation:
                             D[a][b][c][i][j] = mat
         self._D = D
         return D
-
-    def rho_apply(self, a, c, x, u):
-        """rho_{a,c}(x, u) for a vector x in the algebra, u in the module."""
-        out = zero_vec(self.dim)
-        mats = self.rho[a][c]
-        for i, xi in enumerate(x):
-            if xi:
-                out = vec_add(out, vec_scale(xi, mat_vec(mats[i], u)))
-        return out
-
-    def theta_apply(self, a, b, c, x, y, u):
-        out = zero_vec(self.dim)
-        mats = self.theta[a][b][c]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            mi = mats[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    out = vec_add(out, vec_scale(xi * yj, mat_vec(mi[j], u)))
-        return out
-
-    def d_apply(self, a, b, c, x, y, u):
-        out = zero_vec(self.dim)
-        mats = self.d_tensor()[a][b][c]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            mi = mats[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    out = vec_add(out, vec_scale(xi * yj, mat_vec(mi[j], u)))
-        return out
-
 
 def zero_omega_representation(O: OmegaLYAlgebra, dim: int) -> OmegaRepresentation:
     M, n = O.semigroup.order, O.dim
@@ -317,66 +263,55 @@ def zero_omega_representation(O: OmegaLYAlgebra, dim: int) -> OmegaRepresentatio
 
 def check_omega_representation(O: OmegaLYAlgebra,
                                r: OmegaRepresentation) -> Report:
-    """Evaluate the five indexed representation laws on all tuples."""
+    """Evaluate the five indexed representation laws on all tuples.
+
+    Each law is a matrix identity on the module; column c of its residual
+    matrix is the residual at the module basis vector u_c.
+    """
     rep = Report()
     s = O.semigroup
     M, n, m = s.order, O.dim, r.dim
-    E = [O.basis(i) for i in range(n)]
-    U = []
-    for c in range(m):
-        u = zero_vec(m)
-        u[c] = 1
-        U.append(u)
+    E = identity(n)
+    B, T, RHO, TH, D = O.binary, O.ternary, r.rho, r.theta, r.d_tensor()
     p2 = lambda a, b: product(s, a, b)
     p3 = lambda a, b, c: product_of(s, (a, b, c))
+
+    def record(laws, witness, mats):
+        for c in range(m):
+            for law, mat in zip(laws, mats):
+                rep.record(law, witness + (c,), tuple(row[c] for row in mat))
+
     for a, b, g, si in itertools.product(range(M), repeat=4):
         for i, j, k in itertools.product(range(n), repeat=3):
-            x, y, z = E[i], E[j], E[k]
-            for c in range(m):
-                u = U[c]
-                res = r.theta_apply(p2(a, b), g, si, O.br(a, b, x, y), z, u)
-                res = vec_sub(res, r.theta_apply(
-                    a, g, p2(b, si), x, z, r.rho_apply(b, si, y, u)))
-                res = vec_add(res, r.theta_apply(
-                    b, g, p2(a, si), y, z, r.rho_apply(a, si, x, u)))
-                rep.record("OREP-5.6", (a, b, g, si, i, j, k, c), tuple(res))
-                res = r.d_apply(a, b, p2(g, si), x, y, r.rho_apply(g, si, z, u))
-                res = vec_sub(res, r.rho_apply(
-                    g, p3(a, b, si), z, r.d_apply(a, b, si, x, y, u)))
-                res = vec_sub(res, r.rho_apply(
-                    p3(a, b, g), si, O.tr(a, b, g, x, y, z), u))
-                rep.record("OREP-5.7", (a, b, g, si, i, j, k, c), tuple(res))
-                res = r.theta_apply(a, p2(b, g), si, x, O.br(b, g, y, z), u)
-                res = vec_sub(res, r.rho_apply(
-                    b, p3(a, g, si), y, r.theta_apply(a, g, si, x, z, u)))
-                res = vec_add(res, r.rho_apply(
-                    g, p3(a, b, si), z, r.theta_apply(a, b, si, x, y, u)))
-                rep.record("OREP-5.8", (a, b, g, si, i, j, k, c), tuple(res))
+            r6 = contract(TH[p2(a, b)][g][si], B[a][b][i][j], E[k])
+            r6 = mat_sub(r6, mat_mul(TH[a][g][p2(b, si)][i][k], RHO[b][si][j]))
+            r6 = mat_add(r6, mat_mul(TH[b][g][p2(a, si)][j][k], RHO[a][si][i]))
+            r7 = mat_mul(D[a][b][p2(g, si)][i][j], RHO[g][si][k])
+            r7 = mat_sub(r7, mat_mul(RHO[g][p3(a, b, si)][k], D[a][b][si][i][j]))
+            r7 = mat_sub(r7, contract(RHO[p3(a, b, g)][si], T[a][b][g][i][j][k]))
+            r8 = contract(TH[a][p2(b, g)][si][i], B[b][g][j][k])
+            r8 = mat_sub(r8, mat_mul(RHO[b][p3(a, g, si)][j], TH[a][g][si][i][k]))
+            r8 = mat_add(r8, mat_mul(RHO[g][p3(a, b, si)][k], TH[a][b][si][i][j]))
+            record(("OREP-5.6", "OREP-5.7", "OREP-5.8"), (a, b, g, si, i, j, k),
+                   (r6, r7, r8))
     for ta, a, b, g, si in itertools.product(range(M), repeat=5):
         for ii, i, j, k in itertools.product(range(n), repeat=4):
-            aa, x, y, z = E[ii], E[i], E[j], E[k]
-            for c in range(m):
-                u = U[c]
-                res = r.d_apply(ta, a, p3(b, g, si), aa, x,
-                                r.theta_apply(b, g, si, y, z, u))
-                res = vec_sub(res, r.theta_apply(
-                    b, g, p3(ta, a, si), y, z, r.d_apply(ta, a, si, aa, x, u)))
-                res = vec_sub(res, r.theta_apply(
-                    p3(ta, a, b), g, si, O.tr(ta, a, b, aa, x, y), z, u))
-                res = vec_sub(res, r.theta_apply(
-                    b, p3(ta, a, g), si, y, O.tr(ta, a, g, aa, x, z), u))
-                rep.record("OREP-5.9", (ta, a, b, g, si, ii, i, j, k, c),
-                           tuple(res))
-                res = r.theta_apply(ta, p3(a, b, g), si, aa,
-                                    O.tr(a, b, g, x, y, z), u)
-                res = vec_sub(res, r.theta_apply(
-                    b, g, p3(ta, a, si), y, z, r.theta_apply(ta, a, si, aa, x, u)))
-                res = vec_add(res, r.theta_apply(
-                    a, g, p3(ta, b, si), x, z, r.theta_apply(ta, b, si, aa, y, u)))
-                res = vec_sub(res, r.d_apply(
-                    a, b, p3(ta, g, si), x, y, r.theta_apply(ta, g, si, aa, z, u)))
-                rep.record("OREP-5.10", (ta, a, b, g, si, ii, i, j, k, c),
-                           tuple(res))
+            r9 = mat_mul(D[ta][a][p3(b, g, si)][ii][i], TH[b][g][si][j][k])
+            r9 = mat_sub(r9, mat_mul(TH[b][g][p3(ta, a, si)][j][k],
+                                     D[ta][a][si][ii][i]))
+            r9 = mat_sub(r9, contract(TH[p3(ta, a, b)][g][si],
+                                      T[ta][a][b][ii][i][j], E[k]))
+            r9 = mat_sub(r9, contract(TH[b][p3(ta, a, g)][si][j],
+                                      T[ta][a][g][ii][i][k]))
+            r10 = contract(TH[ta][p3(a, b, g)][si][ii], T[a][b][g][i][j][k])
+            r10 = mat_sub(r10, mat_mul(TH[b][g][p3(ta, a, si)][j][k],
+                                       TH[ta][a][si][ii][i]))
+            r10 = mat_add(r10, mat_mul(TH[a][g][p3(ta, b, si)][i][k],
+                                       TH[ta][b][si][ii][j]))
+            r10 = mat_sub(r10, mat_mul(D[a][b][p3(ta, g, si)][i][j],
+                                       TH[ta][g][si][ii][k]))
+            record(("OREP-5.9", "OREP-5.10"), (ta, a, b, g, si, ii, i, j, k),
+                   (r9, r10))
     return rep
 
 
@@ -663,9 +598,9 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
     ensure_budget((M ** KE) * (nA ** KE) * d + (M ** KO) * (nA ** KO) * d,
                   budget)
     out = cochain_zero(s, nA, d, (KE, KO))
-    E = [O.basis(i) for i in range(nA)]
+    E = identity(nA)
     sign_n = -1 if n % 2 else 1
-    r.d_tensor()
+    RHO, TH, D = r.rho, r.theta, r.d_tensor()
 
     def word(indices):
         return product_of(s, indices)
@@ -681,11 +616,11 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
             # block in the last two slots
             g1 = comp_get(g_comp, M, nA, al[:2 * n] + [al[KE - 1]],
                           xs[:2 * n] + [xs[KE - 1]])
-            t = r.rho_apply(al[KE - 2], word(al[:KE - 2] + [al[KE - 1]]),
-                            E[xs[KE - 2]], g1)
+            t = mat_vec(RHO[al[KE - 2]][word(al[:KE - 2] + [al[KE - 1]])]
+                        [xs[KE - 2]], g1)
             g2 = comp_get(g_comp, M, nA, al[:KE - 1], xs[:KE - 1])
-            t = vec_sub(t, r.rho_apply(al[KE - 1], word(al[:KE - 1]),
-                                       E[xs[KE - 1]], g2))
+            t = vec_sub(t, mat_vec(RHO[al[KE - 1]][word(al[:KE - 1])]
+                                   [xs[KE - 1]], g2))
             bvec = O.binary[al[KE - 2]][al[KE - 1]][xs[KE - 2]][xs[KE - 1]]
             vecs = [E[x] for x in xs[:2 * n]] + [bvec]
             t = vec_sub(t, comp_eval(g_comp, M, nA, d,
@@ -698,8 +633,8 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
                 rem_al = al[:i1] + al[i2 + 1:]
                 rem_xs = xs[:i1] + xs[i2 + 1:]
                 fval = comp_get(f_comp, M, nA, rem_al, rem_xs)
-                t = r.d_apply(al[i1], al[i2], word(rem_al),
-                              E[xs[i1]], E[xs[i2]], fval)
+                t = mat_vec(D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]],
+                            fval)
                 acc = vec_add(acc, vec_scale(-1 if k % 2 == 0 else 1, t))
             # substitution double sum
             for k in range(1, n + 1):
@@ -722,21 +657,21 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
             xs = list(idxs)
             acc = zero_vec(d)
             gA = comp_get(g_comp, M, nA, al[:KO - 2], xs[:KO - 2])
-            t = r.theta_apply(al[KO - 2], al[KO - 1], word(al[:KO - 2]),
-                              E[xs[KO - 2]], E[xs[KO - 1]], gA)
+            t = mat_vec(TH[al[KO - 2]][al[KO - 1]][word(al[:KO - 2])]
+                        [xs[KO - 2]][xs[KO - 1]], gA)
             gB = comp_get(g_comp, M, nA, al[:2 * n] + [al[KO - 2]],
                           xs[:2 * n] + [xs[KO - 2]])
-            t = vec_sub(t, r.theta_apply(al[KO - 3], al[KO - 1],
-                                         word(al[:2 * n] + [al[KO - 2]]),
-                                         E[xs[KO - 3]], E[xs[KO - 1]], gB))
+            t = vec_sub(t, mat_vec(TH[al[KO - 3]][al[KO - 1]]
+                                   [word(al[:2 * n] + [al[KO - 2]])]
+                                   [xs[KO - 3]][xs[KO - 1]], gB))
             acc = vec_add(acc, vec_scale(sign_n, t))
             for k in range(1, n + 2):
                 i1, i2 = 2 * k - 2, 2 * k - 1
                 rem_al = al[:i1] + al[i2 + 1:]
                 rem_xs = xs[:i1] + xs[i2 + 1:]
                 gval = comp_get(g_comp, M, nA, rem_al, rem_xs)
-                t = r.d_apply(al[i1], al[i2], word(rem_al),
-                              E[xs[i1]], E[xs[i2]], gval)
+                t = mat_vec(D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]],
+                            gval)
                 acc = vec_add(acc, vec_scale(-1 if k % 2 == 0 else 1, t))
             for k in range(1, n + 2):
                 i1, i2 = 2 * k - 2, 2 * k - 1
@@ -763,7 +698,8 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
     s = O.semigroup
     M, nA, d = s.order, O.dim, r.dim
     out = cochain_zero(s, nA, d, (3, 4))
-    E = [O.basis(i) for i in range(nA)]
+    E = identity(nA)
+    RHO, TH = r.rho, r.theta
     p2 = lambda a, b: product(s, a, b)
 
     def fval(a, b, i, j):
@@ -780,12 +716,12 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
 
     for a1, a2, a3 in itertools.product(range(M), repeat=3):
         for i1, i2, i3 in itertools.product(range(nA), repeat=3):
-            acc = vec_scale(-1, r.rho_apply(a1, p2(a2, a3), E[i1],
-                                            fval(a2, a3, i2, i3)))
-            acc = vec_sub(acc, r.rho_apply(a2, p2(a3, a1), E[i2],
-                                           fval(a3, a1, i3, i1)))
-            acc = vec_sub(acc, r.rho_apply(a3, p2(a1, a2), E[i3],
-                                           fval(a1, a2, i1, i2)))
+            acc = vec_neg(mat_vec(RHO[a1][p2(a2, a3)][i1],
+                                  fval(a2, a3, i2, i3)))
+            acc = vec_sub(acc, mat_vec(RHO[a2][p2(a3, a1)][i2],
+                                       fval(a3, a1, i3, i1)))
+            acc = vec_sub(acc, mat_vec(RHO[a3][p2(a1, a2)][i3],
+                                       fval(a1, a2, i1, i2)))
             acc = vec_add(acc, f_eval((p2(a1, a2), a3),
                                       [O.binary[a1][a2][i1][i2], E[i3]]))
             acc = vec_add(acc, f_eval((p2(a2, a3), a1),
@@ -798,12 +734,11 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
             out.even[_enc((a1, a2, a3), M)][_enc((i1, i2, i3), nA)] = acc
     for a1, a2, a3, a4 in itertools.product(range(M), repeat=4):
         for i1, i2, i3, i4 in itertools.product(range(nA), repeat=4):
-            acc = r.theta_apply(a1, a4, p2(a2, a3), E[i1], E[i4],
-                                fval(a2, a3, i2, i3))
-            acc = vec_add(acc, r.theta_apply(a2, a4, p2(a3, a1), E[i2], E[i4],
-                                             fval(a3, a1, i3, i1)))
-            acc = vec_add(acc, r.theta_apply(a3, a4, p2(a1, a2), E[i3], E[i4],
-                                             fval(a1, a2, i1, i2)))
+            acc = mat_vec(TH[a1][a4][p2(a2, a3)][i1][i4], fval(a2, a3, i2, i3))
+            acc = vec_add(acc, mat_vec(TH[a2][a4][p2(a3, a1)][i2][i4],
+                                       fval(a3, a1, i3, i1)))
+            acc = vec_add(acc, mat_vec(TH[a3][a4][p2(a1, a2)][i3][i4],
+                                       fval(a1, a2, i1, i2)))
             acc = vec_add(acc, g_eval((p2(a1, a2), a3, a4),
                                       [O.binary[a1][a2][i1][i2], E[i3], E[i4]]))
             acc = vec_add(acc, g_eval((p2(a2, a3), a1, a4),

@@ -55,23 +55,7 @@ class TwistedRBContext:
 
     def D_of(self, x, y):
         """Matrix of D(x, y) on V for algebra coefficient vectors x, y."""
-        D = self.D()
-        n, nv = self.dimL, self.dimV
-        out = linalg.zeros(nv, nv)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                m = D[i][j]
-                for a in range(nv):
-                    row, orow = m[a], out[a]
-                    for b in range(nv):
-                        if row[b]:
-                            orow[b] += c * row[b]
-        return out
+        return linalg.contract(self.D(), x, y)
 
     def T(self, alpha, u):
         return linalg.mat_vec(self.family[alpha], u)
@@ -90,15 +74,11 @@ def zero_family(dimL, dimV, s):
     return [linalg.zeros(dimL, dimV) for _ in range(s.order)]
 
 
-def _v_basis(nv):
-    return [[1 if p == q else 0 for q in range(nv)] for p in range(nv)]
-
-
 def check_twisted_rb_family(ctx: TwistedRBContext) -> Report:
     rep = Report()
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     nv = ctx.dimV
-    basis = _v_basis(nv)
+    basis = linalg.identity(nv)
     for alpha in s.elements:
         for beta in s.elements:
             ab = product(s, alpha, beta)
@@ -563,7 +543,7 @@ def semidirect_product(A: LYAlgebra, r: Representation, c: Cocycle23) -> LYAlgeb
     ternary = [[[list(zero) for _ in range(N)] for _ in range(N)] for _ in range(N)]
     # basis: first n are (e_i, 0), last nv are (0, u_j)
     lparts = [(A.basis(i), linalg.zero_vec(nv)) for i in range(n)] + \
-             [(linalg.zero_vec(n), u) for u in _v_basis(nv)]
+             [(linalg.zero_vec(n), u) for u in linalg.identity(nv)]
 
     def brk(p1, p2):
         (x, u), (y, v) = p1, p2
@@ -576,10 +556,7 @@ def semidirect_product(A: LYAlgebra, r: Representation, c: Cocycle23) -> LYAlgeb
     def trk(p1, p2, p3):
         (x, u), (y, v), (z, w) = p1, p2, p3
         lout = A.tri(x, y, z)
-        Dm = linalg.mat_lincomb(
-            [xi * yj for xi in x for yj in y],
-            [D[i][j] for i in range(n) for j in range(n)], nv, nv)
-        vout = linalg.mat_vec(Dm, w)
+        vout = linalg.mat_vec(linalg.contract(D, x, y), w)
         vout = linalg.vec_sub(vout, linalg.mat_vec(r.theta_of(x, z), v))
         vout = linalg.vec_add(vout, linalg.mat_vec(r.theta_of(y, z), u))
         vout = linalg.vec_add(vout, c.g2_of(x, y, z))
@@ -599,7 +576,7 @@ def check_graph_subalgebra_family(ctx: TwistedRBContext) -> bool:
     A, s = ctx.algebra, ctx.semigroup
     n, nv = ctx.dimL, ctx.dimV
     sd = semidirect_product(A, ctx.rep, ctx.cocycle)
-    vb = _v_basis(nv)
+    vb = linalg.identity(nv)
     gens = {}
     for a in s.elements:
         cols = []

@@ -41,6 +41,26 @@ def _require(cond, msg):
         raise MalformedInputError(msg)
 
 
+def sparse_entries(entries, what, fields, dims):
+    """Checked [i_1, ..., i_k, value] entries of a sparse tensor.
+
+    Yields (index tuple, scalar) with 0 <= i_t < dims[t]; `fields` names the
+    indices in messages.  Any other entry is malformed input.
+    """
+    _require(isinstance(entries, list), "%s entries must be a list" % what)
+    for ent in entries:
+        _require(isinstance(ent, list) and len(ent) == len(dims) + 1,
+                 "%s entries are [%s,value]: %r" % (what, fields, ent))
+        try:
+            idx = tuple(int(x) for x in ent[:-1])
+        except (TypeError, ValueError):
+            raise MalformedInputError("%s entry has a non-integer index: %r"
+                                      % (what, ent))
+        _require(all(0 <= i < n for i, n in zip(idx, dims)),
+                 "%s entry out of range: %r" % (what, ent))
+        yield idx, parse_scalar(ent[-1])
+
+
 # ---------------------------------------------------------------------------
 # semigroups
 
@@ -93,21 +113,16 @@ def ly_from_json(d: dict) -> LYAlgebra:
     binary = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
     ternary = [[[zero_vec(n) for _ in range(n)] for _ in range(n)]
                for _ in range(n)]
-    for ent in d.get("binary", []):
-        _require(len(ent) == 4, "binary entries are [i,j,k,value]")
-        i, j, k = (int(x) for x in ent[:3])
-        _require(0 <= i <= j < n and 0 <= k < n,
-                 "binary entry out of range or not in the i<=j half: %r" % (ent,))
-        v = parse_scalar(ent[3])
+    for (i, j, k), v in sparse_entries(d.get("binary", []), "binary",
+                                       "i,j,k", (n, n, n)):
+        _require(i <= j, "binary entry not in the i<=j half: %r" % ([i, j, k],))
         binary[i][j][k] = v
         if i != j:
             binary[j][i][k] = -v
-    for ent in d.get("ternary", []):
-        _require(len(ent) == 5, "ternary entries are [i,j,k,l,value]")
-        i, j, k, l = (int(x) for x in ent[:4])
-        _require(0 <= i <= j < n and 0 <= k < n and 0 <= l < n,
-                 "ternary entry out of range or not in the i<=j half: %r" % (ent,))
-        v = parse_scalar(ent[4])
+    for (i, j, k, l), v in sparse_entries(d.get("ternary", []), "ternary",
+                                          "i,j,k,l", (n, n, n, n)):
+        _require(i <= j,
+                 "ternary entry not in the i<=j half: %r" % ([i, j, k, l],))
         ternary[i][j][k][l] = v
         if i != j:
             ternary[j][i][k][l] = -v
@@ -144,18 +159,12 @@ def representation_from_json(d: dict) -> Representation:
     n = int(d["algebra_dim"])
     rho = [zeros(m, m) for _ in range(n)]
     theta = [[zeros(m, m) for _ in range(n)] for _ in range(n)]
-    for ent in d.get("rho", []):
-        _require(len(ent) == 4, "rho entries are [i,row,col,value]")
-        i, a, b = (int(x) for x in ent[:3])
-        _require(0 <= i < n and 0 <= a < m and 0 <= b < m,
-                 "rho entry out of range: %r" % (ent,))
-        rho[i][a][b] = parse_scalar(ent[3])
-    for ent in d.get("theta", []):
-        _require(len(ent) == 5, "theta entries are [i,j,row,col,value]")
-        i, j, a, b = (int(x) for x in ent[:4])
-        _require(0 <= i < n and 0 <= j < n and 0 <= a < m and 0 <= b < m,
-                 "theta entry out of range: %r" % (ent,))
-        theta[i][j][a][b] = parse_scalar(ent[4])
+    for (i, a, b), v in sparse_entries(d.get("rho", []), "rho", "i,row,col",
+                                       (n, m, m)):
+        rho[i][a][b] = v
+    for (i, j, a, b), v in sparse_entries(d.get("theta", []), "theta",
+                                          "i,j,row,col", (n, n, m, m)):
+        theta[i][j][a][b] = v
     return Representation(m, rho, theta)
 
 
@@ -184,18 +193,12 @@ def cocycle_from_json(d: dict) -> Cocycle23:
     g1 = [[zero_vec(m) for _ in range(n)] for _ in range(n)]
     g2 = [[[zero_vec(m) for _ in range(n)] for _ in range(n)]
           for _ in range(n)]
-    for ent in d.get("gamma1", []):
-        _require(len(ent) == 4, "gamma1 entries are [i,j,k,value]")
-        i, j, k = (int(x) for x in ent[:3])
-        _require(0 <= i < n and 0 <= j < n and 0 <= k < m,
-                 "gamma1 entry out of range: %r" % (ent,))
-        g1[i][j][k] = parse_scalar(ent[3])
-    for ent in d.get("gamma2", []):
-        _require(len(ent) == 5, "gamma2 entries are [i,j,k,l,value]")
-        i, j, k, l = (int(x) for x in ent[:4])
-        _require(0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < m,
-                 "gamma2 entry out of range: %r" % (ent,))
-        g2[i][j][k][l] = parse_scalar(ent[4])
+    for (i, j, k), v in sparse_entries(d.get("gamma1", []), "gamma1",
+                                       "i,j,k", (n, n, m)):
+        g1[i][j][k] = v
+    for (i, j, k, l), v in sparse_entries(d.get("gamma2", []), "gamma2",
+                                          "i,j,k,l", (n, n, n, m)):
+        g2[i][j][k][l] = v
     return Cocycle23(g1, g2)
 
 
@@ -214,12 +217,9 @@ def _family_to_json(family) -> list:
 
 def _family_from_json(entries, order, rows, cols) -> list:
     fam = [zeros(rows, cols) for _ in range(order)]
-    for ent in entries:
-        _require(len(ent) == 4, "family entries are [alpha,row,col,value]")
-        a, r, c = (int(x) for x in ent[:3])
-        _require(0 <= a < order and 0 <= r < rows and 0 <= c < cols,
-                 "family entry out of range: %r" % (ent,))
-        fam[a][r][c] = parse_scalar(ent[3])
+    for (a, r, c), v in sparse_entries(entries, "family", "alpha,row,col",
+                                       (order, rows, cols)):
+        fam[a][r][c] = v
     return fam
 
 
@@ -309,18 +309,21 @@ def ns_family_from_json(d: dict) -> NSFamilyAlgebra:
     square = [[[[[[zero_vec(n) for _ in range(n)] for _ in range(n)]
                  for _ in range(n)] for _ in range(M)] for _ in range(M)]
               for _ in range(M)]
-    for ent in d.get("bullet", []):
-        a, i, j, k = (int(x) for x in ent[:4])
-        bullet[a][i][j][k] = parse_scalar(ent[4])
-    for ent in d.get("vee", []):
-        a, b, i, j, k = (int(x) for x in ent[:5])
-        vee[a][b][i][j][k] = parse_scalar(ent[5])
-    for ent in d.get("curly", []):
-        a, b, i, j, k, l = (int(x) for x in ent[:6])
-        curly[a][b][i][j][k][l] = parse_scalar(ent[6])
-    for ent in d.get("square", []):
-        a, b, g, i, j, k, l = (int(x) for x in ent[:7])
-        square[a][b][g][i][j][k][l] = parse_scalar(ent[7])
+    for (a, i, j, k), v in sparse_entries(d.get("bullet", []), "bullet",
+                                          "alpha,i,j,k", (M, n, n, n)):
+        bullet[a][i][j][k] = v
+    for (a, b, i, j, k), v in sparse_entries(d.get("vee", []), "vee",
+                                             "alpha,beta,i,j,k",
+                                             (M, M, n, n, n)):
+        vee[a][b][i][j][k] = v
+    for (a, b, i, j, k, l), v in sparse_entries(d.get("curly", []), "curly",
+                                                "beta,gamma,i,j,k,l",
+                                                (M, M, n, n, n, n)):
+        curly[a][b][i][j][k][l] = v
+    for (a, b, g, i, j, k, l), v in sparse_entries(
+            d.get("square", []), "square", "alpha,beta,gamma,i,j,k,l",
+            (M, M, M, n, n, n, n)):
+        square[a][b][g][i][j][k][l] = v
     return NSFamilyAlgebra(dim=n, semigroup=s, bullet=bullet, vee=vee,
                            ternary_curly=curly, ternary_square=square)
 
@@ -359,13 +362,16 @@ def omega_ly_from_json(d: dict) -> OmegaLYAlgebra:
     _require(isinstance(d, dict) and "dim" in d and "semigroup" in d,
              "indexed-algebra JSON needs dim and semigroup")
     s = semigroup_from_json(d["semigroup"])
-    O = zero_omega_ly(int(d["dim"]), s)
-    for ent in d.get("binary", []):
-        a, b, i, j, k = (int(x) for x in ent[:5])
-        O.binary[a][b][i][j][k] = parse_scalar(ent[5])
-    for ent in d.get("ternary", []):
-        a, b, g, i, j, k, l = (int(x) for x in ent[:7])
-        O.ternary[a][b][g][i][j][k][l] = parse_scalar(ent[7])
+    n, M = int(d["dim"]), s.order
+    O = zero_omega_ly(n, s)
+    for (a, b, i, j, k), v in sparse_entries(d.get("binary", []), "binary",
+                                             "alpha,beta,i,j,k",
+                                             (M, M, n, n, n)):
+        O.binary[a][b][i][j][k] = v
+    for (a, b, g, i, j, k, l), v in sparse_entries(
+            d.get("ternary", []), "ternary", "alpha,beta,gamma,i,j,k,l",
+            (M, M, M, n, n, n, n)):
+        O.ternary[a][b][g][i][j][k][l] = v
     return O
 
 
@@ -408,19 +414,24 @@ def cochain_from_json(d: dict) -> CochainFamily:
         degree = tuple(int(x) for x in degree)
     c = cochain_zero(s, int(d["dim_alg"]), int(d["dim_coeff"]), degree)
     M, nA = s.order, c.dim_alg
-    for ent in d.get("entries", []):
-        alphas, idxs, co = [int(x) for x in ent[0]], \
-            [int(x) for x in ent[1]], int(ent[2])
-        v = parse_scalar(ent[3])
+    arities = (1,) if degree == 1 else degree
+    entries = d.get("entries", [])
+    _require(isinstance(entries, list), "cochain entries must be a list")
+    for ent in entries:
+        _require(isinstance(ent, list) and len(ent) == 4
+                 and isinstance(ent[0], list) and isinstance(ent[1], list)
+                 and len(ent[0]) == len(ent[1]) and len(ent[0]) in arities,
+                 "cochain entries are [alphas,args,coeff,value] with the "
+                 "arity of the degree: %r" % (ent,))
+        k = len(ent[0])
+        (idx, v), = sparse_entries([ent[0] + ent[1] + ent[2:]], "cochain",
+                                   "alphas,args,coeff",
+                                   (M,) * k + (nA,) * k + (c.dim_coeff,))
+        alphas, idxs, co = idx[:k], idx[k:2 * k], idx[-1]
         if degree == 1:
-            _require(len(alphas) == 1 and len(idxs) == 1,
-                     "degree-1 entries carry one index and one argument")
             c.even[alphas[0]][co][idxs[0]] = v
         else:
-            ke, ko = degree
-            _require(len(alphas) == len(idxs) and len(alphas) in (ke, ko),
-                     "entry arity must match the degree: %r" % (ent,))
-            comp = c.even if len(alphas) == ke else c.odd
+            comp = c.even if k == degree[0] else c.odd
             comp_get(comp, M, nA, alphas, idxs)[co] = v
     return c
 

@@ -53,6 +53,38 @@ def test_validate_malformed_exits_two(files):
     assert main(["validate", str(notjson), "ly"]) == 2
 
 
+@pytest.mark.parametrize("kind,key,entry", [
+    ("ns-family", "bullet", [0, 5, 0, 0, "1"]),
+    ("ns-family", "bullet", [0, -1, 0, 0, "1"]),
+    ("ns-family", "square", [0, 0, 0, 0, 0, 0, "1"]),
+    ("omega-ly", "binary", [0, 0, 0, 0]),
+    ("omega-ly", "ternary", [0, 0, 0, 0, 0, "x", 0, "1"]),
+    ("cochain", "entries", [[0], [3], 0, "1"]),
+    ("cochain", "entries", [[0], [0], -1, "1"]),
+    ("cochain", "entries", [[0, 0], [0, 0], 0, "1"]),
+    ("ly", "binary", "abcd"),
+])
+def test_malformed_sparse_entries_exit_two(files, capsys, kind, key, entry):
+    from lyfam.nsfamily import ns_from_twisted_rb
+    from lyfam.omega import omega_ly_from_ns_family
+    tmp, a_path, _, _, ctx = files
+    if kind == "ly":
+        d = json.load(open(a_path))
+    elif kind == "cochain":
+        d = sz.cochain_to_json(RBFComplex(ctx).skew_basis_at(1).embed(0))
+    else:
+        N = ns_from_twisted_rb(ctx)
+        d = (sz.ns_family_to_json(N) if kind == "ns-family"
+             else sz.omega_ly_to_json(omega_ly_from_ns_family(N)))
+    d[key].append(entry)
+    bad = tmp / "bad.json"
+    json.dump(d, open(bad, "w"))
+    capsys.readouterr()
+    assert main(["validate", str(bad), kind]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("malformed input:") and "Traceback" not in out
+
+
 def test_construct_identity_family_and_check(files, tmp_path):
     _, a_path, s_path, _, _ = files
     out = tmp_path / "built.json"

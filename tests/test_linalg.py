@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,78 @@ def test_linear_forms():
     assert la.form_rows(forms, 2) == [[1, 1], [0, 0], [2, 2], [-1, -1], [0, 1]]
     assert la.form_columns(forms, 2) == [[1, 0, 2, -1, 0], [1, 0, 2, -1, 1]]
     assert la.distinct_rows(forms, 2) == [[1, 1], [0, 1]]
+
+
+def _brute_contract(table, vecs, shape):
+    """sum over all index tuples of prod(coordinates) * leaf, entry by entry."""
+    out = la.zeros(*shape) if len(shape) == 2 else la.zero_vec(shape[0])
+    for idx in itertools.product(*(range(len(v)) for v in vecs)):
+        leaf = table
+        coeff = 1
+        for i, v in zip(idx, vecs):
+            leaf = leaf[i]
+            coeff = coeff * v[i]
+        if len(shape) == 2:
+            out = la.mat_add(out, la.mat_scale(coeff, leaf))
+        else:
+            out = la.vec_add(out, la.vec_scale(coeff, leaf))
+    return out
+
+
+def _random_table(rng, n, arity, shape):
+    if arity == 0:
+        if len(shape) == 2:
+            return [[rng.choice((0, 0, 1, -2, Fraction(1, 3)))
+                     for _ in range(shape[1])] for _ in range(shape[0])]
+        return [rng.choice((0, 0, 1, -2, Fraction(1, 3)))
+                for _ in range(shape[0])]
+    return [_random_table(rng, n, arity - 1, shape) for _ in range(n)]
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_contract_matches_brute_force(arity, shape):
+    rng = random.Random(arity * 10 + len(shape))
+    n = 3
+    table = _random_table(rng, n, arity, shape)
+    for _ in range(5):
+        vecs = [[rng.choice((0, 1, -1, Fraction(2, 5))) for _ in range(n)]
+                for _ in range(arity)]
+        assert la.contract(table, *vecs) == _brute_contract(table, vecs,
+                                                            shape)
+    # an all-zero argument gives a zero of the leaf's shape
+    vecs = [[1] * n for _ in range(arity)]
+    vecs[-1] = la.zero_vec(n)
+    zero = la.zeros(*shape) if len(shape) == 2 else la.zero_vec(shape[0])
+    assert la.contract(table, *vecs) == zero
+    # basis arguments pick out one leaf
+    E = la.identity(n)
+    leaf = table
+    for i in range(arity):
+        leaf = leaf[i % n]
+    assert la.contract(table, *(E[i % n] for i in range(arity))) == leaf
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_contract_with_linear_forms(shape):
+    rng = random.Random(5)
+    n = 3
+    table = _random_table(rng, n, 2, shape)
+    x = la.generic_vector(n)
+    y = [1, 0, -2]
+    got = la.contract(table, x, y)
+    assert got == _brute_contract(table, [x, y], shape)
+    # each form evaluated at a point is the contraction at that point
+    pt = [2, Fraction(-1, 2), 3]
+
+    def at(f):
+        return sum(v * pt[k] for k, v in f.items()) if f else 0
+
+    want = la.contract(table, pt, y)
+    if len(shape) == 2:
+        assert [[at(f) for f in row] for row in got] == want
+    else:
+        assert [at(f) for f in got] == want
 
 
 def test_solve_exact_rationals():

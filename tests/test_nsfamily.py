@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 from lyfam import linalg as la
@@ -48,6 +50,31 @@ def test_derived_brackets_give_ly(a1, s2):
         la.vec_sub(N.bullet[al][i][j], N.bullet[be][j][i]),
         N.vee[al][be][i][j])
     assert star2[al][be][i][j] == expect
+
+
+def test_derived_bracket_tensors_are_multilinear(a2, s2):
+    # the law checker contracts these tensors instead of re-deriving each
+    # bracket, so they must reproduce the brackets at arbitrary vectors
+    rng = random.Random(17)
+    N = ns_from_twisted_rb(identity_family(a2, s2))
+    for t in (N.bullet, N.vee, N.ternary_curly, N.ternary_square):
+        for _ in range(12):
+            cell = t
+            while isinstance(cell[0], list):
+                cell = rng.choice(cell)
+            cell[rng.randrange(len(cell))] += Fraction(rng.randint(-3, 3), 2)
+    star2, star3, dbl = derived_brackets(N)
+    n, m = N.dim, N.semigroup.order
+    for _ in range(3):
+        x, y, z = ([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(n)] for _ in range(3))
+        for a, b in itertools.product(range(m), repeat=2):
+            assert la.contract(star2[a][b], x, y) == N.star2(a, b, x, y)
+            assert la.contract(star3[a][b], x, y, z) == \
+                N.star3(a, b, x, y, z)
+            for g in range(m):
+                assert la.contract(dbl[a][b][g], x, y, z) == \
+                    N.dbl(a, b, g, x, y, z)
 
 
 def test_from_nijenhuis(a1, s2):
