@@ -94,9 +94,7 @@ def cmd_validate(args):
 def _load_bilinear(path):
     """{"kind": "bilinear", "dim": n, "entries": [[i, j, k, value]]}."""
     d = serialize.load_json(path)
-    if not isinstance(d, dict) or "dim" not in d:
-        raise MalformedInputError("bilinear JSON needs dim")
-    n = int(d["dim"])
+    n = serialize.header_int(d, "dim", "bilinear")
     from .linalg import zero_vec
     t = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
     for (i, j, k), v in serialize.sparse_entries(d.get("entries", []),

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, PreconditionError
 from .linalg import (contract, form_columns, form_kernel, form_rows,
                      generic_vector, identity, mat_vec, quotient_dim,
-                     quotient_representatives, solve, vec_add, vec_scale,
-                     vec_sub, zeros)
+                     quotient_representatives, solve, transpose, vec_add,
+                     vec_scale, vec_sub, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_full_coords, cochain_zero, delta_omega,
                     delta_star_omega, skew_basis)
-from .rbfamily import TwistedRBContext, check_twisted_rb_family
+from .ly import derived_D
+from .rbfamily import (ImageTables, TwistedRBContext, check_twisted_rb_family,
+                       images, induced_products)
 from .report import Report
 from .semigroup import product, product_of
 
@@ -31,89 +33,55 @@ def induced_omega_ly_on_V(ctx: TwistedRBContext,
         chk = check_twisted_rb_family(ctx)
         if not chk.ok:
             raise PreconditionError("input is not a twisted Rota-Baxter family")
-    A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
-    nv, M = ctx.dimV, s.order
-    U = identity(nv)
-    T = [[ctx.T(a, u) for u in U] for a in range(M)]
-    binary = [[[[None for _ in range(nv)] for _ in range(nv)]
-               for _ in range(M)] for _ in range(M)]
-    ternary = [[[[[[None for _ in range(nv)] for _ in range(nv)]
-                  for _ in range(nv)] for _ in range(M)] for _ in range(M)]
-               for _ in range(M)]
-    for a in range(M):
-        for b in range(M):
-            for i in range(nv):
-                Tu = T[a][i]
-                for j in range(nv):
-                    Tv = T[b][j]
-                    v = mat_vec(r.rho_of(Tu), U[j])
-                    v = vec_sub(v, mat_vec(r.rho_of(Tv), U[i]))
-                    binary[a][b][i][j] = vec_add(v, c.g1_of(Tu, Tv))
-    for a in range(M):
-        for b in range(M):
-            for g in range(M):
-                for i in range(nv):
-                    Tu = T[a][i]
-                    for j in range(nv):
-                        Tv = T[b][j]
-                        Duv = ctx.D_of(Tu, Tv)
-                        for k in range(nv):
-                            Tw = T[g][k]
-                            w = mat_vec(Duv, U[k])
-                            w = vec_add(w, mat_vec(r.theta_of(Tv, Tw), U[i]))
-                            w = vec_sub(w, mat_vec(r.theta_of(Tu, Tw), U[j]))
-                            w = vec_add(w, c.g2_of(Tu, Tv, Tw))
-                            ternary[a][b][g][i][j][k] = w
-    return OmegaLYAlgebra(dim=nv, semigroup=s, binary=binary, ternary=ternary)
+    T = images(ctx.family, ctx.dimV)
+    binary, ternary = induced_products(
+        ImageTables(ctx, derived_D(ctx.algebra, ctx.rep), T, T))
+    return OmegaLYAlgebra(dim=ctx.dimV, semigroup=ctx.semigroup,
+                          binary=binary, ternary=ternary)
 
 
 def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
                      algebra: OmegaLYAlgebra | None = None) -> OmegaRepresentation:
-    """The representation of the induced indexed algebra on L itself."""
+    """The representation of the induced indexed algebra on L itself.
+
+    Column l of rho[a][s][i] is [x, e_l] + T_sa(rho(e_l)u_i + Gamma1(e_l, x))
+    and column l of theta[a][b][s][i][j] is {e_l, x, y}
+    - T_sab(D(e_l, x)u_j - theta(e_l, y)u_i + Gamma2(e_l, x, y)), at
+    x = T_a u_i and y = T_b u_j; only T_sa and T_sab depend on s.
+    """
     if algebra is None:
         algebra = induced_omega_ly_on_V(ctx, check=check)
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     n, nv, M = ctx.dimL, ctx.dimV, s.order
-    U, E = identity(nv), identity(n)
-    D = ctx.D()
-    T = [[ctx.T(a, u) for u in U] for a in range(M)]
+    D = derived_D(A, r)
+    T = images(ctx.family, nv)
+    L = range(n)
+    rho_cols = [transpose(m, nv) for m in r.rho]
+    # D(e_l, x) and theta(e_l, x) by their columns, for each image x
+    d_at = [[transpose(contract(D[l], x), nv) for l in L] for x in T]
+    theta_at = [[transpose(contract(r.theta[l], x), nv) for l in L] for x in T]
     rho = [[[None for _ in range(nv)] for _ in range(M)] for _ in range(M)]
     theta = [[[[[None for _ in range(nv)] for _ in range(nv)]
                for _ in range(M)] for _ in range(M)] for _ in range(M)]
-    for a in range(M):
+    for a, i in itertools.product(range(M), range(nv)):
+        x = T[a * nv + i]
+        lhs = contract(A.binary, x)
+        inner = [vec_add(rho_cols[l][i], contract(c.gamma1[l], x)) for l in L]
         for si in range(M):
-            sa = product(s, si, a)
-            for i in range(nv):
-                Tu = T[a][i]
-                mat = zeros(n, n)
-                for col in range(n):
-                    v = A.bracket(Tu, E[col])
-                    inner = mat_vec(r.rho[col], U[i])
-                    inner = vec_add(inner, contract(c.gamma1[col], Tu))
-                    v = vec_add(v, ctx.T(sa, inner))
-                    for row in range(n):
-                        mat[row][col] = v[row]
-                rho[a][si][i] = mat
-    for a in range(M):
-        for b in range(M):
+            Ts = ctx.family[product(s, si, a)]
+            rho[a][si][i] = transpose(
+                [vec_add(lhs[l], mat_vec(Ts, inner[l])) for l in L], n)
+    for a, b in itertools.product(range(M), repeat=2):
+        for i, j in itertools.product(range(nv), repeat=2):
+            p, q = a * nv + i, b * nv + j
+            x, y = T[p], T[q]
+            lhs = [contract(A.ternary[l], x, y) for l in L]
+            inner = [vec_add(vec_sub(d_at[p][l][j], theta_at[q][l][i]),
+                             contract(c.gamma2[l], x, y)) for l in L]
             for si in range(M):
-                sab = product_of(s, (si, a, b))
-                for i in range(nv):
-                    Tu = T[a][i]
-                    for j in range(nv):
-                        Tv = T[b][j]
-                        mat = zeros(n, n)
-                        for col in range(n):
-                            v = contract(A.ternary[col], Tu, Tv)
-                            inner = mat_vec(contract(D[col], Tu), U[j])
-                            inner = vec_sub(inner, mat_vec(
-                                contract(r.theta[col], Tv), U[i]))
-                            inner = vec_add(inner, contract(c.gamma2[col],
-                                                            Tu, Tv))
-                            v = vec_sub(v, ctx.T(sab, inner))
-                            for row in range(n):
-                                mat[row][col] = v[row]
-                        theta[a][b][si][i][j] = mat
+                Ts = ctx.family[product_of(s, (si, a, b))]
+                theta[a][b][si][i][j] = transpose(
+                    [vec_sub(lhs[l], mat_vec(Ts, inner[l])) for l in L], n)
     return OmegaRepresentation(algebra=algebra, dim=n, rho=rho, theta=theta)
 
 
@@ -126,30 +94,29 @@ def rep_d_closed_form_report(ctx: TwistedRBContext,
         rep = induced_rep_on_L(ctx)
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     n, nv, M = ctx.dimL, ctx.dimV, s.order
-    U = identity(nv)
-    E = [A.basis(i) for i in range(n)]
+    E = identity(n)
+    T = images(ctx.family, nv)
+    tri = [[contract(A.ternary, x, y) for y in T] for x in T]
+    g2 = [[contract(c.gamma2, x, y) for y in T] for x in T]
+    theta_at = [[transpose(r.theta_of(x, e), nv) for e in E] for x in T]
     out = Report()
     D = rep.d_tensor()
     for a in range(M):
         for b in range(M):
             for si in range(M):
-                abs_ = product_of(s, (a, b, si))
+                Tabs = ctx.family[product_of(s, (a, b, si))]
                 for i in range(nv):
-                    Tu = ctx.T(a, U[i])
+                    p = a * nv + i
                     for j in range(nv):
-                        Tv = ctx.T(b, U[j])
+                        q = b * nv + j
+                        got = transpose(D[a][b][si][i][j], n)
                         for col in range(n):
-                            x = E[col]
-                            v = A.tri(Tu, Tv, x)
-                            inner = mat_vec(r.theta_of(Tv, x), U[i])
-                            inner = vec_sub(inner,
-                                            mat_vec(r.theta_of(Tu, x), U[j]))
-                            inner = vec_add(inner, c.g2_of(Tu, Tv, x))
-                            v = vec_sub(v, ctx.T(abs_, inner))
-                            got = [D[a][b][si][i][j][row][col]
-                                   for row in range(n)]
+                            inner = vec_sub(theta_at[q][col][i],
+                                            theta_at[p][col][j])
+                            inner = vec_add(inner, g2[p][q][col])
+                            v = vec_sub(tri[p][q][col], mat_vec(Tabs, inner))
                             out.record("D-closed-form", (a, b, si, i, j, col),
-                                       tuple(vec_sub(got, v)))
+                                       tuple(vec_sub(got[col], v)))
     return out
 
 
@@ -234,12 +201,13 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
     ctx.semigroup.require_unit()
     A, c = ctx.algebra, ctx.cocycle
     nv, n, M = ctx.dimV, ctx.dimL, ctx.semigroup.order
+    D = derived_D(A, ctx.rep)
     U = identity(nv)
     maps = []
     for al in range(M):
         mat = zeros(n, nv)
         for a_vec, b_vec in e.terms:
-            Dab = ctx.D_of(a_vec, b_vec)
+            Dab = contract(D, a_vec, b_vec)
             for col in range(nv):
                 u = U[col]
                 Tu = ctx.T(al, u)
@@ -253,63 +221,70 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
     return CochainFamily(ctx.semigroup, nv, n, 1, maps)
 
 
+def _first_order_tables(ctx: TwistedRBContext, f: CochainFamily):
+    """Images x = T_a u_i and x1 = f_a u_i, and the contractions at the
+    pairs (x, y), (x, y1) and (x1, y), from the context's own tensors."""
+    T = images(ctx.family, ctx.dimV)
+    F = images(f.even, ctx.dimV)
+    D = derived_D(ctx.algebra, ctx.rep)
+    return (T, F, ImageTables(ctx, D, T, T), ImageTables(ctx, D, T, F),
+            ImageTables(ctx, D, F, T))
+
+
 def partial_deg1(cx: RBFComplex, f) -> CochainFamily:
     """Degree-1 coboundary, computed from the family data and cross-checked
     against the generic coboundary of the induced complex."""
     f = _coerce_deg1(cx, f)
     ctx = cx.context
-    A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
-    nv, n, M = ctx.dimV, ctx.dimL, s.order
-    U = identity(nv)
-    T = [[ctx.T(a, u) for u in U] for a in range(M)]
+    s, nv, M = ctx.semigroup, ctx.dimV, ctx.semigroup.order
+    T, F, tt, tf, ft = _first_order_tables(ctx, f)
     out = cx.zero_cochain((2, 3))
+    # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; f1, f2, f3 likewise
     for a1, a2 in itertools.product(range(M), repeat=2):
         w12 = product(s, a1, a2)
+        Tw, fw = ctx.family[w12], f.even[w12]
         for i, j in itertools.product(range(nv), repeat=2):
-            x, y = T[a1][i], T[a2][j]
-            f1 = f.one_apply(a1, U[i])
-            f2 = f.one_apply(a2, U[j])
-            t = A.bracket(x, f2)
-            inner = mat_vec(r.rho_of(f2), U[i])
-            inner = vec_add(inner, c.g1_of(f2, x))
-            t = vec_add(t, ctx.T(w12, inner))
-            t = vec_sub(t, A.bracket(y, f1))
-            inner = mat_vec(r.rho_of(f1), U[j])
-            inner = vec_add(inner, c.g1_of(f1, y))
-            t = vec_sub(t, ctx.T(w12, inner))
-            arg = mat_vec(r.rho_of(x), U[j])
-            arg = vec_sub(arg, mat_vec(r.rho_of(y), U[i]))
-            arg = vec_add(arg, c.g1_of(x, y))
-            t = vec_sub(t, f.one_apply(w12, arg))
-            out.even[a1 * M + a2][i * nv + j] = t
+            p, q = a1 * nv + i, a2 * nv + j
+            # [x, f2] - [y, f1] + T_w(rho(f2)u_i + Gamma1(f2, x)
+            # - rho(f1)u_j - Gamma1(f1, y)) - f_w([u_i, u_j]_T)
+            v = vec_sub(tf.bracket[p][q], tf.bracket[q][p])
+            inner = vec_add(ft.rho[q][i], ft.gamma1[q][p])
+            inner = vec_sub(inner, ft.rho[p][j])
+            inner = vec_sub(inner, ft.gamma1[p][q])
+            v = vec_add(v, mat_vec(Tw, inner))
+            arg = vec_sub(tt.rho[p][j], tt.rho[q][i])
+            arg = vec_add(arg, tt.gamma1[p][q])
+            out.even[a1 * M + a2][i * nv + j] = vec_sub(v, mat_vec(fw, arg))
     for a1, a2, a3 in itertools.product(range(M), repeat=3):
         w = product_of(s, (a1, a2, a3))
-        for i, j, k in itertools.product(range(nv), repeat=3):
-            x, y, z = T[a1][i], T[a2][j], T[a3][k]
-            f1 = f.one_apply(a1, U[i])
-            f2 = f.one_apply(a2, U[j])
-            f3 = f.one_apply(a3, U[k])
-            t = A.tri(x, y, f3)
-            inner = mat_vec(r.theta_of(y, f3), U[i])
-            inner = vec_sub(inner, mat_vec(r.theta_of(x, f3), U[j]))
-            inner = vec_add(inner, c.g2_of(x, y, f3))
-            t = vec_sub(t, ctx.T(w, inner))
-            t = vec_add(t, A.tri(f1, y, z))
-            inner = mat_vec(ctx.D_of(f1, y), U[k])
-            inner = vec_sub(inner, mat_vec(r.theta_of(f1, z), U[j]))
-            inner = vec_add(inner, c.g2_of(f1, y, z))
-            t = vec_sub(t, ctx.T(w, inner))
-            t = vec_sub(t, A.tri(f2, x, z))
-            inner = mat_vec(ctx.D_of(f2, x), U[k])
-            inner = vec_sub(inner, mat_vec(r.theta_of(f2, z), U[i]))
-            inner = vec_add(inner, c.g2_of(f2, x, z))
-            t = vec_add(t, ctx.T(w, inner))
-            arg = mat_vec(ctx.D_of(x, y), U[k])
-            arg = vec_add(arg, mat_vec(r.theta_of(y, z), U[i]))
-            arg = vec_sub(arg, mat_vec(r.theta_of(x, z), U[j]))
-            arg = vec_add(arg, c.g2_of(x, y, z))
-            t = vec_sub(t, f.one_apply(w, arg))
-            out.odd[(a1 * M + a2) * M + a3][(i * nv + j) * nv + k] = t
+        Tw, fw = ctx.family[w], f.even[w]
+        for i, j in itertools.product(range(nv), repeat=2):
+            p, q = a1 * nv + i, a2 * nv + j
+            for k in range(nv):
+                t = a3 * nv + k
+                z, f3 = T[t], F[t]
+                # {x, y, f3} + {f1, y, z} - {f2, x, z}
+                v = contract(tt.ternary[p][q], f3)
+                v = vec_add(v, contract(ft.ternary[p][q], z))
+                v = vec_sub(v, contract(ft.ternary[q][p], z))
+                # T_w of theta(y, f3)u_i - theta(x, f3)u_j + Gamma2(x, y, f3)
+                # + D(f1, y)u_k - theta(f1, z)u_j + Gamma2(f1, y, z)
+                # - D(f2, x)u_k + theta(f2, z)u_i - Gamma2(f2, x, z)
+                inner = vec_sub(tf.theta[q][t][i], tf.theta[p][t][j])
+                inner = vec_add(inner, contract(tt.gamma2[p][q], f3))
+                inner = vec_add(inner, ft.D[p][q][k])
+                inner = vec_sub(inner, ft.theta[p][t][j])
+                inner = vec_add(inner, contract(ft.gamma2[p][q], z))
+                inner = vec_sub(inner, ft.D[q][p][k])
+                inner = vec_add(inner, ft.theta[q][t][i])
+                inner = vec_sub(inner, contract(ft.gamma2[q][p], z))
+                v = vec_sub(v, mat_vec(Tw, inner))
+                # f_w of {u_i, u_j, u_k}_T
+                arg = vec_add(tt.D[p][q][k], tt.theta[q][t][i])
+                arg = vec_sub(arg, tt.theta[p][t][j])
+                arg = vec_add(arg, contract(tt.gamma2[p][q], z))
+                out.odd[(a1 * M + a2) * M + a3][(i * nv + j) * nv + k] = \
+                    vec_sub(v, mat_vec(fw, arg))
     generic = delta_omega(cx.induced_algebra, cx.induced_rep, f)
     if cochain_full_coords(out) != cochain_full_coords(generic):
         raise ConsistencyError(
@@ -390,51 +365,46 @@ def cohomology_H23(cx: RBFComplex, budget=None) -> int:
 def _linearized_report(cx: RBFComplex, f: CochainFamily) -> Report:
     """First-order deformation equations, evaluated directly."""
     ctx = cx.context
-    A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
-    nv, M = ctx.dimV, s.order
-    U = identity(nv)
-    T = [[ctx.T(a, u) for u in U] for a in range(M)]
-    T1 = [[f.one_apply(a, u) for u in U] for a in range(M)]
+    s, nv, M = ctx.semigroup, ctx.dimV, ctx.semigroup.order
+    T, F, tt, tf, ft = _first_order_tables(ctx, f)
     rep = Report()
+    # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; x1, y1, z1 likewise
     for a1, a2 in itertools.product(range(M), repeat=2):
         w = product(s, a1, a2)
+        Tw, fw = ctx.family[w], f.even[w]
         for i, j in itertools.product(range(nv), repeat=2):
-            x, y = T[a1][i], T[a2][j]
-            x1, y1 = T1[a1][i], T1[a2][j]
-            lhs = vec_add(A.bracket(x1, y), A.bracket(x, y1))
-            inner = mat_vec(r.rho_of(x), U[j])
-            inner = vec_sub(inner, mat_vec(r.rho_of(y), U[i]))
-            inner = vec_add(inner, c.g1_of(x, y))
-            rhs = f.one_apply(w, inner)
-            inner = mat_vec(r.rho_of(x1), U[j])
-            inner = vec_sub(inner, mat_vec(r.rho_of(y1), U[i]))
-            inner = vec_add(inner, c.g1_of(x1, y))
-            inner = vec_add(inner, c.g1_of(x, y1))
-            rhs = vec_add(rhs, ctx.T(w, inner))
+            p, q = a1 * nv + i, a2 * nv + j
+            lhs = vec_add(ft.bracket[p][q], tf.bracket[p][q])
+            inner = vec_sub(tt.rho[p][j], tt.rho[q][i])
+            inner = vec_add(inner, tt.gamma1[p][q])
+            rhs = mat_vec(fw, inner)
+            inner = vec_sub(ft.rho[p][j], ft.rho[q][i])
+            inner = vec_add(inner, ft.gamma1[p][q])
+            inner = vec_add(inner, tf.gamma1[p][q])
+            rhs = vec_add(rhs, mat_vec(Tw, inner))
             rep.record("DEF-6.2", (a1, a2, i, j), tuple(vec_sub(lhs, rhs)))
     for a1, a2, a3 in itertools.product(range(M), repeat=3):
         w = product_of(s, (a1, a2, a3))
+        Tw, fw = ctx.family[w], f.even[w]
         for i, j, k in itertools.product(range(nv), repeat=3):
-            x, y, z = T[a1][i], T[a2][j], T[a3][k]
-            x1, y1, z1 = T1[a1][i], T1[a2][j], T1[a3][k]
-            lhs = A.tri(x1, y, z)
-            lhs = vec_add(lhs, A.tri(x, y1, z))
-            lhs = vec_add(lhs, A.tri(x, y, z1))
-            inner = mat_vec(ctx.D_of(x, y), U[k])
-            inner = vec_sub(inner, mat_vec(r.theta_of(x, z), U[j]))
-            inner = vec_add(inner, mat_vec(r.theta_of(y, z), U[i]))
-            inner = vec_add(inner, c.g2_of(x, y, z))
-            rhs = f.one_apply(w, inner)
-            inner = mat_vec(ctx.D_of(x1, y), U[k])
-            inner = vec_add(inner, mat_vec(ctx.D_of(x, y1), U[k]))
-            inner = vec_sub(inner, mat_vec(r.theta_of(x1, z), U[j]))
-            inner = vec_sub(inner, mat_vec(r.theta_of(x, z1), U[j]))
-            inner = vec_add(inner, mat_vec(r.theta_of(y1, z), U[i]))
-            inner = vec_add(inner, mat_vec(r.theta_of(y, z1), U[i]))
-            inner = vec_add(inner, c.g2_of(x1, y, z))
-            inner = vec_add(inner, c.g2_of(x, y1, z))
-            inner = vec_add(inner, c.g2_of(x, y, z1))
-            rhs = vec_add(rhs, ctx.T(w, inner))
+            p, q, t = a1 * nv + i, a2 * nv + j, a3 * nv + k
+            z, z1 = T[t], F[t]
+            lhs = contract(ft.ternary[p][q], z)
+            lhs = vec_add(lhs, contract(tf.ternary[p][q], z))
+            lhs = vec_add(lhs, contract(tt.ternary[p][q], z1))
+            inner = vec_sub(tt.D[p][q][k], tt.theta[p][t][j])
+            inner = vec_add(inner, tt.theta[q][t][i])
+            inner = vec_add(inner, contract(tt.gamma2[p][q], z))
+            rhs = mat_vec(fw, inner)
+            inner = vec_add(ft.D[p][q][k], tf.D[p][q][k])
+            inner = vec_sub(inner, ft.theta[p][t][j])
+            inner = vec_sub(inner, tf.theta[p][t][j])
+            inner = vec_add(inner, ft.theta[q][t][i])
+            inner = vec_add(inner, tf.theta[q][t][i])
+            inner = vec_add(inner, contract(ft.gamma2[p][q], z))
+            inner = vec_add(inner, contract(tf.gamma2[p][q], z))
+            inner = vec_add(inner, contract(tt.gamma2[p][q], z1))
+            rhs = vec_add(rhs, mat_vec(Tw, inner))
             rep.record("DEF-6.3", (a1, a2, a3, i, j, k),
                        tuple(vec_sub(lhs, rhs)))
     return rep

@@ -58,8 +58,24 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    """a b, skipping zero entries of both factors as mat_vec does."""
+    ncols = len(b[0]) if b else 0
+    support = [[(k, y) for k, y in enumerate(brow) if y] for brow in b]
+    out = []
+    for row in a:
+        orow = [0] * ncols
+        for x, sup in zip(row, support):
+            if x:
+                for k, y in sup:
+                    orow[k] += x * y
+        out.append(orow)
+    return out
+
+
+def transpose(m, ncols):
+    """The transpose of m, whose rows are the ncols columns of m; a matrix
+    without rows does not carry its column count, so it is passed."""
+    return [[row[k] for row in m] for k in range(ncols)]
 
 
 def mat_add(a, b):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import (contract, form_columns, form_kernel, generic_vector,
                      identity, mat_add, mat_mul, mat_sub, mat_vec, quotient_dim,
-                     vec_add, vec_neg, vec_scale, vec_sub, zero_vec, zeros)
+                     transpose, vec_add, vec_neg, vec_scale, vec_sub, zero_vec,
+                     zeros)
 from .ly import split_joint
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of
@@ -372,12 +373,7 @@ class CochainFamily:
 
     def as_component(self):
         """The degree-1 cochain as a 1-slot table (for the generic coboundary)."""
-        M = self.semigroup.order
-        comp = comp_zero(M, 1, self.dim_alg, self.dim_coeff)
-        for a in range(M):
-            for i in range(self.dim_alg):
-                comp[a][i] = [row[i] for row in self.even[a]]
-        return comp
+        return [transpose(m, self.dim_alg) for m in self.even]
 
 
 def cochain_zero(s, dim_alg, dim_coeff, degree) -> CochainFamily:

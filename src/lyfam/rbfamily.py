@@ -10,7 +10,9 @@ graph characterization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import PreconditionError
@@ -30,7 +32,6 @@ class TwistedRBContext:
     cocycle: Cocycle23
     semigroup: FiniteCommutativeSemigroup
     family: list  # family[alpha] -> Matrix(V -> L)
-    _D: list = field(default=None, repr=False)
 
     def __post_init__(self):
         n, nv = self.algebra.dim, self.rep.space_dim
@@ -47,15 +48,6 @@ class TwistedRBContext:
     @property
     def dimV(self):
         return self.rep.space_dim
-
-    def D(self):
-        if self._D is None:
-            self._D = derived_D(self.algebra, self.rep)
-        return self._D
-
-    def D_of(self, x, y):
-        """Matrix of D(x, y) on V for algebra coefficient vectors x, y."""
-        return linalg.contract(self.D(), x, y)
 
     def T(self, alpha, u):
         return linalg.mat_vec(self.family[alpha], u)
@@ -74,49 +66,137 @@ def zero_family(dimL, dimV, s):
     return [linalg.zeros(dimL, dimV) for _ in range(s.order)]
 
 
+# ---------------------------------------------------------------------------
+# contractions at the images of a family
+#
+# Every family-level sweep evaluates the structure tensors at images
+# x = T_a(u_i) of basis vectors, and each such value depends on one or two
+# of the sweep's indices only.  A sweep therefore lists its images once, at
+# the flat index p = a * dimV + i, and contracts at each pair of images once.
+
+def images(maps, ncols):
+    """The columns of the matrices in turn: entry a * ncols + i is
+    maps[a] applied to the basis vector u_i."""
+    return [col for m in maps for col in linalg.transpose(m, ncols)]
+
+
+class ImageTables:
+    """A context's tensors contracted at every pair of images (X_p, Y_q).
+
+    Each table is built on first use, once for the sweep that holds it.
+    Operators on V are stored by their columns, so their value at a basis
+    vector u_k is a lookup.  ternary and gamma2 leave their last slot free,
+    so a triple term is a one-argument contraction.  D is the derived D of
+    the context's algebra and representation.
+    """
+
+    def __init__(self, ctx: TwistedRBContext, D, X, Y):
+        self.ctx, self.derived, self.X, self.Y = ctx, D, X, Y
+
+    def _pairs(self, table):
+        ct = linalg.contract
+        return [[ct(table, x, y) for y in self.Y] for x in self.X]
+
+    def _operators(self, table):
+        nv = self.ctx.dimV
+        return [[linalg.transpose(m, nv) for m in row]
+                for row in self._pairs(table)]
+
+    @cached_property
+    def rho(self):
+        """rho[p][k] = rho(X_p) u_k"""
+        nv = self.ctx.dimV
+        return [linalg.transpose(linalg.contract(self.ctx.rep.rho, x), nv)
+                for x in self.X]
+
+    @cached_property
+    def bracket(self):
+        """bracket[p][q] = [X_p, Y_q]"""
+        return self._pairs(self.ctx.algebra.binary)
+
+    @cached_property
+    def gamma1(self):
+        """gamma1[p][q] = Gamma1(X_p, Y_q)"""
+        return self._pairs(self.ctx.cocycle.gamma1)
+
+    @cached_property
+    def theta(self):
+        """theta[p][q][k] = theta(X_p, Y_q) u_k"""
+        return self._operators(self.ctx.rep.theta)
+
+    @cached_property
+    def D(self):
+        """D[p][q][k] = D(X_p, Y_q) u_k"""
+        return self._operators(self.derived)
+
+    @cached_property
+    def ternary(self):
+        """ternary[p][q][l] = {X_p, Y_q, e_l}"""
+        return self._pairs(self.ctx.algebra.ternary)
+
+    @cached_property
+    def gamma2(self):
+        """gamma2[p][q][l] = Gamma2(X_p, Y_q, e_l)"""
+        return self._pairs(self.ctx.cocycle.gamma2)
+
+
+def induced_products(tt: ImageTables):
+    """The products a family induces on V, as (binary, ternary) tables.
+
+    tt holds the contractions at the family's own images, X = Y = T =
+    images(ctx.family, dimV).  With x = T_a u_i, y = T_b u_j, z = T_g u_k:
+    binary[a][b][i][j] = rho(x)u_j - rho(y)u_i + Gamma1(x, y) and
+    ternary[a][b][g][i][j][k] = D(x, y)u_k + theta(y, z)u_i - theta(x, z)u_j
+    + Gamma2(x, y, z).
+    """
+    T, nv, M = tt.X, tt.ctx.dimV, tt.ctx.semigroup.order
+    add, sub, ct = linalg.vec_add, linalg.vec_sub, linalg.contract
+    binary = [[[[None] * nv for _ in range(nv)] for _ in range(M)]
+              for _ in range(M)]
+    ternary = [[[[[[None] * nv for _ in range(nv)] for _ in range(nv)]
+                 for _ in range(M)] for _ in range(M)] for _ in range(M)]
+    for a, b in itertools.product(range(M), repeat=2):
+        for i, j in itertools.product(range(nv), repeat=2):
+            p, q = a * nv + i, b * nv + j
+            binary[a][b][i][j] = add(sub(tt.rho[p][j], tt.rho[q][i]),
+                                     tt.gamma1[p][q])
+            duv, g2 = tt.D[p][q], tt.gamma2[p][q]
+            for g, k in itertools.product(range(M), range(nv)):
+                t = g * nv + k
+                w = add(duv[k], tt.theta[q][t][i])
+                w = sub(w, tt.theta[p][t][j])
+                ternary[a][b][g][i][j][k] = add(w, ct(g2, T[t]))
+    return binary, ternary
+
+
 def check_twisted_rb_family(ctx: TwistedRBContext) -> Report:
     rep = Report()
-    A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
-    nv = ctx.dimV
-    basis = linalg.identity(nv)
+    s, nv = ctx.semigroup, ctx.dimV
+    T = images(ctx.family, nv)
+    tt = ImageTables(ctx, derived_D(ctx.algebra, ctx.rep), T, T)
+    binary, ternary = induced_products(tt)
     for alpha in s.elements:
         for beta in s.elements:
-            ab = product(s, alpha, beta)
+            Tab = ctx.family[product(s, alpha, beta)]
             for i in range(nv):
-                u = basis[i]
-                Tu = ctx.T(alpha, u)
                 for j in range(nv):
-                    v = basis[j]
-                    Tv = ctx.T(beta, v)
-                    lhs = A.bracket(Tu, Tv)
-                    inner = linalg.mat_vec(r.rho_of(Tu), v)
-                    inner = linalg.vec_sub(inner, linalg.mat_vec(r.rho_of(Tv), u))
-                    inner = linalg.vec_add(inner, c.g1_of(Tu, Tv))
-                    rep.record("RBF-3.1", (alpha, beta, i, j),
-                               linalg.vec_sub(lhs, ctx.T(ab, inner)))
+                    rep.record("RBF-3.1", (alpha, beta, i, j), linalg.vec_sub(
+                        tt.bracket[alpha * nv + i][beta * nv + j],
+                        linalg.mat_vec(Tab, binary[alpha][beta][i][j])))
     for alpha in s.elements:
         for beta in s.elements:
             for gamma in s.elements:
-                abg = product_of(s, [alpha, beta, gamma])
+                Tabg = ctx.family[product_of(s, [alpha, beta, gamma])]
+                w = ternary[alpha][beta][gamma]
                 for i in range(nv):
-                    u = basis[i]
-                    Tu = ctx.T(alpha, u)
                     for j in range(nv):
-                        v = basis[j]
-                        Tv = ctx.T(beta, v)
-                        Duv = ctx.D_of(Tu, Tv)
+                        tri = tt.ternary[alpha * nv + i][beta * nv + j]
                         for k in range(nv):
-                            w = basis[k]
-                            Tw = ctx.T(gamma, w)
-                            lhs = A.tri(Tu, Tv, Tw)
-                            inner = linalg.mat_vec(Duv, w)
-                            inner = linalg.vec_sub(
-                                inner, linalg.mat_vec(r.theta_of(Tu, Tw), v))
-                            inner = linalg.vec_add(
-                                inner, linalg.mat_vec(r.theta_of(Tv, Tw), u))
-                            inner = linalg.vec_add(inner, c.g2_of(Tu, Tv, Tw))
-                            rep.record("RBF-3.2", (alpha, beta, gamma, i, j, k),
-                                       linalg.vec_sub(lhs, ctx.T(abg, inner)))
+                            rep.record(
+                                "RBF-3.2", (alpha, beta, gamma, i, j, k),
+                                linalg.vec_sub(
+                                    linalg.contract(tri, T[gamma * nv + k]),
+                                    linalg.mat_vec(Tabg, w[i][j][k])))
     return rep
 
 

@@ -41,6 +41,17 @@ def _require(cond, msg):
         raise MalformedInputError(msg)
 
 
+def header_int(d, key, what):
+    """The dimension or order d[key] of a JSON header: present, a JSON
+    integer and >= 0.  Anything else is malformed input."""
+    _require(isinstance(d, dict) and key in d,
+             "%s JSON needs %s" % (what, key))
+    v = d[key]
+    _require(type(v) is int and v >= 0,
+             "%s %s must be an integer >= 0: %r" % (what, key, v))
+    return v
+
+
 def sparse_entries(entries, what, fields, dims):
     """Checked [i_1, ..., i_k, value] entries of a sparse tensor.
 
@@ -75,10 +86,10 @@ def semigroup_to_json(s: FiniteCommutativeSemigroup) -> dict:
 
 
 def semigroup_from_json(d: dict) -> FiniteCommutativeSemigroup:
-    _require(isinstance(d, dict) and "order" in d and "table" in d,
-             "semigroup JSON needs order and table")
+    _require(isinstance(d, dict) and "table" in d,
+             "semigroup JSON needs table")
     return FiniteCommutativeSemigroup(
-        order=int(d["order"]), table=d["table"],
+        order=header_int(d, "order", "semigroup"), table=d["table"],
         unit=d.get("unit"), names=tuple(d["names"]) if d.get("names") else None)
 
 
@@ -108,8 +119,7 @@ def ly_to_json(A: LYAlgebra) -> dict:
 
 
 def ly_from_json(d: dict) -> LYAlgebra:
-    _require(isinstance(d, dict) and "dim" in d, "algebra JSON needs dim")
-    n = int(d["dim"])
+    n = header_int(d, "dim", "algebra")
     binary = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
     ternary = [[[zero_vec(n) for _ in range(n)] for _ in range(n)]
                for _ in range(n)]
@@ -153,10 +163,8 @@ def representation_to_json(r: Representation, algebra_dim: int) -> dict:
 
 
 def representation_from_json(d: dict) -> Representation:
-    _require(isinstance(d, dict) and "space_dim" in d and "algebra_dim" in d,
-             "representation JSON needs space_dim and algebra_dim")
-    m = int(d["space_dim"])
-    n = int(d["algebra_dim"])
+    m = header_int(d, "space_dim", "representation")
+    n = header_int(d, "algebra_dim", "representation")
     rho = [zeros(m, m) for _ in range(n)]
     theta = [[zeros(m, m) for _ in range(n)] for _ in range(n)]
     for (i, a, b), v in sparse_entries(d.get("rho", []), "rho", "i,row,col",
@@ -186,10 +194,8 @@ def cocycle_to_json(c: Cocycle23, algebra_dim: int, space_dim: int) -> dict:
 
 
 def cocycle_from_json(d: dict) -> Cocycle23:
-    _require(isinstance(d, dict) and "algebra_dim" in d and "space_dim" in d,
-             "cocycle JSON needs algebra_dim and space_dim")
-    n = int(d["algebra_dim"])
-    m = int(d["space_dim"])
+    n = header_int(d, "algebra_dim", "cocycle")
+    m = header_int(d, "space_dim", "cocycle")
     g1 = [[zero_vec(m) for _ in range(n)] for _ in range(n)]
     g2 = [[[zero_vec(m) for _ in range(n)] for _ in range(n)]
           for _ in range(n)]
@@ -295,9 +301,8 @@ def ns_family_to_json(N: NSFamilyAlgebra) -> dict:
 
 
 def ns_family_from_json(d: dict) -> NSFamilyAlgebra:
-    _require(isinstance(d, dict) and "dim" in d and "semigroup" in d,
-             "splitting-family JSON needs dim and semigroup")
-    n = int(d["dim"])
+    n = header_int(d, "dim", "splitting-family")
+    _require("semigroup" in d, "splitting-family JSON needs semigroup")
     s = semigroup_from_json(d["semigroup"])
     M = s.order
     bullet = [[[zero_vec(n) for _ in range(n)] for _ in range(n)]
@@ -359,10 +364,10 @@ def omega_ly_to_json(O: OmegaLYAlgebra) -> dict:
 
 def omega_ly_from_json(d: dict) -> OmegaLYAlgebra:
     from .omega import zero_omega_ly
-    _require(isinstance(d, dict) and "dim" in d and "semigroup" in d,
-             "indexed-algebra JSON needs dim and semigroup")
+    n = header_int(d, "dim", "indexed-algebra")
+    _require("semigroup" in d, "indexed-algebra JSON needs semigroup")
     s = semigroup_from_json(d["semigroup"])
-    n, M = int(d["dim"]), s.order
+    M = s.order
     O = zero_omega_ly(n, s)
     for (a, b, i, j, k), v in sparse_entries(d.get("binary", []), "binary",
                                              "alpha,beta,i,j,k",
@@ -407,12 +412,20 @@ def cochain_to_json(c: CochainFamily) -> dict:
 
 
 def cochain_from_json(d: dict) -> CochainFamily:
-    _require(isinstance(d, dict) and "degree" in d, "cochain JSON needs degree")
-    s = semigroup_from_json(d["semigroup"])
+    _require(isinstance(d, dict) and "degree" in d and "semigroup" in d,
+             "cochain JSON needs degree and semigroup")
     degree = d["degree"]
-    if degree != 1:
-        degree = tuple(int(x) for x in degree)
-    c = cochain_zero(s, int(d["dim_alg"]), int(d["dim_coeff"]), degree)
+    if not (type(degree) is int and degree == 1):
+        _require(isinstance(degree, list) and len(degree) == 2
+                 and all(type(k) is int for k in degree)
+                 and degree[0] >= 1 and degree[1] == degree[0] + 1,
+                 "cochain degree must be 1 or [k, k+1] with k >= 1: %r"
+                 % (degree,))
+        degree = tuple(degree)
+    dim_alg = header_int(d, "dim_alg", "cochain")
+    dim_coeff = header_int(d, "dim_coeff", "cochain")
+    s = semigroup_from_json(d["semigroup"])
+    c = cochain_zero(s, dim_alg, dim_coeff, degree)
     M, nA = s.order, c.dim_alg
     arities = (1,) if degree == 1 else degree
     entries = d.get("entries", [])
@@ -445,8 +458,9 @@ def direction_to_json(family) -> dict:
 
 def direction_from_json(d: dict) -> list:
     _require(isinstance(d, dict) and "family" in d, "direction JSON needs family")
-    return _family_from_json(d["family"], int(d["order"]),
-                             int(d["dim_l"]), int(d["dim_v"]))
+    return _family_from_json(d["family"], header_int(d, "order", "direction"),
+                             header_int(d, "dim_l", "direction"),
+                             header_int(d, "dim_v", "direction"))
 
 
 # ---------------------------------------------------------------------------

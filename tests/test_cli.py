@@ -65,24 +65,52 @@ def test_validate_malformed_exits_two(files):
     ("ly", "binary", "abcd"),
 ])
 def test_malformed_sparse_entries_exit_two(files, capsys, kind, key, entry):
+    d = _object_json(files, kind)
+    d[key].append(entry)
+    _assert_malformed(files, capsys, kind, d)
+
+
+def _object_json(files, kind):
     from lyfam.nsfamily import ns_from_twisted_rb
     from lyfam.omega import omega_ly_from_ns_family
-    tmp, a_path, _, _, ctx = files
+    _, a_path, _, _, ctx = files
     if kind == "ly":
-        d = json.load(open(a_path))
-    elif kind == "cochain":
-        d = sz.cochain_to_json(RBFComplex(ctx).skew_basis_at(1).embed(0))
-    else:
-        N = ns_from_twisted_rb(ctx)
-        d = (sz.ns_family_to_json(N) if kind == "ns-family"
-             else sz.omega_ly_to_json(omega_ly_from_ns_family(N)))
-    d[key].append(entry)
-    bad = tmp / "bad.json"
+        return json.load(open(a_path))
+    if kind == "cochain":
+        return sz.cochain_to_json(RBFComplex(ctx).skew_basis_at(1).embed(0))
+    N = ns_from_twisted_rb(ctx)
+    return (sz.ns_family_to_json(N) if kind == "ns-family"
+            else sz.omega_ly_to_json(omega_ly_from_ns_family(N)))
+
+
+def _assert_malformed(files, capsys, kind, d):
+    bad = files[0] / "bad.json"
     json.dump(d, open(bad, "w"))
     capsys.readouterr()
     assert main(["validate", str(bad), kind]) == 2
     out = capsys.readouterr().out
     assert out.startswith("malformed input:") and "Traceback" not in out
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("cochain", "dim_alg", None),
+    ("cochain", "dim_alg", "x"),
+    ("cochain", "dim_coeff", -1),
+    ("cochain", "semigroup", None),
+    ("cochain", "degree", [2]),
+    ("cochain", "degree", [2, 4]),
+    ("ns-family", "dim", "x"),
+    ("omega-ly", "dim", 1.5),
+    ("ly", "dim", "2"),
+])
+def test_malformed_headers_exit_two(files, capsys, kind, key, value):
+    # None stands for a missing key
+    d = _object_json(files, kind)
+    if value is None:
+        del d[key]
+    else:
+        d[key] = value
+    _assert_malformed(files, capsys, kind, d)
 
 
 def test_construct_identity_family_and_check(files, tmp_path):

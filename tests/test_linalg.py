@@ -145,3 +145,23 @@ def test_matrix_helpers():
     assert la.mat_sub(a, a) == la.zeros(2, 2)
     assert la.in_span([[1, 0], [0, 1]], [0, 1], [5, -7])
     assert not la.in_span([[1, 0]], [0], [0, 1])
+
+
+# a matrix without rows does not carry its column count, so the inner
+# dimension is at least 1
+@pytest.mark.parametrize("rows,inner,cols", [(3, 4, 2), (1, 5, 3), (4, 1, 4),
+                                             (2, 3, 0), (0, 3, 2)])
+def test_mat_mul_matches_triple_sum(rows, inner, cols):
+    rng = random.Random(rows * 100 + inner * 10 + cols)
+    scalars = [0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2)]
+    a = [[rng.choice(scalars) for _ in range(inner)] for _ in range(rows)]
+    b = [[rng.choice(scalars) for _ in range(cols)] for _ in range(inner)]
+    if rows > 1 and inner:
+        a[0] = [0] * inner  # a zero row of a
+    if inner > 1 and cols:
+        for row in b:
+            row[-1] = 0  # a zero column of b
+        b[1] = [0] * cols
+    want = [[sum(a[i][t] * b[t][j] for t in range(inner))
+             for j in range(cols)] for i in range(rows)]
+    assert la.mat_mul(a, b) == want

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -132,3 +133,14 @@ def test_semidirect_product(a2):
     assert B.dim == 2 * a2.dim
     from lyfam.ly import check_ly_axioms
     assert check_ly_axioms(B).ok
+
+
+def test_check_sees_a_changed_representation(a2, s1):
+    # every check derives D from the representation as it is at the call,
+    # so a change to theta after an earlier check shows
+    ctx = copy.deepcopy(identity_family(a2, s1))
+    assert check_twisted_rb_family(ctx).ok
+    ctx.rep.theta[0][1][0][0] += 1
+    rep = check_twisted_rb_family(ctx)
+    assert len(rep.violations) == 2
+    assert rep.laws() == {"RBF-3.2"}
