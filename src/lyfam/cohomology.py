@@ -299,13 +299,6 @@ def partial_23(cx: RBFComplex, fg: CochainFamily,
     return delta_omega(cx.induced_algebra, cx.induced_rep, fg, budget)
 
 
-def partial_higher(cx: RBFComplex, n: int, fg: CochainFamily,
-                   budget=None) -> CochainFamily:
-    if n < 1 or fg.degree != (2 * n, 2 * n + 1):
-        raise PreconditionError("cochain degree does not match n")
-    return delta_omega(cx.induced_algebra, cx.induced_rep, fg, budget)
-
-
 def partial_star_23(cx: RBFComplex, fg: CochainFamily) -> CochainFamily:
     if fg.degree != (2, 3):
         raise PreconditionError("expected a (2,3)-cochain")

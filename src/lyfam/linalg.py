@@ -1,12 +1,15 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are Python ints or fractions.Fraction (they interoperate exactly);
-matrices are sequences of rows, vectors are flat sequences.  Everything is
-computed by exact Gaussian elimination, so all results are exact.
+matrices are sequences of rows, vectors are flat sequences, and linear forms
+are sparse dicts.  Kernels, ranks, solutions and quotients all come from one
+sparse, fully reducing echelon routine (`Echelon`) that touches nonzero
+entries only, so all results are exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ContainmentError, PreconditionError
 
@@ -32,10 +35,6 @@ def vec_scale(c, u):
 
 def vec_neg(u):
     return [-a for a in u]
-
-
-def is_zero(u) -> bool:
-    return not any(u)
 
 
 def identity(n):
@@ -230,17 +229,32 @@ def form_columns(forms, ncols):
     return cols
 
 
-def distinct_rows(forms, ncols):
-    """Dense rows of the distinct nonzero forms, each taken up to a nonzero
-    scalar; they span the same row space as all of `forms`."""
+def _distinct_forms(forms):
+    """The distinct nonzero forms, each taken up to a nonzero scalar: as
+    sorted (index, value) tuples of the integer multiple whose entries are
+    coprime and whose first entry is positive.  They span the same row space
+    as all of `forms`."""
     seen = {}
     for f in forms:
         if f:
             items = sorted(f.items())
-            lead = Fraction(items[0][1])
-            seen.setdefault(tuple((k, v / lead) for k, v in items), None)
+            den = lcm(*(v.denominator for _, v in items))
+            items = [(k, v.numerator * (den // v.denominator))
+                     for k, v in items]
+            g = gcd(*(v for _, v in items))
+            if items[0][1] < 0:
+                g = -g
+            if g != 1:
+                items = [(k, v // g) for k, v in items]
+            seen.setdefault(tuple(items), None)
+    return list(seen)
+
+
+def distinct_rows(forms, ncols):
+    """Dense rows of the distinct nonzero forms, each taken up to a nonzero
+    scalar; they span the same row space as all of `forms`."""
     rows = []
-    for key in seen:
+    for key in _distinct_forms(forms):
         row = [0] * ncols
         for k, v in key:
             row[k] = v
@@ -249,40 +263,92 @@ def distinct_rows(forms, ncols):
 
 
 # ---------------------------------------------------------------------------
-# elimination kernel
+# sparse exact elimination
 
-def _rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(m):
-            break
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+def _sparse(v):
+    """The nonzero coordinates of a dense vector, as {index: value}."""
+    return {k: x for k, x in enumerate(v) if x}
+
+
+class Echelon:
+    """The fully reduced row echelon form of a growing row space over Q.
+
+    rows maps each pivot column to its row: a dict column -> nonzero
+    int/Fraction with 1 at the pivot, the row's leftmost column, and no
+    entry in any other pivot column.  A row space has exactly one such form,
+    so the kernel bases, solutions and ranks read from it do not depend on
+    the order in which its rows were added.  Rows are dicts, so LinearForms
+    go in as they are, and elimination touches nonzero entries only.
+    """
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=()):
+        self.rows = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, row) -> dict:
+        """What is left of row after subtracting its part in the row space;
+        empty exactly when row lies in it."""
+        out = dict(row)
+        rows = self.rows
+        # a pivot row has no other pivot column, so each pivot column of
+        # row is cleared with the coefficient row had there
+        for c, x in row.items():
+            p = rows.get(c)
+            if p is not None:
+                for k, y in p.items():
+                    w = out.get(k, 0) - x * y
+                    if w:
+                        out[k] = w
+                    else:
+                        del out[k]
+        return out
+
+    def add(self, row) -> bool:
+        """Add row to the row space; whether it enlarged it (a new pivot)."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        c = min(r)
+        lead = r[c]
+        if lead != 1:
+            inv = 1 / Fraction(lead)
+            r = {k: x * inv for k, x in r.items()}
+        # clear the new pivot column from the older rows
+        for p in self.rows.values():
+            x = p.get(c)
+            if x is not None:
+                for k, y in r.items():
+                    w = p.get(k, 0) - x * y
+                    if w:
+                        p[k] = w
+                    else:
+                        del p[k]
+        self.rows[c] = r
+        return True
+
+    def kernel(self, ncols):
+        """Basis of the vectors of length ncols that every row kills, one
+        per free (non-pivot) column c in order: 1 at c, 0 at the other free
+        columns."""
+        free = {}
+        for c in range(ncols):
+            if c not in self.rows:
+                free[c] = v = [Fraction(0)] * ncols
+                v[c] = Fraction(1)
+        for pc, row in self.rows.items():
+            for k, y in row.items():
+                if k != pc:
+                    free[k][pc] = -Fraction(y)
+        return list(free.values())
 
 
 def rank(m) -> int:
-    return len(_rref(m)[0])
+    return len(Echelon(map(_sparse, m)))
 
 
 def nullspace_basis(m, ncols):
@@ -291,77 +357,65 @@ def nullspace_basis(m, ncols):
     if any(len(row) != ncols for row in m):
         raise PreconditionError("nullspace_basis: rows must have %d entries"
                                 % ncols)
-    red, pivots = _rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    return Echelon(map(_sparse, m)).kernel(ncols)
 
 
 def form_kernel(forms, ncols):
     """Kernel of the matrix whose rows are the linear forms `forms`.
 
-    Only the distinct nonzero rows, each up to a nonzero scalar, are
+    Only the distinct nonzero forms, each up to a nonzero scalar, are
     eliminated.  They span the same row space, whose reduced echelon form is
     unique, so the basis equals that of the full matrix.
     """
-    return nullspace_basis(distinct_rows(forms, ncols), ncols)
+    # shortest rows first: they add the least fill to the echelon
+    rows = sorted(_distinct_forms(forms), key=len)
+    return Echelon(map(dict, rows)).kernel(ncols)
 
 
 def solve(m, b):
-    """Some x with m x = b, or None when inconsistent."""
+    """Some x with m x = b, or None when inconsistent: the solution that
+    vanishes at every free column."""
     if len(b) != len(m):
         raise PreconditionError("solve: b.dim (%d) != rows (%d)" % (len(b), len(m)))
     if not m:
         return []
     ncols = len(m[0])
-    aug = [list(row) + [bv] for row, bv in zip(m, b)]
-    red, pivots = _rref(aug)
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
+    ech = Echelon()
+    for row, bv in zip(m, b):
+        aug = _sparse(row)
+        if bv:
+            aug[ncols] = bv
+        ech.add(aug)
+    if ncols in ech.rows:
+        return None
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for pc, row in ech.rows.items():
+        x[pc] = Fraction(row.get(ncols, 0))
     return x
 
 
 def in_span(basis_rref, pivots, v):
     """Whether v lies in the row space described by (rref rows, pivot cols)."""
-    v = [Fraction(x) for x in v]
-    for row, pc in zip(basis_rref, pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [x - f * y for x, y in zip(v, row)]
-    return not any(v)
+    ech = Echelon()
+    ech.rows = {pc: _sparse(row) for row, pc in zip(basis_rref, pivots)}
+    return not ech.reduce(_sparse(v))
 
 
 def quotient_dim(z_basis, b_basis) -> int:
     """dim span(z) - dim span(b); every b vector must lie in span(z)."""
-    z_red, z_piv = _rref(z_basis)
+    z = Echelon(map(_sparse, z_basis))
     for k, v in enumerate(b_basis):
-        if not in_span(z_red, z_piv, v):
+        if z.reduce(_sparse(v)):
             raise ContainmentError("vector %d of b_basis is outside span(z_basis)" % k)
-    return len(z_red) - rank(b_basis)
+    return len(z) - rank(b_basis)
 
 
 def quotient_representatives(z_basis, b_basis):
     """Vectors of z_basis that extend span(b_basis) to span(z_basis).
 
     Deterministic: z_basis vectors are taken in order (lexicographically
-    earliest pivots first when z_basis comes from nullspace_basis).
+    earliest pivots first when z_basis comes from nullspace_basis), and each
+    one that leaves a nonzero remainder joins the growing echelon.
     """
-    rows = [[Fraction(x) for x in v] for v in b_basis]
-    red, piv = _rref(rows)
-    reps = []
-    for v in z_basis:
-        if not in_span(red, piv, v):
-            reps.append(v)
-            red, piv = _rref(red + [list(v)])
-    return reps
+    ech = Echelon(map(_sparse, b_basis))
+    return [v for v in z_basis if ech.add(_sparse(v))]

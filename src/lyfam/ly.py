@@ -180,14 +180,17 @@ def derived_D(A: LYAlgebra, r: Representation):
     """D[i][j] = theta(e_j,e_i) - theta(e_i,e_j) - rho([e_i,e_j])
     + rho(e_i)rho(e_j) - rho(e_j)rho(e_i)."""
     n = A.dim
+    # each product rho_i rho_j once; both orders are read from the table
+    prod = [[linalg.mat_mul(r.rho[i], r.rho[j]) for j in range(n)]
+            for i in range(n)]
     out = []
     for i in range(n):
         row = []
         for j in range(n):
             m = linalg.mat_sub(r.theta[j][i], r.theta[i][j])
             m = linalg.mat_sub(m, r.rho_of(A.binary[i][j]))
-            m = linalg.mat_add(m, linalg.mat_mul(r.rho[i], r.rho[j]))
-            m = linalg.mat_sub(m, linalg.mat_mul(r.rho[j], r.rho[i]))
+            m = linalg.mat_add(m, prod[i][j])
+            m = linalg.mat_sub(m, prod[j][i])
             row.append(m)
         out.append(row)
     return out

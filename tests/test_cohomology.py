@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -41,6 +42,32 @@ def test_induced_structures(a0, a1, s1, s2):
         r = induced_rep_on_L(ctx, algebra=O)
         assert check_omega_representation(O, r).ok
         assert rep_d_closed_form_report(ctx, rep=r).ok
+
+
+def test_induced_structures_without_L(s1, s2):
+    # dim L = 0: every image is the empty vector, and the induced products
+    # are the zero vectors of V, not empty lists
+    for s in (s1, s2):
+        ctx = zero_context(s, dim_l=0, dim_v=2)
+        O = induced_omega_ly_on_V(ctx)
+        M = s.order
+        for a, b, i, j in itertools.product(range(M), range(M), range(2),
+                                            range(2)):
+            assert O.binary[a][b][i][j] == [0, 0]
+            for g, k in itertools.product(range(M), range(2)):
+                assert O.ternary[a][b][g][i][j][k] == [0, 0]
+        r = induced_rep_on_L(ctx, algebra=O)
+        assert r.algebra is O and r.dim == 0
+        # operators on the zero-dimensional L are 0 x 0 matrices
+        for a, si, i in itertools.product(range(M), range(M), range(2)):
+            assert r.rho[a][si][i] == []
+            for b, j in itertools.product(range(M), range(2)):
+                assert r.theta[a][b][si][i][j] == []
+        assert check_omega_ly_axioms(O).ok
+        assert check_omega_representation(O, r).ok
+        cx = RBFComplex(ctx)
+        assert cohomology_H1(cx)[0] == 0
+        assert cohomology_H23(cx) == 0
 
 
 def test_induced_matches_ns_route(a1, s2):

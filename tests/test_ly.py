@@ -4,7 +4,7 @@ import pytest
 
 from lyfam import linalg as la
 from lyfam.errors import PreconditionError
-from lyfam.ly import (adjoint_representation, check_cocycle23, check_jacobi,
+from lyfam.ly import (Representation, adjoint_representation, check_cocycle23, check_jacobi,
                       check_leibniz, check_ly_axioms, check_representation,
                       derived_D, gamma_ad, joint_index, ly_from_leibniz,
                       ly_from_lie, ly_tensor_semigroup, split_joint, zero_ly)
@@ -82,6 +82,30 @@ def test_derived_D_of_adjoint_is_ternary(a2):
             for k in range(3):
                 assert [D[i][j][row][k] for row in range(3)] == \
                     a2.tri(a2.basis(i), a2.basis(j), a2.basis(k))
+
+
+def test_derived_D_matches_formula_on_malformed_input(rng):
+    # random tensors: the bracket is not skew and theta has no symmetry, so
+    # no term of D may be read off another pair's
+    n, nv = 3, 2
+    scalars = [0, 1, -2, Fraction(1, 3)]
+
+    def mat():
+        return [[rng.choice(scalars) for _ in range(nv)] for _ in range(nv)]
+
+    A = zero_ly(n)
+    A.binary = [[[rng.choice(scalars) for _ in range(n)] for _ in range(n)]
+                for _ in range(n)]
+    r = Representation(nv, [mat() for _ in range(n)],
+                       [[mat() for _ in range(n)] for _ in range(n)])
+    D = derived_D(A, r)
+    for i in range(n):
+        for j in range(n):
+            want = la.mat_sub(r.theta[j][i], r.theta[i][j])
+            want = la.mat_sub(want, r.rho_of(A.binary[i][j]))
+            want = la.mat_add(want, la.mat_mul(r.rho[i], r.rho[j]))
+            want = la.mat_sub(want, la.mat_mul(r.rho[j], r.rho[i]))
+            assert D[i][j] == want
 
 
 def test_gamma_ad_is_cocycle(a1, a2):
