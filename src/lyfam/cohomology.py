@@ -17,8 +17,8 @@ from .linalg import (contract, form_columns, form_kernel, form_rows,
                      quotient_representatives, solve, transpose, vec_add,
                      vec_scale, vec_sub, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
-                    cochain_full_coords, cochain_zero, delta_omega,
-                    delta_star_omega, skew_basis)
+                    canonical_coords, cochain_full_coords, cochain_zero,
+                    delta_omega, delta_star_omega, skew_basis)
 from .ly import derived_D
 from .rbfamily import (ImageTables, TwistedRBContext, check_twisted_rb_family,
                        images, induced_products)
@@ -332,7 +332,7 @@ def cohomology_H1(cx: RBFComplex):
     """(dimension, representative degree-1 cocycles) of ker d1 / im d0."""
     cx.context.semigroup.require_unit()
     basis1 = cx.skew_basis_at(1)
-    z_basis = form_kernel(cochain_full_coords(cx.d1_symbolic()), basis1.size)
+    z_basis = form_kernel(canonical_coords(cx.d1_symbolic()), basis1.size)
     b_coords = form_columns(_boundary_coords(cx),
                             len(_wedge_basis_elements(cx.context.dimL)))
     dim = quotient_dim(z_basis, b_coords)
@@ -344,8 +344,8 @@ def cohomology_H23(cx: RBFComplex, budget=None) -> int:
     """dim of (ker d meet ker d*) over the image of the degree-1 coboundary."""
     bas = cx.skew_basis_at((2, 3), budget)
     c = bas.symbolic()
-    rows = (cochain_full_coords(partial_23(cx, c, budget))
-            + cochain_full_coords(partial_star_23(cx, c)))
+    rows = (canonical_coords(partial_23(cx, c, budget))
+            + canonical_coords(partial_star_23(cx, c)))
     z_basis = form_kernel(rows, bas.size)
     b_coords = form_columns(bas.project(cx.d1_symbolic()),
                             cx.skew_basis_at(1).size)

@@ -5,6 +5,14 @@ brackets {.,.,.}_{a,b,c} labelled by semigroup elements.  This module provides
 the axiom checkers, indexed representations, the cochain spaces C^1 and
 C^(2n,2n+1), a coordinate basis of their skew subspaces, and the coboundary
 operators delta / delta* together with cohomology dimension computations.
+
+An argument slot holds a basis vector e_i with a semigroup index a, written
+as the joint label i*M + a.  When the brackets are skew and the input is
+skew in each slot pair, delta's output is skew in every slot pair and
+delta*'s in its first pair.  The two operators therefore evaluate only the
+canonical output tuples, whose labels increase strictly inside those pairs,
+and fill the others by sign; `canonical_coords` reads back just those rows
+for the assembled matrices.
 """
 from __future__ import annotations
 
@@ -334,21 +342,6 @@ def comp_get(comp, M, nA, alphas, idxs):
     return comp[_enc(alphas, M)][_enc(idxs, nA)]
 
 
-def comp_eval(comp, M, nA, d, alphas, vecs):
-    """Multilinear evaluation of one component at arbitrary argument vectors."""
-    table = comp[_enc(alphas, M)]
-    supports = [[(i, c) for i, c in enumerate(v) if c] for v in vecs]
-    out = zero_vec(d)
-    for combo in itertools.product(*supports):
-        coeff = 1
-        xi = 0
-        for i, c in combo:
-            coeff *= c
-            xi = xi * nA + i
-        out = vec_add(out, vec_scale(coeff, table[xi]))
-    return out
-
-
 @dataclass
 class CochainFamily:
     """Cochain of degree 1 or (2n, 2n+1) (also used for the (3,4) target).
@@ -399,6 +392,35 @@ def cochain_full_coords(c: CochainFamily):
         for table in comp:
             for v in table:
                 out.extend(v)
+    return out
+
+
+def _canonical_tuples(M, nA, K, npairs):
+    """(alphas, idxs) of each K-slot tuple whose joint labels i*M + a
+    increase strictly inside each of its first npairs slot pairs."""
+    J = M * nA
+    pair = [(p, q) for p in range(J) for q in range(p + 1, J)]
+    free = [(t,) for t in range(J)]
+    for parts in itertools.product(*([pair] * npairs
+                                     + [free] * (K - 2 * npairs))):
+        joints = [t for part in parts for t in part]
+        yield [t % M for t in joints], [t // M for t in joints]
+
+
+def canonical_coords(c: CochainFamily):
+    """The coordinates of a coboundary image at its canonical tuples only.
+
+    The outputs of delta and delta* are skew in the first k // 2 slot
+    pairs of a k-slot even component, and in as many of the odd one.  Every
+    other coordinate is the negative of one of these, or 0, so these rows
+    span the same row space as all of cochain_full_coords(c).
+    """
+    M, nA = c.semigroup.order, c.dim_alg
+    npairs = c.degree[0] // 2
+    out = []
+    for comp, k in zip((c.even, c.odd), c.degree):
+        for al, xs in _canonical_tuples(M, nA, k, npairs):
+            out.extend(comp[_enc(al, M)][_enc(xs, nA)])
     return out
 
 
@@ -570,12 +592,59 @@ def skew_basis(degree, dims, s: FiniteCommutativeSemigroup,
 # ---------------------------------------------------------------------------
 # coboundary operators
 
+def _require_skew(O: OmegaLYAlgebra, c: CochainFamily) -> None:
+    """Refuse inputs outside the hypotheses of the mirror fill: the brackets
+    of O must be skew, and a pair-degree input skew in each slot pair."""
+    bad = O.invariant_report()
+    if not bad.ok:
+        raise PreconditionError("the brackets of the algebra are not skew: %s"
+                                % (bad.violations[0],))
+    bad = cochain_skew_report(c)
+    if not bad.ok:
+        raise PreconditionError("the input cochain is not skew: %s"
+                                % (bad.violations[0],))
+
+
+def _put_mirrored(table, M, nA, al, xs, value, npairs):
+    """Write value at (al, xs), and (-1)^m value at each tuple obtained by
+    swapping m > 0 of its first npairs slot pairs."""
+    neg = vec_neg(value)
+    for swaps in itertools.product((False, True), repeat=npairs):
+        a, x = list(al), list(xs)
+        for k, swap in enumerate(swaps):
+            if swap:
+                a[2 * k], a[2 * k + 1] = a[2 * k + 1], a[2 * k]
+                x[2 * k], x[2 * k + 1] = x[2 * k + 1], x[2 * k]
+        table[_enc(a, M)][_enc(x, nA)] = list(
+            neg if sum(swaps) % 2 else value)
+
+
+def _at_vector(comp, M, nA, d, al, xs, j, vec):
+    """The component at the basis vectors xs, with the vector vec in slot j
+    instead: a sum over the support of vec (xs[j] is ignored)."""
+    table = comp[_enc(al, M)]
+    stride = nA ** (len(xs) - 1 - j)
+    base = _enc(xs, nA) - xs[j] * stride
+    out = zero_vec(d)
+    for z, cz in enumerate(vec):
+        if cz:
+            out = vec_add(out, vec_scale(cz, table[base + z * stride]))
+    return out
+
+
 def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
                 budget: int | None = None) -> CochainFamily:
     """Coboundary of a degree-1 or (2n,2n+1) cochain.
 
     The degree-1 case is the n = 0 instance of the general displayed sums, so
-    a single evaluator covers every degree.
+    a single evaluator covers every degree.  The output is skew in every
+    slot pair of both components, so only the canonical tuples are
+    evaluated: those whose joint labels i*M + a increase strictly inside
+    each pair.  Each value is then written at the tuples with some of those
+    pairs swapped, times (-1) to the number swapped; a tuple with a repeated
+    label in a pair stays 0.  The skewness needs skew brackets on O and, in
+    a pair degree, an input skew in each slot pair; other inputs are
+    refused with PreconditionError.
     """
     s = O.semigroup
     M, nA, d = s.order, O.dim, r.dim
@@ -593,155 +662,113 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
     KE, KO = 2 * n + 2, 2 * n + 3
     ensure_budget((M ** KE) * (nA ** KE) * d + (M ** KO) * (nA ** KO) * d,
                   budget)
+    _require_skew(O, c)
     out = cochain_zero(s, nA, d, (KE, KO))
-    E = identity(nA)
     sign_n = -1 if n % 2 else 1
-    RHO, TH, D = r.rho, r.theta, r.d_tensor()
+    RHO, TH, D, T = r.rho, r.theta, r.d_tensor(), O.ternary
 
     def word(indices):
         return product_of(s, indices)
 
-    def tr_vec(a, b, g, i, j, k):
-        return O.ternary[a][b][g][i][j][k]
+    def removed_pairs(acc, comp, al, xs, npairs):
+        """The derived-operator and substitution sums over the first
+        npairs slot pairs, each removed in turn, acting on comp."""
+        K = len(al)
+        for k in range(1, npairs + 1):
+            i1, i2 = 2 * k - 2, 2 * k - 1
+            rem_al = al[:i1] + al[i2 + 1:]
+            t = mat_vec(D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]],
+                        comp_get(comp, M, nA, rem_al, xs[:i1] + xs[i2 + 1:]))
+            acc = vec_add(acc, vec_scale(-1 if k % 2 == 0 else 1, t))
+        for k in range(1, npairs + 1):
+            i1, i2 = 2 * k - 2, 2 * k - 1
+            sk = 1 if k % 2 == 0 else -1
+            rem_xs = xs[:i1] + xs[i2 + 1:]
+            for j in range(i2 + 1, K):
+                new_al = list(al)
+                new_al[j] = product_of(s, (al[i1], al[i2], al[j]))
+                new_al = new_al[:i1] + new_al[i2 + 1:]
+                t = _at_vector(comp, M, nA, d, new_al, rem_xs, j - 2,
+                               T[al[i1]][al[i2]][al[j]][xs[i1]][xs[i2]][xs[j]])
+                acc = vec_add(acc, vec_scale(sk, t))
+        return acc
 
-    for alphas in itertools.product(range(M), repeat=KE):
-        al = list(alphas)
-        for idxs in itertools.product(range(nA), repeat=KE):
-            xs = list(idxs)
-            acc = zero_vec(d)
-            # block in the last two slots
-            g1 = comp_get(g_comp, M, nA, al[:2 * n] + [al[KE - 1]],
-                          xs[:2 * n] + [xs[KE - 1]])
-            t = mat_vec(RHO[al[KE - 2]][word(al[:KE - 2] + [al[KE - 1]])]
-                        [xs[KE - 2]], g1)
-            g2 = comp_get(g_comp, M, nA, al[:KE - 1], xs[:KE - 1])
-            t = vec_sub(t, mat_vec(RHO[al[KE - 1]][word(al[:KE - 1])]
-                                   [xs[KE - 1]], g2))
-            bvec = O.binary[al[KE - 2]][al[KE - 1]][xs[KE - 2]][xs[KE - 1]]
-            vecs = [E[x] for x in xs[:2 * n]] + [bvec]
-            t = vec_sub(t, comp_eval(g_comp, M, nA, d,
-                                     al[:2 * n] + [product(s, al[KE - 2],
-                                                           al[KE - 1])], vecs))
-            acc = vec_add(acc, vec_scale(sign_n, t))
-            # derived-operator sum over removed pairs (acts on the even part)
-            for k in range(1, n + 1):
-                i1, i2 = 2 * k - 2, 2 * k - 1
-                rem_al = al[:i1] + al[i2 + 1:]
-                rem_xs = xs[:i1] + xs[i2 + 1:]
-                fval = comp_get(f_comp, M, nA, rem_al, rem_xs)
-                t = mat_vec(D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]],
-                            fval)
-                acc = vec_add(acc, vec_scale(-1 if k % 2 == 0 else 1, t))
-            # substitution double sum
-            for k in range(1, n + 1):
-                i1, i2 = 2 * k - 2, 2 * k - 1
-                sk = 1 if k % 2 == 0 else -1
-                for j in range(i2 + 1, KE):
-                    new_al = list(al)
-                    new_al[j] = product_of(s, (al[i1], al[i2], al[j]))
-                    new_al = new_al[:i1] + new_al[i2 + 1:]
-                    vecs = [E[x] for x in xs]
-                    vecs[j] = tr_vec(al[i1], al[i2], al[j],
-                                     xs[i1], xs[i2], xs[j])
-                    vecs = vecs[:i1] + vecs[i2 + 1:]
-                    t = comp_eval(f_comp, M, nA, d, new_al, vecs)
-                    acc = vec_add(acc, vec_scale(sk, t))
-            out.even[_enc(al, M)][_enc(xs, nA)] = acc
-    for alphas in itertools.product(range(M), repeat=KO):
-        al = list(alphas)
-        for idxs in itertools.product(range(nA), repeat=KO):
-            xs = list(idxs)
-            acc = zero_vec(d)
-            gA = comp_get(g_comp, M, nA, al[:KO - 2], xs[:KO - 2])
-            t = mat_vec(TH[al[KO - 2]][al[KO - 1]][word(al[:KO - 2])]
-                        [xs[KO - 2]][xs[KO - 1]], gA)
-            gB = comp_get(g_comp, M, nA, al[:2 * n] + [al[KO - 2]],
-                          xs[:2 * n] + [xs[KO - 2]])
-            t = vec_sub(t, mat_vec(TH[al[KO - 3]][al[KO - 1]]
-                                   [word(al[:2 * n] + [al[KO - 2]])]
-                                   [xs[KO - 3]][xs[KO - 1]], gB))
-            acc = vec_add(acc, vec_scale(sign_n, t))
-            for k in range(1, n + 2):
-                i1, i2 = 2 * k - 2, 2 * k - 1
-                rem_al = al[:i1] + al[i2 + 1:]
-                rem_xs = xs[:i1] + xs[i2 + 1:]
-                gval = comp_get(g_comp, M, nA, rem_al, rem_xs)
-                t = mat_vec(D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]],
-                            gval)
-                acc = vec_add(acc, vec_scale(-1 if k % 2 == 0 else 1, t))
-            for k in range(1, n + 2):
-                i1, i2 = 2 * k - 2, 2 * k - 1
-                sk = 1 if k % 2 == 0 else -1
-                for j in range(i2 + 1, KO):
-                    new_al = list(al)
-                    new_al[j] = product_of(s, (al[i1], al[i2], al[j]))
-                    new_al = new_al[:i1] + new_al[i2 + 1:]
-                    vecs = [E[x] for x in xs]
-                    vecs[j] = tr_vec(al[i1], al[i2], al[j],
-                                     xs[i1], xs[i2], xs[j])
-                    vecs = vecs[:i1] + vecs[i2 + 1:]
-                    t = comp_eval(g_comp, M, nA, d, new_al, vecs)
-                    acc = vec_add(acc, vec_scale(sk, t))
-            out.odd[_enc(al, M)][_enc(xs, nA)] = acc
+    for al, xs in _canonical_tuples(M, nA, KE, n + 1):
+        # block in the last two slots
+        g1 = comp_get(g_comp, M, nA, al[:2 * n] + [al[KE - 1]],
+                      xs[:2 * n] + [xs[KE - 1]])
+        t = mat_vec(RHO[al[KE - 2]][word(al[:KE - 2] + [al[KE - 1]])]
+                    [xs[KE - 2]], g1)
+        g2 = comp_get(g_comp, M, nA, al[:KE - 1], xs[:KE - 1])
+        t = vec_sub(t, mat_vec(RHO[al[KE - 1]][word(al[:KE - 1])]
+                               [xs[KE - 1]], g2))
+        t = vec_sub(t, _at_vector(
+            g_comp, M, nA, d,
+            al[:2 * n] + [product(s, al[KE - 2], al[KE - 1])],
+            xs[:KE - 1], 2 * n,
+            O.binary[al[KE - 2]][al[KE - 1]][xs[KE - 2]][xs[KE - 1]]))
+        acc = removed_pairs(vec_scale(sign_n, t), f_comp, al, xs, n)
+        _put_mirrored(out.even, M, nA, al, xs, acc, n + 1)
+    for al, xs in _canonical_tuples(M, nA, KO, n + 1):
+        gA = comp_get(g_comp, M, nA, al[:KO - 2], xs[:KO - 2])
+        t = mat_vec(TH[al[KO - 2]][al[KO - 1]][word(al[:KO - 2])]
+                    [xs[KO - 2]][xs[KO - 1]], gA)
+        gB = comp_get(g_comp, M, nA, al[:2 * n] + [al[KO - 2]],
+                      xs[:2 * n] + [xs[KO - 2]])
+        t = vec_sub(t, mat_vec(TH[al[KO - 3]][al[KO - 1]]
+                               [word(al[:2 * n] + [al[KO - 2]])]
+                               [xs[KO - 3]][xs[KO - 1]], gB))
+        acc = removed_pairs(vec_scale(sign_n, t), g_comp, al, xs, n + 1)
+        _put_mirrored(out.odd, M, nA, al, xs, acc, n + 1)
     return out
 
 
 def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
                      c: CochainFamily) -> CochainFamily:
-    """The extra differential out of degree (2,3), landing in the (3,4) pair."""
+    """The extra differential out of degree (2,3), landing in the (3,4) pair.
+
+    Both output components are skew in their first slot pair, so only the
+    tuples whose first two joint labels increase strictly are evaluated; the
+    value at the swapped tuple is the negative, and 0 where the two labels
+    agree.  The skewness needs skew brackets on O and an input skew in each
+    slot pair; other inputs are refused with PreconditionError.
+    """
     if c.degree != (2, 3):
         raise PreconditionError("input must have degree (2, 3)")
+    _require_skew(O, c)
     s = O.semigroup
     M, nA, d = s.order, O.dim, r.dim
     out = cochain_zero(s, nA, d, (3, 4))
-    E = identity(nA)
-    RHO, TH = r.rho, r.theta
-    p2 = lambda a, b: product(s, a, b)
+    RHO, TH, B = r.rho, r.theta, O.binary
+    f, g = c.even, c.odd
+    # each term is a sum over the cyclic rotations (u, v, w) of three slots
+    rotations = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-    def fval(a, b, i, j):
-        return comp_get(c.even, M, nA, (a, b), (i, j))
-
-    def gval(a, b, g, i, j, k):
-        return comp_get(c.odd, M, nA, (a, b, g), (i, j, k))
-
-    def g_eval(alphas, vecs):
-        return comp_eval(c.odd, M, nA, d, alphas, vecs)
-
-    def f_eval(alphas, vecs):
-        return comp_eval(c.even, M, nA, d, alphas, vecs)
-
-    for a1, a2, a3 in itertools.product(range(M), repeat=3):
-        for i1, i2, i3 in itertools.product(range(nA), repeat=3):
-            acc = vec_neg(mat_vec(RHO[a1][p2(a2, a3)][i1],
-                                  fval(a2, a3, i2, i3)))
-            acc = vec_sub(acc, mat_vec(RHO[a2][p2(a3, a1)][i2],
-                                       fval(a3, a1, i3, i1)))
-            acc = vec_sub(acc, mat_vec(RHO[a3][p2(a1, a2)][i3],
-                                       fval(a1, a2, i1, i2)))
-            acc = vec_add(acc, f_eval((p2(a1, a2), a3),
-                                      [O.binary[a1][a2][i1][i2], E[i3]]))
-            acc = vec_add(acc, f_eval((p2(a2, a3), a1),
-                                      [O.binary[a2][a3][i2][i3], E[i1]]))
-            acc = vec_add(acc, f_eval((p2(a3, a1), a2),
-                                      [O.binary[a3][a1][i3][i1], E[i2]]))
-            acc = vec_add(acc, gval(a1, a2, a3, i1, i2, i3))
-            acc = vec_add(acc, gval(a2, a3, a1, i2, i3, i1))
-            acc = vec_add(acc, gval(a3, a1, a2, i3, i1, i2))
-            out.even[_enc((a1, a2, a3), M)][_enc((i1, i2, i3), nA)] = acc
-    for a1, a2, a3, a4 in itertools.product(range(M), repeat=4):
-        for i1, i2, i3, i4 in itertools.product(range(nA), repeat=4):
-            acc = mat_vec(TH[a1][a4][p2(a2, a3)][i1][i4], fval(a2, a3, i2, i3))
-            acc = vec_add(acc, mat_vec(TH[a2][a4][p2(a3, a1)][i2][i4],
-                                       fval(a3, a1, i3, i1)))
-            acc = vec_add(acc, mat_vec(TH[a3][a4][p2(a1, a2)][i3][i4],
-                                       fval(a1, a2, i1, i2)))
-            acc = vec_add(acc, g_eval((p2(a1, a2), a3, a4),
-                                      [O.binary[a1][a2][i1][i2], E[i3], E[i4]]))
-            acc = vec_add(acc, g_eval((p2(a2, a3), a1, a4),
-                                      [O.binary[a2][a3][i2][i3], E[i1], E[i4]]))
-            acc = vec_add(acc, g_eval((p2(a3, a1), a2, a4),
-                                      [O.binary[a3][a1][i3][i1], E[i2], E[i4]]))
-            out.odd[_enc((a1, a2, a3, a4), M)][_enc((i1, i2, i3, i4), nA)] = acc
+    for al, xs in _canonical_tuples(M, nA, 3, 1):
+        acc = zero_vec(d)
+        for u, v, w in rotations:
+            acc = vec_sub(acc, mat_vec(
+                RHO[al[u]][product(s, al[v], al[w])][xs[u]],
+                comp_get(f, M, nA, (al[v], al[w]), (xs[v], xs[w]))))
+        for u, v, w in rotations:
+            acc = vec_add(acc, _at_vector(
+                f, M, nA, d, (product(s, al[u], al[v]), al[w]),
+                (0, xs[w]), 0, B[al[u]][al[v]][xs[u]][xs[v]]))
+        for u, v, w in rotations:
+            acc = vec_add(acc, comp_get(g, M, nA, (al[u], al[v], al[w]),
+                                        (xs[u], xs[v], xs[w])))
+        _put_mirrored(out.even, M, nA, al, xs, acc, 1)
+    for al, xs in _canonical_tuples(M, nA, 4, 1):
+        acc = zero_vec(d)
+        for u, v, w in rotations:
+            acc = vec_add(acc, mat_vec(
+                TH[al[u]][al[3]][product(s, al[v], al[w])][xs[u]][xs[3]],
+                comp_get(f, M, nA, (al[v], al[w]), (xs[v], xs[w]))))
+        for u, v, w in rotations:
+            acc = vec_add(acc, _at_vector(
+                g, M, nA, d, (product(s, al[u], al[v]), al[w], al[3]),
+                (0, xs[w], xs[3]), 0, B[al[u]][al[v]][xs[u]][xs[v]]))
+        _put_mirrored(out.odd, M, nA, al, xs, acc, 1)
     return out
 
 
@@ -763,15 +790,15 @@ def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
     basis1 = skew_basis(1, dims_pair, s)
     prev_size = basis1.size
     prev_image = delta_omega(O, r, basis1.symbolic(), budget)
-    out = [len(form_kernel(cochain_full_coords(prev_image), prev_size))]
+    out = [len(form_kernel(canonical_coords(prev_image), prev_size))]
     for n in range(1, max_n + 1):
         bas = skew_basis((2 * n, 2 * n + 1), dims_pair, s, budget)
         b_coords = form_columns(bas.project(prev_image), prev_size)
         c = bas.symbolic()
         image = delta_omega(O, r, c, budget)
-        rows = cochain_full_coords(image)
+        rows = canonical_coords(image)
         if n == 1:
-            rows += cochain_full_coords(delta_star_omega(O, r, c))
+            rows += canonical_coords(delta_star_omega(O, r, c))
         z_basis = form_kernel(rows, bas.size)
         out.append(quotient_dim(z_basis, b_coords))
         prev_size, prev_image = bas.size, image
