@@ -1,0 +1,4 @@
+"""`python -m lyfam ...`: the command line without an installed script."""
+from .cli import main
+
+raise SystemExit(main())

@@ -17,11 +17,12 @@ from .linalg import (contract, form_columns, form_kernel, form_rows,
                      quotient_representatives, solve, transpose, vec_add,
                      vec_scale, vec_sub, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
-                    canonical_coords, cochain_full_coords, cochain_zero,
-                    delta_omega, delta_star_omega, skew_basis)
+                    _canonical_tuples, _put_mirrored, canonical_coords,
+                    cochain_full_coords, cochain_zero, delta_omega,
+                    delta_star_omega, skew_basis)
 from .ly import derived_D
 from .rbfamily import (ImageTables, TwistedRBContext, check_twisted_rb_family,
-                       images, induced_products)
+                       family_report, images, induced_products)
 from .report import Report
 from .semigroup import product, product_of
 
@@ -51,10 +52,16 @@ def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
     """
     if algebra is None:
         algebra = induced_omega_ly_on_V(ctx, check=check)
+    return _induced_rep(ctx, algebra, derived_D(ctx.algebra, ctx.rep),
+                        images(ctx.family, ctx.dimV))
+
+
+def _induced_rep(ctx: TwistedRBContext, algebra: OmegaLYAlgebra, D,
+                 T) -> OmegaRepresentation:
+    """induced_rep_on_L from the derived D of the context and the images
+    T = images(ctx.family, dimV)."""
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
     n, nv, M = ctx.dimL, ctx.dimV, s.order
-    D = derived_D(A, r)
-    T = images(ctx.family, nv)
     L = range(n)
     rho_cols = [transpose(m, nv) for m in r.rho]
     # D(e_l, x) and theta(e_l, x) by their columns, for each image x
@@ -146,19 +153,36 @@ class DeformationDirection:
 
 
 class RBFComplex:
-    """Induced complex of a twisted Rota-Baxter family."""
+    """Induced complex of a twisted Rota-Baxter family.
+
+    A complex is a snapshot of its context: the images T, the derived D,
+    the tables at (T, T) and the induced products are built once here, and
+    the family check, both induced structures and every sweep of the
+    complex read them.  The standalone check_twisted_rb_family,
+    induced_omega_ly_on_V and induced_rep_on_L build theirs afresh.
+    """
 
     def __init__(self, ctx: TwistedRBContext, check: bool = True):
+        self.context = ctx
+        self.images = images(ctx.family, ctx.dimV)
+        self.derived = derived_D(ctx.algebra, ctx.rep)
+        self.tables = ImageTables(ctx, self.derived, self.images, self.images)
+        binary, ternary = induced_products(self.tables)
         if check:
-            chk = check_twisted_rb_family(ctx)
+            chk = family_report(self.tables, binary, ternary)
             if not chk.ok:
                 raise PreconditionError(
                     "input is not a twisted Rota-Baxter family: %s"
                     % sorted(chk.laws()))
-        self.context = ctx
-        self.induced_algebra = induced_omega_ly_on_V(ctx, check=False)
-        self.induced_rep = induced_rep_on_L(ctx, check=False,
-                                            algebra=self.induced_algebra)
+        # partial_deg1 fills mirrored tuples by sign, which needs brackets
+        # and cocycle skew in their first slot pair
+        self._skew = ctx.algebra.invariant_report()
+        self._skew.extend(ctx.cocycle.invariant_report())
+        self.induced_algebra = OmegaLYAlgebra(
+            dim=ctx.dimV, semigroup=ctx.semigroup, binary=binary,
+            ternary=ternary)
+        self.induced_rep = _induced_rep(ctx, self.induced_algebra,
+                                        self.derived, self.images)
         self._bases = {}
         self._d1 = None
 
@@ -199,9 +223,8 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
     """(a, b) |-> (u |-> T_a(D(a,b)u + Gamma2(a,b,T_a u)) - {a,b,T_a u})."""
     ctx = cx.context
     ctx.semigroup.require_unit()
-    A, c = ctx.algebra, ctx.cocycle
+    A, c, D = ctx.algebra, ctx.cocycle, cx.derived
     nv, n, M = ctx.dimV, ctx.dimL, ctx.semigroup.order
-    D = derived_D(A, ctx.rep)
     U = identity(nv)
     maps = []
     for al in range(M):
@@ -221,70 +244,80 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
     return CochainFamily(ctx.semigroup, nv, n, 1, maps)
 
 
-def _first_order_tables(ctx: TwistedRBContext, f: CochainFamily):
+def _first_order_tables(cx: RBFComplex, f: CochainFamily):
     """Images x = T_a u_i and x1 = f_a u_i, and the contractions at the
-    pairs (x, y), (x, y1) and (x1, y), from the context's own tensors."""
-    T = images(ctx.family, ctx.dimV)
-    F = images(f.even, ctx.dimV)
-    D = derived_D(ctx.algebra, ctx.rep)
-    return (T, F, ImageTables(ctx, D, T, T), ImageTables(ctx, D, T, F),
-            ImageTables(ctx, D, F, T))
+    pairs (x, y), (x, y1) and (x1, y): the complex's own tables at (T, T)
+    and new ones at (T, F) and (F, T)."""
+    T, F = cx.images, images(f.even, cx.context.dimV)
+    return (T, F, cx.tables, ImageTables(cx.context, cx.derived, T, F),
+            ImageTables(cx.context, cx.derived, F, T))
 
 
-def partial_deg1(cx: RBFComplex, f) -> CochainFamily:
+def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
     """Degree-1 coboundary, computed from the family data and cross-checked
-    against the generic coboundary of the induced complex."""
+    against the generic coboundary of the induced complex.
+
+    tables are _first_order_tables(cx, f), when the caller has them.  The
+    output is skew in its first slot pair, so only the canonical tuples are
+    evaluated, as in delta_omega: those whose joint labels i*M + a increase
+    strictly in the first two slots.  The tuple with those two slots
+    swapped gets the negative, and a tuple that repeats the label stays 0.
+    A context whose brackets or cocycle are not skew is refused.
+    """
     f = _coerce_deg1(cx, f)
+    if not cx._skew.ok:
+        raise PreconditionError(
+            "the brackets or cocycle of the context are not skew: %s"
+            % (cx._skew.violations[0],))
     ctx = cx.context
     s, nv, M = ctx.semigroup, ctx.dimV, ctx.semigroup.order
-    T, F, tt, tf, ft = _first_order_tables(ctx, f)
+    T, F, tt, tf, ft = tables or _first_order_tables(cx, f)
     out = cx.zero_cochain((2, 3))
     # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; f1, f2, f3 likewise
-    for a1, a2 in itertools.product(range(M), repeat=2):
-        w12 = product(s, a1, a2)
-        Tw, fw = ctx.family[w12], f.even[w12]
-        for i, j in itertools.product(range(nv), repeat=2):
-            p, q = a1 * nv + i, a2 * nv + j
-            # [x, f2] - [y, f1] + T_w(rho(f2)u_i + Gamma1(f2, x)
-            # - rho(f1)u_j - Gamma1(f1, y)) - f_w([u_i, u_j]_T)
-            v = vec_sub(tf.bracket[p][q], tf.bracket[q][p])
-            inner = vec_add(ft.rho[q][i], ft.gamma1[q][p])
-            inner = vec_sub(inner, ft.rho[p][j])
-            inner = vec_sub(inner, ft.gamma1[p][q])
-            v = vec_add(v, mat_vec(Tw, inner))
-            arg = vec_sub(tt.rho[p][j], tt.rho[q][i])
-            arg = vec_add(arg, tt.gamma1[p][q])
-            out.even[a1 * M + a2][i * nv + j] = vec_sub(v, mat_vec(fw, arg))
-    for a1, a2, a3 in itertools.product(range(M), repeat=3):
-        w = product_of(s, (a1, a2, a3))
+    for al, xs in _canonical_tuples(M, nv, 2, 1):
+        (a1, a2), (i, j) = al, xs
+        w = product(s, a1, a2)
         Tw, fw = ctx.family[w], f.even[w]
-        for i, j in itertools.product(range(nv), repeat=2):
-            p, q = a1 * nv + i, a2 * nv + j
-            for k in range(nv):
-                t = a3 * nv + k
-                z, f3 = T[t], F[t]
-                # {x, y, f3} + {f1, y, z} - {f2, x, z}
-                v = contract(tt.ternary[p][q], f3)
-                v = vec_add(v, contract(ft.ternary[p][q], z))
-                v = vec_sub(v, contract(ft.ternary[q][p], z))
-                # T_w of theta(y, f3)u_i - theta(x, f3)u_j + Gamma2(x, y, f3)
-                # + D(f1, y)u_k - theta(f1, z)u_j + Gamma2(f1, y, z)
-                # - D(f2, x)u_k + theta(f2, z)u_i - Gamma2(f2, x, z)
-                inner = vec_sub(tf.theta[q][t][i], tf.theta[p][t][j])
-                inner = vec_add(inner, contract(tt.gamma2[p][q], f3))
-                inner = vec_add(inner, ft.D[p][q][k])
-                inner = vec_sub(inner, ft.theta[p][t][j])
-                inner = vec_add(inner, contract(ft.gamma2[p][q], z))
-                inner = vec_sub(inner, ft.D[q][p][k])
-                inner = vec_add(inner, ft.theta[q][t][i])
-                inner = vec_sub(inner, contract(ft.gamma2[q][p], z))
-                v = vec_sub(v, mat_vec(Tw, inner))
-                # f_w of {u_i, u_j, u_k}_T
-                arg = vec_add(tt.D[p][q][k], tt.theta[q][t][i])
-                arg = vec_sub(arg, tt.theta[p][t][j])
-                arg = vec_add(arg, contract(tt.gamma2[p][q], z))
-                out.odd[(a1 * M + a2) * M + a3][(i * nv + j) * nv + k] = \
-                    vec_sub(v, mat_vec(fw, arg))
+        p, q = a1 * nv + i, a2 * nv + j
+        # [x, f2] - [y, f1] + T_w(rho(f2)u_i + Gamma1(f2, x)
+        # - rho(f1)u_j - Gamma1(f1, y)) - f_w([u_i, u_j]_T)
+        v = vec_sub(tf.bracket[p][q], tf.bracket[q][p])
+        inner = vec_add(ft.rho[q][i], ft.gamma1[q][p])
+        inner = vec_sub(inner, ft.rho[p][j])
+        inner = vec_sub(inner, ft.gamma1[p][q])
+        v = vec_add(v, mat_vec(Tw, inner))
+        arg = vec_sub(tt.rho[p][j], tt.rho[q][i])
+        arg = vec_add(arg, tt.gamma1[p][q])
+        _put_mirrored(out.even, M, nv, al, xs, vec_sub(v, mat_vec(fw, arg)),
+                      1)
+    for al, xs in _canonical_tuples(M, nv, 3, 1):
+        (a1, a2, a3), (i, j, k) = al, xs
+        w = product_of(s, al)
+        Tw, fw = ctx.family[w], f.even[w]
+        p, q, t = a1 * nv + i, a2 * nv + j, a3 * nv + k
+        z, f3 = T[t], F[t]
+        # {x, y, f3} + {f1, y, z} - {f2, x, z}
+        v = contract(tt.ternary[p][q], f3)
+        v = vec_add(v, contract(ft.ternary[p][q], z))
+        v = vec_sub(v, contract(ft.ternary[q][p], z))
+        # T_w of theta(y, f3)u_i - theta(x, f3)u_j + Gamma2(x, y, f3)
+        # + D(f1, y)u_k - theta(f1, z)u_j + Gamma2(f1, y, z)
+        # - D(f2, x)u_k + theta(f2, z)u_i - Gamma2(f2, x, z)
+        inner = vec_sub(tf.theta[q][t][i], tf.theta[p][t][j])
+        inner = vec_add(inner, contract(tt.gamma2[p][q], f3))
+        inner = vec_add(inner, ft.D[p][q][k])
+        inner = vec_sub(inner, ft.theta[p][t][j])
+        inner = vec_add(inner, contract(ft.gamma2[p][q], z))
+        inner = vec_sub(inner, ft.D[q][p][k])
+        inner = vec_add(inner, ft.theta[q][t][i])
+        inner = vec_sub(inner, contract(ft.gamma2[q][p], z))
+        v = vec_sub(v, mat_vec(Tw, inner))
+        # f_w of {u_i, u_j, u_k}_T
+        arg = vec_add(tt.D[p][q][k], tt.theta[q][t][i])
+        arg = vec_sub(arg, tt.theta[p][t][j])
+        arg = vec_add(arg, contract(tt.gamma2[p][q], z))
+        _put_mirrored(out.odd, M, nv, al, xs, vec_sub(v, mat_vec(fw, arg)),
+                      1)
     generic = delta_omega(cx.induced_algebra, cx.induced_rep, f)
     if cochain_full_coords(out) != cochain_full_coords(generic):
         raise ConsistencyError(
@@ -355,11 +388,13 @@ def cohomology_H23(cx: RBFComplex, budget=None) -> int:
 # ---------------------------------------------------------------------------
 # deformations
 
-def _linearized_report(cx: RBFComplex, f: CochainFamily) -> Report:
-    """First-order deformation equations, evaluated directly."""
+def _linearized_report(cx: RBFComplex, f: CochainFamily,
+                       tables=None) -> Report:
+    """First-order deformation equations, evaluated directly; tables are
+    _first_order_tables(cx, f), when the caller has them."""
     ctx = cx.context
     s, nv, M = ctx.semigroup, ctx.dimV, ctx.semigroup.order
-    T, F, tt, tf, ft = _first_order_tables(ctx, f)
+    T, F, tt, tf, ft = tables or _first_order_tables(cx, f)
     rep = Report()
     # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; x1, y1, z1 likewise
     for a1, a2 in itertools.product(range(M), repeat=2):
@@ -410,8 +445,9 @@ def infinitesimal_report(cx: RBFComplex, d) -> Report:
     disagreement between the two routes is an internal error.
     """
     f = _coerce_deg1(cx, d)
-    rep = _linearized_report(cx, f)
-    via_coboundary = not any(cochain_full_coords(partial_deg1(cx, f)))
+    tables = _first_order_tables(cx, f)
+    rep = _linearized_report(cx, f, tables)
+    via_coboundary = not any(cochain_full_coords(partial_deg1(cx, f, tables)))
     if rep.ok != via_coboundary:
         raise ConsistencyError(
             "deformation-equation route and coboundary route disagree "

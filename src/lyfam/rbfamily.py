@@ -83,7 +83,8 @@ def images(maps, ncols):
 class ImageTables:
     """A context's tensors contracted at every pair of images (X_p, Y_q).
 
-    Each table is built on first use, once for the sweep that holds it.
+    Each table is built on first use, once for the sweep or the complex
+    that holds it.
     Operators on V are stored by their columns, so their value at a basis
     vector u_k is a lookup.  ternary and gamma2 leave their last slot free,
     so a triple term is a one-argument contraction.  D is the derived D of
@@ -173,11 +174,17 @@ def induced_products(tt: ImageTables):
 
 
 def check_twisted_rb_family(ctx: TwistedRBContext) -> Report:
-    rep = Report()
-    s, nv = ctx.semigroup, ctx.dimV
-    T = images(ctx.family, nv)
+    T = images(ctx.family, ctx.dimV)
     tt = ImageTables(ctx, derived_D(ctx.algebra, ctx.rep), T, T)
-    binary, ternary = induced_products(tt)
+    return family_report(tt, *induced_products(tt))
+
+
+def family_report(tt: ImageTables, binary, ternary) -> Report:
+    """The two family laws, from the tables at the family's own images and
+    the products they induce (see induced_products)."""
+    rep = Report()
+    ctx, T = tt.ctx, tt.X
+    s, nv = ctx.semigroup, ctx.dimV
     for alpha in s.elements:
         for beta in s.elements:
             Tab = ctx.family[product(s, alpha, beta)]

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lyfam import linalg as la
 from lyfam.errors import (BudgetExceededError, ConsistencyError,
-                          UnitRequiredError)
+                          PreconditionError, UnitRequiredError)
 from lyfam.ly import ly_from_lie, zero_cocycle, zero_ly, zero_representation
 from lyfam.nsfamily import ns_from_twisted_rb
 from lyfam.omega import (check_omega_ly_axioms, check_omega_representation,
@@ -244,3 +245,25 @@ def test_cohomology_invariant_under_change_of_basis(entry, seed):
         cx = RBFComplex(identity_family(ly_from_lie(binary), s))
         dims.append((cohomology_H1(cx)[0], cohomology_H23(cx)))
     assert dims[0] == dims[1]
+
+
+@pytest.mark.parametrize("law", ["binary", "ternary", "gamma1", "gamma2"])
+def test_partial_deg1_refuses_tensors_that_are_not_skew(a1, s2, law):
+    # the mirror fill of partial_deg1 needs the brackets of L and the
+    # cocycle skew in their first slot pair; a complex built without the
+    # family check refuses at the first degree-1 coboundary
+    ctx = copy.deepcopy(identity_family(a1, s2))
+    tensor = {"binary": ctx.algebra.binary, "ternary": ctx.algebra.ternary,
+              "gamma1": ctx.cocycle.gamma1, "gamma2": ctx.cocycle.gamma2}[law]
+    # one coordinate of the value at (e_0, e_0) or (e_0, e_0, e_0), which a
+    # skew tensor keeps at 0
+    while type(tensor[0]) is list:
+        tensor = tensor[0]
+    tensor[0] += 1
+    cx = RBFComplex(ctx, check=False)
+    zero = DeformationDirection([la.zeros(ctx.dimL, ctx.dimV)] * s2.order)
+    for route in (lambda: partial_deg1(cx, zero), cx.d1_symbolic,
+                  lambda: cohomology_H1(cx)):
+        with pytest.raises(PreconditionError,
+                           match="not skew: .*invariant:skew-" + law):
+            route()

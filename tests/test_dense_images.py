@@ -14,7 +14,9 @@ import pytest
 
 from lyfam import linalg as la
 from lyfam.cohomology import (DeformationDirection, RBFComplex,
-                              _linearized_report, partial_deg1)
+                              _linearized_report, induced_omega_ly_on_V,
+                              induced_rep_on_L, partial_deg1)
+from lyfam.errors import PreconditionError
 from lyfam.linalg import contract, mat_vec, vec_add, vec_sub
 from lyfam.ly import Cocycle23, Representation, derived_D
 from lyfam.omega import cochain_full_coords
@@ -219,3 +221,41 @@ def test_partial_deg1_matches_reference_after_change_of_basis(valid_moved,
             f = direction(ctx, rng).as_cochain(ctx)
             assert (cochain_full_coords(partial_deg1(cx, f))
                     == reference_partial_deg1(ctx, f.even))
+
+
+def test_complex_matches_the_standalone_constructions(valid_moved, rng):
+    # a complex builds its tables once and shares them between the family
+    # check and both induced structures; the standalone functions build
+    # theirs afresh, and both must give the same objects and refusals
+    contexts = valid_moved + [perturbed(ctx, rng) for ctx in valid_moved
+                              for _ in range(2)]
+    checks = [check_twisted_rb_family(ctx) for ctx in contexts]
+    assert [chk.ok for chk in checks] == [True] * 2 + [False] * 4
+    for ctx, chk in zip(contexts, checks):
+        if chk.ok:
+            cx = RBFComplex(ctx)
+        else:
+            with pytest.raises(PreconditionError) as refusal:
+                RBFComplex(ctx)
+            assert str(refusal.value) == (
+                "input is not a twisted Rota-Baxter family: %s"
+                % sorted(chk.laws()))
+            cx = RBFComplex(ctx, check=False)
+        assert (repr(cx.induced_algebra)
+                == repr(induced_omega_ly_on_V(ctx, check=False)))
+        assert repr(cx.induced_rep) == repr(induced_rep_on_L(ctx,
+                                                             check=False))
+
+
+def test_symbolic_partial_deg1_matches_reference(a2, s2):
+    # every coordinate of the assembled degree-1 coboundary, mirrored and
+    # repeated-label tuples included, against the per-tuple reference on
+    # the symbolic input
+    base = identity_family(a2, s2)
+    ctx = change_basis_of_V(base, random_invertible(random.Random(7),
+                                                    base.dimV, 12))
+    assert dense(ctx) and check_twisted_rb_family(ctx).ok
+    cx = RBFComplex(ctx)
+    symbolic = cx.skew_basis_at(1).symbolic()
+    assert (cochain_full_coords(cx.d1_symbolic())
+            == reference_partial_deg1(ctx, symbolic.even))
