@@ -21,8 +21,8 @@ from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_full_coords, cochain_zero, delta_omega,
                     delta_star_omega, skew_basis)
 from .ly import derived_D
-from .rbfamily import (ImageTables, TwistedRBContext, check_twisted_rb_family,
-                       family_report, images, induced_products)
+from .rbfamily import (ImageTables, TwistedRBContext, family_report, images,
+                       induced_products)
 from .report import Report
 from .semigroup import product, product_of
 
@@ -30,15 +30,8 @@ from .semigroup import product, product_of
 def induced_omega_ly_on_V(ctx: TwistedRBContext,
                           check: bool = True) -> OmegaLYAlgebra:
     """The indexed algebra the family induces on V."""
-    if check:
-        chk = check_twisted_rb_family(ctx)
-        if not chk.ok:
-            raise PreconditionError("input is not a twisted Rota-Baxter family")
-    T = images(ctx.family, ctx.dimV)
-    binary, ternary = induced_products(
-        ImageTables(ctx, derived_D(ctx.algebra, ctx.rep), T, T))
-    return OmegaLYAlgebra(dim=ctx.dimV, semigroup=ctx.semigroup,
-                          binary=binary, ternary=ternary)
+    return _induced_algebra(ctx, check, images(ctx.family, ctx.dimV),
+                            derived_D(ctx.algebra, ctx.rep))
 
 
 def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
@@ -50,10 +43,22 @@ def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
     - T_sab(D(e_l, x)u_j - theta(e_l, y)u_i + Gamma2(e_l, x, y)), at
     x = T_a u_i and y = T_b u_j; only T_sa and T_sab depend on s.
     """
+    T, D = images(ctx.family, ctx.dimV), derived_D(ctx.algebra, ctx.rep)
     if algebra is None:
-        algebra = induced_omega_ly_on_V(ctx, check=check)
-    return _induced_rep(ctx, algebra, derived_D(ctx.algebra, ctx.rep),
-                        images(ctx.family, ctx.dimV))
+        algebra = _induced_algebra(ctx, check, T, D)
+    return _induced_rep(ctx, algebra, D, T)
+
+
+def _induced_algebra(ctx: TwistedRBContext, check: bool, T,
+                     D) -> OmegaLYAlgebra:
+    """induced_omega_ly_on_V from the images T and the derived D; the family
+    check runs on the same tables as the products."""
+    tt = ImageTables(ctx, D, T, T)
+    binary, ternary = induced_products(tt)
+    if check and not family_report(tt, binary, ternary).ok:
+        raise PreconditionError("input is not a twisted Rota-Baxter family")
+    return OmegaLYAlgebra(dim=ctx.dimV, semigroup=ctx.semigroup,
+                          binary=binary, ternary=ternary)
 
 
 def _induced_rep(ctx: TwistedRBContext, algebra: OmegaLYAlgebra, D,
@@ -244,6 +249,14 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
     return CochainFamily(ctx.semigroup, nv, n, 1, maps)
 
 
+def _require_skew_context(cx: RBFComplex) -> None:
+    """Refuse a context outside the hypotheses of the mirror fill."""
+    if not cx._skew.ok:
+        raise PreconditionError(
+            "the brackets or cocycle of the context are not skew: %s"
+            % (cx._skew.violations[0],))
+
+
 def _first_order_tables(cx: RBFComplex, f: CochainFamily):
     """Images x = T_a u_i and x1 = f_a u_i, and the contractions at the
     pairs (x, y), (x, y1) and (x1, y): the complex's own tables at (T, T)
@@ -265,10 +278,7 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
     A context whose brackets or cocycle are not skew is refused.
     """
     f = _coerce_deg1(cx, f)
-    if not cx._skew.ok:
-        raise PreconditionError(
-            "the brackets or cocycle of the context are not skew: %s"
-            % (cx._skew.violations[0],))
+    _require_skew_context(cx)
     ctx = cx.context
     s, nv, M = ctx.semigroup, ctx.dimV, ctx.semigroup.order
     T, F, tt, tf, ft = tables or _first_order_tables(cx, f)
@@ -391,50 +401,63 @@ def cohomology_H23(cx: RBFComplex, budget=None) -> int:
 def _linearized_report(cx: RBFComplex, f: CochainFamily,
                        tables=None) -> Report:
     """First-order deformation equations, evaluated directly; tables are
-    _first_order_tables(cx, f), when the caller has them."""
+    _first_order_tables(cx, f), when the caller has them.
+
+    Both residuals are skew in their first slot pair, so, as in
+    partial_deg1, only the canonical tuples are evaluated: the tuple with
+    those two slots swapped gets the negative, and a tuple that repeats the
+    label has residual 0.  Violations are recorded in the order of all
+    tuples.  A context whose brackets or cocycle are not skew is refused.
+    """
+    _require_skew_context(cx)
     ctx = cx.context
     s, nv, M = ctx.semigroup, ctx.dimV, ctx.semigroup.order
     T, F, tt, tf, ft = tables or _first_order_tables(cx, f)
-    rep = Report()
+    res = cx.zero_cochain((2, 3))
     # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; x1, y1, z1 likewise
-    for a1, a2 in itertools.product(range(M), repeat=2):
+    for al, xs in _canonical_tuples(M, nv, 2, 1):
+        (a1, a2), (i, j) = al, xs
         w = product(s, a1, a2)
         Tw, fw = ctx.family[w], f.even[w]
-        for i, j in itertools.product(range(nv), repeat=2):
-            p, q = a1 * nv + i, a2 * nv + j
-            lhs = vec_add(ft.bracket[p][q], tf.bracket[p][q])
-            inner = vec_sub(tt.rho[p][j], tt.rho[q][i])
-            inner = vec_add(inner, tt.gamma1[p][q])
-            rhs = mat_vec(fw, inner)
-            inner = vec_sub(ft.rho[p][j], ft.rho[q][i])
-            inner = vec_add(inner, ft.gamma1[p][q])
-            inner = vec_add(inner, tf.gamma1[p][q])
-            rhs = vec_add(rhs, mat_vec(Tw, inner))
-            rep.record("DEF-6.2", (a1, a2, i, j), tuple(vec_sub(lhs, rhs)))
-    for a1, a2, a3 in itertools.product(range(M), repeat=3):
-        w = product_of(s, (a1, a2, a3))
+        p, q = a1 * nv + i, a2 * nv + j
+        lhs = vec_add(ft.bracket[p][q], tf.bracket[p][q])
+        inner = vec_sub(tt.rho[p][j], tt.rho[q][i])
+        inner = vec_add(inner, tt.gamma1[p][q])
+        rhs = mat_vec(fw, inner)
+        inner = vec_sub(ft.rho[p][j], ft.rho[q][i])
+        inner = vec_add(inner, ft.gamma1[p][q])
+        inner = vec_add(inner, tf.gamma1[p][q])
+        rhs = vec_add(rhs, mat_vec(Tw, inner))
+        _put_mirrored(res.even, M, nv, al, xs, vec_sub(lhs, rhs), 1)
+    for al, xs in _canonical_tuples(M, nv, 3, 1):
+        (a1, a2, a3), (i, j, k) = al, xs
+        w = product_of(s, al)
         Tw, fw = ctx.family[w], f.even[w]
-        for i, j, k in itertools.product(range(nv), repeat=3):
-            p, q, t = a1 * nv + i, a2 * nv + j, a3 * nv + k
-            z, z1 = T[t], F[t]
-            lhs = contract(ft.ternary[p][q], z)
-            lhs = vec_add(lhs, contract(tf.ternary[p][q], z))
-            lhs = vec_add(lhs, contract(tt.ternary[p][q], z1))
-            inner = vec_sub(tt.D[p][q][k], tt.theta[p][t][j])
-            inner = vec_add(inner, tt.theta[q][t][i])
-            inner = vec_add(inner, contract(tt.gamma2[p][q], z))
-            rhs = mat_vec(fw, inner)
-            inner = vec_add(ft.D[p][q][k], tf.D[p][q][k])
-            inner = vec_sub(inner, ft.theta[p][t][j])
-            inner = vec_sub(inner, tf.theta[p][t][j])
-            inner = vec_add(inner, ft.theta[q][t][i])
-            inner = vec_add(inner, tf.theta[q][t][i])
-            inner = vec_add(inner, contract(ft.gamma2[p][q], z))
-            inner = vec_add(inner, contract(tf.gamma2[p][q], z))
-            inner = vec_add(inner, contract(tt.gamma2[p][q], z1))
-            rhs = vec_add(rhs, mat_vec(Tw, inner))
-            rep.record("DEF-6.3", (a1, a2, a3, i, j, k),
-                       tuple(vec_sub(lhs, rhs)))
+        p, q, t = a1 * nv + i, a2 * nv + j, a3 * nv + k
+        z, z1 = T[t], F[t]
+        lhs = contract(ft.ternary[p][q], z)
+        lhs = vec_add(lhs, contract(tf.ternary[p][q], z))
+        lhs = vec_add(lhs, contract(tt.ternary[p][q], z1))
+        inner = vec_sub(tt.D[p][q][k], tt.theta[p][t][j])
+        inner = vec_add(inner, tt.theta[q][t][i])
+        inner = vec_add(inner, contract(tt.gamma2[p][q], z))
+        rhs = mat_vec(fw, inner)
+        inner = vec_add(ft.D[p][q][k], tf.D[p][q][k])
+        inner = vec_sub(inner, ft.theta[p][t][j])
+        inner = vec_sub(inner, tf.theta[p][t][j])
+        inner = vec_add(inner, ft.theta[q][t][i])
+        inner = vec_add(inner, tf.theta[q][t][i])
+        inner = vec_add(inner, contract(ft.gamma2[p][q], z))
+        inner = vec_add(inner, contract(tf.gamma2[p][q], z))
+        inner = vec_add(inner, contract(tt.gamma2[p][q], z1))
+        rhs = vec_add(rhs, mat_vec(Tw, inner))
+        _put_mirrored(res.odd, M, nv, al, xs, vec_sub(lhs, rhs), 1)
+    rep = Report()
+    # table[_enc(al, M)][_enc(xs, nv)] runs through the tuples in order
+    for law, comp, k in (("DEF-6.2", res.even, 2), ("DEF-6.3", res.odd, 3)):
+        for al, table in zip(itertools.product(range(M), repeat=k), comp):
+            for xs, v in zip(itertools.product(range(nv), repeat=k), table):
+                rep.record(law, al + xs, v)
     return rep
 
 

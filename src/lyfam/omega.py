@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import (contract, form_columns, form_kernel, generic_vector,
@@ -214,13 +214,13 @@ class OmegaRepresentation:
 
     rho[a][s][i] is the matrix of rho_{a,s}(e_i, -) acting on the module;
     theta[a][b][s][i][j] is the matrix of theta_{a,b,s}(e_i, e_j, -).
-    The derived family D_{a,b,s} is computed from rho/theta and cached.
+    The derived family D_{a,b,s} is computed from rho/theta on each call of
+    d_tensor, so it always matches the current rho and theta.
     """
     algebra: OmegaLYAlgebra
     dim: int
     rho: list
     theta: list
-    _D: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         M = self.algebra.semigroup.order
@@ -233,33 +233,32 @@ class OmegaRepresentation:
             raise PreconditionError("theta index shape mismatch")
 
     def d_tensor(self):
-        """D_{a,b,s}(e_i, e_j, -) as matrices, via the derived-operator rule."""
-        if self._D is not None:
-            return self._D
+        """D_{a,b,s}(e_i, e_j, -) as matrices, via the derived-operator rule:
+        theta_{b,a,s}(e_j, e_i) - theta_{a,b,s}(e_i, e_j)
+        - rho_{ab,s}([e_i, e_j]) + rho_{a,bs}(e_i)rho_{b,s}(e_j)
+        - rho_{b,as}(e_j)rho_{a,s}(e_i)."""
         s = self.algebra.semigroup
         M, n = s.order, self.algebra.dim
+        RHO, TH = self.rho, self.theta
+        # each product rho_{a,bc}(e_i)rho_{b,c}(e_j) once; the other order
+        # is the entry at [b][a][c][j][i]
+        prod = [[[[[mat_mul(RHO[a][product(s, b, c)][i], RHO[b][c][j])
+                    for j in range(n)] for i in range(n)] for c in range(M)]
+                 for b in range(M)] for a in range(M)]
         D = [[[[[None for _ in range(n)] for _ in range(n)]
                for _ in range(M)] for _ in range(M)] for _ in range(M)]
-        for a in range(M):
-            for b in range(M):
-                ab = product(s, a, b)
-                for c in range(M):
-                    bc = product(s, b, c)
-                    ac = product(s, a, c)
-                    for i in range(n):
-                        for j in range(n):
-                            mat = mat_sub(self.theta[b][a][c][j][i],
-                                          self.theta[a][b][c][i][j])
-                            coeffs = self.algebra.binary[a][b][i][j]
-                            mat = mat_sub(mat, contract(self.rho[ab][c],
-                                                        coeffs))
-                            mat_pr = mat_mul(self.rho[a][bc][i], self.rho[b][c][j])
-                            mat = [vec_add(r, p) for r, p in zip(mat, mat_pr)]
-                            mat_pl = mat_mul(self.rho[b][ac][j], self.rho[a][c][i])
-                            mat = mat_sub(mat, mat_pl)
-                            D[a][b][c][i][j] = mat
-        self._D = D
+        for a, b, c in itertools.product(range(M), repeat=3):
+            rho_ab = RHO[product(s, a, b)][c]
+            for i, j in itertools.product(range(n), repeat=2):
+                # the five matrices row by row, summed left to right
+                rows = zip(TH[b][a][c][j][i], TH[a][b][c][i][j],
+                           contract(rho_ab, self.algebra.binary[a][b][i][j]),
+                           prod[a][b][c][i][j], prod[b][a][c][j][i])
+                D[a][b][c][i][j] = [
+                    [t1 - t2 - r1 + p1 - p2
+                     for t1, t2, r1, p1, p2 in zip(*row)] for row in rows]
         return D
+
 
 def zero_omega_representation(O: OmegaLYAlgebra, dim: int) -> OmegaRepresentation:
     M, n = O.semigroup.order, O.dim

@@ -62,11 +62,9 @@ def sparse_entries(entries, what, fields, dims):
     for ent in entries:
         _require(isinstance(ent, list) and len(ent) == len(dims) + 1,
                  "%s entries are [%s,value]: %r" % (what, fields, ent))
-        try:
-            idx = tuple(int(x) for x in ent[:-1])
-        except (TypeError, ValueError):
-            raise MalformedInputError("%s entry has a non-integer index: %r"
-                                      % (what, ent))
+        idx = tuple(ent[:-1])
+        _require(all(type(i) is int for i in idx),
+                 "%s entry has a non-integer index: %r" % (what, ent))
         _require(all(0 <= i < n for i, n in zip(idx, dims)),
                  "%s entry out of range: %r" % (what, ent))
         yield idx, parse_scalar(ent[-1])

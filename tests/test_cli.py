@@ -63,6 +63,11 @@ def test_validate_malformed_exits_two(files):
     ("cochain", "entries", [[0], [0], -1, "1"]),
     ("cochain", "entries", [[0, 0], [0, 0], 0, "1"]),
     ("ly", "binary", "abcd"),
+    # indices must be JSON integers: int() would read each of these as
+    # the valid index tuple (0, 1, 1)
+    ("ly", "binary", [0.9, 1, 1, "1"]),
+    ("ly", "binary", ["0", 1, 1, "1"]),
+    ("ly", "binary", [0, True, 1, "1"]),
 ])
 def test_malformed_sparse_entries_exit_two(files, capsys, kind, key, entry):
     d = _object_json(files, kind)

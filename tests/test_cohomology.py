@@ -10,8 +10,9 @@ from lyfam.errors import (BudgetExceededError, ConsistencyError,
                           PreconditionError, UnitRequiredError)
 from lyfam.ly import ly_from_lie, zero_cocycle, zero_ly, zero_representation
 from lyfam.nsfamily import ns_from_twisted_rb
-from lyfam.omega import (check_omega_ly_axioms, check_omega_representation,
-                         cochain_full_coords, omega_ly_from_ns_family)
+from lyfam.omega import (OmegaRepresentation, check_omega_ly_axioms,
+                         check_omega_representation, cochain_full_coords,
+                         omega_ly_from_ns_family)
 from lyfam.cohomology import (DeformationDirection, DegreeZeroElement,
                               RBFComplex, check_infinitesimal, cohomology_H1,
                               cohomology_H23, deformation_equivalence_witness,
@@ -267,3 +268,18 @@ def test_partial_deg1_refuses_tensors_that_are_not_skew(a1, s2, law):
         with pytest.raises(PreconditionError,
                            match="not skew: .*invariant:skew-" + law):
             route()
+
+
+def test_representation_check_sees_a_changed_theta(a2, s2):
+    # the derived D of an indexed representation is rebuilt from rho and
+    # theta on each use, so a check after a change of theta sees it, as a
+    # check of a fresh representation does
+    cx = RBFComplex(identity_family(a2, s2))
+    O, r = cx.induced_algebra, cx.induced_rep
+    assert check_omega_representation(O, r).ok
+    r.theta[0][1][0][0][1][0][0] += 1
+    got = check_omega_representation(O, r)
+    fresh = check_omega_representation(
+        O, OmegaRepresentation(O, r.dim, r.rho, r.theta))
+    assert "OREP-5.7" in got.laws()
+    assert repr(got.violations) == repr(fresh.violations)
