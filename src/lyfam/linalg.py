@@ -9,6 +9,7 @@ entries only, so all results are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ContainmentError, PreconditionError
@@ -27,6 +28,31 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
+
+
+@lru_cache(maxsize=None)
+def _signed_sum(signs, nterms):
+    """The function of a column c = (c[0], c[1], ...) that adds and subtracts
+    its entries left to right with the signs of the string signs, as a
+    chain of vec_add/vec_sub on whole vectors would."""
+    if not signs or len(signs) != nterms or not set(signs) <= {"+", "-"}:
+        raise ValueError("need one sign, '+' or '-', per term: %r for %d"
+                         % (signs, nterms))
+    expr = "".join("%sc[%d]" % (s, k) for k, s in enumerate(signs))
+    return eval("lambda c: " + expr.lstrip("+"))  # e.g. c[0]-c[1]+c[2]
+
+
+def vec_sum(signs, *vecs):
+    """vecs[0] +- vecs[1] +- ..., one sign per vector in the string signs;
+    each coordinate is summed left to right."""
+    f = _signed_sum(signs, len(vecs))
+    return [f(c) for c in zip(*vecs)]
+
+
+def mat_sum(signs, *mats):
+    """mats[0] +- mats[1] +- ..., entry by entry as vec_sum sums vectors."""
+    f = _signed_sum(signs, len(mats))
+    return [[f(c) for c in zip(*rows)] for rows in zip(*mats)]
 
 
 def vec_scale(c, u):

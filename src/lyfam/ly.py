@@ -42,18 +42,11 @@ class LYAlgebra:
 
     # -- invariant report (skewness), separated so checkers can prepend it
     def invariant_report(self) -> Report:
-        rep = Report()
-        n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                rep.record("invariant:skew-binary", (i, j),
-                           linalg.vec_add(self.binary[i][j], self.binary[j][i]))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    rep.record("invariant:skew-ternary", (i, j, k),
-                               linalg.vec_add(self.ternary[i][j][k], self.ternary[j][i][k]))
-        return rep
+        n, b, t, add = range(self.dim), self.binary, self.ternary, linalg.vec_add
+        rep = Report().sweep([n, n], [("invariant:skew-binary", lambda i, j: (
+            add(b[i][j], b[j][i]) if i <= j else ()))])
+        return rep.sweep([n, n, n], [("invariant:skew-ternary", lambda i, j, k: (
+            add(t[i][j][k], t[j][i][k]) if i <= j else ()))])
 
     def bracket(self, x, y):
         return linalg.contract(self.binary, x, y)
@@ -113,16 +106,13 @@ class Cocycle23:
                 and all(not any(v) for p in self.gamma2 for r in p for v in r))
 
     def invariant_report(self) -> Report:
-        rep = Report()
-        n = len(self.gamma1)
-        for i in range(n):
-            for j in range(i, n):
-                rep.record("invariant:skew-gamma1", (i, j),
-                           linalg.vec_add(self.gamma1[i][j], self.gamma1[j][i]))
-                for k in range(n):
-                    rep.record("invariant:skew-gamma2", (i, j, k),
-                               linalg.vec_add(self.gamma2[i][j][k], self.gamma2[j][i][k]))
-        return rep
+        n, g1, g2, add = range(len(self.gamma1)), self.gamma1, self.gamma2, \
+            linalg.vec_add
+        return Report().sweep([n, n], [
+            ("invariant:skew-gamma1", lambda i, j: (
+                add(g1[i][j], g1[j][i]) if i <= j else ())),
+            ([n], [("invariant:skew-gamma2", lambda i, j, k: (
+                add(g2[i][j][k], g2[j][i][k]) if i <= j else ()))])])
 
 
 def zero_cocycle(alg_dim: int, space_dim: int) -> Cocycle23:
@@ -137,43 +127,23 @@ def zero_cocycle(alg_dim: int, space_dim: int) -> Cocycle23:
 # axiom checkers
 
 def check_ly_axioms(A: LYAlgebra) -> Report:
-    rep = A.invariant_report()
-    n = A.dim
-    E = linalg.identity(n)
+    n, E = range(A.dim), linalg.identity(A.dim)
     b, t = A.binary, A.ternary
-    br, tr, ct = A.bracket, A.tri, linalg.contract
-    add, sub = linalg.vec_add, linalg.vec_sub
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = br(b[i][j], E[k])
-                res = add(res, br(b[j][k], E[i]))
-                res = add(res, br(b[k][i], E[j]))
-                res = add(res, t[i][j][k])
-                res = add(res, t[k][i][j])
-                res = add(res, t[j][k][i])
-                rep.record("LY-2.1", (i, j, k), res)
-                for a in range(n):
-                    res = tr(b[i][j], E[k], E[a])
-                    res = add(res, tr(b[j][k], E[i], E[a]))
-                    res = add(res, tr(b[k][i], E[j], E[a]))
-                    rep.record("LY-2.2", (i, j, k, a), res)
-    for a in range(n):
-        for c in range(n):
-            tac = t[a][c]
-            for i in range(n):
-                for j in range(n):
-                    res = ct(tac, b[i][j])
-                    res = sub(res, br(tac[i], E[j]))
-                    res = sub(res, ct(b[i], tac[j]))
-                    rep.record("LY-2.3", (a, c, i, j), res)
-                    for k in range(n):
-                        res = ct(tac, t[i][j][k])
-                        res = sub(res, tr(tac[i], E[j], E[k]))
-                        res = sub(res, ct(t[i], tac[j], E[k]))
-                        res = sub(res, ct(t[i][j], tac[k]))
-                        rep.record("LY-2.4", (a, c, i, j, k), res)
-    return rep
+    ct, vsum = linalg.contract, linalg.vec_sum
+    rep = A.invariant_report().sweep([n] * 3, [
+        ("LY-2.1", lambda i, j, k: vsum(
+            "++++++", ct(b, b[i][j], E[k]), ct(b, b[j][k], E[i]),
+            ct(b, b[k][i], E[j]), t[i][j][k], t[k][i][j], t[j][k][i])),
+        ([n], [("LY-2.2", lambda i, j, k, a: vsum(
+            "+++", ct(t, b[i][j], E[k], E[a]), ct(t, b[j][k], E[i], E[a]),
+            ct(t, b[k][i], E[j], E[a])))])])
+    return rep.sweep([n] * 4, [
+        ("LY-2.3", lambda a, c, i, j: vsum(
+            "+--", ct(t[a][c], b[i][j]), ct(b, t[a][c][i], E[j]),
+            ct(b[i], t[a][c][j]))),
+        ([n], [("LY-2.4", lambda a, c, i, j, k: vsum(
+            "+---", ct(t[a][c], t[i][j][k]), ct(t, t[a][c][i], E[j], E[k]),
+            ct(t[i], t[a][c][j], E[k]), ct(t[i][j], t[a][c][k])))])])
 
 
 def derived_D(A: LYAlgebra, r: Representation):
@@ -197,80 +167,40 @@ def derived_D(A: LYAlgebra, r: Representation):
 
 
 def check_representation(A: LYAlgebra, r: Representation) -> Report:
-    rep = Report()
-    n = A.dim
-    E = linalg.identity(n)
+    n, E = range(A.dim), linalg.identity(A.dim)
     D = derived_D(A, r)
     b, t, rho, theta = A.binary, A.ternary, r.rho, r.theta
     ct, mm = linalg.contract, linalg.mat_mul
-    add, sub = linalg.mat_add, linalg.mat_sub
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = ct(theta, b[i][j], E[k])
-                res = sub(res, mm(theta[i][k], rho[j]))
-                res = add(res, mm(theta[j][k], rho[i]))
-                rep.record("REP-2.5", (i, j, k), linalg.flatten(res))
 
-                res = mm(D[i][j], rho[k])
-                res = sub(res, mm(rho[k], D[i][j]))
-                res = sub(res, ct(rho, t[i][j][k]))
-                rep.record("REP-2.6", (i, j, k), linalg.flatten(res))
+    def msum(signs, *mats):
+        return linalg.flatten(linalg.mat_sum(signs, *mats))
 
-                res = ct(theta[i], b[j][k])
-                res = sub(res, mm(rho[j], theta[i][k]))
-                res = add(res, mm(rho[k], theta[i][j]))
-                rep.record("REP-2.7", (i, j, k), linalg.flatten(res))
-
-    for a in range(n):
-        for c in range(n):
-            tac = t[a][c]
-            for i in range(n):
-                for j in range(n):
-                    res = mm(D[a][c], theta[i][j])
-                    res = sub(res, mm(theta[i][j], D[a][c]))
-                    res = sub(res, ct(theta, tac[i], E[j]))
-                    res = sub(res, ct(theta[i], tac[j]))
-                    rep.record("REP-2.8", (a, c, i, j), linalg.flatten(res))
-
-    for a in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = ct(theta[a], t[i][j][k])
-                    res = sub(res, mm(theta[j][k], theta[a][i]))
-                    res = add(res, mm(theta[i][k], theta[a][j]))
-                    res = sub(res, mm(D[i][j], theta[a][k]))
-                    rep.record("REP-2.9", (a, i, j, k), linalg.flatten(res))
-
+    rep = Report().sweep([n] * 3, [
+        ("REP-2.5", lambda i, j, k: msum(
+            "+-+", ct(theta, b[i][j], E[k]), mm(theta[i][k], rho[j]),
+            mm(theta[j][k], rho[i]))),
+        ("REP-2.6", lambda i, j, k: msum(
+            "+--", mm(D[i][j], rho[k]), mm(rho[k], D[i][j]),
+            ct(rho, t[i][j][k]))),
+        ("REP-2.7", lambda i, j, k: msum(
+            "+-+", ct(theta[i], b[j][k]), mm(rho[j], theta[i][k]),
+            mm(rho[k], theta[i][j])))])
+    rep.sweep([n] * 4, [("REP-2.8", lambda a, c, i, j: msum(
+        "+---", mm(D[a][c], theta[i][j]), mm(theta[i][j], D[a][c]),
+        ct(theta, t[a][c][i], E[j]), ct(theta[i], t[a][c][j])))])
+    rep.sweep([n] * 4, [("REP-2.9", lambda a, i, j, k: msum(
+        "+-+-", ct(theta[a], t[i][j][k]), mm(theta[j][k], theta[a][i]),
+        mm(theta[i][k], theta[a][j]), mm(D[i][j], theta[a][k])))])
     # redundant consequences of the definition, kept as a consistency self-test
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = ct(D, b[i][j], E[k])
-                res = add(res, ct(D, b[j][k], E[i]))
-                res = add(res, ct(D, b[k][i], E[j]))
-                rep.record("REP-2.11", (i, j, k), linalg.flatten(res))
-    for a in range(n):
-        for c in range(n):
-            tac = t[a][c]
-            for i in range(n):
-                for j in range(n):
-                    res = mm(D[a][c], D[i][j])
-                    res = sub(res, mm(D[i][j], D[a][c]))
-                    res = sub(res, ct(D, tac[i], E[j]))
-                    res = sub(res, ct(D[i], tac[j]))
-                    rep.record("REP-2.12", (a, c, i, j), linalg.flatten(res))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for a in range(n):
-                    res = ct(theta, t[i][j][k], E[a])
-                    res = sub(res, mm(theta[i][a], theta[k][j]))
-                    res = add(res, mm(theta[j][a], theta[k][i]))
-                    res = add(res, mm(theta[k][a], D[i][j]))
-                    rep.record("REP-2.13", (i, j, k, a), linalg.flatten(res))
-    return rep
+    rep.sweep([n] * 3, [("REP-2.11", lambda i, j, k: msum(
+        "+++", ct(D, b[i][j], E[k]), ct(D, b[j][k], E[i]),
+        ct(D, b[k][i], E[j])))])
+    rep.sweep([n] * 4, [("REP-2.12", lambda a, c, i, j: msum(
+        "+---", mm(D[a][c], D[i][j]), mm(D[i][j], D[a][c]),
+        ct(D, t[a][c][i], E[j]), ct(D[i], t[a][c][j])))])
+    return rep.sweep([n] * 4, [("REP-2.13", lambda i, j, k, a: msum(
+        "+-++", ct(theta, t[i][j][k], E[a]), mm(theta[i][a], theta[k][j]),
+        mm(theta[j][a], theta[k][i]), mm(theta[k][a], D[i][j])))])
 
 
 def adjoint_representation(A: LYAlgebra) -> Representation:
@@ -299,60 +229,33 @@ def adjoint_representation(A: LYAlgebra) -> Representation:
 
 
 def check_cocycle23(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:
-    rep = c.invariant_report()
-    n = A.dim
-    E = linalg.identity(n)
+    n, E = range(A.dim), linalg.identity(A.dim)
     D = derived_D(A, r)
     b, t, g1, g2 = A.binary, A.ternary, c.gamma1, c.gamma2
-    ct, mv = linalg.contract, linalg.mat_vec
-    va, vs = linalg.vec_add, linalg.vec_sub
-
-    for i1 in range(n):
-        for j1 in range(n):
-            for k in range(n):
-                res = linalg.vec_neg(mv(r.rho[i1], g1[j1][k]))
-                res = vs(res, mv(r.rho[j1], g1[k][i1]))
-                res = vs(res, mv(r.rho[k], g1[i1][j1]))
-                res = va(res, ct(g1, b[i1][j1], E[k]))
-                res = va(res, ct(g1, b[j1][k], E[i1]))
-                res = va(res, ct(g1, b[k][i1], E[j1]))
-                res = va(res, g2[i1][j1][k])
-                res = va(res, g2[k][i1][j1])
-                res = va(res, g2[j1][k][i1])
-                rep.record("COC-2.14", (i1, j1, k), res)
-
-    for i1 in range(n):
-        for j1 in range(n):
-            t11 = t[i1][j1]
-            for i2 in range(n):
-                for j2 in range(n):
-                    res = mv(r.theta[i1][j2], g1[j1][i2])
-                    res = va(res, mv(r.theta[j1][j2], g1[i2][i1]))
-                    res = va(res, mv(r.theta[i2][j2], g1[i1][j1]))
-                    res = va(res, ct(g2, b[i1][j1], E[i2], E[j2]))
-                    res = va(res, ct(g2, b[j1][i2], E[i1], E[j2]))
-                    res = va(res, ct(g2, b[i2][i1], E[j1], E[j2]))
-                    rep.record("COC-2.15", (i1, j1, i2, j2), res)
-
-                    res = linalg.vec_neg(mv(r.rho[i2], g2[i1][j1][j2]))
-                    res = va(res, mv(r.rho[j2], g2[i1][j1][i2]))
-                    res = va(res, ct(g2[i1][j1], b[i2][j2]))
-                    res = va(res, mv(D[i1][j1], g1[i2][j2]))
-                    res = vs(res, ct(g1, t11[i2], E[j2]))
-                    res = vs(res, ct(g1[i2], t11[j2]))
-                    rep.record("COC-2.16", (i1, j1, i2, j2), res)
-
-                    for k in range(n):
-                        res = linalg.vec_neg(mv(r.theta[j2][k], g2[i1][j1][i2]))
-                        res = va(res, mv(r.theta[i2][k], g2[i1][j1][j2]))
-                        res = va(res, mv(D[i1][j1], g2[i2][j2][k]))
-                        res = vs(res, mv(D[i2][j2], g2[i1][j1][k]))
-                        res = vs(res, ct(g2, t11[i2], E[j2], E[k]))
-                        res = vs(res, ct(g2[i2], t11[j2], E[k]))
-                        res = va(res, ct(g2[i1][j1], t[i2][j2][k]))
-                        res = vs(res, ct(g2[i2][j2], t11[k]))
-                        rep.record("COC-2.17", (i1, j1, i2, j2, k), res)
-    return rep
+    rho, theta = r.rho, r.theta
+    ct, mv, vsum = linalg.contract, linalg.mat_vec, linalg.vec_sum
+    rep = c.invariant_report().sweep([n] * 3, [
+        ("COC-2.14", lambda i1, j1, k: vsum(
+            "---++++++", mv(rho[i1], g1[j1][k]), mv(rho[j1], g1[k][i1]),
+            mv(rho[k], g1[i1][j1]), ct(g1, b[i1][j1], E[k]),
+            ct(g1, b[j1][k], E[i1]), ct(g1, b[k][i1], E[j1]),
+            g2[i1][j1][k], g2[k][i1][j1], g2[j1][k][i1]))])
+    return rep.sweep([n] * 4, [
+        ("COC-2.15", lambda i1, j1, i2, j2: vsum(
+            "++++++", mv(theta[i1][j2], g1[j1][i2]),
+            mv(theta[j1][j2], g1[i2][i1]), mv(theta[i2][j2], g1[i1][j1]),
+            ct(g2, b[i1][j1], E[i2], E[j2]), ct(g2, b[j1][i2], E[i1], E[j2]),
+            ct(g2, b[i2][i1], E[j1], E[j2]))),
+        ("COC-2.16", lambda i1, j1, i2, j2: vsum(
+            "-+++--", mv(rho[i2], g2[i1][j1][j2]), mv(rho[j2], g2[i1][j1][i2]),
+            ct(g2[i1][j1], b[i2][j2]), mv(D[i1][j1], g1[i2][j2]),
+            ct(g1, t[i1][j1][i2], E[j2]), ct(g1[i2], t[i1][j1][j2]))),
+        ([n], [("COC-2.17", lambda i1, j1, i2, j2, k: vsum(
+            "-++---+-", mv(theta[j2][k], g2[i1][j1][i2]),
+            mv(theta[i2][k], g2[i1][j1][j2]), mv(D[i1][j1], g2[i2][j2][k]),
+            mv(D[i2][j2], g2[i1][j1][k]), ct(g2, t[i1][j1][i2], E[j2], E[k]),
+            ct(g2[i2], t[i1][j1][j2], E[k]), ct(g2[i1][j1], t[i2][j2][k]),
+            ct(g2[i2][j2], t[i1][j1][k])))])])
 
 
 def gamma_ad(A: LYAlgebra) -> Cocycle23:
@@ -369,21 +272,10 @@ def check_jacobi(binary) -> Report:
     """Skewness and the Jacobi identity for a would-be Lie bracket tensor."""
     n = len(binary)
     A = LYAlgebra(n, binary, zero_ly(n).ternary)
-    rep = Report()
-    for i in range(n):
-        for j in range(i, n):
-            rep.record("invariant:skew-binary", (i, j),
-                       linalg.vec_add(binary[i][j], binary[j][i]))
-    E = linalg.identity(n)
-    b = A.binary
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = A.bracket(b[i][j], E[k])
-                res = linalg.vec_add(res, A.bracket(b[j][k], E[i]))
-                res = linalg.vec_add(res, A.bracket(b[k][i], E[j]))
-                rep.record("jacobi", (i, j, k), res)
-    return rep
+    r, E, b, ct = range(n), linalg.identity(n), A.binary, linalg.contract
+    return A.invariant_report().sweep([r] * 3, [("jacobi", lambda i, j, k: (
+        linalg.vec_sum("+++", ct(b, b[i][j], E[k]), ct(b, b[j][k], E[i]),
+                       ct(b, b[k][i], E[j]))))])
 
 
 def ly_from_lie(lie_binary) -> LYAlgebra:
@@ -402,18 +294,10 @@ def ly_from_lie(lie_binary) -> LYAlgebra:
 
 def check_leibniz(star) -> Report:
     """Left Leibniz law x*(y*z) = (x*y)*z + y*(x*z) for a product tensor."""
-    n = len(star)
-    ct = linalg.contract
-    rep = Report()
-    E = linalg.identity(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = ct(star[i], star[j][k])
-                res = linalg.vec_sub(res, ct(star, star[i][j], E[k]))
-                res = linalg.vec_sub(res, ct(star[j], star[i][k]))
-                rep.record("leibniz-left", (i, j, k), res)
-    return rep
+    n, E, ct = range(len(star)), linalg.identity(len(star)), linalg.contract
+    return Report().sweep([n] * 3, [("leibniz-left", lambda i, j, k: (
+        linalg.vec_sum("+--", ct(star[i], star[j][k]),
+                       ct(star, star[i][j], E[k]), ct(star[j], star[i][k]))))])
 
 
 def ly_from_leibniz(star) -> LYAlgebra:

@@ -7,7 +7,7 @@ trivial-semigroup specialization of the family axioms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import linalg
 from .errors import PreconditionError
@@ -66,24 +66,22 @@ class NSFamilyAlgebra:
         return e
 
     def invariant_report(self) -> Report:
+        m, n = range(self.semigroup.order), range(self.dim)
+        v, q, add = self.vee, self.ternary_square, linalg.vec_add
         rep = Report()
-        m = self.semigroup.order
-        n = self.dim
-        for a in range(m):
-            for b in range(m):
-                for i in range(n):
-                    for j in range(n):
-                        rep.record("invariant:skew-vee", (a, b, i, j),
-                                   linalg.vec_add(self.vee[a][b][i][j],
-                                                  self.vee[b][a][j][i]))
-                        for g in range(m):
-                            for k in range(n):
-                                rep.record(
-                                    "invariant:skew-square", (a, b, g, i, j, k),
-                                    linalg.vec_add(
-                                        self.ternary_square[a][b][g][i][j][k],
-                                        self.ternary_square[b][a][g][j][i][k]))
-        return rep
+
+        def square(a, b, i, j):
+            # the square's witness lists its elements first, (a, b, g, i, j, k),
+            # and it runs after the vee at (a, b, i, j)
+            rep.sweep([(a,), (b,), m, (i,), (j,), n], [(
+                "invariant:skew-square", lambda a, b, g, i, j, k: add(
+                    q[a][b][g][i][j][k], q[b][a][g][j][i][k]))])
+            return ()
+
+        return rep.sweep([m, m, n, n], [
+            ("invariant:skew-vee", lambda a, b, i, j: add(
+                v[a][b][i][j], v[b][a][j][i])),
+            ("invariant:skew-square", square)])
 
 
 class NSAlgebra(NSFamilyAlgebra):
@@ -137,213 +135,104 @@ _FAMILY_TO_PLAIN = {
 }
 
 
-def check_ns_family_axioms(N: NSFamilyAlgebra, law_prefix: str = None) -> Report:
+def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
     """The NS family axioms on every index and basis tuple.
 
     Basis arguments are table lookups and the derived brackets come from the
     tensors of `derived_brackets`; by multilinearity this is the same as
-    evaluating every term at basis vectors.
+    evaluating every term at basis vectors.  Elements multiply through
+    semigroup.table: ab below is t[a][b], abg is t[t[a][b]][g].
     """
-    rep = N.invariant_report()
-    s, n = N.semigroup, N.dim
-    E = linalg.identity(n)
+    t, m, n = N.semigroup.table, range(N.semigroup.order), range(N.dim)
+    E = linalg.identity(N.dim)
     BL, VV = N.bullet, N.vee
     CU, SQ = N.ternary_curly, N.ternary_square
     S2, S3, DB = derived_brackets(N)
-    ct, add, sub = linalg.contract, linalg.vec_add, linalg.vec_sub
-
-    def rec(law, witness, res):
-        if law_prefix is not None:
-            law = _FAMILY_TO_PLAIN.get(law, law)
-        rep.record(law, witness, res)
-
-    elems = list(s.elements)
-    for a in elems:
-        for b in elems:
-            ab = product(s, a, b)
-            for g in elems:
-                abg = product(s, ab, g)
-                bg, ga = product(s, b, g), product(s, g, a)
-                for i in range(n):
-                    for j in range(n):
-                        st = S2[a][b][i][j]
-                        for k in range(n):
-                            dbk = DB[a][b][g][i][j][k]
-                            # (4.21): three elements, three indices
-                            res = ct(VV[ab][g], st, E[k])
-                            res = add(res, ct(VV[bg][a], S2[b][g][j][k], E[i]))
-                            res = add(res, ct(VV[ga][b], S2[g][a][k][i], E[j]))
-                            res = sub(res, ct(BL[g][k], VV[a][b][i][j]))
-                            res = sub(res, ct(BL[a][i], VV[b][g][j][k]))
-                            res = sub(res, ct(BL[b][j], VV[g][a][k][i]))
-                            res = add(res, SQ[a][b][g][i][j][k])
-                            res = add(res, SQ[b][g][a][j][k][i])
-                            res = add(res, SQ[g][a][b][k][i][j])
-                            rec("NSF-4.21", (a, b, g, i, j, k), res)
-                            for l in range(n):
-                                # (4.16): a passive, x, y, z indexed a,b,g
-                                res = ct(CU[ab][g][l], st, E[k])
-                                res = sub(res, ct(CU[a][g], BL[b][j][l],
-                                                  E[i], E[k]))
-                                res = add(res, ct(CU[b][g], BL[a][i][l],
-                                                  E[j], E[k]))
-                                rec("NSF-4.16", (a, b, g, i, j, k, l), res)
-                                # (4.17)
-                                res = ct(S3[a][b][i][j], BL[g][k][l])
-                                res = sub(res, ct(BL[g][k], S3[a][b][i][j][l]))
-                                res = sub(res, ct(BL[abg], dbk, E[l]))
-                                rec("NSF-4.17", (a, b, g, i, j, k, l), res)
-                                # (4.18): {a,x,[y,z]*_{b,g}}_{a?,..}
-                                res = ct(CU[a][bg][l][i], S2[b][g][j][k])
-                                res = sub(res, ct(BL[b][j], CU[a][g][l][i][k]))
-                                res = add(res, ct(BL[g][k], CU[a][b][l][i][j]))
-                                rec("NSF-4.18", (a, b, g, i, j, k, l), res)
-                                # (4.28)
-                                res = ct(S3[ab][g], st, E[k], E[l])
-                                res = add(res, ct(S3[bg][a], S2[b][g][j][k],
-                                                  E[i], E[l]))
-                                res = add(res, ct(S3[ga][b], S2[g][a][k][i],
-                                                  E[j], E[l]))
-                                rec("NSF-4.28", (a, b, g, i, j, k, l), res)
-    for a in elems:
-        for b in elems:
-            ab = product(s, a, b)
-            for g in elems:
-                abg = product(s, ab, g)
-                bg, ga = product(s, b, g), product(s, g, a)
-                for si in elems:
-                    absi = product(s, ab, si)
-                    gsi = product(s, g, si)
-                    bgsi = product_of(s, [b, g, si])
-                    for i in range(n):
-                        for j in range(n):
-                            S3ab = S3[a][b][i][j]
-                            for k in range(n):
-                                dbk = DB[a][b][g][i][j][k]
-                                for l in range(n):
-                                    dbl = DB[a][b][si][i][j][l]
-                                    # (4.22)
-                                    res = ct(CU[g][si], VV[a][b][i][j],
-                                             E[k], E[l])
-                                    res = add(res, ct(CU[a][si], VV[b][g][j][k],
-                                                      E[i], E[l]))
-                                    res = add(res, ct(CU[b][si], VV[g][a][k][i],
-                                                      E[j], E[l]))
-                                    res = add(res, ct(SQ[ab][g][si],
-                                                      S2[a][b][i][j], E[k], E[l]))
-                                    res = add(res, ct(SQ[bg][a][si],
-                                                      S2[b][g][j][k], E[i], E[l]))
-                                    res = add(res, ct(SQ[ga][b][si],
-                                                      S2[g][a][k][i], E[j], E[l]))
-                                    rec("NSF-4.22", (a, b, g, si, i, j, k, l), res)
-                                    # (4.23)
-                                    res = linalg.vec_neg(
-                                        ct(BL[g][k], SQ[a][b][si][i][j][l]))
-                                    res = add(res, ct(BL[si][l],
-                                                      SQ[a][b][g][i][j][k]))
-                                    res = add(res, ct(SQ[a][b][gsi][i][j],
-                                                      S2[g][si][k][l]))
-                                    res = add(res, ct(S3ab, VV[g][si][k][l]))
-                                    res = sub(res, ct(VV[abg][si], dbk, E[l]))
-                                    res = sub(res, ct(VV[g][absi][k], dbl))
-                                    rec("NSF-4.23", (a, b, g, si, i, j, k, l), res)
-                                    for p in range(n):
-                                        # (4.19): elements x,y,b=t,z,a=w
-                                        res = ct(S3ab, CU[g][si][p][k][l])
-                                        res = sub(res, ct(CU[g][si], S3ab[p],
-                                                          E[k], E[l]))
-                                        res = sub(res, ct(CU[abg][si][p], dbk,
-                                                          E[l]))
-                                        res = sub(res, ct(CU[g][absi][p][k], dbl))
-                                        rec("NSF-4.19",
-                                            (a, b, g, si, i, j, k, l, p), res)
-                                        # (4.20): elements b=t,x,y,z,a=w
-                                        res = ct(CU[a][bgsi][p][i],
-                                                 DB[b][g][si][j][k][l])
-                                        res = sub(res, ct(CU[g][si],
-                                                          CU[a][b][p][i][j],
-                                                          E[k], E[l]))
-                                        res = add(res, ct(CU[b][si],
-                                                          CU[a][g][p][i][k],
-                                                          E[j], E[l]))
-                                        res = sub(res, ct(S3[b][g][j][k],
-                                                          CU[a][si][p][i][l]))
-                                        rec("NSF-4.20",
-                                            (a, b, g, si, i, j, k, l, p), res)
-                                        # (4.29)
-                                        res = ct(S3ab, S3[g][si][k][l][p])
-                                        res = sub(res, ct(S3[g][si][k][l],
-                                                          S3ab[p]))
-                                        res = sub(res, ct(S3[abg][si], dbk,
-                                                          E[l], E[p]))
-                                        res = sub(res, ct(S3[g][absi][k], dbl,
-                                                          E[p]))
-                                        rec("NSF-4.29",
-                                            (a, b, g, si, i, j, k, l, p), res)
-                                        # (4.30): elements b=t,x,y,z,a=w
-                                        res = ct(CU[abg][si][p], dbk, E[l])
-                                        res = sub(res, ct(CU[a][si],
-                                                          CU[g][b][p][k][j],
-                                                          E[i], E[l]))
-                                        res = add(res, ct(CU[b][si],
-                                                          CU[g][a][p][k][i],
-                                                          E[j], E[l]))
-                                        res = add(res, ct(CU[g][si], S3ab[p],
-                                                          E[k], E[l]))
-                                        rec("NSF-4.30",
-                                            (a, b, g, si, i, j, k, l, p), res)
+    ct, vsum = linalg.contract, linalg.vec_sum
+    rep = N.invariant_report()
+    # three elements, three indices; (4.16)-(4.18) and (4.28) add one index
+    rep.sweep([m] * 3 + [n] * 3, [
+        ("NSF-4.21", lambda a, b, g, i, j, k: vsum(
+            "+++---+++", ct(VV[t[a][b]][g], S2[a][b][i][j], E[k]),
+            ct(VV[t[b][g]][a], S2[b][g][j][k], E[i]),
+            ct(VV[t[g][a]][b], S2[g][a][k][i], E[j]),
+            ct(BL[g][k], VV[a][b][i][j]), ct(BL[a][i], VV[b][g][j][k]),
+            ct(BL[b][j], VV[g][a][k][i]), SQ[a][b][g][i][j][k],
+            SQ[b][g][a][j][k][i], SQ[g][a][b][k][i][j])),
+        ([n], [
+            ("NSF-4.16", lambda a, b, g, i, j, k, l: vsum(
+                "+-+", ct(CU[t[a][b]][g][l], S2[a][b][i][j], E[k]),
+                ct(CU[a][g], BL[b][j][l], E[i], E[k]),
+                ct(CU[b][g], BL[a][i][l], E[j], E[k]))),
+            ("NSF-4.17", lambda a, b, g, i, j, k, l: vsum(
+                "+--", ct(S3[a][b][i][j], BL[g][k][l]),
+                ct(BL[g][k], S3[a][b][i][j][l]),
+                ct(BL[t[t[a][b]][g]], DB[a][b][g][i][j][k], E[l]))),
+            ("NSF-4.18", lambda a, b, g, i, j, k, l: vsum(
+                "+-+", ct(CU[a][t[b][g]][l][i], S2[b][g][j][k]),
+                ct(BL[b][j], CU[a][g][l][i][k]),
+                ct(BL[g][k], CU[a][b][l][i][j]))),
+            ("NSF-4.28", lambda a, b, g, i, j, k, l: vsum(
+                "+++", ct(S3[t[a][b]][g], S2[a][b][i][j], E[k], E[l]),
+                ct(S3[t[b][g]][a], S2[b][g][j][k], E[i], E[l]),
+                ct(S3[t[g][a]][b], S2[g][a][k][i], E[j], E[l])))])])
+    # four elements, four indices; (4.19), (4.20), (4.29), (4.30) add one
+    rep.sweep([m] * 4 + [n] * 4, [
+        ("NSF-4.22", lambda a, b, g, si, i, j, k, l: vsum(
+            "++++++", ct(CU[g][si], VV[a][b][i][j], E[k], E[l]),
+            ct(CU[a][si], VV[b][g][j][k], E[i], E[l]),
+            ct(CU[b][si], VV[g][a][k][i], E[j], E[l]),
+            ct(SQ[t[a][b]][g][si], S2[a][b][i][j], E[k], E[l]),
+            ct(SQ[t[b][g]][a][si], S2[b][g][j][k], E[i], E[l]),
+            ct(SQ[t[g][a]][b][si], S2[g][a][k][i], E[j], E[l]))),
+        ("NSF-4.23", lambda a, b, g, si, i, j, k, l: vsum(
+            "-+++--", ct(BL[g][k], SQ[a][b][si][i][j][l]),
+            ct(BL[si][l], SQ[a][b][g][i][j][k]),
+            ct(SQ[a][b][t[g][si]][i][j], S2[g][si][k][l]),
+            ct(S3[a][b][i][j], VV[g][si][k][l]),
+            ct(VV[t[t[a][b]][g]][si], DB[a][b][g][i][j][k], E[l]),
+            ct(VV[g][t[t[a][b]][si]][k], DB[a][b][si][i][j][l]))),
+        ([n], [
+            ("NSF-4.19", lambda a, b, g, si, i, j, k, l, p: vsum(
+                "+---", ct(S3[a][b][i][j], CU[g][si][p][k][l]),
+                ct(CU[g][si], S3[a][b][i][j][p], E[k], E[l]),
+                ct(CU[t[t[a][b]][g]][si][p], DB[a][b][g][i][j][k], E[l]),
+                ct(CU[g][t[t[a][b]][si]][p][k], DB[a][b][si][i][j][l]))),
+            ("NSF-4.20", lambda a, b, g, si, i, j, k, l, p: vsum(
+                "+-+-", ct(CU[a][t[t[b][g]][si]][p][i], DB[b][g][si][j][k][l]),
+                ct(CU[g][si], CU[a][b][p][i][j], E[k], E[l]),
+                ct(CU[b][si], CU[a][g][p][i][k], E[j], E[l]),
+                ct(S3[b][g][j][k], CU[a][si][p][i][l]))),
+            ("NSF-4.29", lambda a, b, g, si, i, j, k, l, p: vsum(
+                "+---", ct(S3[a][b][i][j], S3[g][si][k][l][p]),
+                ct(S3[g][si][k][l], S3[a][b][i][j][p]),
+                ct(S3[t[t[a][b]][g]][si], DB[a][b][g][i][j][k], E[l], E[p]),
+                ct(S3[g][t[t[a][b]][si]][k], DB[a][b][si][i][j][l], E[p]))),
+            ("NSF-4.30", lambda a, b, g, si, i, j, k, l, p: vsum(
+                "+-++", ct(CU[t[t[a][b]][g]][si][p], DB[a][b][g][i][j][k], E[l]),
+                ct(CU[a][si], CU[g][b][p][k][j], E[i], E[l]),
+                ct(CU[b][si], CU[g][a][p][k][i], E[j], E[l]),
+                ct(CU[g][si], S3[a][b][i][j][p], E[k], E[l])))])])
     # (4.24): five elements, five indices
-    for a in elems:
-        for b in elems:
-            ab = product(s, a, b)
-            for g in elems:
-                abg = product(s, ab, g)
-                for si in elems:
-                    absi = product(s, ab, si)
-                    gsi = product(s, g, si)
-                    for ta in elems:
-                        abta = product(s, ab, ta)
-                        gsita = product(s, gsi, ta)
-                        for i in range(n):
-                            for j in range(n):
-                                for k in range(n):
-                                    dbk = DB[a][b][g][i][j][k]
-                                    for l in range(n):
-                                        dbl = DB[a][b][si][i][j][l]
-                                        for p in range(n):
-                                            res = linalg.vec_neg(ct(
-                                                CU[si][ta], SQ[a][b][g][i][j][k],
-                                                E[l], E[p]))
-                                            res = add(res, ct(
-                                                CU[g][ta], SQ[a][b][si][i][j][l],
-                                                E[k], E[p]))
-                                            res = add(res, ct(
-                                                S3[a][b][i][j],
-                                                SQ[g][si][ta][k][l][p]))
-                                            res = sub(res, ct(
-                                                S3[g][si][k][l],
-                                                SQ[a][b][ta][i][j][p]))
-                                            res = sub(res, ct(
-                                                SQ[abg][si][ta], dbk, E[l], E[p]))
-                                            res = sub(res, ct(
-                                                SQ[g][absi][ta][k], dbl, E[p]))
-                                            res = add(res, ct(
-                                                SQ[a][b][gsita][i][j],
-                                                DB[g][si][ta][k][l][p]))
-                                            res = sub(res, ct(
-                                                SQ[g][si][abta][k][l],
-                                                DB[a][b][ta][i][j][p]))
-                                            rec("NSF-4.24",
-                                                (a, b, g, si, ta, i, j, k, l, p),
-                                                res)
-    return rep
+    return rep.sweep([m] * 5 + [n] * 5, [
+        ("NSF-4.24", lambda a, b, g, si, ta, i, j, k, l, p: vsum(
+            "-++---+-", ct(CU[si][ta], SQ[a][b][g][i][j][k], E[l], E[p]),
+            ct(CU[g][ta], SQ[a][b][si][i][j][l], E[k], E[p]),
+            ct(S3[a][b][i][j], SQ[g][si][ta][k][l][p]),
+            ct(S3[g][si][k][l], SQ[a][b][ta][i][j][p]),
+            ct(SQ[t[t[a][b]][g]][si][ta], DB[a][b][g][i][j][k], E[l], E[p]),
+            ct(SQ[g][t[t[a][b]][si]][ta][k], DB[a][b][si][i][j][l], E[p]),
+            ct(SQ[a][b][t[t[g][si]][ta]][i][j], DB[g][si][ta][k][l][p]),
+            ct(SQ[g][si][t[t[a][b]][ta]][k][l], DB[a][b][ta][i][j][p])))])
 
 
 def check_ns_axioms(N: NSAlgebra) -> Report:
+    """The family check with the plain law names NS-4.1 ... NS-4.15."""
     if N.semigroup.order != 1:
         raise PreconditionError(
             "NS-Lie-Yamaguti axioms apply to the one-element-semigroup case")
-    return check_ns_family_axioms(N, law_prefix="NS")
+    return Report([replace(v, law=_FAMILY_TO_PLAIN.get(v.law, v.law))
+                   for v in check_ns_family_axioms(N).violations])
 
 
 def ns_tensor_semigroup(N: NSFamilyAlgebra) -> NSAlgebra:

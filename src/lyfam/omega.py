@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import (contract, form_columns, form_kernel, generic_vector,
-                     identity, mat_add, mat_mul, mat_sub, mat_vec, quotient_dim,
-                     transpose, vec_add, vec_neg, vec_scale, vec_sub, zero_vec,
+                     identity, mat_mul, mat_sum, mat_vec, quotient_dim, transpose,
+                     vec_add, vec_neg, vec_scale, vec_sub, vec_sum, zero_vec,
                      zeros)
 from .ly import split_joint
 from .report import Report
@@ -71,26 +72,14 @@ class OmegaLYAlgebra:
 
     def invariant_report(self) -> Report:
         """Skewness of both bracket families (simultaneous index swap)."""
-        rep = Report()
-        m, n = self.semigroup.order, self.dim
-        for a in range(m):
-            for b in range(m):
-                for i in range(n):
-                    for j in range(n):
-                        r = vec_add(self.binary[a][b][i][j],
-                                    self.binary[b][a][j][i])
-                        rep.record("invariant:skew-binary", (a, b, i, j), tuple(r))
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    for i in range(n):
-                        for j in range(n):
-                            for k in range(n):
-                                r = vec_add(self.ternary[a][b][c][i][j][k],
-                                            self.ternary[b][a][c][j][i][k])
-                                rep.record("invariant:skew-ternary",
-                                           (a, b, c, i, j, k), tuple(r))
-        return rep
+        m, n = self.semigroup.elements, range(self.dim)
+        B, T = self.binary, self.ternary
+        rep = Report().sweep([m, m, n, n], [
+            ("invariant:skew-binary", lambda a, b, i, j: vec_add(
+                B[a][b][i][j], B[b][a][j][i]))])
+        return rep.sweep([m, m, m, n, n, n], [
+            ("invariant:skew-ternary", lambda a, b, c, i, j, k: vec_add(
+                T[a][b][c][i][j][k], T[b][a][c][j][i][k]))])
 
 
 def zero_omega_ly(dim: int, s: FiniteCommutativeSemigroup) -> OmegaLYAlgebra:
@@ -105,51 +94,34 @@ def zero_omega_ly(dim: int, s: FiniteCommutativeSemigroup) -> OmegaLYAlgebra:
 
 def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
     """Evaluate the four indexed algebra laws on every basis/index tuple."""
-    rep = Report()
-    s = O.semigroup
-    n = O.dim
-    M = s.order
-    E = identity(n)
+    t, m, n = O.semigroup.table, O.semigroup.elements, range(O.dim)
+    E = identity(O.dim)
     B, T = O.binary, O.ternary
-    p2 = lambda a, b: product(s, a, b)
-    p3 = lambda a, b, c: product_of(s, (a, b, c))
-    for a, b, c in itertools.product(range(M), repeat=3):
-        for i, j, k in itertools.product(range(n), repeat=3):
-            r = contract(B[p2(a, b)][c], B[a][b][i][j], E[k])
-            r = vec_add(r, contract(B[p2(b, c)][a], B[b][c][j][k], E[i]))
-            r = vec_add(r, contract(B[p2(c, a)][b], B[c][a][k][i], E[j]))
-            r = vec_add(r, T[a][b][c][i][j][k])
-            r = vec_add(r, T[b][c][a][j][k][i])
-            r = vec_add(r, T[c][a][b][k][i][j])
-            rep.record("OLY-5.2", (a, b, c, i, j, k), tuple(r))
-    for a, b, c, d in itertools.product(range(M), repeat=4):
-        for i, j, k, l in itertools.product(range(n), repeat=4):
-            r = contract(T[p2(a, b)][c][d], B[a][b][i][j], E[k], E[l])
-            r = vec_add(r, contract(T[p2(b, c)][a][d], B[b][c][j][k],
-                                    E[i], E[l]))
-            r = vec_add(r, contract(T[p2(c, a)][b][d], B[c][a][k][i],
-                                    E[j], E[l]))
-            rep.record("OLY-5.3", (a, b, c, d, i, j, k, l), tuple(r))
-    for si, a, b, c in itertools.product(range(M), repeat=4):
-        for ii, jj, kk, ll in itertools.product(range(n), repeat=4):
-            lhs = contract(T[si][a][p2(b, c)][ii][jj], B[b][c][kk][ll])
-            rhs = contract(B[p3(si, a, b)][c], T[si][a][b][ii][jj][kk], E[ll])
-            rhs = vec_add(rhs, contract(B[b][p3(si, a, c)][kk],
-                                        T[si][a][c][ii][jj][ll]))
-            rep.record("OLY-5.4", (si, a, b, c, ii, jj, kk, ll),
-                       tuple(vec_sub(lhs, rhs)))
-    for si, ta, a, b, c in itertools.product(range(M), repeat=5):
-        for ii, jj, kk, ll, mm in itertools.product(range(n), repeat=5):
-            lhs = contract(T[si][ta][p3(a, b, c)][ii][jj], T[a][b][c][kk][ll][mm])
-            rhs = contract(T[p3(si, ta, a)][b][c], T[si][ta][a][ii][jj][kk],
-                           E[ll], E[mm])
-            rhs = vec_add(rhs, contract(T[a][p3(si, ta, b)][c][kk],
-                                        T[si][ta][b][ii][jj][ll], E[mm]))
-            rhs = vec_add(rhs, contract(T[a][b][p3(si, ta, c)][kk][ll],
-                                        T[si][ta][c][ii][jj][mm]))
-            rep.record("OLY-5.5", (si, ta, a, b, c, ii, jj, kk, ll, mm),
-                       tuple(vec_sub(lhs, rhs)))
-    return rep
+    rep = Report().sweep([m] * 3 + [n] * 3, [
+        ("OLY-5.2", lambda a, b, c, i, j, k: vec_sum(
+            "++++++", contract(B[t[a][b]][c], B[a][b][i][j], E[k]),
+            contract(B[t[b][c]][a], B[b][c][j][k], E[i]),
+            contract(B[t[c][a]][b], B[c][a][k][i], E[j]),
+            T[a][b][c][i][j][k], T[b][c][a][j][k][i], T[c][a][b][k][i][j]))])
+    rep.sweep([m] * 4 + [n] * 4, [
+        ("OLY-5.3", lambda a, b, c, d, i, j, k, l: vec_sum(
+            "+++", contract(T[t[a][b]][c][d], B[a][b][i][j], E[k], E[l]),
+            contract(T[t[b][c]][a][d], B[b][c][j][k], E[i], E[l]),
+            contract(T[t[c][a]][b][d], B[c][a][k][i], E[j], E[l])))])
+    rep.sweep([m] * 4 + [n] * 4, [
+        ("OLY-5.4", lambda si, a, b, c, ii, jj, kk, ll: vec_sub(
+            contract(T[si][a][t[b][c]][ii][jj], B[b][c][kk][ll]), vec_add(
+                contract(B[t[t[si][a]][b]][c], T[si][a][b][ii][jj][kk], E[ll]),
+                contract(B[b][t[t[si][a]][c]][kk], T[si][a][c][ii][jj][ll]))))])
+    return rep.sweep([m] * 5 + [n] * 5, [
+        ("OLY-5.5", lambda si, ta, a, b, c, ii, jj, kk, ll, mm: vec_sub(
+            contract(T[si][ta][t[t[a][b]][c]][ii][jj], T[a][b][c][kk][ll][mm]),
+            vec_sum("+++", contract(T[t[t[si][ta]][a]][b][c],
+                                   T[si][ta][a][ii][jj][kk], E[ll], E[mm]),
+                    contract(T[a][t[t[si][ta]][b]][c][kk],
+                             T[si][ta][b][ii][jj][ll], E[mm]),
+                    contract(T[a][b][t[t[si][ta]][c]][kk][ll],
+                             T[si][ta][c][ii][jj][mm]))))])
 
 
 def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,
@@ -162,16 +134,14 @@ def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,
     if not bad.ok:
         raise PreconditionError("binary tensor is not skew: %s"
                                 % (bad.violations[0],))
-    M, n = s.order, dim
+    M, n, t = s.order, dim, s.table
     E = identity(n)
     B = O.binary
-    rep = Report()
-    for a, b, c in itertools.product(range(M), repeat=3):
-        for i, j, k in itertools.product(range(n), repeat=3):
-            r = O.br(product(s, a, b), c, B[a][b][i][j], E[k])
-            r = vec_add(r, O.br(product(s, b, c), a, B[b][c][j][k], E[i]))
-            r = vec_add(r, O.br(product(s, c, a), b, B[c][a][k][i], E[j]))
-            rep.record("OLIE-jacobi", (a, b, c, i, j, k), tuple(r))
+    rep = Report().sweep([range(M)] * 3 + [range(n)] * 3, [
+        ("OLIE-jacobi", lambda a, b, c, i, j, k: vec_sum(
+            "+++", O.br(t[a][b], c, B[a][b][i][j], E[k]),
+            O.br(t[b][c], a, B[b][c][j][k], E[i]),
+            O.br(t[c][a], b, B[c][a][k][i], E[j])))])
     if not rep.ok:
         raise PreconditionError("indexed Jacobi identity fails: %s"
                                 % (rep.violations[0],))
@@ -274,53 +244,57 @@ def check_omega_representation(O: OmegaLYAlgebra,
     """Evaluate the five indexed representation laws on all tuples.
 
     Each law is a matrix identity on the module; column c of its residual
-    matrix is the residual at the module basis vector u_c.
+    matrix is the residual at the module basis vector u_c, recorded at the
+    tuple extended by c.  The matrices of a tuple are computed once, for
+    its first column.
     """
-    rep = Report()
-    s = O.semigroup
-    M, n, m = s.order, O.dim, r.dim
-    E = identity(n)
+    t, m, n = O.semigroup.table, O.semigroup.elements, range(O.dim)
+    E = identity(O.dim)
     B, T, RHO, TH, D = O.binary, O.ternary, r.rho, r.theta, r.d_tensor()
-    p2 = lambda a, b: product(s, a, b)
-    p3 = lambda a, b, c: product_of(s, (a, b, c))
 
-    def record(laws, witness, mats):
-        for c in range(m):
-            for law, mat in zip(laws, mats):
-                rep.record(law, witness + (c,), tuple(row[c] for row in mat))
+    @lru_cache(maxsize=1)
+    def laws_5_6_to_5_8(a, b, g, si, i, j, k):
+        ab, abg = t[a][b], t[t[a][b]][g]
+        absi = t[ab][si]
+        return (
+            mat_sum("+-+", contract(TH[ab][g][si], B[a][b][i][j], E[k]),
+                    mat_mul(TH[a][g][t[b][si]][i][k], RHO[b][si][j]),
+                    mat_mul(TH[b][g][t[a][si]][j][k], RHO[a][si][i])),
+            mat_sum("+--", mat_mul(D[a][b][t[g][si]][i][j], RHO[g][si][k]),
+                    mat_mul(RHO[g][absi][k], D[a][b][si][i][j]),
+                    contract(RHO[abg][si], T[a][b][g][i][j][k])),
+            mat_sum("+-+", contract(TH[a][t[b][g]][si][i], B[b][g][j][k]),
+                    mat_mul(RHO[b][t[t[a][g]][si]][j], TH[a][g][si][i][k]),
+                    mat_mul(RHO[g][absi][k], TH[a][b][si][i][j])))
 
-    for a, b, g, si in itertools.product(range(M), repeat=4):
-        for i, j, k in itertools.product(range(n), repeat=3):
-            r6 = contract(TH[p2(a, b)][g][si], B[a][b][i][j], E[k])
-            r6 = mat_sub(r6, mat_mul(TH[a][g][p2(b, si)][i][k], RHO[b][si][j]))
-            r6 = mat_add(r6, mat_mul(TH[b][g][p2(a, si)][j][k], RHO[a][si][i]))
-            r7 = mat_mul(D[a][b][p2(g, si)][i][j], RHO[g][si][k])
-            r7 = mat_sub(r7, mat_mul(RHO[g][p3(a, b, si)][k], D[a][b][si][i][j]))
-            r7 = mat_sub(r7, contract(RHO[p3(a, b, g)][si], T[a][b][g][i][j][k]))
-            r8 = contract(TH[a][p2(b, g)][si][i], B[b][g][j][k])
-            r8 = mat_sub(r8, mat_mul(RHO[b][p3(a, g, si)][j], TH[a][g][si][i][k]))
-            r8 = mat_add(r8, mat_mul(RHO[g][p3(a, b, si)][k], TH[a][b][si][i][j]))
-            record(("OREP-5.6", "OREP-5.7", "OREP-5.8"), (a, b, g, si, i, j, k),
-                   (r6, r7, r8))
-    for ta, a, b, g, si in itertools.product(range(M), repeat=5):
-        for ii, i, j, k in itertools.product(range(n), repeat=4):
-            r9 = mat_mul(D[ta][a][p3(b, g, si)][ii][i], TH[b][g][si][j][k])
-            r9 = mat_sub(r9, mat_mul(TH[b][g][p3(ta, a, si)][j][k],
-                                     D[ta][a][si][ii][i]))
-            r9 = mat_sub(r9, contract(TH[p3(ta, a, b)][g][si],
-                                      T[ta][a][b][ii][i][j], E[k]))
-            r9 = mat_sub(r9, contract(TH[b][p3(ta, a, g)][si][j],
-                                      T[ta][a][g][ii][i][k]))
-            r10 = contract(TH[ta][p3(a, b, g)][si][ii], T[a][b][g][i][j][k])
-            r10 = mat_sub(r10, mat_mul(TH[b][g][p3(ta, a, si)][j][k],
-                                       TH[ta][a][si][ii][i]))
-            r10 = mat_add(r10, mat_mul(TH[a][g][p3(ta, b, si)][i][k],
-                                       TH[ta][b][si][ii][j]))
-            r10 = mat_sub(r10, mat_mul(D[a][b][p3(ta, g, si)][i][j],
-                                       TH[ta][g][si][ii][k]))
-            record(("OREP-5.9", "OREP-5.10"), (ta, a, b, g, si, ii, i, j, k),
-                   (r9, r10))
-    return rep
+    @lru_cache(maxsize=1)
+    def laws_5_9_and_5_10(ta, a, b, g, si, ii, i, j, k):
+        tasi = t[t[ta][a]][si]
+        return (
+            mat_sum("+---",
+                    mat_mul(D[ta][a][t[t[b][g]][si]][ii][i], TH[b][g][si][j][k]),
+                    mat_mul(TH[b][g][tasi][j][k], D[ta][a][si][ii][i]),
+                    contract(TH[t[t[ta][a]][b]][g][si], T[ta][a][b][ii][i][j],
+                             E[k]),
+                    contract(TH[b][t[t[ta][a]][g]][si][j],
+                             T[ta][a][g][ii][i][k])),
+            mat_sum("+-+-",
+                    contract(TH[ta][t[t[a][b]][g]][si][ii], T[a][b][g][i][j][k]),
+                    mat_mul(TH[b][g][tasi][j][k], TH[ta][a][si][ii][i]),
+                    mat_mul(TH[a][g][t[t[ta][b]][si]][i][k], TH[ta][b][si][ii][j]),
+                    mat_mul(D[a][b][t[t[ta][g]][si]][i][j], TH[ta][g][si][ii][k])))
+
+    def column(laws, law):
+        return lambda *w: [row[w[-1]] for row in laws(*w[:-1])[law]]
+
+    cols = [range(r.dim)]
+    rep = Report().sweep([m] * 4 + [n] * 3, [(cols, [
+        ("OREP-5.6", column(laws_5_6_to_5_8, 0)),
+        ("OREP-5.7", column(laws_5_6_to_5_8, 1)),
+        ("OREP-5.8", column(laws_5_6_to_5_8, 2))])])
+    return rep.sweep([m] * 5 + [n] * 4, [(cols, [
+        ("OREP-5.9", column(laws_5_9_and_5_10, 0)),
+        ("OREP-5.10", column(laws_5_9_and_5_10, 1))])])
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +330,6 @@ class CochainFamily:
     degree: object  # 1 or (even_arity, odd_arity)
     even: list
     odd: list | None = None
-
-    def is_pair(self):
-        return self.degree != 1
-
-    def one_apply(self, a, v):
-        return mat_vec(self.even[a], v)
 
     def as_component(self):
         """The degree-1 cochain as a 1-slot table (for the generic coboundary)."""

@@ -18,8 +18,7 @@ from . import linalg
 from .errors import PreconditionError
 from .ly import (Cocycle23, LYAlgebra, Representation, adjoint_representation,
                  check_cocycle23, check_ly_axioms, check_representation,
-                 derived_D, gamma_ad, joint_index, ly_tensor_semigroup,
-                 zero_cocycle)
+                 derived_D, gamma_ad, joint_index, ly_tensor_semigroup)
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
     trivial_semigroup, validate_semigroup
@@ -182,32 +181,14 @@ def check_twisted_rb_family(ctx: TwistedRBContext) -> Report:
 def family_report(tt: ImageTables, binary, ternary) -> Report:
     """The two family laws, from the tables at the family's own images and
     the products they induce (see induced_products)."""
-    rep = Report()
-    ctx, T = tt.ctx, tt.X
-    s, nv = ctx.semigroup, ctx.dimV
-    for alpha in s.elements:
-        for beta in s.elements:
-            Tab = ctx.family[product(s, alpha, beta)]
-            for i in range(nv):
-                for j in range(nv):
-                    rep.record("RBF-3.1", (alpha, beta, i, j), linalg.vec_sub(
-                        tt.bracket[alpha * nv + i][beta * nv + j],
-                        linalg.mat_vec(Tab, binary[alpha][beta][i][j])))
-    for alpha in s.elements:
-        for beta in s.elements:
-            for gamma in s.elements:
-                Tabg = ctx.family[product_of(s, [alpha, beta, gamma])]
-                w = ternary[alpha][beta][gamma]
-                for i in range(nv):
-                    for j in range(nv):
-                        tri = tt.ternary[alpha * nv + i][beta * nv + j]
-                        for k in range(nv):
-                            rep.record(
-                                "RBF-3.2", (alpha, beta, gamma, i, j, k),
-                                linalg.vec_sub(
-                                    linalg.contract(tri, T[gamma * nv + k]),
-                                    linalg.mat_vec(Tabg, w[i][j][k])))
-    return rep
+    ctx, T, F = tt.ctx, tt.X, tt.ctx.family
+    t, m, nv = ctx.semigroup.table, ctx.semigroup.elements, ctx.dimV
+    u, mv, sub = range(nv), linalg.mat_vec, linalg.vec_sub
+    rep = Report().sweep([m, m, u, u], [("RBF-3.1", lambda a, b, i, j: sub(
+        tt.bracket[a * nv + i][b * nv + j], mv(F[t[a][b]], binary[a][b][i][j])))])
+    return rep.sweep([m, m, m, u, u, u], [("RBF-3.2", lambda a, b, g, i, j, k: sub(
+        linalg.contract(tt.ternary[a * nv + i][b * nv + j], T[g * nv + k]),
+        mv(F[t[t[a][b]][g]], ternary[a][b][g][i][j][k])))])
 
 
 def check_morphism(ctx: TwistedRBContext, ctx2: TwistedRBContext,
@@ -236,88 +217,63 @@ def check_morphism(ctx: TwistedRBContext, ctx2: TwistedRBContext,
                     raise PreconditionError(
                         "eta does not preserve the ternary bracket at (%d,%d,%d)"
                         % (i, j, k))
-    rep = Report()
-    for alpha in ctx.semigroup.elements:
-        lhs = linalg.mat_mul(eta, ctx.family[alpha])
-        rhs = linalg.mat_mul(ctx2.family[alpha], zeta)
-        rep.record("MOR-3.3-family", (alpha,),
-                   linalg.flatten(linalg.mat_sub(lhs, rhs)))
-    for i in range(n):
-        for j in range(n):
-            d = linalg.vec_sub(linalg.mat_vec(zeta, ctx.cocycle.gamma1[i][j]),
-                               ctx2.cocycle.g1_of(eb[i], eb[j]))
-            rep.record("MOR-3.3-gamma1", (i, j), d)
-            for k in range(n):
-                d = linalg.vec_sub(
-                    linalg.mat_vec(zeta, ctx.cocycle.gamma2[i][j][k]),
-                    ctx2.cocycle.g2_of(eb[i], eb[j], eb[k]))
-                rep.record("MOR-3.3-gamma2", (i, j, k), d)
-    for i in range(n):
-        lhs = linalg.mat_mul(zeta, ctx.rep.rho[i])
-        rhs = linalg.mat_mul(ctx2.rep.rho_of(eb[i]), zeta)
-        rep.record("MOR-3.4-rho", (i,), linalg.flatten(linalg.mat_sub(lhs, rhs)))
-        for j in range(n):
-            lhs = linalg.mat_mul(zeta, ctx.rep.theta[i][j])
-            tprime = ctx2.rep.theta_of(eb[i], eb[j])
-            if literal_theta:
-                if ctx.dimV != ctx2.dimV:
-                    raise PreconditionError(
-                        "the literal theta-morphism variant needs dim V = dim V'")
-                rhs = tprime
-            else:
-                rhs = linalg.mat_mul(tprime, zeta)
-            rep.record("MOR-3.4-theta", (i, j),
-                       linalg.flatten(linalg.mat_sub(lhs, rhs)))
-    return rep
+    F, F2, c2, r2 = ctx.family, ctx2.family, ctx2.cocycle, ctx2.rep
+    mm, mv, sub, flat = linalg.mat_mul, linalg.mat_vec, linalg.vec_sub, \
+        linalg.flatten
+
+    def theta_law(i, j):
+        lhs = mm(zeta, ctx.rep.theta[i][j])
+        tprime = r2.theta_of(eb[i], eb[j])
+        if literal_theta:
+            if ctx.dimV != ctx2.dimV:
+                raise PreconditionError(
+                    "the literal theta-morphism variant needs dim V = dim V'")
+            rhs = tprime
+        else:
+            rhs = mm(tprime, zeta)
+        return flat(linalg.mat_sub(lhs, rhs))
+
+    r = range(n)
+    rep = Report().sweep([ctx.semigroup.elements], [
+        ("MOR-3.3-family", lambda a: flat(linalg.mat_sub(
+            mm(eta, F[a]), mm(F2[a], zeta))))])
+    rep.sweep([r, r], [
+        ("MOR-3.3-gamma1", lambda i, j: sub(
+            mv(zeta, ctx.cocycle.gamma1[i][j]), c2.g1_of(eb[i], eb[j]))),
+        ([r], [("MOR-3.3-gamma2", lambda i, j, k: sub(
+            mv(zeta, ctx.cocycle.gamma2[i][j][k]),
+            c2.g2_of(eb[i], eb[j], eb[k])))])])
+    return rep.sweep([r], [
+        ("MOR-3.4-rho", lambda i: flat(linalg.mat_sub(
+            mm(zeta, ctx.rep.rho[i]), mm(r2.rho_of(eb[i]), zeta)))),
+        ([r], [("MOR-3.4-theta", theta_law)])])
 
 
 # ---------------------------------------------------------------------------
 # Reynolds families
 
 def check_reynolds_family(A: LYAlgebra, s, T) -> Report:
-    rep = Report()
-    n = A.dim
-    basis = [A.basis(i) for i in range(n)]
+    t, m, n, d = s.table, s.elements, range(A.dim), A.dim
+    E = linalg.identity(d)
+    X = [linalg.mat_vec(T[a], e) for a in m for e in E]  # X[a * d + i]
+    br, tr, mv, vsum = A.bracket, A.tri, linalg.mat_vec, linalg.vec_sum
 
-    def Tm(alpha, x):
-        return linalg.mat_vec(T[alpha], x)
+    def binary(a, b, i, j):
+        x, y, Tx, Ty = E[i], E[j], X[a * d + i], X[b * d + j]
+        lhs = br(Tx, Ty)
+        inner = vsum("++-", br(Tx, y), br(x, Ty), br(Tx, Ty))
+        return linalg.vec_sub(lhs, mv(T[t[a][b]], inner))
 
-    for alpha in s.elements:
-        for beta in s.elements:
-            ab = product(s, alpha, beta)
-            for i in range(n):
-                x = basis[i]
-                Tx = Tm(alpha, x)
-                for j in range(n):
-                    y = basis[j]
-                    Ty = Tm(beta, y)
-                    lhs = A.bracket(Tx, Ty)
-                    inner = A.bracket(Tx, y)
-                    inner = linalg.vec_add(inner, A.bracket(x, Ty))
-                    inner = linalg.vec_sub(inner, A.bracket(Tx, Ty))
-                    rep.record("REY-bin", (alpha, beta, i, j),
-                               linalg.vec_sub(lhs, Tm(ab, inner)))
-    for alpha in s.elements:
-        for beta in s.elements:
-            for gamma in s.elements:
-                abg = product_of(s, [alpha, beta, gamma])
-                for i in range(n):
-                    x = basis[i]
-                    Tx = Tm(alpha, x)
-                    for j in range(n):
-                        y = basis[j]
-                        Ty = Tm(beta, y)
-                        for k in range(n):
-                            z = basis[k]
-                            Tz = Tm(gamma, z)
-                            lhs = A.tri(Tx, Ty, Tz)
-                            inner = A.tri(Tx, Ty, z)
-                            inner = linalg.vec_add(inner, A.tri(Tx, y, Tz))
-                            inner = linalg.vec_add(inner, A.tri(x, Ty, Tz))
-                            inner = linalg.vec_sub(inner, A.tri(Tx, Ty, Tz))
-                            rep.record("REY-ter", (alpha, beta, gamma, i, j, k),
-                                       linalg.vec_sub(lhs, Tm(abg, inner)))
-    return rep
+    def ternary(a, b, g, i, j, k):
+        x, y, z = E[i], E[j], E[k]
+        Tx, Ty, Tz = X[a * d + i], X[b * d + j], X[g * d + k]
+        lhs = tr(Tx, Ty, Tz)
+        inner = vsum("+++-", tr(Tx, Ty, z), tr(Tx, y, Tz), tr(x, Ty, Tz),
+                     tr(Tx, Ty, Tz))
+        return linalg.vec_sub(lhs, mv(T[t[t[a][b]][g]], inner))
+
+    rep = Report().sweep([m, m, n, n], [("REY-bin", binary)])
+    return rep.sweep([m, m, m, n, n, n], [("REY-ter", ternary)])
 
 
 def reynolds_as_twisted(A: LYAlgebra, s, T) -> TwistedRBContext:
@@ -389,55 +345,30 @@ def identity_family(A: LYAlgebra, s: FiniteCommutativeSemigroup) -> TwistedRBCon
 # Nijenhuis families
 
 def check_nijenhuis_family(A: LYAlgebra, s, N) -> Report:
-    rep = Report()
-    n = A.dim
-    basis = [A.basis(i) for i in range(n)]
+    t, m, n, d = s.table, s.elements, range(A.dim), A.dim
+    E = linalg.identity(d)
+    X = [linalg.mat_vec(N[a], e) for a in m for e in E]  # X[a * d + i]
+    br, tr, mv, vsum = A.bracket, A.tri, linalg.mat_vec, linalg.vec_sum
 
-    def Nm(alpha, x):
-        return linalg.mat_vec(N[alpha], x)
+    def binary(a, b, i, j):
+        x, y, Nx, Ny, Nab = E[i], E[j], X[a * d + i], X[b * d + j], N[t[a][b]]
+        lhs = br(Nx, Ny)
+        inner = vsum("++-", br(Nx, y), br(x, Ny), mv(Nab, br(x, y)))
+        return linalg.vec_sub(lhs, mv(Nab, inner))
 
-    for alpha in s.elements:
-        for beta in s.elements:
-            ab = product(s, alpha, beta)
-            for i in range(n):
-                x = basis[i]
-                Nx = Nm(alpha, x)
-                for j in range(n):
-                    y = basis[j]
-                    Ny = Nm(beta, y)
-                    lhs = A.bracket(Nx, Ny)
-                    inner = A.bracket(Nx, y)
-                    inner = linalg.vec_add(inner, A.bracket(x, Ny))
-                    inner = linalg.vec_sub(inner, Nm(ab, A.bracket(x, y)))
-                    rep.record("NIJ-bin", (alpha, beta, i, j),
-                               linalg.vec_sub(lhs, Nm(ab, inner)))
-    for alpha in s.elements:
-        for beta in s.elements:
-            for gamma in s.elements:
-                abg = product_of(s, [alpha, beta, gamma])
-                for i in range(n):
-                    x = basis[i]
-                    Nx = Nm(alpha, x)
-                    for j in range(n):
-                        y = basis[j]
-                        Ny = Nm(beta, y)
-                        for k in range(n):
-                            z = basis[k]
-                            Nz = Nm(gamma, z)
-                            lhs = A.tri(Nx, Ny, Nz)
-                            t1 = A.tri(x, Ny, Nz)
-                            t1 = linalg.vec_add(t1, A.tri(Nx, y, Nz))
-                            t1 = linalg.vec_add(t1, A.tri(Nx, Ny, z))
-                            t2 = A.tri(Nx, y, z)
-                            t2 = linalg.vec_add(t2, A.tri(x, Ny, z))
-                            t2 = linalg.vec_add(t2, A.tri(x, y, Nz))
-                            rhs = Nm(abg, t1)
-                            rhs = linalg.vec_sub(rhs, Nm(abg, Nm(abg, t2)))
-                            rhs = linalg.vec_add(
-                                rhs, Nm(abg, Nm(abg, Nm(abg, A.tri(x, y, z)))))
-                            rep.record("NIJ-ter", (alpha, beta, gamma, i, j, k),
-                                       linalg.vec_sub(lhs, rhs))
-    return rep
+    def ternary(a, b, g, i, j, k):
+        x, y, z = E[i], E[j], E[k]
+        Nx, Ny, Nz = X[a * d + i], X[b * d + j], X[g * d + k]
+        Nabg = N[t[t[a][b]][g]]
+        lhs = tr(Nx, Ny, Nz)
+        t1 = vsum("+++", tr(x, Ny, Nz), tr(Nx, y, Nz), tr(Nx, Ny, z))
+        t2 = vsum("+++", tr(Nx, y, z), tr(x, Ny, z), tr(x, y, Nz))
+        rhs = vsum("+-+", mv(Nabg, t1), mv(Nabg, mv(Nabg, t2)),
+                   mv(Nabg, mv(Nabg, mv(Nabg, tr(x, y, z)))))
+        return linalg.vec_sub(lhs, rhs)
+
+    rep = Report().sweep([m, m, n, n], [("NIJ-bin", binary)])
+    return rep.sweep([m, m, m, n, n, n], [("NIJ-ter", ternary)])
 
 
 def nijenhuis_induced_context(A: LYAlgebra, s, N) -> TwistedRBContext:

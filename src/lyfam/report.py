@@ -5,6 +5,7 @@ arithmetic is exact rational, so no tolerances are involved anywhere.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 
@@ -30,6 +31,26 @@ class Report:
         """Add a violation only when the residual is nonzero."""
         if any(residual):
             self.add(law, witness, residual)
+
+    def sweep(self, ranges, laws, prefix=()) -> "Report":
+        """Record laws at every index tuple prefix + idx, with idx running
+        over the product of ranges in lexicographic order; returns self.
+
+        A law is (name, residual), recorded at the tuple w as
+        record(name, w, residual(*w)), or a group (ranges, laws) swept at
+        every extension of w by its own ranges.  At each tuple the laws run
+        in the order listed.
+        """
+        for idx in itertools.product(*ranges):
+            w = prefix + idx
+            for name, residual in laws:
+                if type(name) is str:
+                    res = residual(*w)
+                    if any(res):
+                        self.add(name, w, res)
+                else:
+                    self.sweep(name, residual, w)
+        return self
 
     def extend(self, other: "Report") -> None:
         self.violations.extend(other.violations)

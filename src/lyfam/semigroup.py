@@ -25,6 +25,21 @@ class FiniteCommutativeSemigroup:
             raise MalformedInputError("semigroup order must be >= 1")
         if len(self.table) != self.order or any(len(r) != self.order for r in self.table):
             raise MalformedInputError("table shape does not match order")
+        # entries are element indices: ints (not bools or floats) in range
+        m = self.order
+        for i, row in enumerate(self.table):
+            for j, v in enumerate(row):
+                if type(v) is not int:
+                    raise MalformedInputError(
+                        "table[%d][%d] = %r is not an integer" % (i, j, v))
+                if not 0 <= v < m:
+                    raise MalformedInputError(
+                        "table[%d][%d] = %r out of range 0..%d" % (i, j, v, m - 1))
+        if self.unit is not None:
+            if type(self.unit) is not int:
+                raise MalformedInputError("unit %r is not an integer" % (self.unit,))
+            if not 0 <= self.unit < m:
+                raise MalformedInputError("unit index %r out of range" % (self.unit,))
 
     @property
     def elements(self):
@@ -38,32 +53,13 @@ class FiniteCommutativeSemigroup:
 
 def validate_semigroup(s: FiniteCommutativeSemigroup) -> Report:
     """Check commutativity, associativity and (when declared) the unit law."""
-    m = s.order
-    for i in range(m):
-        for j in range(m):
-            v = s.table[i][j]
-            if not (0 <= v < m):
-                raise MalformedInputError(
-                    "table[%d][%d] = %r out of range 0..%d" % (i, j, v, m - 1))
-    if s.unit is not None and not (0 <= s.unit < m):
-        raise MalformedInputError("unit index %r out of range" % (s.unit,))
-    rep = Report()
-    for i in range(m):
-        for j in range(i + 1, m):
-            if s.table[i][j] != s.table[j][i]:
-                rep.add("SG-comm", (i, j), (s.table[i][j] - s.table[j][i],))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                lhs = s.table[s.table[i][j]][k]
-                rhs = s.table[i][s.table[j][k]]
-                if lhs != rhs:
-                    rep.add("SG-assoc", (i, j, k), (lhs - rhs,))
+    t, m = s.table, range(s.order)
+    rep = Report().sweep([m, m], [("SG-comm", lambda i, j: (
+        (t[i][j] - t[j][i],) if i < j else ()))])
+    rep.sweep([m, m, m], [("SG-assoc", lambda i, j, k: (
+        t[t[i][j]][k] - t[i][t[j][k]],))])
     if s.unit is not None:
-        u = s.unit
-        for i in range(m):
-            if s.table[u][i] != i:
-                rep.add("SG-unit", (u, i), (s.table[u][i] - i,))
+        rep.sweep([(s.unit,), m], [("SG-unit", lambda u, i: (t[u][i] - i,))])
     return rep
 
 

@@ -86,9 +86,14 @@ def semigroup_to_json(s: FiniteCommutativeSemigroup) -> dict:
 def semigroup_from_json(d: dict) -> FiniteCommutativeSemigroup:
     _require(isinstance(d, dict) and "table" in d,
              "semigroup JSON needs table")
-    return FiniteCommutativeSemigroup(
-        order=header_int(d, "order", "semigroup"), table=d["table"],
-        unit=d.get("unit"), names=tuple(d["names"]) if d.get("names") else None)
+    order, table, names = header_int(d, "order", "semigroup"), d["table"], \
+        d.get("names")
+    _require(isinstance(table, list) and all(isinstance(r, list) for r in table),
+             "semigroup table must be a list of lists")
+    _require(names is None or isinstance(names, list),
+             "semigroup names must be a list")
+    return FiniteCommutativeSemigroup(order=order, table=table, unit=d.get("unit"),
+                                      names=tuple(names) if names else None)
 
 
 # ---------------------------------------------------------------------------

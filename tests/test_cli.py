@@ -118,6 +118,58 @@ def test_malformed_headers_exit_two(files, capsys, kind, key, value):
     _assert_malformed(files, capsys, kind, d)
 
 
+@pytest.mark.parametrize("change", [
+    {"table": [[0, "1"], ["1", 1]]},
+    {"table": [[0, 1], [1.0, 1]]},
+    # a bool is not an element index, though Python reads True as 1
+    {"table": [[0, 1], [True, 1]]},
+    {"unit": "0"},
+    {"names": 5},
+])
+def test_malformed_semigroups_exit_two(files, capsys, change):
+    tmp, a_path, s_path, _, _ = files
+    d = json.load(open(s_path))
+    d.update(change)
+    bad = tmp / "bad.json"
+    json.dump(d, open(bad, "w"))
+    for argv in (["validate", str(bad), "semigroup"],
+                 ["construct", "identity-family", a_path, str(bad),
+                  "-o", str(tmp / "out.json")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("malformed input:") and "Traceback" not in out
+
+
+def _one_dim(tmp, kind, d):
+    path = tmp / ("%s.json" % kind)
+    json.dump(d, open(path, "w"))
+    return str(path)
+
+
+def test_validate_reports_each_skew_violation_once(files, capsys):
+    """A 1-dim algebra with [e0, e0] = e0 and a 1-dim splitting family
+    whose vee is not skew: the skew witness appears once in the payload."""
+    tmp = files[0]
+    ly = _one_dim(tmp, "ly", {"kind": "ly", "dim": 1,
+                              "binary": [[0, 0, 0, "1"]], "ternary": []})
+    ns = _one_dim(tmp, "ns-family", {
+        "kind": "ns-family", "dim": 1,
+        "semigroup": {"kind": "semigroup", "order": 1, "table": [[0]],
+                      "unit": 0},
+        "vee": [[0, 0, 0, 0, 0, "1"]]})
+    capsys.readouterr()
+    assert main(["--json", "validate", ly, "ly"]) == 1
+    assert json.loads(capsys.readouterr().out)["payload"] == [
+        {"law": "invariant:skew-binary", "witness": [0, 0], "residual": ["2"]},
+        {"law": "LY-2.1", "witness": [0, 0, 0], "residual": ["3"]}]
+    assert main(["--json", "validate", ns, "ns-family"]) == 1
+    assert json.loads(capsys.readouterr().out)["payload"] == [
+        {"law": "invariant:skew-vee", "witness": [0, 0, 0, 0],
+         "residual": ["2"]},
+        {"law": "NSF-4.21", "witness": [0, 0, 0, 0, 0, 0], "residual": ["3"]}]
+
+
 def test_construct_identity_family_and_check(files, tmp_path):
     _, a_path, s_path, _, _ = files
     out = tmp_path / "built.json"

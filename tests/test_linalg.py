@@ -165,3 +165,24 @@ def test_mat_mul_matches_triple_sum(rows, inner, cols):
     want = [[sum(a[i][t] * b[t][j] for t in range(inner))
              for j in range(cols)] for i in range(rows)]
     assert la.mat_mul(a, b) == want
+
+
+def test_vec_sum_matches_the_chain_of_vector_ops():
+    rng = random.Random(7)
+    for _ in range(50):
+        n, k = rng.randint(0, 4), rng.randint(1, 6)
+        signs = "".join(rng.choice("+-") for _ in range(k))
+        vecs = [[rng.choice((0, 2, -1, Fraction(1, 2), Fraction(4, 2)))
+                 for _ in range(n)] for _ in range(k)]
+        out = vecs[0] if signs[0] == "+" else la.vec_neg(vecs[0])
+        for s, v in zip(signs[1:], vecs[1:]):
+            out = la.vec_add(out, v) if s == "+" else la.vec_sub(out, v)
+        # same values and the same int / Fraction types
+        assert repr(la.vec_sum(signs, *vecs)) == repr(out)
+        mats = [[v, v[::-1]] for v in vecs]
+        assert la.mat_sum(signs, *mats) == [out, la.vec_sum(
+            signs, *(v[::-1] for v in vecs))]
+    for signs, vecs in (("+", ([1], [2])), ("++", ([1],)), ("+*", ([1], [2])),
+                        ("", ())):
+        with pytest.raises(ValueError):
+            la.vec_sum(signs, *vecs)

@@ -42,3 +42,13 @@ def test_require_unit():
     with pytest.raises(UnitRequiredError):
         s.require_unit()
     assert trivial_semigroup().require_unit() == 0
+
+
+def test_table_entries_and_unit_are_int_indices():
+    from lyfam.errors import MalformedInputError
+    for table, unit in (([[0, "1"], [1, 1]], None), ([[0, 1], [1.0, 1]], None),
+                        ([[0, 1], [True, 1]], None), ([[0, 2], [1, 1]], None),
+                        ([[0, -1], [1, 1]], None), ([[0, 1], [1, 1]], "0"),
+                        ([[0, 1], [1, 1]], 2), ([[0, 1], [1, 1]], False)):
+        with pytest.raises(MalformedInputError):
+            FiniteCommutativeSemigroup(2, table, unit=unit)
