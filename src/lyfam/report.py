@@ -45,9 +45,7 @@ class Report:
             w = prefix + idx
             for name, residual in laws:
                 if type(name) is str:
-                    res = residual(*w)
-                    if any(res):
-                        self.add(name, w, res)
+                    self.record(name, w, residual(*w))
                 else:
                     self.sweep(name, residual, w)
         return self
