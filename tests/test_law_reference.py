@@ -18,7 +18,8 @@ from fractions import Fraction
 import pytest
 
 from lyfam import linalg as la
-from lyfam.cohomology import RBFComplex
+from lyfam.cohomology import (RBFComplex, induced_rep_on_L,
+                              rep_d_closed_form_report)
 from lyfam.errors import PreconditionError
 from lyfam.ly import (Cocycle23, LYAlgebra, Representation,
                       adjoint_representation, check_cocycle23, check_jacobi,
@@ -177,6 +178,27 @@ def _():
     return violations(_omega_rep(CTX["zero-S1"], 8))
 
 
+def _nudged_rep(ctx, seed):
+    r = induced_rep_on_L(ctx, check=False)
+    if seed is None:
+        return r
+    rng = random.Random(seed)
+    return OmegaRepresentation(r.algebra, r.dim, nudged(rng, r.rho, True),
+                               nudged(rng, r.theta, False))
+
+
+# D of the induced representation against its closed form: valid contexts,
+# a nudged representation, and representations induced by perturbed families
+for _name, _seed in (("zero-S2", None), ("A1-S1", None), ("A1-S2", None),
+                     ("A2-S1", None), ("A1-S2-moved", None), ("A1-S2", 9),
+                     ("A2-S1", 10), ("A1-S2-perturbed", None),
+                     ("A1-W2-perturbed", None)):
+    _key = _name + ("" if _seed is None else "-nudged%d" % _seed)
+    CASES["rep_d_closed_form_report/" + _key] = (
+        lambda n=_name, s=_seed: violations(rep_d_closed_form_report(
+            CTX[n], _nudged_rep(CTX[n], s))))
+
+
 def _omega_ly(name, seed):
     O = RBFComplex(CTX[name], check=False).induced_algebra
     rng = random.Random(seed)
@@ -300,18 +322,28 @@ for _name, _seed in (("zero-S2", None), ("A1-S1", None), ("A1-S2", None),
 
 # -- Reynolds and Nijenhuis families, morphisms
 
-for _aname, _A in (("A1", A1), ("A2", A2)):
-    for _sname, _s in (("S1", S1), ("S2", S2), ("W2", W2)):
-        for _kind in ("zero", "identity", "int", "frac"):
+OPERATOR_ALGEBRAS = (("A1", A1), ("A2", A2))
+OPERATOR_SEMIGROUPS = (("S1", S1), ("S2", S2), ("W2", W2))
+OPERATOR_KINDS = ("zero", "identity", "int", "frac")
+
+
+def operator_family(A, s, kind, seed):
+    """One n x n matrix per element: zero, identity or seeded random ones."""
+    rng, n = random.Random(seed), A.dim
+    if kind == "zero":
+        return [la.zeros(n, n) for _ in s.elements]
+    if kind == "identity":
+        return [la.identity(n) for _ in s.elements]
+    return [tensor(rng, (n, n), kind == "frac") for _ in s.elements]
+
+
+for _aname, _A in OPERATOR_ALGEBRAS:
+    for _sname, _s in OPERATOR_SEMIGROUPS:
+        for _kind in OPERATOR_KINDS:
             _key = "%s-%s-%s" % (_aname, _sname, _kind)
 
             def _family(A=_A, s=_s, kind=_kind, seed=_key):
-                rng, n = random.Random(seed), A.dim
-                if kind == "zero":
-                    return [la.zeros(n, n) for _ in s.elements]
-                if kind == "identity":
-                    return [la.identity(n) for _ in s.elements]
-                return [tensor(rng, (n, n), kind == "frac") for _ in s.elements]
+                return operator_family(A, s, kind, seed)
 
             CASES["check_reynolds_family/" + _key] = (
                 lambda A=_A, s=_s, f=_family: violations(
@@ -929,6 +961,24 @@ EXPECTED = {
         (140, '0e98c91a2b0d46f40c9458a3cb166b6e47886638ce6d82994dfc063648d8b100'),
     'omega_ly_from_omega_lie/skew-random':
         (6, 'e9f90dc7cf5f8dbde7573dd2e9ac90b6e4a0f1f4552374a937f1a820503a4eb1'),
+    'rep_d_closed_form_report/A1-S1':
+        (0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'),
+    'rep_d_closed_form_report/A1-S2':
+        (0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'),
+    'rep_d_closed_form_report/A1-S2-moved':
+        (0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'),
+    'rep_d_closed_form_report/A1-S2-nudged9':
+        (86, '53d99166ade1d2626d9be650cab1fa3b137d5b5b89eabcb9182be76f2d0e1527'),
+    'rep_d_closed_form_report/A1-S2-perturbed':
+        (84, 'dffb797c5bc08bd9b7e93a1d53022aaa0ae476b9fb64c3073761d3d4283748c3'),
+    'rep_d_closed_form_report/A1-W2-perturbed':
+        (96, 'a276e93a89e75e038850ec4413edf45807cfa77bd154394d5c4d7d35d312f40c'),
+    'rep_d_closed_form_report/A2-S1':
+        (0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'),
+    'rep_d_closed_form_report/A2-S1-nudged10':
+        (8, '110501d38bdab5eab7e686f1c73450d25a8dcfda51062b39ece94ddf2b469564'),
+    'rep_d_closed_form_report/zero-S2':
+        (0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'),
     'validate/A1-S1':
         (0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'),
     'validate/A1-S2':
