@@ -15,7 +15,7 @@ from .errors import ConsistencyError, PreconditionError
 from .linalg import (contract, form_columns, form_kernel, form_rows,
                      generic_vector, identity, mat_vec, quotient_dim,
                      quotient_representatives, solve, transpose, vec_add,
-                     vec_scale, vec_sub, zeros)
+                     vec_scale, vec_sub, vec_sum, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     _canonical_tuples, _put_mirrored, canonical_coords,
                     cochain_full_coords, cochain_zero, delta_omega,
@@ -105,31 +105,23 @@ def rep_d_closed_form_report(ctx: TwistedRBContext,
     if rep is None:
         rep = induced_rep_on_L(ctx)
     A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
-    n, nv, M = ctx.dimL, ctx.dimV, s.order
+    n, nv, M, t, F = ctx.dimL, ctx.dimV, range(s.order), s.table, ctx.family
     E = identity(n)
-    T = images(ctx.family, nv)
+    T = images(F, nv)
     tri = [[contract(A.ternary, x, y) for y in T] for x in T]
     g2 = [[contract(c.gamma2, x, y) for y in T] for x in T]
     theta_at = [[transpose(r.theta_of(x, e), nv) for e in E] for x in T]
-    out = Report()
     D = rep.d_tensor()
-    for a in range(M):
-        for b in range(M):
-            for si in range(M):
-                Tabs = ctx.family[product_of(s, (a, b, si))]
-                for i in range(nv):
-                    p = a * nv + i
-                    for j in range(nv):
-                        q = b * nv + j
-                        got = transpose(D[a][b][si][i][j], n)
-                        for col in range(n):
-                            inner = vec_sub(theta_at[q][col][i],
-                                            theta_at[p][col][j])
-                            inner = vec_add(inner, g2[p][q][col])
-                            v = vec_sub(tri[p][q][col], mat_vec(Tabs, inner))
-                            out.record("D-closed-form", (a, b, si, i, j, col),
-                                       tuple(vec_sub(got[col], v)))
-    return out
+
+    def residual(a, b, si, i, j, col):
+        p, q = a * nv + i, b * nv + j
+        inner = vec_sum("+-+", theta_at[q][col][i], theta_at[p][col][j],
+                        g2[p][q][col])
+        v = vec_sub(tri[p][q][col], mat_vec(F[t[t[a][b]][si]], inner))
+        return vec_sub([row[col] for row in D[a][b][si][i][j]], v)
+
+    return Report().sweep([M, M, M, range(nv), range(nv), range(n)],
+                          [("D-closed-form", residual)])
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,6 @@ def mat_sub(a, b):
     return [vec_sub(r, s) for r, s in zip(a, b)]
 
 
-def mat_scale(c, a):
-    return [vec_scale(c, r) for r in a]
-
-
 def contract(table, *vecs):
     """Value at vecs of the multilinear map with structure constants table.
 
@@ -274,18 +270,6 @@ def _distinct_forms(forms):
                 items = [(k, v // g) for k, v in items]
             seen.setdefault(tuple(items), None)
     return list(seen)
-
-
-def distinct_rows(forms, ncols):
-    """Dense rows of the distinct nonzero forms, each taken up to a nonzero
-    scalar; they span the same row space as all of `forms`."""
-    rows = []
-    for key in _distinct_forms(forms):
-        row = [0] * ncols
-        for k, v in key:
-            row[k] = v
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import MalformedInputError, PreconditionError
 from .report import Report
-from .semigroup import FiniteCommutativeSemigroup, product, validate_semigroup
+from .semigroup import FiniteCommutativeSemigroup, validate_semigroup
 
 
 def _as_tensor2(t, dim, vdim):
@@ -323,7 +323,8 @@ def joint_index(i: int, alpha: int, order: int) -> int:
     """Flatten (basis index i, semigroup element alpha) to i*order + alpha.
 
     This single convention coordinatizes every tensor product with the
-    semigroup algebra throughout the package.
+    semigroup algebra throughout the package; `joint_table` builds every
+    table over it, and `omega.split_joint` reads it back.
     """
     return i * order + alpha
 
@@ -332,30 +333,43 @@ def split_joint(m: int, order: int):
     return divmod(m, order)
 
 
+def joint_table(s: FiniteCommutativeSemigroup, dims, value, place=False):
+    """The table t[p_1]...[p_k] over the joint labels p_r = i_r*M + alpha_r
+    (i_r < dims[r], alpha_r in s, M = s.order) of a product of tensor
+    products with K-Omega, with entry value(alphas, idxs) at the labels.
+
+    With place, value returns a vector v and the entry is v placed at the
+    element alpha_1...alpha_k (multiplied left to right): coordinate l of v
+    goes to the joint label of (l, alpha_1...alpha_k), the others are 0.
+    """
+    M, t, last = s.order, s.table, len(dims) - 1
+
+    def leaf(alphas, idxs, g):
+        v = value(alphas, idxs)
+        if not place:
+            return v
+        out = [0] * (len(v) * M)
+        for l, x in enumerate(v):
+            if x:
+                out[joint_index(l, g, M)] = x
+        return out
+
+    def build(alphas, idxs, g, r):
+        if r == last:
+            return [leaf(alphas + (a,), idxs + (i,), t[g][a] if r else a)
+                    for i in range(dims[r]) for a in range(M)]
+        return [build(alphas + (a,), idxs + (i,), t[g][a] if r else a, r + 1)
+                for i in range(dims[r]) for a in range(M)]
+
+    return build((), (), None, 0)
+
+
 def ly_tensor_semigroup(A: LYAlgebra, s: FiniteCommutativeSemigroup) -> LYAlgebra:
     """[a@x, b@y] = [a,b]@xy and {a@x, b@y, c@z} = {a,b,c}@xyz on L (x) K-Omega."""
     if not validate_semigroup(s).ok:
         raise PreconditionError("semigroup fails validation")
-    n, m = A.dim, s.order
-    N = n * m
-    zero = linalg.zero_vec(N)
-    binary = [[list(zero) for _ in range(N)] for _ in range(N)]
-    ternary = [[[list(zero) for _ in range(N)] for _ in range(N)] for _ in range(N)]
-    for i in range(n):
-        for a in range(m):
-            p = joint_index(i, a, m)
-            for j in range(n):
-                for b in range(m):
-                    q = joint_index(j, b, m)
-                    ab = product(s, a, b)
-                    for k, vk in enumerate(A.binary[i][j]):
-                        if vk:
-                            binary[p][q][joint_index(k, ab, m)] = vk
-                    for k in range(n):
-                        for g in range(m):
-                            r = joint_index(k, g, m)
-                            abg = product(s, ab, g)
-                            for l, vl in enumerate(A.ternary[i][j][k]):
-                                if vl:
-                                    ternary[p][q][r][joint_index(l, abg, m)] = vl
-    return LYAlgebra(N, binary, ternary)
+    n, b, t = A.dim, A.binary, A.ternary
+    binary = joint_table(s, (n, n), lambda al, ix: b[ix[0]][ix[1]], place=True)
+    ternary = joint_table(s, (n, n, n), lambda al, ix: t[ix[0]][ix[1]][ix[2]],
+                          place=True)
+    return LYAlgebra(n * s.order, binary, ternary)

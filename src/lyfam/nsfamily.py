@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 from . import linalg
 from .errors import PreconditionError
-from .ly import joint_index
+from .ly import joint_table
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
     trivial_semigroup
@@ -240,35 +240,18 @@ def ns_tensor_semigroup(N: NSFamilyAlgebra) -> NSAlgebra:
     chk = check_ns_family_axioms(N)
     if not chk.ok:
         raise PreconditionError("input fails the NS family axioms")
-    s = N.semigroup
-    n, m = N.dim, s.order
-    NN = n * m
-    out = zero_ns_family(NN, trivial_semigroup())
+    s, n = N.semigroup, N.dim
+    bl, v, c, q = N.bullet, N.vee, N.ternary_curly, N.ternary_square
 
-    def embed(vec, alpha, target):
-        for l, vl in enumerate(vec):
-            if vl:
-                target[joint_index(l, alpha, m)] = vl
+    def lift(arity, value):
+        return joint_table(s, (n,) * arity, value, place=True)
 
-    for i in range(n):
-        for a in range(m):
-            p = joint_index(i, a, m)
-            for j in range(n):
-                for b in range(m):
-                    q = joint_index(j, b, m)
-                    ab = product(s, a, b)
-                    embed(N.bullet[a][i][j], ab, out.bullet[0][p][q])
-                    embed(N.vee[a][b][i][j], ab, out.vee[0][0][p][q])
-                    for k in range(n):
-                        for g in range(m):
-                            r = joint_index(k, g, m)
-                            abg = product(s, ab, g)
-                            embed(N.ternary_curly[b][g][i][j][k], abg,
-                                  out.ternary_curly[0][0][p][q][r])
-                            embed(N.ternary_square[a][b][g][i][j][k], abg,
-                                  out.ternary_square[0][0][0][p][q][r])
-    return NSAlgebra(NN, out.bullet[0], out.vee[0][0],
-                     out.ternary_curly[0][0], out.ternary_square[0][0][0])
+    return NSAlgebra(
+        n * s.order,
+        lift(2, lambda al, ix: bl[al[0]][ix[0]][ix[1]]),
+        lift(2, lambda al, ix: v[al[0]][al[1]][ix[0]][ix[1]]),
+        lift(3, lambda al, ix: c[al[1]][al[2]][ix[0]][ix[1]][ix[2]]),
+        lift(3, lambda al, ix: q[al[0]][al[1]][al[2]][ix[0]][ix[1]][ix[2]]))
 
 
 def ns_from_twisted_rb(ctx, check: bool = True) -> NSFamilyAlgebra:

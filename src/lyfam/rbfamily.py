@@ -18,7 +18,7 @@ from . import linalg
 from .errors import PreconditionError
 from .ly import (Cocycle23, LYAlgebra, Representation, adjoint_representation,
                  check_cocycle23, check_ly_axioms, check_representation,
-                 derived_D, gamma_ad, joint_index, ly_tensor_semigroup)
+                 derived_D, gamma_ad, joint_table, ly_tensor_semigroup)
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
     trivial_semigroup, validate_semigroup
@@ -294,51 +294,32 @@ def check_relative_rb_family(ctx: TwistedRBContext) -> Report:
 # ---------------------------------------------------------------------------
 # identity family on the tensor product with the semigroup algebra
 
+def _inclusions(n, s):
+    """id_alpha : L -> L (x) K-Omega, x -> x (x) alpha, for each alpha."""
+    E, z = linalg.identity(n), linalg.zero_vec(n)
+    return [joint_table(s, (n,), lambda al, ix, a=a: list(
+        E[ix[0]] if al[0] == a else z)) for a in s.elements]
+
+
 def identity_family(A: LYAlgebra, s: FiniteCommutativeSemigroup) -> TwistedRBContext:
     """id_alpha : L -> L (x) K-Omega, a -> a (x) alpha, twisted by (-[.,.], -{.,.,.})."""
     if not validate_semigroup(s).ok:
         raise PreconditionError("semigroup fails validation")
-    n, m = A.dim, s.order
+    n = A.dim
     Lhat = ly_tensor_semigroup(A, s)
-    N = Lhat.dim
-    adj = adjoint_representation(A)
+    adj, g = adjoint_representation(A), gamma_ad(A)
     # representation of Lhat on L: rho(a@alpha)b = [a,b], theta(a@alpha,b@beta)c = {c,a,b}
-    rho = [None] * N
-    theta = [[None] * N for _ in range(N)]
-    for i in range(n):
-        for a in range(m):
-            p = joint_index(i, a, m)
-            rho[p] = adj.rho[i]
-            for j in range(n):
-                for b in range(m):
-                    theta[p][joint_index(j, b, m)] = adj.theta[i][j]
-    rep = Representation(n, rho, theta)
-    g = gamma_ad(A)
-    g1 = [[None] * N for _ in range(N)]
-    g2 = [[[None] * N for _ in range(N)] for _ in range(N)]
-    for i in range(n):
-        for a in range(m):
-            p = joint_index(i, a, m)
-            for j in range(n):
-                for b in range(m):
-                    q = joint_index(j, b, m)
-                    g1[p][q] = list(g.gamma1[i][j])
-                    for k in range(n):
-                        for gidx in range(m):
-                            # the ternary part needs weight 2: the derived D
-                            # plus the two theta terms contribute 3{u,v,w},
-                            # while the binary side's two rho terms only
-                            # contribute 2[u,v]
-                            g2[p][q][joint_index(k, gidx, m)] = [
-                                2 * v for v in g.gamma2[i][j][k]]
-    coc = Cocycle23(g1, g2)
-    family = []
-    for a in range(m):
-        T = linalg.zeros(N, n)
-        for i in range(n):
-            T[joint_index(i, a, m)][i] = 1
-        family.append(T)
-    return TwistedRBContext(Lhat, rep, coc, s, family)
+    rep = Representation(n, joint_table(s, (n,), lambda al, ix: adj.rho[ix[0]]),
+                         joint_table(s, (n, n), lambda al, ix: (
+                             adj.theta[ix[0]][ix[1]])))
+    # the ternary part needs weight 2: the derived D plus the two theta terms
+    # contribute 3{u,v,w}, while the binary side's two rho terms only
+    # contribute 2[u,v]
+    coc = Cocycle23(
+        joint_table(s, (n, n), lambda al, ix: list(g.gamma1[ix[0]][ix[1]])),
+        joint_table(s, (n, n, n), lambda al, ix: [
+            2 * v for v in g.gamma2[ix[0]][ix[1]][ix[2]]]))
+    return TwistedRBContext(Lhat, rep, coc, s, _inclusions(n, s))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +327,12 @@ def identity_family(A: LYAlgebra, s: FiniteCommutativeSemigroup) -> TwistedRBCon
 
 def check_nijenhuis_family(A: LYAlgebra, s, N) -> Report:
     t, m, n, d = s.table, s.elements, range(A.dim), A.dim
+    if len(N) != s.order or any(
+            len(Na) != d or any(len(row) != d for row in Na) for Na in N):
+        raise PreconditionError(
+            "a Nijenhuis family over this semigroup and algebra needs order "
+            "%d (one matrix per index) and dims %d x %d (dim(L) x dim(L))"
+            % (s.order, d, d))
     E = linalg.identity(d)
     X = [linalg.mat_vec(N[a], e) for a in m for e in E]  # X[a * d + i]
     br, tr, mv, vsum = A.bracket, A.tri, linalg.mat_vec, linalg.vec_sum
@@ -376,106 +363,47 @@ def nijenhuis_induced_context(A: LYAlgebra, s, N) -> TwistedRBContext:
     chk = check_nijenhuis_family(A, s, N)
     if not chk.ok:
         raise PreconditionError("not a Nijenhuis family")
-    n, m = A.dim, s.order
-    NN = n * m
-    basis = [A.basis(i) for i in range(n)]
+    n, t, E = A.dim, s.table, linalg.identity(A.dim)
+    br, tr, mv, vsum = A.bracket, A.tri, linalg.mat_vec, linalg.vec_sum
+    NE = [[mv(Na, e) for e in E] for Na in N]  # NE[alpha][i] = N_alpha e_i
 
-    def Nm(alpha, x):
-        return linalg.mat_vec(N[alpha], x)
+    def args(al, ix):
+        """The basis vectors x, y(, z), their images N_alpha x, N_beta y
+        (, N_gamma z), and N at the product of the elements."""
+        g = al[0]
+        for a in al[1:]:
+            g = t[g][a]
+        return [E[i] for i in ix], [NE[a][i] for a, i in zip(al, ix)], N[g]
 
-    def embed(vec, alpha, total):
-        out = linalg.zero_vec(total)
-        for l, vl in enumerate(vec):
-            if vl:
-                out[joint_index(l, alpha, m)] = vl
-        return out
+    def binary(al, ix):
+        (x, y), (Nx, Ny), Nab = args(al, ix)
+        return vsum("++-", br(Nx, y), br(x, Ny), mv(Nab, br(x, y)))
 
-    zero = linalg.zero_vec(NN)
-    binary = [[list(zero) for _ in range(NN)] for _ in range(NN)]
-    ternary = [[[list(zero) for _ in range(NN)] for _ in range(NN)]
-               for _ in range(NN)]
-    for i in range(n):
-        x = basis[i]
-        for a in range(m):
-            p = joint_index(i, a, m)
-            Nx = Nm(a, x)
-            for j in range(n):
-                y = basis[j]
-                for b in range(m):
-                    q = joint_index(j, b, m)
-                    ab = product(s, a, b)
-                    Ny = Nm(b, y)
-                    v = A.bracket(Nx, y)
-                    v = linalg.vec_add(v, A.bracket(x, Ny))
-                    v = linalg.vec_sub(v, Nm(ab, A.bracket(x, y)))
-                    binary[p][q] = embed(v, ab, NN)
-                    for k in range(n):
-                        z = basis[k]
-                        for g in range(m):
-                            r = joint_index(k, g, m)
-                            abg = product(s, ab, g)
-                            Nz = Nm(g, z)
-                            t1 = A.tri(x, Ny, Nz)
-                            t1 = linalg.vec_add(t1, A.tri(Nx, y, Nz))
-                            t1 = linalg.vec_add(t1, A.tri(Nx, Ny, z))
-                            t2 = A.tri(Nx, y, z)
-                            t2 = linalg.vec_add(t2, A.tri(x, Ny, z))
-                            t2 = linalg.vec_add(t2, A.tri(x, y, Nz))
-                            v = linalg.vec_sub(t1, Nm(abg, t2))
-                            v = linalg.vec_add(
-                                v, Nm(abg, Nm(abg, A.tri(x, y, z))))
-                            ternary[p][q][r] = embed(v, abg, NN)
-    Ldef = LYAlgebra(NN, binary, ternary)
-    # representation on L: rho_N(x@alpha)y = [N_alpha x, y];
+    def ternary(al, ix):
+        (x, y, z), (Nx, Ny, Nz), Ng = args(al, ix)
+        one = vsum("+++", tr(Nx, y, z), tr(x, Ny, z), tr(x, y, Nz))
+        return vsum("+++-+", tr(x, Ny, Nz), tr(Nx, y, Nz), tr(Nx, Ny, z),
+                    mv(Ng, one), mv(Ng, mv(Ng, tr(x, y, z))))
+
+    def gamma2(al, ix):
+        (x, y, z), (Nx, Ny, Nz), Ng = args(al, ix)
+        return linalg.vec_neg(mv(Ng, vsum(
+            "+++-", tr(Nx, y, z), tr(x, Ny, z), tr(x, y, Nz),
+            mv(Ng, tr(x, y, z)))))
+
+    Ldef = LYAlgebra(n * s.order, joint_table(s, (n, n), binary, place=True),
+                     joint_table(s, (n, n, n), ternary, place=True))
+    # representation on L, column by column: rho_N(x@alpha)y = [N_alpha x, y];
     # theta_N(x@alpha, y@beta)z = {z, N_alpha x, N_beta y}
-    rho = [None] * NN
-    theta = [[None] * NN for _ in range(NN)]
-    g1 = [[None] * NN for _ in range(NN)]
-    g2 = [[[None] * NN for _ in range(NN)] for _ in range(NN)]
-    for i in range(n):
-        x = basis[i]
-        for a in range(m):
-            p = joint_index(i, a, m)
-            Nx = Nm(a, x)
-            rmat = linalg.zeros(n, n)
-            for col in range(n):
-                v = A.bracket(Nx, basis[col])
-                for row in range(n):
-                    rmat[row][col] = v[row]
-            rho[p] = rmat
-            for j in range(n):
-                y = basis[j]
-                for b in range(m):
-                    q = joint_index(j, b, m)
-                    ab = product(s, a, b)
-                    Ny = Nm(b, y)
-                    tmat = linalg.zeros(n, n)
-                    for col in range(n):
-                        v = A.tri(basis[col], Nx, Ny)
-                        for row in range(n):
-                            tmat[row][col] = v[row]
-                    theta[p][q] = tmat
-                    g1[p][q] = linalg.vec_neg(Nm(ab, A.bracket(x, y)))
-                    for k in range(n):
-                        z = basis[k]
-                        for g in range(m):
-                            r = joint_index(k, g, m)
-                            abg = product(s, ab, g)
-                            Nz = Nm(g, z)
-                            t2 = A.tri(Nx, y, z)
-                            t2 = linalg.vec_add(t2, A.tri(x, Ny, z))
-                            t2 = linalg.vec_add(t2, A.tri(x, y, Nz))
-                            t2 = linalg.vec_sub(t2, Nm(abg, A.tri(x, y, z)))
-                            g2[p][q][r] = linalg.vec_neg(Nm(abg, t2))
-    rep = Representation(n, rho, theta)
-    coc = Cocycle23(g1, g2)
-    family = []
-    for a in range(m):
-        T = linalg.zeros(NN, n)
-        for i in range(n):
-            T[joint_index(i, a, m)][i] = 1
-        family.append(T)
-    return TwistedRBContext(Ldef, rep, coc, s, family)
+    rho = joint_table(s, (n,), lambda al, ix: linalg.transpose(
+        [br(NE[al[0]][ix[0]], e) for e in E], n))
+    theta = joint_table(s, (n, n), lambda al, ix: linalg.transpose(
+        [tr(e, NE[al[0]][ix[0]], NE[al[1]][ix[1]]) for e in E], n))
+    g1 = joint_table(s, (n, n), lambda al, ix: linalg.vec_neg(
+        mv(N[t[al[0]][al[1]]], br(E[ix[0]], E[ix[1]]))))
+    return TwistedRBContext(Ldef, Representation(n, rho, theta),
+                            Cocycle23(g1, joint_table(s, (n, n, n), gamma2)),
+                            s, _inclusions(n, s))
 
 
 # ---------------------------------------------------------------------------
@@ -486,65 +414,30 @@ def bar_operator(ctx: TwistedRBContext) -> TwistedRBContext:
     chk = check_twisted_rb_family(ctx)
     if not chk.ok:
         raise PreconditionError("input is not a twisted Rota-Baxter family")
-    A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
-    n, nv, m = ctx.dimL, ctx.dimV, s.order
-    NL, NV = n * m, nv * m
-
-    Lbar = ly_tensor_semigroup(A, s)
-    rho = [None] * NL
-    theta = [[None] * NL for _ in range(NL)]
-    g1 = [[None] * NL for _ in range(NL)]
-    g2 = [[[None] * NL for _ in range(NL)] for _ in range(NL)]
-
-    def embedV(vec, alpha):
-        out = linalg.zero_vec(NV)
-        for l, vl in enumerate(vec):
-            if vl:
-                out[joint_index(l, alpha, m)] = vl
-        return out
-
-    for i in range(n):
-        for a in range(m):
-            p = joint_index(i, a, m)
-            rmat = linalg.zeros(NV, NV)
-            for uj in range(nv):
-                for b in range(m):
-                    col = joint_index(uj, b, m)
-                    ab = product(s, a, b)
-                    for row in range(nv):
-                        if r.rho[i][row][uj]:
-                            rmat[joint_index(row, ab, m)][col] = r.rho[i][row][uj]
-            rho[p] = rmat
-            for j in range(n):
-                for b in range(m):
-                    q = joint_index(j, b, m)
-                    ab = product(s, a, b)
-                    tmat = linalg.zeros(NV, NV)
-                    for uj in range(nv):
-                        for g in range(m):
-                            col = joint_index(uj, g, m)
-                            abg = product(s, ab, g)
-                            for row in range(nv):
-                                if r.theta[i][j][row][uj]:
-                                    tmat[joint_index(row, abg, m)][col] = \
-                                        r.theta[i][j][row][uj]
-                    theta[p][q] = tmat
-                    g1[p][q] = embedV(c.gamma1[i][j], ab)
-                    for k in range(n):
-                        for g in range(m):
-                            abg = product(s, ab, g)
-                            g2[p][q][joint_index(k, g, m)] = \
-                                embedV(c.gamma2[i][j][k], abg)
-    rbar = Representation(NV, rho, theta)
-    cbar = Cocycle23(g1, g2)
-    Tbar = linalg.zeros(NL, NV)
-    for uj in range(nv):
-        for a in range(m):
-            col = joint_index(uj, a, m)
-            for row in range(n):
-                if ctx.family[a][row][uj]:
-                    Tbar[joint_index(row, a, m)][col] = ctx.family[a][row][uj]
-    return TwistedRBContext(Lbar, rbar, cbar, trivial_semigroup(), [Tbar])
+    r, c, s = ctx.rep, ctx.cocycle, ctx.semigroup
+    n, nv, NV = ctx.dimL, ctx.dimV, ctx.dimV * s.order
+    rho_cols = [list(zip(*m)) for m in r.rho]
+    theta_cols = [[list(zip(*m)) for m in row] for row in r.theta]
+    # rho(x@a) = rho(x) (x) a and theta(x@a, y@b) = theta(x, y) (x) ab on
+    # V (x) K-Omega, by their columns: column u@g is column u of rho(x)
+    # placed at ag, and of theta(x, y) placed at abg
+    rho = joint_table(s, (n, nv), lambda al, ix: rho_cols[ix[0]][ix[1]],
+                      place=True)
+    theta = joint_table(s, (n, n, nv), lambda al, ix: (
+        theta_cols[ix[0]][ix[1]][ix[2]]), place=True)
+    rbar = Representation(NV, [linalg.transpose(m, NV) for m in rho],
+                          [[linalg.transpose(m, NV) for m in row]
+                           for row in theta])
+    cbar = Cocycle23(
+        joint_table(s, (n, n), lambda al, ix: c.gamma1[ix[0]][ix[1]],
+                    place=True),
+        joint_table(s, (n, n, n), lambda al, ix: c.gamma2[ix[0]][ix[1]][ix[2]],
+                    place=True))
+    # Tbar(u@a) = T_a(u)@a: row x@a of Tbar is row x of T_a placed at a
+    Tbar = joint_table(s, (n,), lambda al, ix: ctx.family[al[0]][ix[0]],
+                       place=True)
+    return TwistedRBContext(ly_tensor_semigroup(ctx.algebra, s), rbar, cbar,
+                            trivial_semigroup(), [Tbar])
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,23 @@ def test_construct_chain_to_indexed_algebra(files, tmp_path):
     assert main(["validate", str(om), "omega-ly"]) == 0
 
 
+@pytest.mark.parametrize("order,dim", [(1, 1), (2, 3)])
+def test_nijenhuis_context_of_wrong_shape_exits_one(files, capsys, order, dim):
+    tmp, a_path, s_path, _, _ = files
+    d_path = tmp / "direction.json"
+    json.dump({"kind": "direction", "order": order, "dim_l": dim,
+               "dim_v": dim, "family": []}, open(d_path, "w"))
+    out_path = tmp / "nij.json"
+    assert main(["--json", "construct", "nijenhuis-context", a_path, s_path,
+                 str(d_path), "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["summary"] == (
+        "error: a Nijenhuis family over this semigroup and algebra needs "
+        "order 2 (one matrix per index) and dims 2 x 2 (dim(L) x dim(L))")
+    assert not out_path.exists()
+
+
 def test_construct_rejects_non_jacobi(tmp_path):
     bad = tmp_path / "bil.json"
     sz.save_json(str(bad), {

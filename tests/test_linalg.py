@@ -41,7 +41,8 @@ def test_linear_forms():
     forms = [x + y, 0, 2 * x + 2 * y, -x - y, y]
     assert la.form_rows(forms, 2) == [[1, 1], [0, 0], [2, 2], [-1, -1], [0, 1]]
     assert la.form_columns(forms, 2) == [[1, 0, 2, -1, 0], [1, 0, 2, -1, 1]]
-    assert la.distinct_rows(forms, 2) == [[1, 1], [0, 1]]
+    # each nonzero form once, up to a nonzero scalar
+    assert la._distinct_forms(forms) == [((0, 1), (1, 1)), ((1, 1),)]
 
 
 def _brute_contract(table, vecs, shape):
@@ -54,7 +55,7 @@ def _brute_contract(table, vecs, shape):
             leaf = leaf[i]
             coeff = coeff * v[i]
         if len(shape) == 2:
-            out = la.mat_add(out, la.mat_scale(coeff, leaf))
+            out = la.mat_add(out, [la.vec_scale(coeff, r) for r in leaf])
         else:
             out = la.vec_add(out, la.vec_scale(coeff, leaf))
     return out

@@ -96,7 +96,7 @@ def test_morphism_identity_is_morphism(a1, s2):
 def test_morphism_detects_mismatch(a1, a2, s2):
     c1 = identity_family(a1, s2)
     eta = la.identity(c1.dimL)
-    zeta = la.mat_scale(2, la.identity(c1.dimV))
+    zeta = [[2 * x for x in row] for row in la.identity(c1.dimV)]
     assert not check_morphism(c1, c1, eta, zeta).ok
 
 
@@ -118,8 +118,18 @@ def test_nijenhuis_zero_and_identity(a1, s2):
     assert check_twisted_rb_family(ctx).ok
 
 
+@pytest.mark.parametrize("order,dim", [(1, 2), (2, 3), (2, 1)])
+def test_nijenhuis_family_of_wrong_shape_is_refused(a1, s2, order, dim):
+    fam = [la.identity(dim) for _ in range(order)]
+    with pytest.raises(PreconditionError,
+                       match=r"needs order 2 \(.*\) and dims 2 x 2"):
+        check_nijenhuis_family(a1, s2, fam)
+    with pytest.raises(PreconditionError, match="needs order 2"):
+        nijenhuis_induced_context(a1, s2, fam)
+
+
 def test_nijenhuis_scaled_identity(a2, s2):
-    fam = [la.mat_scale(Fraction(al + 1), la.identity(a2.dim))
+    fam = [[[Fraction(al + 1) * x for x in row] for row in la.identity(a2.dim)]
            for al in range(s2.order)]
     if check_nijenhuis_family(a2, s2, fam).ok:
         ctx = nijenhuis_induced_context(a2, s2, fam)
