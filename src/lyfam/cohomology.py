@@ -17,9 +17,8 @@ from .linalg import (contract, form_columns, form_kernel, form_rows,
                      quotient_representatives, solve, transpose, vec_add,
                      vec_scale, vec_sub, vec_sum, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
-                    _canonical_tuples, _put_mirrored, canonical_coords,
-                    cochain_full_coords, cochain_zero, delta_omega,
-                    delta_star_omega, skew_basis)
+                    cochain_build, cochain_coords, cochain_full_table,
+                    delta_omega, delta_star_omega, skew_basis)
 from .ly import derived_D
 from .rbfamily import (ImageTables, TwistedRBContext, family_report, images,
                        induced_products)
@@ -171,7 +170,7 @@ class RBFComplex:
                 raise PreconditionError(
                     "input is not a twisted Rota-Baxter family: %s"
                     % sorted(chk.laws()))
-        # partial_deg1 fills mirrored tuples by sign, which needs brackets
+        # partial_deg1 evaluates canonical tuples only, which needs brackets
         # and cocycle skew in their first slot pair
         self._skew = ctx.algebra.invariant_report()
         self._skew.extend(ctx.cocycle.invariant_report())
@@ -193,10 +192,6 @@ class RBFComplex:
             self._bases[key] = skew_basis(degree, self.dims,
                                           self.context.semigroup, budget)
         return self._bases[key]
-
-    def zero_cochain(self, degree) -> CochainFamily:
-        return cochain_zero(self.context.semigroup, self.context.dimV,
-                            self.context.dimL, degree)
 
     def d1_symbolic(self) -> CochainFamily:
         """partial_deg1 of the symbolic degree-1 cochain (cached): each
@@ -242,7 +237,8 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
 
 
 def _require_skew_context(cx: RBFComplex) -> None:
-    """Refuse a context outside the hypotheses of the mirror fill."""
+    """Refuse a context outside the hypotheses of the canonical-tuple
+    evaluation."""
     if not cx._skew.ok:
         raise PreconditionError(
             "the brackets or cocycle of the context are not skew: %s"
@@ -263,20 +259,18 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
     against the generic coboundary of the induced complex.
 
     tables are _first_order_tables(cx, f), when the caller has them.  The
-    output is skew in its first slot pair, so only the canonical tuples are
-    evaluated, as in delta_omega: those whose joint labels i*M + a increase
-    strictly in the first two slots.  The tuple with those two slots
-    swapped gets the negative, and a tuple that repeats the label stays 0.
-    A context whose brackets or cocycle are not skew is refused.
+    output is skew in its first slot pair, so, as in delta_omega, it is
+    built from the canonical tuples only: those whose joint labels i*M + a
+    increase strictly in the first two slots.  A context whose brackets or
+    cocycle are not skew is refused.
     """
     f = _coerce_deg1(cx, f)
     _require_skew_context(cx)
     ctx = cx.context
-    s, nv, M = ctx.semigroup, ctx.dimV, ctx.semigroup.order
+    s, nv = ctx.semigroup, ctx.dimV
     T, F, tt, tf, ft = tables or _first_order_tables(cx, f)
-    out = cx.zero_cochain((2, 3))
     # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; f1, f2, f3 likewise
-    for al, xs in _canonical_tuples(M, nv, 2, 1):
+    def even(al, xs):
         (a1, a2), (i, j) = al, xs
         w = product(s, a1, a2)
         Tw, fw = ctx.family[w], f.even[w]
@@ -290,9 +284,9 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
         v = vec_add(v, mat_vec(Tw, inner))
         arg = vec_sub(tt.rho[p][j], tt.rho[q][i])
         arg = vec_add(arg, tt.gamma1[p][q])
-        _put_mirrored(out.even, M, nv, al, xs, vec_sub(v, mat_vec(fw, arg)),
-                      1)
-    for al, xs in _canonical_tuples(M, nv, 3, 1):
+        return vec_sub(v, mat_vec(fw, arg))
+
+    def odd(al, xs):
         (a1, a2, a3), (i, j, k) = al, xs
         w = product_of(s, al)
         Tw, fw = ctx.family[w], f.even[w]
@@ -318,10 +312,11 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
         arg = vec_add(tt.D[p][q][k], tt.theta[q][t][i])
         arg = vec_sub(arg, tt.theta[p][t][j])
         arg = vec_add(arg, contract(tt.gamma2[p][q], z))
-        _put_mirrored(out.odd, M, nv, al, xs, vec_sub(v, mat_vec(fw, arg)),
-                      1)
+        return vec_sub(v, mat_vec(fw, arg))
+
+    out = cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
     generic = delta_omega(cx.induced_algebra, cx.induced_rep, f)
-    if cochain_full_coords(out) != cochain_full_coords(generic):
+    if cochain_coords(out) != cochain_coords(generic):
         raise ConsistencyError(
             "family-level and induced-complex degree-1 coboundaries disagree")
     return out
@@ -367,7 +362,7 @@ def cohomology_H1(cx: RBFComplex):
     """(dimension, representative degree-1 cocycles) of ker d1 / im d0."""
     cx.context.semigroup.require_unit()
     basis1 = cx.skew_basis_at(1)
-    z_basis = form_kernel(canonical_coords(cx.d1_symbolic()), basis1.size)
+    z_basis = form_kernel(cochain_coords(cx.d1_symbolic()), basis1.size)
     b_coords = form_columns(_boundary_coords(cx),
                             len(_wedge_basis_elements(cx.context.dimL)))
     dim = quotient_dim(z_basis, b_coords)
@@ -379,8 +374,8 @@ def cohomology_H23(cx: RBFComplex, budget=None) -> int:
     """dim of (ker d meet ker d*) over the image of the degree-1 coboundary."""
     bas = cx.skew_basis_at((2, 3), budget)
     c = bas.symbolic()
-    rows = (canonical_coords(partial_23(cx, c, budget))
-            + canonical_coords(partial_star_23(cx, c)))
+    rows = (cochain_coords(partial_23(cx, c, budget))
+            + cochain_coords(partial_star_23(cx, c)))
     z_basis = form_kernel(rows, bas.size)
     b_coords = form_columns(bas.project(cx.d1_symbolic()),
                             cx.skew_basis_at(1).size)
@@ -396,18 +391,18 @@ def _linearized_report(cx: RBFComplex, f: CochainFamily,
     _first_order_tables(cx, f), when the caller has them.
 
     Both residuals are skew in their first slot pair, so, as in
-    partial_deg1, only the canonical tuples are evaluated: the tuple with
-    those two slots swapped gets the negative, and a tuple that repeats the
-    label has residual 0.  Violations are recorded in the order of all
-    tuples.  A context whose brackets or cocycle are not skew is refused.
+    partial_deg1, they are evaluated at the canonical tuples only; the
+    tuple with those two slots swapped has the negative residual, and a
+    tuple that repeats the label has residual 0.  Violations are recorded
+    in the order of all tuples.  A context whose brackets or cocycle are
+    not skew is refused.
     """
     _require_skew_context(cx)
     ctx = cx.context
-    s, nv, M = ctx.semigroup, ctx.dimV, ctx.semigroup.order
+    s, nv = ctx.semigroup, ctx.dimV
     T, F, tt, tf, ft = tables or _first_order_tables(cx, f)
-    res = cx.zero_cochain((2, 3))
     # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; x1, y1, z1 likewise
-    for al, xs in _canonical_tuples(M, nv, 2, 1):
+    def even(al, xs):
         (a1, a2), (i, j) = al, xs
         w = product(s, a1, a2)
         Tw, fw = ctx.family[w], f.even[w]
@@ -420,8 +415,9 @@ def _linearized_report(cx: RBFComplex, f: CochainFamily,
         inner = vec_add(inner, ft.gamma1[p][q])
         inner = vec_add(inner, tf.gamma1[p][q])
         rhs = vec_add(rhs, mat_vec(Tw, inner))
-        _put_mirrored(res.even, M, nv, al, xs, vec_sub(lhs, rhs), 1)
-    for al, xs in _canonical_tuples(M, nv, 3, 1):
+        return vec_sub(lhs, rhs)
+
+    def odd(al, xs):
         (a1, a2, a3), (i, j, k) = al, xs
         w = product_of(s, al)
         Tw, fw = ctx.family[w], f.even[w]
@@ -443,13 +439,12 @@ def _linearized_report(cx: RBFComplex, f: CochainFamily,
         inner = vec_add(inner, contract(tf.gamma2[p][q], z))
         inner = vec_add(inner, contract(tt.gamma2[p][q], z1))
         rhs = vec_add(rhs, mat_vec(Tw, inner))
-        _put_mirrored(res.odd, M, nv, al, xs, vec_sub(lhs, rhs), 1)
+        return vec_sub(lhs, rhs)
+
+    res = cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
     rep = Report()
-    # table[_enc(al, M)][_enc(xs, nv)] runs through the tuples in order
-    for law, comp, k in (("DEF-6.2", res.even, 2), ("DEF-6.3", res.odd, 3)):
-        for al, table in zip(itertools.product(range(M), repeat=k), comp):
-            for xs, v in zip(itertools.product(range(nv), repeat=k), table):
-                rep.record(law, al + xs, v)
+    for al, xs, v in cochain_full_table(res):
+        rep.record("DEF-6.2" if len(al) == 2 else "DEF-6.3", al + xs, v)
     return rep
 
 
@@ -462,7 +457,7 @@ def infinitesimal_report(cx: RBFComplex, d) -> Report:
     f = _coerce_deg1(cx, d)
     tables = _first_order_tables(cx, f)
     rep = _linearized_report(cx, f, tables)
-    via_coboundary = not any(cochain_full_coords(partial_deg1(cx, f, tables)))
+    via_coboundary = not any(cochain_coords(partial_deg1(cx, f, tables)))
     if rep.ok != via_coboundary:
         raise ConsistencyError(
             "deformation-equation route and coboundary route disagree "

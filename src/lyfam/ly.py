@@ -324,7 +324,8 @@ def joint_index(i: int, alpha: int, order: int) -> int:
 
     This single convention coordinatizes every tensor product with the
     semigroup algebra throughout the package; `joint_table` builds every
-    table over it, and `omega.split_joint` reads it back.
+    table over it, and the cochain layout of `omega` reads it back with
+    `split_joint`.
     """
     return i * order + alpha
 

@@ -239,7 +239,8 @@ def ns_tensor_semigroup(N: NSFamilyAlgebra) -> NSAlgebra:
     """The single NS algebra on L (x) K-Omega induced by an NS family."""
     chk = check_ns_family_axioms(N)
     if not chk.ok:
-        raise PreconditionError("input fails the NS family axioms")
+        raise PreconditionError("input fails the NS family axioms: %s"
+                                % sorted(chk.laws()))
     s, n = N.semigroup, N.dim
     bl, v, c, q = N.bullet, N.vee, N.ternary_curly, N.ternary_square
 

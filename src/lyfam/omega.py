@@ -7,12 +7,13 @@ C^(2n,2n+1), a coordinate basis of their skew subspaces, and the coboundary
 operators delta / delta* together with cohomology dimension computations.
 
 An argument slot holds a basis vector e_i with a semigroup index a, written
-as the joint label i*M + a.  When the brackets are skew and the input is
-skew in each slot pair, delta's output is skew in every slot pair and
-delta*'s in its first pair.  The two operators therefore evaluate only the
-canonical output tuples, whose labels increase strictly inside those pairs,
-and fill the others by sign; `canonical_coords` reads back just those rows
-for the assembled matrices.
+as the joint label i*M + a.  A (k, k+1)-cochain is skew in the first k // 2
+slot pairs of each component, so it is stored by its values at the
+canonical tuples only, whose labels increase strictly inside those pairs;
+its value at any other tuple is one of those times a sign, or 0.  When the
+brackets are skew, delta's output is skew in every slot pair and delta*'s
+in its first pair, so both operators evaluate the canonical tuples only,
+and their stored coordinates are the rows of the assembled matrices.
 """
 from __future__ import annotations
 
@@ -300,29 +301,21 @@ def check_omega_representation(O: OmegaLYAlgebra,
 # ---------------------------------------------------------------------------
 # cochain families
 
-def _enc(tup, base):
-    v = 0
-    for t in tup:
-        v = v * base + t
-    return v
-
-
-def comp_zero(M, k, nA, d):
-    return [[zero_vec(d) for _ in range(nA ** k)] for _ in range(M ** k)]
-
-
-def comp_get(comp, M, nA, alphas, idxs):
-    return comp[_enc(alphas, M)][_enc(idxs, nA)]
-
-
 @dataclass
 class CochainFamily:
-    """Cochain of degree 1 or (2n, 2n+1) (also used for the (3,4) target).
+    """Cochain of degree 1 or (k, k+1): (2n, 2n+1), and the (3,4) target of
+    delta*.
 
     Degree 1 stores one matrix per semigroup index (module <- algebra carrier).
-    A pair degree stores an even component with 2n argument slots and an odd
-    component with 2n+1 slots, each a full table over index tuples and basis
-    argument tuples with vector values in the coefficient space.
+    A pair degree has an even component with k argument slots and an odd
+    component with k + 1, each skew in its first k // 2 slot pairs, and
+    stores only their values at the canonical tuples, whose joint labels
+    i*M + a increase strictly inside those pairs: comp[r][c] is the vector
+    in the coefficient space at the tuple whose pairs have rank r among the
+    combinations of pairs p < q of labels, and whose free slots have rank c,
+    in the order of _canonical_tuples.  cochain_reader reads a cochain at
+    any tuple, cochain_build makes one, and cochain_full_coords expands one
+    to its full table; no other code knows this layout.
     """
     semigroup: FiniteCommutativeSemigroup
     dim_alg: int
@@ -331,97 +324,116 @@ class CochainFamily:
     even: list
     odd: list | None = None
 
-    def as_component(self):
-        """The degree-1 cochain as a 1-slot table (for the generic coboundary)."""
-        return [transpose(m, self.dim_alg) for m in self.even]
-
-
-def cochain_zero(s, dim_alg, dim_coeff, degree) -> CochainFamily:
-    M = s.order
-    if degree == 1:
-        return CochainFamily(s, dim_alg, dim_coeff, 1,
-                             [zeros(dim_coeff, dim_alg) for _ in range(M)])
-    ke, ko = degree
-    return CochainFamily(s, dim_alg, dim_coeff, (ke, ko),
-                         comp_zero(M, ke, dim_alg, dim_coeff),
-                         comp_zero(M, ko, dim_alg, dim_coeff))
-
-
-def cochain_full_coords(c: CochainFamily):
-    """Flatten every table entry into one coordinate vector."""
-    out = []
-    if c.degree == 1:
-        for mtx in c.even:
-            for row in mtx:
-                out.extend(row)
-        return out
-    for comp in (c.even, c.odd):
-        for table in comp:
-            for v in table:
-                out.extend(v)
-    return out
-
 
 def _canonical_tuples(M, nA, K, npairs):
     """(alphas, idxs) of each K-slot tuple whose joint labels i*M + a
     increase strictly inside each of its first npairs slot pairs."""
     J = M * nA
-    pair = [(p, q) for p in range(J) for q in range(p + 1, J)]
+    split = [split_joint(t, M) for t in range(J)]
+    pair = list(itertools.combinations(range(J), 2))
     free = [(t,) for t in range(J)]
     for parts in itertools.product(*([pair] * npairs
                                      + [free] * (K - 2 * npairs))):
         joints = [t for part in parts for t in part]
-        yield [t % M for t in joints], [t // M for t in joints]
+        yield [split[t][1] for t in joints], [split[t][0] for t in joints]
 
 
-def canonical_coords(c: CochainFamily):
-    """The coordinates of a coboundary image at its canonical tuples only.
+@lru_cache(maxsize=None)
+def _pair_ranks(J):
+    """ranks[t][u] for two of J joint labels: the rank of the pair (t, u)
+    among the pairs p < q in the order of _canonical_tuples when t < u, its
+    complement ~rank when t > u, and None when t == u."""
+    ranks = [[None] * J for _ in range(J)]
+    for r, (p, q) in enumerate(itertools.combinations(range(J), 2)):
+        ranks[p][q], ranks[q][p] = r, ~r
+    return ranks
 
-    The outputs of delta and delta* are skew in the first k // 2 slot
-    pairs of a k-slot even component, and in as many of the odd one.  Every
-    other coordinate is the negative of one of these, or 0, so these rows
-    span the same row space as all of cochain_full_coords(c).
+
+def cochain_reader(c: CochainFamily):
+    """read(alphas, idxs) -> (sign, vec), the value sign * vec of c at any
+    tuple of one of its arities.
+
+    vec is the stored vector of the canonical tuple that swapping slot pairs
+    reaches, and sign is (-1) to the number of pairs swapped.  Where a pair
+    repeats a joint label the value is 0, and read gives (0, None).  The
+    sign is returned apart so that a caller can fold it into the coefficient
+    the value already carries.  A degree-1 cochain reads as one 1-slot
+    component, with column i of matrix a at the joint label i*M + a.
     """
     M, nA = c.semigroup.order, c.dim_alg
-    npairs = c.degree[0] // 2
-    out = []
-    for comp, k in zip((c.even, c.odd), c.degree):
-        for al, xs in _canonical_tuples(M, nA, k, npairs):
-            out.extend(comp[_enc(al, M)][_enc(xs, nA)])
-    return out
-
-
-def _pair_swap_ok(comp, M, nA, k, pair_pos, d):
-    """Violations of skewness at one pair of consecutive slots."""
-    bad = []
-    for alphas in itertools.product(range(M), repeat=k):
-        for idxs in itertools.product(range(nA), repeat=k):
-            sa = list(alphas)
-            si = list(idxs)
-            p = pair_pos
-            sa[p], sa[p + 1] = sa[p + 1], sa[p]
-            si[p], si[p + 1] = si[p + 1], si[p]
-            r = vec_add(comp_get(comp, M, nA, alphas, idxs),
-                        comp_get(comp, M, nA, sa, si))
-            if any(r):
-                bad.append((pair_pos, alphas, idxs, tuple(r)))
-    return bad
-
-
-def cochain_skew_report(c: CochainFamily) -> Report:
-    """Pairwise skewness of a pair-degree cochain (degree 1 is unconstrained)."""
-    rep = Report()
+    J = M * nA
+    ranks, npair = _pair_ranks(J), J * (J - 1) // 2
     if c.degree == 1:
-        return rep
-    ke, ko = c.degree
-    M, nA, d = c.semigroup.order, c.dim_alg, c.dim_coeff
-    npairs = ke // 2
-    for p in range(npairs):
-        for w in _pair_swap_ok(c.even, M, nA, ke, 2 * p, d):
-            rep.add("invariant:cochain-skew-even", w[:3], w[3])
-        for w in _pair_swap_ok(c.odd, M, nA, ko, 2 * p, d):
-            rep.add("invariant:cochain-skew-odd", w[:3], w[3])
-    return rep
+        cols = [transpose(m, nA) for m in c.even]
+        parts = {1: [[cols[a][i] for i in range(nA) for a in range(M)]]}
+        paired = 0
+    else:
+        parts = dict(zip(c.degree, (c.even, c.odd)))
+        paired = 2 * (c.degree[0] // 2)
+
+    def read(alphas, idxs):
+        sign, row, col = 1, 0, 0
+        for p in range(0, paired, 2):
+            r = ranks[idxs[p] * M + alphas[p]][idxs[p + 1] * M + alphas[p + 1]]
+            if r is None:
+                return 0, None
+            if r < 0:
+                sign, r = -sign, ~r
+            row = row * npair + r
+        for p in range(paired, len(alphas)):
+            col = col * J + idxs[p] * M + alphas[p]
+        return sign, parts[len(alphas)][row][col]
+
+    return read
+
+
+def cochain_build(s: FiniteCommutativeSemigroup, dim_alg, dim_coeff, degree,
+                  even, odd) -> CochainFamily:
+    """The (k, k+1)-cochain whose value at each canonical k-slot tuple is
+    even(alphas, idxs), and at each canonical (k+1)-slot tuple
+    odd(alphas, idxs).  The functions run once per canonical tuple, in the
+    order of _canonical_tuples, even first; the other tuples follow by
+    skewness."""
+    M, J = s.order, s.order * dim_alg
+    npairs = degree[0] // 2
+    comps = []
+    for value, k in zip((even, odd), degree):
+        width = max(J ** (k - 2 * npairs), 1)
+        vals = [value(al, xs)
+                for al, xs in _canonical_tuples(M, dim_alg, k, npairs)]
+        comps.append([vals[r:r + width] for r in range(0, len(vals), width)])
+    return CochainFamily(s, dim_alg, dim_coeff, tuple(degree), *comps)
+
+
+def cochain_coords(c: CochainFamily):
+    """The stored coordinates of a pair-degree cochain: its values at the
+    canonical tuples, in order, which fix all the others."""
+    return [x for comp in (c.even, c.odd) for row in comp for vec in row
+            for x in vec]
+
+
+def cochain_full_table(c: CochainFamily):
+    """(alphas, idxs, vec) at every tuple of a pair-degree cochain: the even
+    component first, each in the order of its tuples (alphas outer).  vec
+    is the stored vector, its negative at a mirrored tuple, or [0] * d
+    where a pair repeats a label."""
+    read, zero = cochain_reader(c), zero_vec(c.dim_coeff)
+    M, nA = c.semigroup.order, c.dim_alg
+    for k in c.degree:
+        for alphas in itertools.product(range(M), repeat=k):
+            for idxs in itertools.product(range(nA), repeat=k):
+                sign, vec = read(alphas, idxs)
+                if sign < 0:
+                    vec = vec_neg(vec)
+                yield alphas, idxs, vec if sign else zero
+
+
+def cochain_full_coords(c: CochainFamily):
+    """Every coordinate of c's full table, in order: for degree 1 the
+    matrices row by row, for a pair degree the vector at every tuple."""
+    if c.degree == 1:
+        return [x for mtx in c.even for row in mtx for x in row]
+    return [x for _, _, vec in cochain_full_table(c) for x in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -429,92 +441,50 @@ def cochain_skew_report(c: CochainFamily) -> Report:
 
 @dataclass
 class SkewBasis:
-    """Enumerated basis of the pairwise-skew subspace at one cochain degree.
+    """Coordinates of the pairwise-skew cochains of one degree.
 
-    Joint indices pack (argument basis element, semigroup index) into a single
-    label; a basis element fixes an ordered pair p < q of joint labels per
-    consecutive slot pair, a free joint label for the odd trailing slot, and a
-    coefficient coordinate.
+    A degree-1 coordinate is the entry (co, i) of the matrix of index a,
+    ordered by (a, i, co).  A pair-degree coordinate is a stored coordinate
+    of the canonical layout, in the order of cochain_coords: an ordered pair
+    p < q of joint labels per slot pair, a free joint label for the odd
+    trailing slot, and a coefficient coordinate.
     """
     degree: object
     semigroup: FiniteCommutativeSemigroup
     dim_alg: int
     dim_coeff: int
-    elements: list
 
     @property
     def size(self):
-        return len(self.elements)
+        M, nA, d = self.semigroup.order, self.dim_alg, self.dim_coeff
+        if self.degree == 1:
+            return M * nA * d
+        J = M * nA
+        return (J * (J - 1) // 2) ** (self.degree[0] // 2) * d * (1 + J)
 
     def embed(self, idx) -> CochainFamily:
-        c = cochain_zero(self.semigroup, self.dim_alg, self.dim_coeff,
-                         self.degree)
-        self.add_embedded(c, idx, 1)
-        return c
-
-    def add_embedded(self, c: CochainFamily, idx, scale):
-        """Add scale * basis element idx into cochain c (in place)."""
-        M = self.semigroup.order
-        nA = self.dim_alg
-        el = self.elements[idx]
-        if el[0] == "one":
-            _, a, i, co = el
-            c.even[a][co][i] += scale
-            return
-        kind, pairs, last, co = el
-        comp = c.even if kind == "even" else c.odd
-        for choices in itertools.product((0, 1), repeat=len(pairs)):
-            sign = 1
-            joints = []
-            for (p, q), ch in zip(pairs, choices):
-                if ch == 0:
-                    joints.extend((p, q))
-                else:
-                    joints.extend((q, p))
-                    sign = -sign
-            if last is not None:
-                joints.append(last)
-            alphas = []
-            idxs = []
-            for jt in joints:
-                i, a = split_joint(jt, M)
-                alphas.append(a)
-                idxs.append(i)
-            comp_get(comp, M, nA, alphas, idxs)[co] += sign * scale
+        return self.combine([int(k == idx) for k in range(self.size)])
 
     def project(self, c: CochainFamily):
-        """Coordinates of a (skew) cochain in this basis."""
-        M = self.semigroup.order
-        nA = self.dim_alg
-        out = []
-        for el in self.elements:
-            if el[0] == "one":
-                _, a, i, co = el
-                out.append(c.even[a][co][i])
-                continue
-            kind, pairs, last, co = el
-            comp = c.even if kind == "even" else c.odd
-            joints = []
-            for p, q in pairs:
-                joints.extend((p, q))
-            if last is not None:
-                joints.append(last)
-            alphas = []
-            idxs = []
-            for jt in joints:
-                i, a = split_joint(jt, M)
-                alphas.append(a)
-                idxs.append(i)
-            out.append(comp_get(comp, M, nA, alphas, idxs)[co])
-        return out
+        """Coordinates of a cochain of this degree in this basis."""
+        if self.degree != 1:
+            return cochain_coords(c)
+        M, nA, d = self.semigroup.order, self.dim_alg, self.dim_coeff
+        return [c.even[a][co][i]
+                for a in range(M) for i in range(nA) for co in range(d)]
 
     def combine(self, coords) -> CochainFamily:
-        c = cochain_zero(self.semigroup, self.dim_alg, self.dim_coeff,
-                         self.degree)
-        for idx, v in enumerate(coords):
-            if v:
-                self.add_embedded(c, idx, v)
-        return c
+        """The cochain with these coordinates; a zero is stored as int 0."""
+        M, nA, d = self.semigroup.order, self.dim_alg, self.dim_coeff
+        it = iter([v or 0 for v in coords])
+        if self.degree != 1:
+            def take(alphas, idxs):
+                return [next(it) for _ in range(d)]
+            return cochain_build(self.semigroup, nA, d, self.degree, take, take)
+        mats = [zeros(d, nA) for _ in range(M)]
+        for a, i, co in itertools.product(range(M), range(nA), range(d)):
+            mats[a][co][i] = next(it)
+        return CochainFamily(self.semigroup, nA, d, 1, mats)
 
     def symbolic(self) -> CochainFamily:
         """The generic skew cochain sum_i e_i {i: 1}, with linear-form
@@ -527,75 +497,43 @@ def skew_basis(degree, dims, s: FiniteCommutativeSemigroup,
                budget: int | None = None) -> SkewBasis:
     """Basis of the skew subspace; dims = (carrier dim, coefficient dim)."""
     nA, d = dims
-    M = s.order
-    joint = M * nA
-    elements = []
     if degree == 1:
-        for a in range(M):
-            for i in range(nA):
-                for co in range(d):
-                    elements.append(("one", a, i, co))
-        return SkewBasis(1, s, nA, d, elements)
+        return SkewBasis(1, s, nA, d)
     ke, ko = degree
     if ko != ke + 1 or ke < 2 or ke % 2:
         raise PreconditionError("degree must be 1 or (2n, 2n+1): %r" % (degree,))
-    npairs = ke // 2
-    pair_choices = [(p, q) for p in range(joint) for q in range(p + 1, joint)]
-    npair = len(pair_choices)
-    total = (npair ** npairs) * d * (1 + joint)
-    ensure_budget((M ** ke) * (nA ** ke) * d + (M ** ko) * (nA ** ko) * d,
-                  budget)
-    for combo in itertools.product(pair_choices, repeat=npairs):
-        for co in range(d):
-            elements.append(("even", combo, None, co))
-    for combo in itertools.product(pair_choices, repeat=npairs):
-        for last in range(joint):
-            for co in range(d):
-                elements.append(("odd", combo, last, co))
-    assert len(elements) == total
-    return SkewBasis((ke, ko), s, nA, d, elements)
+    ensure_budget((s.order * nA) ** ke * d + (s.order * nA) ** ko * d, budget)
+    return SkewBasis((ke, ko), s, nA, d)
 
 
 # ---------------------------------------------------------------------------
 # coboundary operators
 
-def _require_skew(O: OmegaLYAlgebra, c: CochainFamily) -> None:
-    """Refuse inputs outside the hypotheses of the mirror fill: the brackets
-    of O must be skew, and a pair-degree input skew in each slot pair."""
+def _require_skew_brackets(O: OmegaLYAlgebra) -> None:
+    """Refuse an algebra outside the hypotheses of the canonical-tuple
+    evaluation: its brackets must be skew."""
     bad = O.invariant_report()
     if not bad.ok:
         raise PreconditionError("the brackets of the algebra are not skew: %s"
                                 % (bad.violations[0],))
-    bad = cochain_skew_report(c)
-    if not bad.ok:
-        raise PreconditionError("the input cochain is not skew: %s"
-                                % (bad.violations[0],))
 
 
-def _put_mirrored(table, M, nA, al, xs, value, npairs):
-    """Write value at (al, xs), and (-1)^m value at each tuple obtained by
-    swapping m > 0 of its first npairs slot pairs."""
-    neg = vec_neg(value)
-    for swaps in itertools.product((False, True), repeat=npairs):
-        a, x = list(al), list(xs)
-        for k, swap in enumerate(swaps):
-            if swap:
-                a[2 * k], a[2 * k + 1] = a[2 * k + 1], a[2 * k]
-                x[2 * k], x[2 * k + 1] = x[2 * k + 1], x[2 * k]
-        table[_enc(a, M)][_enc(x, nA)] = list(
-            neg if sum(swaps) % 2 else value)
+def _plus(acc, sign, v):
+    """acc + sign * v for sign 1 or -1: the sign picks the operation."""
+    return vec_add(acc, v) if sign > 0 else vec_sub(acc, v)
 
 
-def _at_vector(comp, M, nA, d, al, xs, j, vec):
-    """The component at the basis vectors xs, with the vector vec in slot j
-    instead: a sum over the support of vec (xs[j] is ignored)."""
-    table = comp[_enc(al, M)]
-    stride = nA ** (len(xs) - 1 - j)
-    base = _enc(xs, nA) - xs[j] * stride
+def _at_vector(read, d, al, xs, j, vec):
+    """The cochain read by read at the basis vectors xs, with the vector vec
+    in slot j instead: a sum over the support of vec (xs[j] is ignored)."""
+    xs = list(xs)
     out = zero_vec(d)
     for z, cz in enumerate(vec):
         if cz:
-            out = vec_add(out, vec_scale(cz, table[base + z * stride]))
+            xs[j] = z
+            sign, v = read(al, xs)
+            if sign:
+                out = _plus(out, sign, vec_scale(cz, v))
     return out
 
 
@@ -604,49 +542,42 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
     """Coboundary of a degree-1 or (2n,2n+1) cochain.
 
     The degree-1 case is the n = 0 instance of the general displayed sums, so
-    a single evaluator covers every degree.  The output is skew in every
-    slot pair of both components, so only the canonical tuples are
-    evaluated: those whose joint labels i*M + a increase strictly inside
-    each pair.  Each value is then written at the tuples with some of those
-    pairs swapped, times (-1) to the number swapped; a tuple with a repeated
-    label in a pair stays 0.  The skewness needs skew brackets on O and, in
-    a pair degree, an input skew in each slot pair; other inputs are
-    refused with PreconditionError.
+    a single evaluator covers every degree.  With skew brackets on O the
+    output is skew in every slot pair of both components, so it is built
+    from its canonical tuples only: those whose joint labels i*M + a
+    increase strictly inside each pair.  An algebra whose brackets are not
+    skew is refused with PreconditionError.
     """
     s = O.semigroup
     M, nA, d = s.order, O.dim, r.dim
     if c.dim_alg != nA or c.dim_coeff != d:
         raise PreconditionError("cochain shape does not match algebra/module")
-    if c.degree == 1:
-        n = 0
-        f_comp = None
-        g_comp = c.as_component()
-    else:
-        ke, ko = c.degree
-        n = ke // 2
-        f_comp = c.even
-        g_comp = c.odd
+    n = 0 if c.degree == 1 else c.degree[0] // 2
     KE, KO = 2 * n + 2, 2 * n + 3
     ensure_budget((M ** KE) * (nA ** KE) * d + (M ** KO) * (nA ** KO) * d,
                   budget)
-    _require_skew(O, c)
-    out = cochain_zero(s, nA, d, (KE, KO))
+    _require_skew_brackets(O)
+    # the input's even component has 2n slots and its odd one 2n + 1 (a
+    # degree-1 input reads as one 1-slot component), so read tells them apart
+    read = cochain_reader(c)
     sign_n = -1 if n % 2 else 1
     RHO, TH, D, T = r.rho, r.theta, r.d_tensor(), O.ternary
 
     def word(indices):
         return product_of(s, indices)
 
-    def removed_pairs(acc, comp, al, xs, npairs):
+    def removed_pairs(acc, al, xs, npairs):
         """The derived-operator and substitution sums over the first
-        npairs slot pairs, each removed in turn, acting on comp."""
+        npairs slot pairs, each removed in turn, acting on the component
+        of the arity left."""
         K = len(al)
         for k in range(1, npairs + 1):
             i1, i2 = 2 * k - 2, 2 * k - 1
             rem_al = al[:i1] + al[i2 + 1:]
-            t = mat_vec(D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]],
-                        comp_get(comp, M, nA, rem_al, xs[:i1] + xs[i2 + 1:]))
-            acc = vec_add(acc, vec_scale(-1 if k % 2 == 0 else 1, t))
+            sign, v = read(rem_al, xs[:i1] + xs[i2 + 1:])
+            if sign:
+                t = mat_vec(D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]], v)
+                acc = vec_add(acc, vec_scale(sign if k % 2 else -sign, t))
         for k in range(1, npairs + 1):
             i1, i2 = 2 * k - 2, 2 * k - 1
             sk = 1 if k % 2 == 0 else -1
@@ -655,88 +586,97 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
                 new_al = list(al)
                 new_al[j] = product_of(s, (al[i1], al[i2], al[j]))
                 new_al = new_al[:i1] + new_al[i2 + 1:]
-                t = _at_vector(comp, M, nA, d, new_al, rem_xs, j - 2,
+                t = _at_vector(read, d, new_al, rem_xs, j - 2,
                                T[al[i1]][al[i2]][al[j]][xs[i1]][xs[i2]][xs[j]])
                 acc = vec_add(acc, vec_scale(sk, t))
         return acc
 
-    for al, xs in _canonical_tuples(M, nA, KE, n + 1):
+    def even(al, xs):
         # block in the last two slots
-        g1 = comp_get(g_comp, M, nA, al[:2 * n] + [al[KE - 1]],
-                      xs[:2 * n] + [xs[KE - 1]])
-        t = mat_vec(RHO[al[KE - 2]][word(al[:KE - 2] + [al[KE - 1]])]
-                    [xs[KE - 2]], g1)
-        g2 = comp_get(g_comp, M, nA, al[:KE - 1], xs[:KE - 1])
-        t = vec_sub(t, mat_vec(RHO[al[KE - 1]][word(al[:KE - 1])]
-                               [xs[KE - 1]], g2))
+        t = zero_vec(d)
+        sign, g1 = read(al[:2 * n] + [al[KE - 1]], xs[:2 * n] + [xs[KE - 1]])
+        if sign:
+            t = _plus(t, sign, mat_vec(
+                RHO[al[KE - 2]][word(al[:KE - 2] + [al[KE - 1]])][xs[KE - 2]],
+                g1))
+        sign, g2 = read(al[:KE - 1], xs[:KE - 1])
+        if sign:
+            t = _plus(t, -sign, mat_vec(
+                RHO[al[KE - 1]][word(al[:KE - 1])][xs[KE - 1]], g2))
         t = vec_sub(t, _at_vector(
-            g_comp, M, nA, d,
-            al[:2 * n] + [product(s, al[KE - 2], al[KE - 1])],
+            read, d, al[:2 * n] + [product(s, al[KE - 2], al[KE - 1])],
             xs[:KE - 1], 2 * n,
             O.binary[al[KE - 2]][al[KE - 1]][xs[KE - 2]][xs[KE - 1]]))
-        acc = removed_pairs(vec_scale(sign_n, t), f_comp, al, xs, n)
-        _put_mirrored(out.even, M, nA, al, xs, acc, n + 1)
-    for al, xs in _canonical_tuples(M, nA, KO, n + 1):
-        gA = comp_get(g_comp, M, nA, al[:KO - 2], xs[:KO - 2])
-        t = mat_vec(TH[al[KO - 2]][al[KO - 1]][word(al[:KO - 2])]
-                    [xs[KO - 2]][xs[KO - 1]], gA)
-        gB = comp_get(g_comp, M, nA, al[:2 * n] + [al[KO - 2]],
-                      xs[:2 * n] + [xs[KO - 2]])
-        t = vec_sub(t, mat_vec(TH[al[KO - 3]][al[KO - 1]]
-                               [word(al[:2 * n] + [al[KO - 2]])]
-                               [xs[KO - 3]][xs[KO - 1]], gB))
-        acc = removed_pairs(vec_scale(sign_n, t), g_comp, al, xs, n + 1)
-        _put_mirrored(out.odd, M, nA, al, xs, acc, n + 1)
-    return out
+        return removed_pairs(vec_scale(sign_n, t), al, xs, n)
+
+    def odd(al, xs):
+        t = zero_vec(d)
+        sign, gA = read(al[:KO - 2], xs[:KO - 2])
+        if sign:
+            t = _plus(t, sign, mat_vec(
+                TH[al[KO - 2]][al[KO - 1]][word(al[:KO - 2])]
+                [xs[KO - 2]][xs[KO - 1]], gA))
+        sign, gB = read(al[:2 * n] + [al[KO - 2]], xs[:2 * n] + [xs[KO - 2]])
+        if sign:
+            t = _plus(t, -sign, mat_vec(
+                TH[al[KO - 3]][al[KO - 1]][word(al[:2 * n] + [al[KO - 2]])]
+                [xs[KO - 3]][xs[KO - 1]], gB))
+        return removed_pairs(vec_scale(sign_n, t), al, xs, n + 1)
+
+    return cochain_build(s, nA, d, (KE, KO), even, odd)
 
 
 def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
                      c: CochainFamily) -> CochainFamily:
     """The extra differential out of degree (2,3), landing in the (3,4) pair.
 
-    Both output components are skew in their first slot pair, so only the
-    tuples whose first two joint labels increase strictly are evaluated; the
-    value at the swapped tuple is the negative, and 0 where the two labels
-    agree.  The skewness needs skew brackets on O and an input skew in each
-    slot pair; other inputs are refused with PreconditionError.
+    With skew brackets on O both output components are skew in their first
+    slot pair, so the output is built from the tuples whose first two joint
+    labels increase strictly.  An algebra whose brackets are not skew is
+    refused with PreconditionError.
     """
     if c.degree != (2, 3):
         raise PreconditionError("input must have degree (2, 3)")
-    _require_skew(O, c)
+    _require_skew_brackets(O)
     s = O.semigroup
-    M, nA, d = s.order, O.dim, r.dim
-    out = cochain_zero(s, nA, d, (3, 4))
+    nA, d = O.dim, r.dim
     RHO, TH, B = r.rho, r.theta, O.binary
-    f, g = c.even, c.odd
+    read = cochain_reader(c)
     # each term is a sum over the cyclic rotations (u, v, w) of three slots
     rotations = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-    for al, xs in _canonical_tuples(M, nA, 3, 1):
+    def even(al, xs):
         acc = zero_vec(d)
         for u, v, w in rotations:
-            acc = vec_sub(acc, mat_vec(
-                RHO[al[u]][product(s, al[v], al[w])][xs[u]],
-                comp_get(f, M, nA, (al[v], al[w]), (xs[v], xs[w]))))
+            sign, f = read((al[v], al[w]), (xs[v], xs[w]))
+            if sign:
+                acc = _plus(acc, -sign, mat_vec(
+                    RHO[al[u]][product(s, al[v], al[w])][xs[u]], f))
         for u, v, w in rotations:
             acc = vec_add(acc, _at_vector(
-                f, M, nA, d, (product(s, al[u], al[v]), al[w]),
-                (0, xs[w]), 0, B[al[u]][al[v]][xs[u]][xs[v]]))
+                read, d, (product(s, al[u], al[v]), al[w]), (0, xs[w]), 0,
+                B[al[u]][al[v]][xs[u]][xs[v]]))
         for u, v, w in rotations:
-            acc = vec_add(acc, comp_get(g, M, nA, (al[u], al[v], al[w]),
-                                        (xs[u], xs[v], xs[w])))
-        _put_mirrored(out.even, M, nA, al, xs, acc, 1)
-    for al, xs in _canonical_tuples(M, nA, 4, 1):
+            sign, g = read((al[u], al[v], al[w]), (xs[u], xs[v], xs[w]))
+            if sign:
+                acc = _plus(acc, sign, g)
+        return acc
+
+    def odd(al, xs):
         acc = zero_vec(d)
         for u, v, w in rotations:
-            acc = vec_add(acc, mat_vec(
-                TH[al[u]][al[3]][product(s, al[v], al[w])][xs[u]][xs[3]],
-                comp_get(f, M, nA, (al[v], al[w]), (xs[v], xs[w]))))
+            sign, f = read((al[v], al[w]), (xs[v], xs[w]))
+            if sign:
+                acc = _plus(acc, sign, mat_vec(
+                    TH[al[u]][al[3]][product(s, al[v], al[w])][xs[u]][xs[3]],
+                    f))
         for u, v, w in rotations:
             acc = vec_add(acc, _at_vector(
-                g, M, nA, d, (product(s, al[u], al[v]), al[w], al[3]),
+                read, d, (product(s, al[u], al[v]), al[w], al[3]),
                 (0, xs[w], xs[3]), 0, B[al[u]][al[v]][xs[u]][xs[v]]))
-        _put_mirrored(out.odd, M, nA, al, xs, acc, 1)
-    return out
+        return acc
+
+    return cochain_build(s, nA, d, (3, 4), even, odd)
 
 
 # ---------------------------------------------------------------------------
@@ -757,15 +697,15 @@ def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
     basis1 = skew_basis(1, dims_pair, s)
     prev_size = basis1.size
     prev_image = delta_omega(O, r, basis1.symbolic(), budget)
-    out = [len(form_kernel(canonical_coords(prev_image), prev_size))]
+    out = [len(form_kernel(cochain_coords(prev_image), prev_size))]
     for n in range(1, max_n + 1):
         bas = skew_basis((2 * n, 2 * n + 1), dims_pair, s, budget)
         b_coords = form_columns(bas.project(prev_image), prev_size)
         c = bas.symbolic()
         image = delta_omega(O, r, c, budget)
-        rows = canonical_coords(image)
+        rows = cochain_coords(image)
         if n == 1:
-            rows += canonical_coords(delta_star_omega(O, r, c))
+            rows += cochain_coords(delta_star_omega(O, r, c))
         z_basis = form_kernel(rows, bas.size)
         out.append(quotient_dim(z_basis, b_coords))
         prev_size, prev_image = bas.size, image

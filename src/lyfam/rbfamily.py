@@ -252,7 +252,19 @@ def check_morphism(ctx: TwistedRBContext, ctx2: TwistedRBContext,
 # ---------------------------------------------------------------------------
 # Reynolds families
 
+def _require_operator_shape(A: LYAlgebra, s, F, what) -> None:
+    """Refuse F unless it is one dim(L) x dim(L) matrix per element of s."""
+    d = A.dim
+    if len(F) != s.order or any(
+            len(Fa) != d or any(len(row) != d for row in Fa) for Fa in F):
+        raise PreconditionError(
+            "a %s family over this semigroup and algebra needs order %d (one "
+            "matrix per index) and dims %d x %d (dim(L) x dim(L))"
+            % (what, s.order, d, d))
+
+
 def check_reynolds_family(A: LYAlgebra, s, T) -> Report:
+    _require_operator_shape(A, s, T, "Reynolds")
     t, m, n, d = s.table, s.elements, range(A.dim), A.dim
     E = linalg.identity(d)
     X = [linalg.mat_vec(T[a], e) for a in m for e in E]  # X[a * d + i]
@@ -326,13 +338,8 @@ def identity_family(A: LYAlgebra, s: FiniteCommutativeSemigroup) -> TwistedRBCon
 # Nijenhuis families
 
 def check_nijenhuis_family(A: LYAlgebra, s, N) -> Report:
+    _require_operator_shape(A, s, N, "Nijenhuis")
     t, m, n, d = s.table, s.elements, range(A.dim), A.dim
-    if len(N) != s.order or any(
-            len(Na) != d or any(len(row) != d for row in Na) for Na in N):
-        raise PreconditionError(
-            "a Nijenhuis family over this semigroup and algebra needs order "
-            "%d (one matrix per index) and dims %d x %d (dim(L) x dim(L))"
-            % (s.order, d, d))
     E = linalg.identity(d)
     X = [linalg.mat_vec(N[a], e) for a in m for e in E]  # X[a * d + i]
     br, tr, mv, vsum = A.bracket, A.tri, linalg.mat_vec, linalg.vec_sum

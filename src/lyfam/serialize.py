@@ -3,8 +3,10 @@
 Rationals serialize as strings "p/q" ("p" when the denominator is 1).  The
 algebra tensors store only the i < j half of their skew (first) pair; the
 skew completion is reconstructed on load.  All other tensors are stored as
-sparse coordinate lists.  Component fields of a bundle may be given inline
-or as a string, which is read as a path relative to the bundle file.
+sparse coordinate lists; a pair-degree cochain lists its full table, whose
+entries must agree with their mirrors before it is read in.  Component
+fields of a bundle may be given inline or as a string, which is read as a
+path relative to the bundle file.
 """
 from __future__ import annotations
 
@@ -12,12 +14,14 @@ import json
 import os
 from fractions import Fraction
 
-from .errors import MalformedInputError
-from .linalg import zero_vec, zeros
+from .errors import MalformedInputError, PreconditionError
+from .linalg import vec_add, zero_vec, zeros
 from .ly import Cocycle23, LYAlgebra, Representation
 from .nsfamily import NSFamilyAlgebra
-from .omega import CochainFamily, OmegaLYAlgebra, cochain_zero, comp_get
+from .omega import (CochainFamily, OmegaLYAlgebra, cochain_build,
+                    cochain_full_table)
 from .rbfamily import TwistedRBContext
+from .report import Report
 from .semigroup import FiniteCommutativeSemigroup
 
 
@@ -398,23 +402,25 @@ def cochain_to_json(c: CochainFamily) -> dict:
                         entries.append([[a], [col], row, dump_scalar(v)])
         degree = 1
     else:
-        import itertools
-        ke, ko = c.degree
-        for comp, k in ((c.even, ke), (c.odd, ko)):
-            for alphas in itertools.product(range(M), repeat=k):
-                for idxs in itertools.product(range(nA), repeat=k):
-                    vec = comp_get(comp, M, nA, alphas, idxs)
-                    for co, v in enumerate(vec):
-                        if v:
-                            entries.append([list(alphas), list(idxs), co,
-                                            dump_scalar(v)])
+        for alphas, idxs, vec in cochain_full_table(c):
+            for co, v in enumerate(vec):
+                if v:
+                    entries.append([list(alphas), list(idxs), co,
+                                    dump_scalar(v)])
         degree = list(c.degree)
     return {"kind": "cochain", "degree": degree, "dim_alg": c.dim_alg,
             "dim_coeff": c.dim_coeff,
             "semigroup": semigroup_to_json(c.semigroup), "entries": entries}
 
 
-def cochain_from_json(d: dict) -> CochainFamily:
+def _read_cochain(d: dict):
+    """(semigroup, degree, dim_alg, dim_coeff, tables, skew report) of a
+    cochain file: tables maps each listed (alphas, args) to the vector it
+    gives there, with 0 at the coefficients not listed.  The report has, at
+    each of the first k // 2 slot pairs of a (k, k+1)-cochain in turn, for
+    the even component and then the odd one, every tuple whose value plus
+    the value at the tuple with that pair swapped is not 0, in the order of
+    the tuples."""
     _require(isinstance(d, dict) and "degree" in d and "semigroup" in d,
              "cochain JSON needs degree and semigroup")
     degree = d["degree"]
@@ -428,11 +434,10 @@ def cochain_from_json(d: dict) -> CochainFamily:
     dim_alg = header_int(d, "dim_alg", "cochain")
     dim_coeff = header_int(d, "dim_coeff", "cochain")
     s = semigroup_from_json(d["semigroup"])
-    c = cochain_zero(s, dim_alg, dim_coeff, degree)
-    M, nA = s.order, c.dim_alg
     arities = (1,) if degree == 1 else degree
     entries = d.get("entries", [])
     _require(isinstance(entries, list), "cochain entries must be a list")
+    tables = {}
     for ent in entries:
         _require(isinstance(ent, list) and len(ent) == 4
                  and isinstance(ent[0], list) and isinstance(ent[1], list)
@@ -442,14 +447,54 @@ def cochain_from_json(d: dict) -> CochainFamily:
         k = len(ent[0])
         (idx, v), = sparse_entries([ent[0] + ent[1] + ent[2:]], "cochain",
                                    "alphas,args,coeff",
-                                   (M,) * k + (nA,) * k + (c.dim_coeff,))
-        alphas, idxs, co = idx[:k], idx[k:2 * k], idx[-1]
-        if degree == 1:
-            c.even[alphas[0]][co][idxs[0]] = v
-        else:
-            comp = c.even if k == degree[0] else c.odd
-            comp_get(comp, M, nA, alphas, idxs)[co] = v
-    return c
+                                   (s.order,) * k + (dim_alg,) * k
+                                   + (dim_coeff,))
+        tables.setdefault((idx[:k], idx[k:2 * k]), zero_vec(dim_coeff))[
+            idx[-1]] = v
+
+    def swapped(key, p):
+        al, xs = list(key[0]), list(key[1])
+        al[p], al[p + 1], xs[p], xs[p + 1] = al[p + 1], al[p], xs[p + 1], xs[p]
+        return tuple(al), tuple(xs)
+
+    rep, zero = Report(), zero_vec(dim_coeff)
+    npairs = 0 if degree == 1 else degree[0] // 2
+    for p in range(0, 2 * npairs, 2):
+        for part, k in zip(("even", "odd"), degree):
+            keys = {key for key in tables if len(key[0]) == k}
+            for key in sorted(keys | {swapped(key, p) for key in keys}):
+                r = vec_add(tables.get(key, zero),
+                            tables.get(swapped(key, p), zero))
+                if any(r):
+                    rep.add("invariant:cochain-skew-" + part, (p,) + key, r)
+    return s, degree, dim_alg, dim_coeff, tables, rep
+
+
+def cochain_skew_report(d: dict) -> Report:
+    """Pairwise skewness of the full table a cochain file lists (degree 1
+    is unconstrained)."""
+    return _read_cochain(d)[-1]
+
+
+def cochain_from_json(d: dict) -> CochainFamily:
+    """The cochain of a file.  A pair-degree file must be skew
+    (cochain_skew_report); only its canonical entries are kept, since the
+    others follow from them."""
+    s, degree, dim_alg, dim_coeff, tables, bad = _read_cochain(d)
+    if not bad.ok:
+        raise PreconditionError("the cochain is not skew: %s"
+                                % (bad.violations[0],))
+    if degree == 1:
+        mats = [zeros(dim_coeff, dim_alg) for _ in range(s.order)]
+        for ((a,), (col,)), vec in tables.items():
+            for row, v in enumerate(vec):
+                mats[a][row][col] = v
+        return CochainFamily(s, dim_alg, dim_coeff, 1, mats)
+
+    def value(alphas, idxs):
+        return tables.get((tuple(alphas), tuple(idxs))) or zero_vec(dim_coeff)
+
+    return cochain_build(s, dim_alg, dim_coeff, degree, value, value)
 
 
 def direction_to_json(family) -> dict:
@@ -499,12 +544,19 @@ def load_json(path: str) -> dict:
         raise MalformedInputError("cannot read %s: %s" % (path, exc))
 
 
-def load_object(path: str, kind: str):
+def load_kind(path: str, kind: str) -> dict:
+    """The JSON of a file read as kind; a file that declares another kind
+    is malformed input."""
     d = load_json(path)
     _require(kind in KIND_LOADERS, "unknown kind %r" % kind)
     if isinstance(d, dict) and "kind" in d and d["kind"] != kind:
         raise MalformedInputError(
             "file %s declares kind %r, expected %r" % (path, d["kind"], kind))
+    return d
+
+
+def load_object(path: str, kind: str):
+    d = load_kind(path, kind)
     if kind == "context":
         return context_from_json(d, base_dir=os.path.dirname(path) or ".")
     return KIND_LOADERS[kind](d)

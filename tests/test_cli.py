@@ -170,6 +170,40 @@ def test_validate_reports_each_skew_violation_once(files, capsys):
         {"law": "NSF-4.21", "witness": [0, 0, 0, 0, 0, 0], "residual": ["3"]}]
 
 
+def test_ns_tensor_checks_its_input_once_and_names_the_laws(
+        files, capsys, monkeypatch):
+    from lyfam import cli, nsfamily
+    tmp, _, _, c_path, _ = files
+    checked = []
+    check = nsfamily.check_ns_family_axioms
+    for module in (cli, nsfamily):
+        monkeypatch.setattr(module, "check_ns_family_axioms",
+                            lambda N: checked.append(N.semigroup.order)
+                            or check(N))
+    ns = tmp / "ns.json"
+    out_path = tmp / "nstensor.json"
+    assert main(["construct", "ns-from-rbf", c_path, "-o", str(ns)]) == 0
+    checked.clear()
+    assert main(["construct", "ns-tensor", str(ns), "-o", str(out_path)]) == 0
+    # the input family over S2 once, the output algebra over S1 once
+    assert sorted(checked) == [1, 2]
+    bad = _one_dim(tmp, "ns-family", {
+        "kind": "ns-family", "dim": 1,
+        "semigroup": {"kind": "semigroup", "order": 1, "table": [[0]],
+                      "unit": 0},
+        "vee": [[0, 0, 0, 0, 0, "1"]]})
+    out_path.unlink()
+    capsys.readouterr()
+    assert main(["--json", "construct", "ns-tensor", bad,
+                 "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["summary"] == (
+        "error: input fails the NS family axioms: "
+        "['NSF-4.21', 'invariant:skew-vee']")
+    assert not out_path.exists()
+
+
 def test_construct_identity_family_and_check(files, tmp_path):
     _, a_path, s_path, _, _ = files
     out = tmp_path / "built.json"

@@ -2,13 +2,14 @@
 
 `delta_omega` and `delta_star_omega` evaluate only the canonical output
 tuples, whose joint labels increase strictly inside each mirrored slot pair,
-and fill every other tuple by sign.  The reference below evaluates every
-output tuple anew from the displayed sums, with a general multilinear
-evaluation of each cochain component, as the formulas read.  The two are
-compared entry by entry, by `repr`, on random skew inputs: degree-1
-directions and (2,3) and (4,5) cochains, over induced algebras that satisfy
-the laws, an induced algebra whose L is moved by a change of basis, and an
-algebra with random skew brackets that satisfies no other law.
+and store nothing else.  The reference below works on full tables, read
+from `cochain_full_coords`: it evaluates every output tuple anew from the
+displayed sums, with a general multilinear evaluation of each cochain
+component, as the formulas read.  The two are compared entry by entry, by
+`repr`, on random skew inputs: degree-1 directions and (2,3) and (4,5)
+cochains, over induced algebras that satisfy the laws, an induced algebra
+whose L is moved by a change of basis, and an algebra with random skew
+brackets that satisfies no other law.
 """
 import itertools
 import random
@@ -16,19 +17,73 @@ from fractions import Fraction
 
 import pytest
 
+from lyfam import serialize as sz
 from lyfam.cohomology import RBFComplex
 from lyfam.errors import PreconditionError
 from lyfam.linalg import (form_kernel, identity, mat_vec, vec_add, vec_neg,
                           vec_scale, vec_sub, zero_vec)
 from lyfam.ly import ly_from_lie, zero_cocycle, zero_ly, zero_representation
-from lyfam.omega import (OmegaLYAlgebra, OmegaRepresentation, _enc,
-                         _pair_swap_ok, canonical_coords, cochain_full_coords,
-                         cochain_skew_report, cochain_zero, comp_get,
-                         delta_omega, delta_star_omega, skew_basis)
+from lyfam.omega import (OmegaLYAlgebra, OmegaRepresentation, cochain_coords,
+                         cochain_full_coords, delta_omega, delta_star_omega,
+                         skew_basis)
 from lyfam.rbfamily import TwistedRBContext, identity_family, zero_family
 from lyfam.semigroup import product, product_of
 from conftest import (make_a1, make_a2, random_invertible, skew_binary,
                       transport_bilinear)
+
+
+# ---------------------------------------------------------------------------
+# full tables: table[_enc(alphas, M)][_enc(idxs, nA)] is the vector at a tuple
+
+def _enc(tup, base):
+    v = 0
+    for t in tup:
+        v = v * base + t
+    return v
+
+
+def comp_get(comp, M, nA, alphas, idxs):
+    return comp[_enc(alphas, M)][_enc(idxs, nA)]
+
+
+def zero_table(M, k, nA, d):
+    return [[zero_vec(d) for _ in range(nA ** k)] for _ in range(M ** k)]
+
+
+def full_tables(c):
+    """The full tables of c's components, read from cochain_full_coords; a
+    degree-1 cochain as one 1-slot table, column i of matrix a at (a, i)."""
+    M, nA, d = c.semigroup.order, c.dim_alg, c.dim_coeff
+    if c.degree == 1:
+        return [[[[m[co][i] for co in range(d)] for i in range(nA)]
+                 for m in c.even]]
+    coords = iter(cochain_full_coords(c))
+    return [[[[next(coords) for _ in range(d)] for _ in range(nA ** k)]
+             for _ in range(M ** k)] for k in c.degree]
+
+
+def pair_swap_violations(tables, M, nA, degree):
+    """(component, pair position, alphas, idxs) at each tuple of the full
+    tables whose value plus the value at the tuple with that pair swapped is
+    not 0, at each of the first degree[0] // 2 slot pairs."""
+    bad = []
+    for part, (comp, k) in enumerate(zip(tables, degree)):
+        for p in range(0, 2 * (degree[0] // 2), 2):
+            for alphas in itertools.product(range(M), repeat=k):
+                for idxs in itertools.product(range(nA), repeat=k):
+                    sa, si = list(alphas), list(idxs)
+                    sa[p], sa[p + 1] = sa[p + 1], sa[p]
+                    si[p], si[p + 1] = si[p + 1], si[p]
+                    if any(vec_add(comp_get(comp, M, nA, alphas, idxs),
+                                   comp_get(comp, M, nA, sa, si))):
+                        bad.append((part, p, alphas, idxs))
+    return bad
+
+
+def skew_violations(c):
+    """pair_swap_violations of a pair-degree cochain, read as full tables."""
+    return pair_swap_violations(full_tables(c), c.semigroup.order, c.dim_alg,
+                                c.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +110,12 @@ def reference_delta(O, r, c):
     if c.degree == 1:
         n = 0
         f_comp = None
-        g_comp = c.as_component()
+        g_comp, = full_tables(c)
     else:
-        ke, ko = c.degree
-        n = ke // 2
-        f_comp = c.even
-        g_comp = c.odd
+        n = c.degree[0] // 2
+        f_comp, g_comp = full_tables(c)
     KE, KO = 2 * n + 2, 2 * n + 3
-    out = cochain_zero(s, nA, d, (KE, KO))
+    out = [zero_table(M, KE, nA, d), zero_table(M, KO, nA, d)]
     E = identity(nA)
     sign_n = -1 if n % 2 else 1
     RHO, TH, D = r.rho, r.theta, r.d_tensor()
@@ -112,7 +165,7 @@ def reference_delta(O, r, c):
                     vecs = vecs[:i1] + vecs[i2 + 1:]
                     t = comp_eval(f_comp, M, nA, d, new_al, vecs)
                     acc = vec_add(acc, vec_scale(sk, t))
-            out.even[_enc(al, M)][_enc(xs, nA)] = acc
+            out[0][_enc(al, M)][_enc(xs, nA)] = acc
     for alphas in itertools.product(range(M), repeat=KO):
         al = list(alphas)
         for idxs in itertools.product(range(nA), repeat=KO):
@@ -148,29 +201,30 @@ def reference_delta(O, r, c):
                     vecs = vecs[:i1] + vecs[i2 + 1:]
                     t = comp_eval(g_comp, M, nA, d, new_al, vecs)
                     acc = vec_add(acc, vec_scale(sk, t))
-            out.odd[_enc(al, M)][_enc(xs, nA)] = acc
+            out[1][_enc(al, M)][_enc(xs, nA)] = acc
     return out
 
 
 def reference_delta_star(O, r, c):
     s = O.semigroup
     M, nA, d = s.order, O.dim, r.dim
-    out = cochain_zero(s, nA, d, (3, 4))
+    out = [zero_table(M, 3, nA, d), zero_table(M, 4, nA, d)]
     E = identity(nA)
     RHO, TH = r.rho, r.theta
     p2 = lambda a, b: product(s, a, b)  # noqa: E731
+    f, g = full_tables(c)
 
     def fval(a, b, i, j):
-        return comp_get(c.even, M, nA, (a, b), (i, j))
+        return comp_get(f, M, nA, (a, b), (i, j))
 
-    def gval(a, b, g, i, j, k):
-        return comp_get(c.odd, M, nA, (a, b, g), (i, j, k))
+    def gval(a, b, g_, i, j, k):
+        return comp_get(g, M, nA, (a, b, g_), (i, j, k))
 
     def g_eval(alphas, vecs):
-        return comp_eval(c.odd, M, nA, d, alphas, vecs)
+        return comp_eval(g, M, nA, d, alphas, vecs)
 
     def f_eval(alphas, vecs):
-        return comp_eval(c.even, M, nA, d, alphas, vecs)
+        return comp_eval(f, M, nA, d, alphas, vecs)
 
     for a1, a2, a3 in itertools.product(range(M), repeat=3):
         for i1, i2, i3 in itertools.product(range(nA), repeat=3):
@@ -189,7 +243,7 @@ def reference_delta_star(O, r, c):
             acc = vec_add(acc, gval(a1, a2, a3, i1, i2, i3))
             acc = vec_add(acc, gval(a2, a3, a1, i2, i3, i1))
             acc = vec_add(acc, gval(a3, a1, a2, i3, i1, i2))
-            out.even[_enc((a1, a2, a3), M)][_enc((i1, i2, i3), nA)] = acc
+            out[0][_enc((a1, a2, a3), M)][_enc((i1, i2, i3), nA)] = acc
     for a1, a2, a3, a4 in itertools.product(range(M), repeat=4):
         for i1, i2, i3, i4 in itertools.product(range(nA), repeat=4):
             acc = mat_vec(TH[a1][a4][p2(a2, a3)][i1][i4], fval(a2, a3, i2, i3))
@@ -203,7 +257,8 @@ def reference_delta_star(O, r, c):
                                       [O.binary[a2][a3][i2][i3], E[i1], E[i4]]))
             acc = vec_add(acc, g_eval((p2(a3, a1), a2, a4),
                                       [O.binary[a3][a1][i3][i1], E[i2], E[i4]]))
-            out.odd[_enc((a1, a2, a3, a4), M)][_enc((i1, i2, i3, i4), nA)] = acc
+            out[1][_enc((a1, a2, a3, a4), M)][_enc((i1, i2, i3, i4),
+                                                  nA)] = acc
     return out
 
 
@@ -232,17 +287,17 @@ def repeated_label(M, nA, k, npairs, alphas_at, idxs_at):
 
 
 def assert_same(got, want):
-    """Equal entries; and where a mirrored pair repeats a label, the int 0
-    that cochain_zero left there: those tuples are not evaluated."""
-    assert got.degree == want.degree
+    """Equal entries of the full tables; and where a mirrored pair repeats
+    a label, the int 0 of a value that is not stored."""
     M, nA = got.semigroup.order, got.dim_alg
     npairs = got.degree[0] // 2
-    for part, k in zip(("even", "odd"), got.degree):
-        g, w = exact(getattr(got, part)), exact(getattr(want, part))
+    for part, got_table, want_table, k in zip(
+            ("even", "odd"), full_tables(got), want, got.degree):
+        g, w = exact(got_table), exact(want_table)
         assert len(g) == len(w)
         for pos, (u, v) in enumerate(zip(g, w)):
             assert repr(u) == repr(v), (part, pos, u, v)
-        for ai, table in enumerate(getattr(got, part)):
+        for ai, table in enumerate(got_table):
             for xi, vec in enumerate(table):
                 if repeated_label(M, nA, k, npairs, ai, xi):
                     assert repr(vec) == repr([0] * len(vec)), (part, ai, xi)
@@ -319,14 +374,6 @@ def random_skew(rng, O, r, degree, density):
     return bas.combine(coords)
 
 
-def assert_mirrors_skew(c, npairs):
-    """Each component is skew in its first npairs slot pairs."""
-    M, nA, d = c.semigroup.order, c.dim_alg, c.dim_coeff
-    for comp, k in zip((c.even, c.odd), c.degree):
-        for p in range(npairs):
-            assert not _pair_swap_ok(comp, M, nA, k, 2 * p, d)
-
-
 @pytest.fixture(scope="module")
 def cases(s1, s2):
     return cases_under_test(s1, s2)
@@ -338,8 +385,10 @@ def test_delta_matches_reference(cases):
         for degree in degrees:
             c = random_skew(rng, O, r, degree, 0.6 if degree == 1 else 0.3)
             want = reference_delta(O, r, c)
-            assert_mirrors_skew(want, want.degree[0] // 2)
-            assert_same(delta_omega(O, r, c), want)
+            got = delta_omega(O, r, c)
+            assert not pair_swap_violations(want, O.semigroup.order, O.dim,
+                                            got.degree)
+            assert_same(got, want)
 
 
 def test_delta_star_matches_reference(cases):
@@ -347,13 +396,15 @@ def test_delta_star_matches_reference(cases):
     for name, O, r, _ in cases:
         c = random_skew(rng, O, r, (2, 3), 0.4)
         want = reference_delta_star(O, r, c)
-        assert_mirrors_skew(want, 1)
+        assert not pair_swap_violations(want, O.semigroup.order, O.dim,
+                                        (3, 4))
         assert_same(delta_star_omega(O, r, c), want)
 
 
 def test_canonical_rows_have_the_kernel_of_all_rows(cases):
-    # the assembly eliminates the canonical rows only; every other row is
-    # the negative of one of them, or 0
+    # the assembly eliminates the stored coordinates only, the canonical
+    # rows; every other row of the full table is the negative of one of
+    # them, or 0
     for name, O, r, degrees in cases:
         if name not in ("zeroxS2", "A1xS2", "A2xS1", "skew-only S2"):
             continue
@@ -365,19 +416,22 @@ def test_canonical_rows_have_the_kernel_of_all_rows(cases):
                 images.append(delta_star_omega(O, r, c))
             for img in images:
                 want = form_kernel(cochain_full_coords(img), bas.size)
-                got = form_kernel(canonical_coords(img), bas.size)
+                got = form_kernel(cochain_coords(img), bas.size)
                 assert repr(got) == repr(want), (name, degree)
 
 
 def test_refuses_non_skew_input(s2):
+    # a cochain holds its canonical values only, so it is skew; a file that
+    # lists a table that is not is refused when it is read, before delta or
+    # delta* could see it
     rng = random.Random(9)
     O, r = skew_only(rng, s2)
-    c = random_skew(rng, O, r, (2, 3), 0.5)
-    c.odd[0][1][0] += 1  # the value at (e0, e0, e1) must vanish
-    assert not cochain_skew_report(c).ok
-    for op in (delta_omega, delta_star_omega):
-        with pytest.raises(PreconditionError, match="cochain is not skew"):
-            op(O, r, c)
+    d = sz.cochain_to_json(random_skew(rng, O, r, (2, 3), 0.5))
+    # the value at (e0, e0, e1) must vanish
+    d["entries"].append([[0, 0, 0], [0, 0, 1], 0, "1"])
+    assert not sz.cochain_skew_report(d).ok
+    with pytest.raises(PreconditionError, match="cochain is not skew"):
+        sz.cochain_from_json(d)
 
 
 def test_refuses_non_skew_algebra(s2):

@@ -26,6 +26,7 @@ from lyfam.cohomology import (DeformationDirection, DegreeZeroElement,
                               partial_deg0, partial_deg1)
 from lyfam.errors import PreconditionError
 from lyfam.linalg import contract, mat_vec, vec_add, vec_sub
+from lyfam.omega import cochain_build
 from lyfam.rbfamily import identity_family
 from lyfam.report import Report
 from lyfam.semigroup import product, product_of
@@ -161,21 +162,27 @@ def test_linearized_report_matches_full_tuple_reference(cases):
 def test_only_canonical_tuples_are_evaluated(cases, monkeypatch):
     # one evaluation per canonical tuple: on A2 x S2 (J = 6 joint labels)
     # that is 15 pairs and 15 * 6 triples, where the full sweep has 252
-    written = []
+    evaluated = []
 
-    def record(table, M, nA, al, xs, value, npairs):
-        written.append((len(al), list(al), list(xs)))
-        return put(table, M, nA, al, xs, value, npairs)
+    def build(s, dim_alg, dim_coeff, degree, even, odd):
+        def probe(value):
+            def run(al, xs):
+                evaluated.append((len(al), list(al), list(xs)))
+                return value(al, xs)
+            return run
+        return cochain_build(s, dim_alg, dim_coeff, degree, probe(even),
+                             probe(odd))
 
-    put = cohomology._put_mirrored
-    monkeypatch.setattr(cohomology, "_put_mirrored", record)
+    monkeypatch.setattr(cohomology, "cochain_build", build)
     (_, cx, _, fs), = [c for c in cases if c[0] == "A2xS2 moved, perturbed"]
     M = cx.context.semigroup.order
-    _linearized_report(cx, fs[1])
-    assert len(written) == 105
-    for k, al, xs in written:
+    want = reference_linearized_report(cx, fs[1])
+    got = _linearized_report(cx, fs[1])
+    assert repr(got.violations) == repr(want.violations)
+    assert len(evaluated) == 105
+    for k, al, xs in evaluated:
         assert xs[0] * M + al[0] < xs[1] * M + al[1]
-    assert sorted(k for k, _, _ in written) == [2] * 15 + [3] * 90
+    assert sorted(k for k, _, _ in evaluated) == [2] * 15 + [3] * 90
 
 
 def test_non_skew_context_is_refused_with_the_partial_deg1_message(a1, s2):

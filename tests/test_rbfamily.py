@@ -14,6 +14,7 @@ from lyfam.rbfamily import (TwistedRBContext, bar_operator,
                             check_twisted_rb_family, identity_family,
                             nijenhuis_induced_context, reynolds_as_twisted,
                             semidirect_product, zero_family)
+from lyfam.omega import omega_ly_from_reynolds
 from conftest import random_vec
 
 
@@ -105,6 +106,19 @@ def test_reynolds_from_zero_operator(a1, s1):
     assert check_reynolds_family(a1, s1, T).ok
     ctx = reynolds_as_twisted(a1, s1, T)
     assert check_twisted_rb_family(ctx).ok
+
+
+@pytest.mark.parametrize("order,dim", [(1, 2), (2, 3), (2, 1)])
+def test_reynolds_family_of_wrong_shape_is_refused(a1, s2, order, dim):
+    # one 2 x 2 matrix once ended in an IndexError, and two 3 x 3 ones in
+    # violations of truncated contractions
+    fam = [la.identity(dim) for _ in range(order)]
+    for route in (check_reynolds_family, reynolds_as_twisted,
+                  omega_ly_from_reynolds):
+        with pytest.raises(PreconditionError,
+                           match=r"Reynolds family .* needs order 2 \(.*\) "
+                                 r"and dims 2 x 2"):
+            route(a1, s2, fam)
 
 
 def test_nijenhuis_zero_and_identity(a1, s2):

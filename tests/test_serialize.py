@@ -1,10 +1,11 @@
 import pytest
 
 from lyfam import serialize as sz
-from lyfam.errors import MalformedInputError
+from lyfam.errors import MalformedInputError, PreconditionError
 from lyfam.ly import adjoint_representation, gamma_ad
 from lyfam.nsfamily import ns_from_twisted_rb
-from lyfam.omega import cochain_full_coords, omega_ly_from_ns_family
+from lyfam.omega import (cochain_full_coords, omega_ly_from_ns_family,
+                         skew_basis)
 from lyfam.cohomology import RBFComplex
 from lyfam.rbfamily import identity_family
 
@@ -85,6 +86,17 @@ def test_cochain_round_trip(a1, s2):
         c = bas.embed(bas.size // 2)
         c2 = sz.cochain_from_json(sz.cochain_to_json(c))
         assert cochain_full_coords(c2) == cochain_full_coords(c)
+
+
+def test_cochain_skew_report_flags_violation(s1):
+    d = sz.cochain_to_json(skew_basis((2, 3), (2, 2), s1).combine([0] * 6))
+    # the value at (e0, e0) must vanish under the pair swap
+    d["entries"].append([[0, 0], [0, 0], 0, "1"])
+    rep = sz.cochain_skew_report(d)
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("invariant:cochain-skew-even", (0, (0, 0), (0, 0)))]
+    with pytest.raises(PreconditionError, match="cochain is not skew"):
+        sz.cochain_from_json(d)
 
 
 def test_direction_round_trip(a1, s2):
