@@ -173,16 +173,27 @@ def test_only_canonical_tuples_are_evaluated(cases, monkeypatch):
         return cochain_build(s, dim_alg, dim_coeff, degree, probe(even),
                              probe(odd))
 
-    monkeypatch.setattr(cohomology, "cochain_build", build)
+    # each residual formula multiplies its elements once, with product for
+    # a pair and product_of for a triple, so these count the formulas run
+    # by any route
+    products = []
+
+    def counted(name, fn):
+        return lambda *args: products.append(name) or fn(*args)
+
     (_, cx, _, fs), = [c for c in cases if c[0] == "A2xS2 moved, perturbed"]
     M = cx.context.semigroup.order
     want = reference_linearized_report(cx, fs[1])
+    monkeypatch.setattr(cohomology, "cochain_build", build)
+    monkeypatch.setattr(cohomology, "product", counted(2, product))
+    monkeypatch.setattr(cohomology, "product_of", counted(3, product_of))
     got = _linearized_report(cx, fs[1])
     assert repr(got.violations) == repr(want.violations)
     assert len(evaluated) == 105
     for k, al, xs in evaluated:
         assert xs[0] * M + al[0] < xs[1] * M + al[1]
     assert sorted(k for k, _, _ in evaluated) == [2] * 15 + [3] * 90
+    assert sorted(products) == [2] * 15 + [3] * 90
 
 
 def test_non_skew_context_is_refused_with_the_partial_deg1_message(a1, s2):
