@@ -154,7 +154,7 @@ def test_reader_gives_the_signed_canonical_value(s, nA, degree):
         return v
 
     read = cochain_reader(cochain_build(s, nA, 2, degree, value, value))
-    # the builder evaluates each canonical tuple once, in order
+    # cochain_build evaluates each canonical tuple once, in order
     assert built == [t for k in degree
                      for t in _canonical_tuples(M, nA, k, npairs)]
     for k in degree:
