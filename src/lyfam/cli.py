@@ -89,13 +89,8 @@ def _load_bilinear(path):
     """{"kind": "bilinear", "dim": n, "entries": [[i, j, k, value]]}."""
     d = serialize.load_json(path)
     n = serialize.header_int(d, "dim", "bilinear")
-    from .linalg import zero_vec
-    t = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for (i, j, k), v in serialize.sparse_entries(d.get("entries", []),
-                                                 "bilinear", "i,j,k",
-                                                 (n, n, n)):
-        t[i][j][k] = v
-    return t
+    return serialize.tensor_from_entries(d.get("entries", []), "bilinear",
+                                         "i,j,k", (n, n, n))
 
 
 def _checked(report, what):

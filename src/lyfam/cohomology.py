@@ -18,7 +18,8 @@ from .linalg import (contract, form_columns, form_kernel, form_rows,
                      vec_scale, vec_sub, vec_sum, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_build, cochain_coords, cochain_full_table,
-                    delta_omega, delta_star_omega, skew_basis)
+                    cohomology_step, delta_omega, delta_star_omega,
+                    skew_basis)
 from .ly import derived_D
 from .rbfamily import (ImageTables, TwistedRBContext, family_report, images,
                        induced_products)
@@ -186,12 +187,11 @@ class RBFComplex:
     def dims(self):
         return (self.context.dimV, self.context.dimL)
 
-    def skew_basis_at(self, degree, budget=None):
-        key = degree
-        if key not in self._bases:
-            self._bases[key] = skew_basis(degree, self.dims,
-                                          self.context.semigroup, budget)
-        return self._bases[key]
+    def skew_basis_at(self, degree):
+        if degree not in self._bases:
+            self._bases[degree] = skew_basis(degree, self.dims,
+                                             self.context.semigroup)
+        return self._bases[degree]
 
     def d1_symbolic(self) -> CochainFamily:
         """partial_deg1 of the symbolic degree-1 cochain (cached): each
@@ -372,14 +372,8 @@ def cohomology_H1(cx: RBFComplex):
 
 def cohomology_H23(cx: RBFComplex, budget=None) -> int:
     """dim of (ker d meet ker d*) over the image of the degree-1 coboundary."""
-    bas = cx.skew_basis_at((2, 3), budget)
-    c = bas.symbolic()
-    rows = (cochain_coords(partial_23(cx, c, budget))
-            + cochain_coords(partial_star_23(cx, c)))
-    z_basis = form_kernel(rows, bas.size)
-    b_coords = form_columns(bas.project(cx.d1_symbolic()),
-                            cx.skew_basis_at(1).size)
-    return quotient_dim(z_basis, b_coords)
+    return cohomology_step(cx.induced_algebra, cx.induced_rep, 1,
+                           cx.d1_symbolic(), budget)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,14 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
+def zeros(*dims):
+    """The nested list of zeros of shape dims, for example zeros(rows, cols);
+    every row is a fresh list, so the table can be written in place."""
+    if len(dims) == 1:
+        return [0] * dims[0]
+    if len(dims) == 2:  # the common matrix case, without a call per row
+        return [[0] * dims[1] for _ in range(dims[0])]
+    return [zeros(*dims[1:]) for _ in range(dims[0])]
 
 
 def mat_vec(m, v):

@@ -61,11 +61,8 @@ class LYAlgebra:
 
 
 def zero_ly(dim: int) -> LYAlgebra:
-    z = linalg.zero_vec(dim)
-    return LYAlgebra(dim,
-                     [[list(z) for _ in range(dim)] for _ in range(dim)],
-                     [[[list(z) for _ in range(dim)] for _ in range(dim)]
-                      for _ in range(dim)])
+    return LYAlgebra(dim, linalg.zeros(dim, dim, dim),
+                     linalg.zeros(dim, dim, dim, dim))
 
 
 @dataclass
@@ -84,10 +81,8 @@ class Representation:
 
 def zero_representation(alg_dim: int, space_dim: int) -> Representation:
     return Representation(
-        space_dim,
-        [linalg.zeros(space_dim, space_dim) for _ in range(alg_dim)],
-        [[linalg.zeros(space_dim, space_dim) for _ in range(alg_dim)]
-         for _ in range(alg_dim)])
+        space_dim, linalg.zeros(alg_dim, space_dim, space_dim),
+        linalg.zeros(alg_dim, alg_dim, space_dim, space_dim))
 
 
 @dataclass
@@ -116,11 +111,8 @@ class Cocycle23:
 
 
 def zero_cocycle(alg_dim: int, space_dim: int) -> Cocycle23:
-    z = linalg.zero_vec(space_dim)
-    return Cocycle23(
-        [[list(z) for _ in range(alg_dim)] for _ in range(alg_dim)],
-        [[[list(z) for _ in range(alg_dim)] for _ in range(alg_dim)]
-         for _ in range(alg_dim)])
+    return Cocycle23(linalg.zeros(alg_dim, alg_dim, space_dim),
+                     linalg.zeros(alg_dim, alg_dim, alg_dim, space_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -97,17 +97,11 @@ class NSAlgebra(NSFamilyAlgebra):
 
 
 def zero_ns_family(dim, s) -> NSFamilyAlgebra:
-    m = s.order
-    z = linalg.zero_vec(dim)
-    bl = [[[list(z) for _ in range(dim)] for _ in range(dim)] for _ in range(m)]
-    v = [[[[list(z) for _ in range(dim)] for _ in range(dim)]
-          for _ in range(m)] for _ in range(m)]
-    c = [[[[[list(z) for _ in range(dim)] for _ in range(dim)]
-           for _ in range(dim)] for _ in range(m)] for _ in range(m)]
-    q = [[[[[[list(z) for _ in range(dim)] for _ in range(dim)]
-            for _ in range(dim)] for _ in range(m)] for _ in range(m)]
-         for _ in range(m)]
-    return NSFamilyAlgebra(dim, s, bl, v, c, q)
+    m, n = s.order, dim
+    return NSFamilyAlgebra(dim, s, linalg.zeros(m, n, n, n),
+                           linalg.zeros(m, m, n, n, n),
+                           linalg.zeros(m, m, n, n, n, n),
+                           linalg.zeros(m, m, m, n, n, n, n))
 
 
 def derived_brackets(N: NSFamilyAlgebra):

@@ -35,7 +35,9 @@ DEFAULT_BUDGET = 100000
 
 
 def ensure_budget(ncoords: int, budget: int | None = None) -> None:
-    """Refuse computations whose coordinate count exceeds the budget."""
+    """Refuse computations whose coordinate count exceeds the budget.  The
+    count is of stored coordinates: for a pair-degree cochain, those of its
+    canonical tuples (SkewBasis.size)."""
     if budget is None:
         budget = int(os.environ.get("LYFAM_BUDGET", DEFAULT_BUDGET))
     if ncoords > budget:
@@ -84,13 +86,10 @@ class OmegaLYAlgebra:
 
 
 def zero_omega_ly(dim: int, s: FiniteCommutativeSemigroup) -> OmegaLYAlgebra:
-    m = s.order
-    binary = [[[[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-               for _ in range(m)] for _ in range(m)]
-    ternary = [[[[[[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-                  for _ in range(dim)] for _ in range(m)] for _ in range(m)]
-               for _ in range(m)]
-    return OmegaLYAlgebra(dim=dim, semigroup=s, binary=binary, ternary=ternary)
+    m, n = s.order, dim
+    return OmegaLYAlgebra(dim=dim, semigroup=s,
+                          binary=zeros(m, m, n, n, n),
+                          ternary=zeros(m, m, m, n, n, n, n))
 
 
 def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
@@ -233,11 +232,9 @@ class OmegaRepresentation:
 
 def zero_omega_representation(O: OmegaLYAlgebra, dim: int) -> OmegaRepresentation:
     M, n = O.semigroup.order, O.dim
-    rho = [[[zeros(dim, dim) for _ in range(n)] for _ in range(M)]
-           for _ in range(M)]
-    theta = [[[[[zeros(dim, dim) for _ in range(n)] for _ in range(n)]
-               for _ in range(M)] for _ in range(M)] for _ in range(M)]
-    return OmegaRepresentation(algebra=O, dim=dim, rho=rho, theta=theta)
+    return OmegaRepresentation(algebra=O, dim=dim,
+                               rho=zeros(M, M, n, dim, dim),
+                               theta=zeros(M, M, M, n, n, dim, dim))
 
 
 def check_omega_representation(O: OmegaLYAlgebra,
@@ -502,8 +499,9 @@ def skew_basis(degree, dims, s: FiniteCommutativeSemigroup,
     ke, ko = degree
     if ko != ke + 1 or ke < 2 or ke % 2:
         raise PreconditionError("degree must be 1 or (2n, 2n+1): %r" % (degree,))
-    ensure_budget((s.order * nA) ** ke * d + (s.order * nA) ** ko * d, budget)
-    return SkewBasis((ke, ko), s, nA, d)
+    bas = SkewBasis((ke, ko), s, nA, d)
+    ensure_budget(bas.size, budget)
+    return bas
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +547,12 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
     skew is refused with PreconditionError.
     """
     s = O.semigroup
-    M, nA, d = s.order, O.dim, r.dim
+    nA, d = O.dim, r.dim
     if c.dim_alg != nA or c.dim_coeff != d:
         raise PreconditionError("cochain shape does not match algebra/module")
     n = 0 if c.degree == 1 else c.degree[0] // 2
     KE, KO = 2 * n + 2, 2 * n + 3
-    ensure_budget((M ** KE) * (nA ** KE) * d + (M ** KO) * (nA ** KO) * d,
-                  budget)
+    ensure_budget(SkewBasis((KE, KO), s, nA, d).size, budget)
     _require_skew_brackets(O)
     # the input's even component has 2n slots and its odd one 2n + 1 (a
     # degree-1 input reads as one 1-slot component), so read tells them apart
@@ -682,31 +679,42 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
 # ---------------------------------------------------------------------------
 # cohomology dimensions of the indexed complex
 
+def cohomology_step(O: OmegaLYAlgebra, r: OmegaRepresentation, n: int,
+                    below: CochainFamily, budget: int | None = None):
+    """(dim H^(2n, 2n+1), delta of the symbolic (2n, 2n+1)-cochain).
+
+    The cocycles are the kernel of delta on the skew (2n, 2n+1)-cochains,
+    and for n = 1 of delta* as well; the coboundaries are below, the image
+    of the symbolic cochain one degree down (degree 1 for n = 1), whose
+    coordinates are forms over that degree's skew basis.
+    """
+    s, dims = O.semigroup, (O.dim, r.dim)
+    lower = skew_basis(1 if n == 1 else (2 * n - 2, 2 * n - 1), dims, s,
+                       budget)
+    bas = skew_basis((2 * n, 2 * n + 1), dims, s, budget)
+    c = bas.symbolic()
+    image = delta_omega(O, r, c, budget)
+    rows = cochain_coords(image)
+    if n == 1:
+        rows += cochain_coords(delta_star_omega(O, r, c))
+    z_basis = form_kernel(rows, bas.size)
+    return quotient_dim(z_basis, form_columns(bas.project(below),
+                                              lower.size)), image
+
+
 def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
                           max_n: int, budget: int | None = None):
     """[dim H^1, dim H^(2,3), ..., dim H^(2 max_n, 2 max_n + 1)].
 
     Degree 1 is the kernel of delta on C^1 (the indexed complex has no degree
-    0 term); degree (2,3) intersects the kernels of delta and delta* and
-    quotients by delta C^1; higher degrees quotient ker delta by the image.
+    0 term); each higher degree is a cohomology_step.
     """
     if max_n < 0:
         raise PreconditionError("max_n must be >= 0")
-    s = O.semigroup
-    dims_pair = (O.dim, r.dim)
-    basis1 = skew_basis(1, dims_pair, s)
-    prev_size = basis1.size
-    prev_image = delta_omega(O, r, basis1.symbolic(), budget)
-    out = [len(form_kernel(cochain_coords(prev_image), prev_size))]
+    basis1 = skew_basis(1, (O.dim, r.dim), O.semigroup)
+    image = delta_omega(O, r, basis1.symbolic(), budget)
+    out = [len(form_kernel(cochain_coords(image), basis1.size))]
     for n in range(1, max_n + 1):
-        bas = skew_basis((2 * n, 2 * n + 1), dims_pair, s, budget)
-        b_coords = form_columns(bas.project(prev_image), prev_size)
-        c = bas.symbolic()
-        image = delta_omega(O, r, c, budget)
-        rows = cochain_coords(image)
-        if n == 1:
-            rows += cochain_coords(delta_star_omega(O, r, c))
-        z_basis = form_kernel(rows, bas.size)
-        out.append(quotient_dim(z_basis, b_coords))
-        prev_size, prev_image = bas.size, image
+        dim, image = cohomology_step(O, r, n, image, budget)
+        out.append(dim)
     return out

@@ -62,7 +62,7 @@ class TwistedRBContext:
 
 
 def zero_family(dimL, dimV, s):
-    return [linalg.zeros(dimL, dimV) for _ in range(s.order)]
+    return linalg.zeros(s.order, dimL, dimV)
 
 
 # ---------------------------------------------------------------------------

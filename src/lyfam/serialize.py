@@ -1,12 +1,18 @@
 """JSON persistence for every object kind.
 
-Rationals serialize as strings "p/q" ("p" when the denominator is 1).  The
-algebra tensors store only the i < j half of their skew (first) pair; the
-skew completion is reconstructed on load.  All other tensors are stored as
-sparse coordinate lists; a pair-degree cochain lists its full table, whose
-entries must agree with their mirrors before it is read in.  Component
-fields of a bundle may be given inline or as a string, which is read as a
-path relative to the bundle file.
+Every structure tensor -- the algebra's brackets, the representation, the
+(2,3)-cocycle, the family T_alpha, the four operations of a splitting family
+and the brackets of an indexed algebra -- is a nested list of scalars, and
+all of them share one file format: a list of [i_1, ..., i_k, value] entries,
+one for each nonzero scalar, in lexicographic index order.  tensor_entries
+writes the list and tensor_from_entries reads it back, checking every entry
+(sparse_entries).  Scalars are the strings "p/q" ("p" when the denominator
+is 1).  An algebra file lists only the i < j half of its tensors, which are
+skew in (i, j); the mirror is filled on load.  A cochain entry is
+[alphas, args, coeff, value]; a pair-degree cochain lists its full table,
+whose entries must agree with their mirrors before it is read in.
+Component fields of a bundle may be given inline or as a string, which is
+read as a path relative to the bundle file.
 """
 from __future__ import annotations
 
@@ -26,6 +32,8 @@ from .semigroup import FiniteCommutativeSemigroup
 
 
 def dump_scalar(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -33,8 +41,14 @@ def dump_scalar(x) -> str:
 
 
 def parse_scalar(s):
+    """The rational a file writes as s: an int when it is integral, else a
+    Fraction.  An integer literal is read by int, which is much cheaper
+    than Fraction's parser and gives the same value."""
+    text = str(s)
     try:
-        f = Fraction(str(s))
+        if text.removeprefix("-").isdecimal():
+            return int(text)
+        f = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError("bad rational %r: %s" % (s, exc))
     return f.numerator if f.denominator == 1 else f
@@ -74,6 +88,39 @@ def sparse_entries(entries, what, fields, dims):
         yield idx, parse_scalar(ent[-1])
 
 
+def tensor_entries(t, keep=None) -> list:
+    """[i_1, ..., i_k, value] for each nonzero scalar t[i_1]...[i_k] of the
+    nested list t, in lexicographic index order, with the value written by
+    dump_scalar.  keep, when given, is asked of every index prefix
+    (i_1, ..., i_j) with j < k, and a prefix it refuses is left out with
+    everything under it."""
+    # one level of (prefix, sub-table) pairs at a time, down to the vectors
+    level = [((), t)]
+    while level and level[0][1] and isinstance(level[0][1][0], (list, tuple)):
+        level = [(p + (i,), x) for p, sub in level for i, x in enumerate(sub)
+                 if keep is None or keep(p + (i,))]
+    return [[*p, i, dump_scalar(v)] for p, vec in level if any(vec)
+            for i, v in enumerate(vec) if v]
+
+
+def _filled(dims, entries):
+    """The zero table of shape dims with the scalar of each (index tuple,
+    scalar) of entries put in place, in order."""
+    t = zeros(*dims)
+    for idx, v in entries:
+        row = t
+        for i in idx[:-1]:
+            row = row[i]
+        row[idx[-1]] = v
+    return t
+
+
+def tensor_from_entries(entries, what, fields, dims) -> list:
+    """The table of shape dims listed by the sparse entries of a file;
+    what and fields name the tensor and its indices in messages."""
+    return _filled(dims, sparse_entries(entries, what, fields, dims))
+
+
 # ---------------------------------------------------------------------------
 # semigroups
 
@@ -103,138 +150,79 @@ def semigroup_from_json(d: dict) -> FiniteCommutativeSemigroup:
 # ---------------------------------------------------------------------------
 # algebras (skew-half sparse storage)
 
+def _upper_half(idx):
+    """Whether an index prefix lies in the i < j half of a tensor skew in
+    its first two indices."""
+    return len(idx) != 2 or idx[0] < idx[1]
+
+
 def ly_to_json(A: LYAlgebra) -> dict:
     bad = A.invariant_report()
     if not bad.ok:
         raise MalformedInputError("algebra tensors are not skew; refusing to "
                                   "store the half-tensor format")
-    binary = []
-    ternary = []
-    n = A.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k, v in enumerate(A.binary[i][j]):
-                if v:
-                    binary.append([i, j, k, dump_scalar(v)])
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l, v in enumerate(A.ternary[i][j][k]):
-                    if v:
-                        ternary.append([i, j, k, l, dump_scalar(v)])
-    return {"kind": "ly", "dim": n, "binary": binary, "ternary": ternary}
+    return {"kind": "ly", "dim": A.dim,
+            "binary": tensor_entries(A.binary, _upper_half),
+            "ternary": tensor_entries(A.ternary, _upper_half)}
+
+
+def _mirrored(entries, what):
+    """The checked entries of the i <= j half of a tensor skew in (i, j),
+    each followed by its mirror at (j, i) with the opposite sign."""
+    for idx, v in entries:
+        _require(idx[0] <= idx[1],
+                 "%s entry not in the i<=j half: %r" % (what, list(idx)))
+        yield idx, v
+        if idx[0] != idx[1]:
+            yield (idx[1], idx[0]) + idx[2:], -v
 
 
 def ly_from_json(d: dict) -> LYAlgebra:
     n = header_int(d, "dim", "algebra")
-    binary = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-    ternary = [[[zero_vec(n) for _ in range(n)] for _ in range(n)]
-               for _ in range(n)]
-    for (i, j, k), v in sparse_entries(d.get("binary", []), "binary",
-                                       "i,j,k", (n, n, n)):
-        _require(i <= j, "binary entry not in the i<=j half: %r" % ([i, j, k],))
-        binary[i][j][k] = v
-        if i != j:
-            binary[j][i][k] = -v
-    for (i, j, k, l), v in sparse_entries(d.get("ternary", []), "ternary",
-                                          "i,j,k,l", (n, n, n, n)):
-        _require(i <= j,
-                 "ternary entry not in the i<=j half: %r" % ([i, j, k, l],))
-        ternary[i][j][k][l] = v
-        if i != j:
-            ternary[j][i][k][l] = -v
-    return LYAlgebra(n, binary, ternary)
+
+    def half(key, fields):
+        dims = (n,) * (fields.count(",") + 1)
+        return _filled(dims, _mirrored(
+            sparse_entries(d.get(key, []), key, fields, dims), key))
+
+    return LYAlgebra(n, half("binary", "i,j,k"), half("ternary", "i,j,k,l"))
 
 
 # ---------------------------------------------------------------------------
 # representations and cocycles (full sparse storage)
 
 def representation_to_json(r: Representation, algebra_dim: int) -> dict:
-    m = r.space_dim
-    rho = []
-    theta = []
-    for i in range(algebra_dim):
-        for a in range(m):
-            for b in range(m):
-                if r.rho[i][a][b]:
-                    rho.append([i, a, b, dump_scalar(r.rho[i][a][b])])
-    for i in range(algebra_dim):
-        for j in range(algebra_dim):
-            for a in range(m):
-                for b in range(m):
-                    if r.theta[i][j][a][b]:
-                        theta.append([i, j, a, b,
-                                      dump_scalar(r.theta[i][j][a][b])])
-    return {"kind": "representation", "space_dim": m,
-            "algebra_dim": algebra_dim, "rho": rho, "theta": theta}
+    return {"kind": "representation", "space_dim": r.space_dim,
+            "algebra_dim": algebra_dim, "rho": tensor_entries(r.rho),
+            "theta": tensor_entries(r.theta)}
 
 
 def representation_from_json(d: dict) -> Representation:
     m = header_int(d, "space_dim", "representation")
     n = header_int(d, "algebra_dim", "representation")
-    rho = [zeros(m, m) for _ in range(n)]
-    theta = [[zeros(m, m) for _ in range(n)] for _ in range(n)]
-    for (i, a, b), v in sparse_entries(d.get("rho", []), "rho", "i,row,col",
-                                       (n, m, m)):
-        rho[i][a][b] = v
-    for (i, j, a, b), v in sparse_entries(d.get("theta", []), "theta",
-                                          "i,j,row,col", (n, n, m, m)):
-        theta[i][j][a][b] = v
-    return Representation(m, rho, theta)
+    return Representation(
+        m, tensor_from_entries(d.get("rho", []), "rho", "i,row,col", (n, m, m)),
+        tensor_from_entries(d.get("theta", []), "theta", "i,j,row,col",
+                            (n, n, m, m)))
 
 
 def cocycle_to_json(c: Cocycle23, algebra_dim: int, space_dim: int) -> dict:
-    g1 = []
-    g2 = []
-    n, m = algebra_dim, space_dim
-    for i in range(n):
-        for j in range(n):
-            for k, v in enumerate(c.gamma1[i][j]):
-                if v:
-                    g1.append([i, j, k, dump_scalar(v)])
-            for k in range(n):
-                for l, v in enumerate(c.gamma2[i][j][k]):
-                    if v:
-                        g2.append([i, j, k, l, dump_scalar(v)])
-    return {"kind": "cocycle", "algebra_dim": n, "space_dim": m,
-            "gamma1": g1, "gamma2": g2}
+    return {"kind": "cocycle", "algebra_dim": algebra_dim,
+            "space_dim": space_dim, "gamma1": tensor_entries(c.gamma1),
+            "gamma2": tensor_entries(c.gamma2)}
 
 
 def cocycle_from_json(d: dict) -> Cocycle23:
     n = header_int(d, "algebra_dim", "cocycle")
     m = header_int(d, "space_dim", "cocycle")
-    g1 = [[zero_vec(m) for _ in range(n)] for _ in range(n)]
-    g2 = [[[zero_vec(m) for _ in range(n)] for _ in range(n)]
-          for _ in range(n)]
-    for (i, j, k), v in sparse_entries(d.get("gamma1", []), "gamma1",
-                                       "i,j,k", (n, n, m)):
-        g1[i][j][k] = v
-    for (i, j, k, l), v in sparse_entries(d.get("gamma2", []), "gamma2",
-                                          "i,j,k,l", (n, n, n, m)):
-        g2[i][j][k][l] = v
-    return Cocycle23(g1, g2)
+    return Cocycle23(
+        tensor_from_entries(d.get("gamma1", []), "gamma1", "i,j,k", (n, n, m)),
+        tensor_from_entries(d.get("gamma2", []), "gamma2", "i,j,k,l",
+                            (n, n, n, m)))
 
 
 # ---------------------------------------------------------------------------
 # contexts
-
-def _family_to_json(family) -> list:
-    out = []
-    for a, mtx in enumerate(family):
-        for r, row in enumerate(mtx):
-            for c, v in enumerate(row):
-                if v:
-                    out.append([a, r, c, dump_scalar(v)])
-    return out
-
-
-def _family_from_json(entries, order, rows, cols) -> list:
-    fam = [zeros(rows, cols) for _ in range(order)]
-    for (a, r, c), v in sparse_entries(entries, "family", "alpha,row,col",
-                                       (order, rows, cols)):
-        fam[a][r][c] = v
-    return fam
-
 
 def context_to_json(ctx: TwistedRBContext) -> dict:
     return {
@@ -243,7 +231,7 @@ def context_to_json(ctx: TwistedRBContext) -> dict:
         "representation": representation_to_json(ctx.rep, ctx.dimL),
         "cocycle": cocycle_to_json(ctx.cocycle, ctx.dimL, ctx.dimV),
         "semigroup": semigroup_to_json(ctx.semigroup),
-        "family": _family_to_json(ctx.family),
+        "family": tensor_entries(ctx.family),
     }
 
 
@@ -261,7 +249,8 @@ def context_from_json(d: dict, base_dir: str = ".") -> TwistedRBContext:
     r = representation_from_json(comp("representation"))
     c = cocycle_from_json(comp("cocycle"))
     s = semigroup_from_json(comp("semigroup"))
-    fam = _family_from_json(d.get("family", []), s.order, A.dim, r.space_dim)
+    fam = tensor_from_entries(d.get("family", []), "family", "alpha,row,col",
+                              (s.order, A.dim, r.space_dim))
     return TwistedRBContext(A, r, c, s, fam)
 
 
@@ -269,42 +258,11 @@ def context_from_json(d: dict, base_dir: str = ".") -> TwistedRBContext:
 # splitting-family algebras
 
 def ns_family_to_json(N: NSFamilyAlgebra) -> dict:
-    n, M = N.dim, N.semigroup.order
-    bullet = []
-    vee = []
-    curly = []
-    square = []
-    for a in range(M):
-        for i in range(n):
-            for j in range(n):
-                for k, v in enumerate(N.bullet[a][i][j]):
-                    if v:
-                        bullet.append([a, i, j, k, dump_scalar(v)])
-    for a in range(M):
-        for b in range(M):
-            for i in range(n):
-                for j in range(n):
-                    for k, v in enumerate(N.vee[a][b][i][j]):
-                        if v:
-                            vee.append([a, b, i, j, k, dump_scalar(v)])
-                    for k in range(n):
-                        for l, v in enumerate(N.ternary_curly[a][b][i][j][k]):
-                            if v:
-                                curly.append([a, b, i, j, k, l, dump_scalar(v)])
-    for a in range(M):
-        for b in range(M):
-            for g in range(M):
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            for l, v in enumerate(
-                                    N.ternary_square[a][b][g][i][j][k]):
-                                if v:
-                                    square.append(
-                                        [a, b, g, i, j, k, l, dump_scalar(v)])
-    return {"kind": "ns-family", "dim": n,
+    return {"kind": "ns-family", "dim": N.dim,
             "semigroup": semigroup_to_json(N.semigroup),
-            "bullet": bullet, "vee": vee, "curly": curly, "square": square}
+            "bullet": tensor_entries(N.bullet), "vee": tensor_entries(N.vee),
+            "curly": tensor_entries(N.ternary_curly),
+            "square": tensor_entries(N.ternary_square)}
 
 
 def ns_family_from_json(d: dict) -> NSFamilyAlgebra:
@@ -312,101 +270,51 @@ def ns_family_from_json(d: dict) -> NSFamilyAlgebra:
     _require("semigroup" in d, "splitting-family JSON needs semigroup")
     s = semigroup_from_json(d["semigroup"])
     M = s.order
-    bullet = [[[zero_vec(n) for _ in range(n)] for _ in range(n)]
-              for _ in range(M)]
-    vee = [[[[zero_vec(n) for _ in range(n)] for _ in range(n)]
-            for _ in range(M)] for _ in range(M)]
-    curly = [[[[[zero_vec(n) for _ in range(n)] for _ in range(n)]
-               for _ in range(n)] for _ in range(M)] for _ in range(M)]
-    square = [[[[[[zero_vec(n) for _ in range(n)] for _ in range(n)]
-                 for _ in range(n)] for _ in range(M)] for _ in range(M)]
-              for _ in range(M)]
-    for (a, i, j, k), v in sparse_entries(d.get("bullet", []), "bullet",
-                                          "alpha,i,j,k", (M, n, n, n)):
-        bullet[a][i][j][k] = v
-    for (a, b, i, j, k), v in sparse_entries(d.get("vee", []), "vee",
-                                             "alpha,beta,i,j,k",
-                                             (M, M, n, n, n)):
-        vee[a][b][i][j][k] = v
-    for (a, b, i, j, k, l), v in sparse_entries(d.get("curly", []), "curly",
-                                                "beta,gamma,i,j,k,l",
-                                                (M, M, n, n, n, n)):
-        curly[a][b][i][j][k][l] = v
-    for (a, b, g, i, j, k, l), v in sparse_entries(
-            d.get("square", []), "square", "alpha,beta,gamma,i,j,k,l",
-            (M, M, M, n, n, n, n)):
-        square[a][b][g][i][j][k][l] = v
-    return NSFamilyAlgebra(dim=n, semigroup=s, bullet=bullet, vee=vee,
-                           ternary_curly=curly, ternary_square=square)
+    ops = [tensor_from_entries(d.get(key, []), key, fields, dims)
+           for key, fields, dims in (
+               ("bullet", "alpha,i,j,k", (M, n, n, n)),
+               ("vee", "alpha,beta,i,j,k", (M, M, n, n, n)),
+               ("curly", "beta,gamma,i,j,k,l", (M, M, n, n, n, n)),
+               ("square", "alpha,beta,gamma,i,j,k,l", (M, M, M, n, n, n, n)))]
+    return NSFamilyAlgebra(n, s, *ops)
 
 
 # ---------------------------------------------------------------------------
 # indexed algebras
 
 def omega_ly_to_json(O: OmegaLYAlgebra) -> dict:
-    n, M = O.dim, O.semigroup.order
-    binary = []
-    ternary = []
-    for a in range(M):
-        for b in range(M):
-            for i in range(n):
-                for j in range(n):
-                    for k, v in enumerate(O.binary[a][b][i][j]):
-                        if v:
-                            binary.append([a, b, i, j, k, dump_scalar(v)])
-    for a in range(M):
-        for b in range(M):
-            for g in range(M):
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            for l, v in enumerate(O.ternary[a][b][g][i][j][k]):
-                                if v:
-                                    ternary.append(
-                                        [a, b, g, i, j, k, l, dump_scalar(v)])
-    return {"kind": "omega-ly", "dim": n,
+    return {"kind": "omega-ly", "dim": O.dim,
             "semigroup": semigroup_to_json(O.semigroup),
-            "binary": binary, "ternary": ternary}
+            "binary": tensor_entries(O.binary),
+            "ternary": tensor_entries(O.ternary)}
 
 
 def omega_ly_from_json(d: dict) -> OmegaLYAlgebra:
-    from .omega import zero_omega_ly
     n = header_int(d, "dim", "indexed-algebra")
     _require("semigroup" in d, "indexed-algebra JSON needs semigroup")
     s = semigroup_from_json(d["semigroup"])
     M = s.order
-    O = zero_omega_ly(n, s)
-    for (a, b, i, j, k), v in sparse_entries(d.get("binary", []), "binary",
-                                             "alpha,beta,i,j,k",
-                                             (M, M, n, n, n)):
-        O.binary[a][b][i][j][k] = v
-    for (a, b, g, i, j, k, l), v in sparse_entries(
-            d.get("ternary", []), "ternary", "alpha,beta,gamma,i,j,k,l",
-            (M, M, M, n, n, n, n)):
-        O.ternary[a][b][g][i][j][k][l] = v
-    return O
+    return OmegaLYAlgebra(
+        dim=n, semigroup=s,
+        binary=tensor_from_entries(d.get("binary", []), "binary",
+                                   "alpha,beta,i,j,k", (M, M, n, n, n)),
+        ternary=tensor_from_entries(d.get("ternary", []), "ternary",
+                                    "alpha,beta,gamma,i,j,k,l",
+                                    (M, M, M, n, n, n, n)))
 
 
 # ---------------------------------------------------------------------------
 # cochains and deformation directions
 
 def cochain_to_json(c: CochainFamily) -> dict:
-    entries = []
-    M, nA = c.semigroup.order, c.dim_alg
     if c.degree == 1:
-        for a in range(M):
-            for row in range(c.dim_coeff):
-                for col in range(nA):
-                    v = c.even[a][row][col]
-                    if v:
-                        entries.append([[a], [col], row, dump_scalar(v)])
+        entries = [[[a], [col], row, v]
+                   for a, row, col, v in tensor_entries(c.even)]
         degree = 1
     else:
-        for alphas, idxs, vec in cochain_full_table(c):
-            for co, v in enumerate(vec):
-                if v:
-                    entries.append([list(alphas), list(idxs), co,
-                                    dump_scalar(v)])
+        entries = [[list(alphas), list(idxs), co, dump_scalar(v)]
+                   for alphas, idxs, vec in cochain_full_table(c)
+                   for co, v in enumerate(vec) if v]
         degree = list(c.degree)
     return {"kind": "cochain", "degree": degree, "dim_alg": c.dim_alg,
             "dim_coeff": c.dim_coeff,
@@ -485,11 +393,10 @@ def cochain_from_json(d: dict) -> CochainFamily:
         raise PreconditionError("the cochain is not skew: %s"
                                 % (bad.violations[0],))
     if degree == 1:
-        mats = [zeros(dim_coeff, dim_alg) for _ in range(s.order)]
-        for ((a,), (col,)), vec in tables.items():
-            for row, v in enumerate(vec):
-                mats[a][row][col] = v
-        return CochainFamily(s, dim_alg, dim_coeff, 1, mats)
+        return CochainFamily(s, dim_alg, dim_coeff, 1, _filled(
+            (s.order, dim_coeff, dim_alg),
+            (((a, row, col), v) for ((a,), (col,)), vec in tables.items()
+             for row, v in enumerate(vec))))
 
     def value(alphas, idxs):
         return tables.get((tuple(alphas), tuple(idxs))) or zero_vec(dim_coeff)
@@ -501,14 +408,16 @@ def direction_to_json(family) -> dict:
     return {"kind": "direction", "order": len(family),
             "dim_l": len(family[0]) if family else 0,
             "dim_v": len(family[0][0]) if family and family[0] else 0,
-            "family": _family_to_json(family)}
+            "family": tensor_entries(family)}
 
 
 def direction_from_json(d: dict) -> list:
     _require(isinstance(d, dict) and "family" in d, "direction JSON needs family")
-    return _family_from_json(d["family"], header_int(d, "order", "direction"),
-                             header_int(d, "dim_l", "direction"),
-                             header_int(d, "dim_v", "direction"))
+    return tensor_from_entries(
+        d["family"], "family", "alpha,row,col",
+        (header_int(d, "order", "direction"),
+         header_int(d, "dim_l", "direction"),
+         header_int(d, "dim_v", "direction")))
 
 
 # ---------------------------------------------------------------------------

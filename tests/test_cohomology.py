@@ -12,7 +12,7 @@ from lyfam.ly import ly_from_lie, zero_cocycle, zero_ly, zero_representation
 from lyfam.nsfamily import ns_from_twisted_rb
 from lyfam.omega import (OmegaRepresentation, check_omega_ly_axioms,
                          check_omega_representation, cochain_full_coords,
-                         omega_ly_from_ns_family)
+                         omega_cohomology_dims, omega_ly_from_ns_family)
 from lyfam.cohomology import (DeformationDirection, DegreeZeroElement,
                               RBFComplex, check_infinitesimal, cohomology_H1,
                               cohomology_H23, deformation_equivalence_witness,
@@ -182,6 +182,22 @@ def test_h23_budget_gate(a1, s1):
     cx = RBFComplex(identity_family(a1, s1))
     with pytest.raises(BudgetExceededError):
         cohomology_H23(cx, budget=2)
+
+
+def test_h23_budget_counts_stored_coordinates(a1, s2):
+    # on A1 x S2 (4 joint labels, so 6 pairs, and dim L = 4) the (4,5)
+    # image of the symbolic (2,3)-cochain stores 6^2 * 4 * (1 + 4) = 720
+    # coordinates; its full table would have 4^4 * 4 + 4^5 * 4 = 5120
+    cx = RBFComplex(identity_family(a1, s2))
+    assert cohomology_H23(cx, budget=720) == 4
+    with pytest.raises(BudgetExceededError,
+                       match="needs 720 coordinates, budget is 719"):
+        cohomology_H23(RBFComplex(identity_family(a1, s2)), budget=719)
+    assert omega_cohomology_dims(cx.induced_algebra, cx.induced_rep, 1,
+                                 budget=720)[1] == 4
+    with pytest.raises(BudgetExceededError, match="needs 720 coordinates"):
+        omega_cohomology_dims(cx.induced_algebra, cx.induced_rep, 1,
+                              budget=719)
 
 
 def assembled_contexts(a1, a2, s1, s2):
