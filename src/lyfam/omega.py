@@ -478,7 +478,7 @@ class SkewBasis:
             def take(alphas, idxs):
                 return [next(it) for _ in range(d)]
             return cochain_build(self.semigroup, nA, d, self.degree, take, take)
-        mats = [zeros(d, nA) for _ in range(M)]
+        mats = zeros(M, d, nA)
         for a, i, co in itertools.product(range(M), range(nA), range(d)):
             mats[a][co][i] = next(it)
         return CochainFamily(self.semigroup, nA, d, 1, mats)

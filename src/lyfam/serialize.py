@@ -180,12 +180,13 @@ def _mirrored(entries, what):
 def ly_from_json(d: dict) -> LYAlgebra:
     n = header_int(d, "dim", "algebra")
 
-    def half(key, fields):
-        dims = (n,) * (fields.count(",") + 1)
+    def half(key, fields, k):
+        dims = (n,) * k
         return _filled(dims, _mirrored(
             sparse_entries(d.get(key, []), key, fields, dims), key))
 
-    return LYAlgebra(n, half("binary", "i,j,k"), half("ternary", "i,j,k,l"))
+    return LYAlgebra(n, half("binary", "i,j,k", 3),
+                     half("ternary", "i,j,k,l", 4))
 
 
 # ---------------------------------------------------------------------------
