@@ -322,11 +322,10 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
     return out
 
 
-def partial_23(cx: RBFComplex, fg: CochainFamily,
-               budget=None) -> CochainFamily:
+def partial_23(cx: RBFComplex, fg: CochainFamily) -> CochainFamily:
     if fg.degree != (2, 3):
         raise PreconditionError("expected a (2,3)-cochain")
-    return delta_omega(cx.induced_algebra, cx.induced_rep, fg, budget)
+    return delta_omega(cx.induced_algebra, cx.induced_rep, fg)
 
 
 def partial_star_23(cx: RBFComplex, fg: CochainFamily) -> CochainFamily:

@@ -72,8 +72,6 @@ def zeros(*dims):
     every row is a fresh list, so the table can be written in place."""
     if len(dims) == 1:
         return [0] * dims[0]
-    if len(dims) == 2:  # the common matrix case, without a call per row
-        return [[0] * dims[1] for _ in range(dims[0])]
     return [zeros(*dims[1:]) for _ in range(dims[0])]
 
 

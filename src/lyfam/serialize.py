@@ -32,8 +32,6 @@ from .semigroup import FiniteCommutativeSemigroup
 
 
 def dump_scalar(x) -> str:
-    if type(x) is int:
-        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -41,14 +39,8 @@ def dump_scalar(x) -> str:
 
 
 def parse_scalar(s):
-    """The rational a file writes as s: an int when it is integral, else a
-    Fraction.  An integer literal is read by int, which is much cheaper
-    than Fraction's parser and gives the same value."""
-    text = str(s)
     try:
-        if text.removeprefix("-").isdecimal():
-            return int(text)
-        f = Fraction(text)
+        f = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError("bad rational %r: %s" % (s, exc))
     return f.numerator if f.denominator == 1 else f
@@ -88,17 +80,14 @@ def sparse_entries(entries, what, fields, dims):
         yield idx, parse_scalar(ent[-1])
 
 
-def tensor_entries(t, keep=None) -> list:
+def tensor_entries(t) -> list:
     """[i_1, ..., i_k, value] for each nonzero scalar t[i_1]...[i_k] of the
     nested list t, in lexicographic index order, with the value written by
-    dump_scalar.  keep, when given, is asked of every index prefix
-    (i_1, ..., i_j) with j < k, and a prefix it refuses is left out with
-    everything under it."""
+    dump_scalar."""
     # one level of (prefix, sub-table) pairs at a time, down to the vectors
     level = [((), t)]
     while level and level[0][1] and isinstance(level[0][1][0], (list, tuple)):
-        level = [(p + (i,), x) for p, sub in level for i, x in enumerate(sub)
-                 if keep is None or keep(p + (i,))]
+        level = [(p + (i,), x) for p, sub in level for i, x in enumerate(sub)]
     return [[*p, i, dump_scalar(v)] for p, vec in level if any(vec)
             for i, v in enumerate(vec) if v]
 
@@ -150,20 +139,14 @@ def semigroup_from_json(d: dict) -> FiniteCommutativeSemigroup:
 # ---------------------------------------------------------------------------
 # algebras (skew-half sparse storage)
 
-def _upper_half(idx):
-    """Whether an index prefix lies in the i < j half of a tensor skew in
-    its first two indices."""
-    return len(idx) != 2 or idx[0] < idx[1]
-
-
 def ly_to_json(A: LYAlgebra) -> dict:
     bad = A.invariant_report()
     if not bad.ok:
         raise MalformedInputError("algebra tensors are not skew; refusing to "
                                   "store the half-tensor format")
     return {"kind": "ly", "dim": A.dim,
-            "binary": tensor_entries(A.binary, _upper_half),
-            "ternary": tensor_entries(A.ternary, _upper_half)}
+            "binary": [e for e in tensor_entries(A.binary) if e[0] < e[1]],
+            "ternary": [e for e in tensor_entries(A.ternary) if e[0] < e[1]]}
 
 
 def _mirrored(entries, what):
