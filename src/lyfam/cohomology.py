@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConsistencyError, PreconditionError
 from .linalg import (contract, form_columns, form_kernel, form_rows,
-                     generic_vector, identity, mat_vec, quotient_dim,
-                     quotient_representatives, solve, transpose, vec_add,
-                     vec_scale, vec_sub, vec_sum, zeros)
+                     generic_vector, identity, mat_add, mat_mul, mat_sub,
+                     mat_vec, quotient_dim, quotient_representatives, solve,
+                     transpose, vec_add, vec_scale, vec_sub, vec_sum, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_build, cochain_coords, cochain_full_table,
                     cohomology_step, delta_omega, delta_star_omega,
@@ -75,25 +76,27 @@ def _induced_rep(ctx: TwistedRBContext, algebra: OmegaLYAlgebra, D,
     rho = [[[None for _ in range(nv)] for _ in range(M)] for _ in range(M)]
     theta = [[[[[None for _ in range(nv)] for _ in range(nv)]
                for _ in range(M)] for _ in range(M)] for _ in range(M)]
+    # each block is lhs + T_s inner (rho) or lhs - T_s inner (theta), with
+    # column l of lhs and of inner the terms at e_l
     for a, i in itertools.product(range(M), range(nv)):
         x = T[a * nv + i]
-        lhs = contract(A.binary, x)
-        inner = [vec_add(rho_cols[l][i], contract(c.gamma1[l], x)) for l in L]
+        lhs = transpose(contract(A.binary, x), n)
+        inner = transpose([vec_add(rho_cols[l][i], contract(c.gamma1[l], x))
+                           for l in L], nv)
         for si in range(M):
             Ts = ctx.family[product(s, si, a)]
-            rho[a][si][i] = transpose(
-                [vec_add(lhs[l], mat_vec(Ts, inner[l])) for l in L], n)
+            rho[a][si][i] = mat_add(lhs, mat_mul(Ts, inner))
     for a, b in itertools.product(range(M), repeat=2):
         for i, j in itertools.product(range(nv), repeat=2):
             p, q = a * nv + i, b * nv + j
             x, y = T[p], T[q]
-            lhs = [contract(A.ternary[l], x, y) for l in L]
-            inner = [vec_add(vec_sub(d_at[p][l][j], theta_at[q][l][i]),
-                             contract(c.gamma2[l], x, y)) for l in L]
+            lhs = transpose([contract(A.ternary[l], x, y) for l in L], n)
+            inner = transpose([vec_sum("+-+", d_at[p][l][j], theta_at[q][l][i],
+                                       contract(c.gamma2[l], x, y))
+                               for l in L], nv)
             for si in range(M):
                 Ts = ctx.family[product_of(s, (si, a, b))]
-                theta[a][b][si][i][j] = transpose(
-                    [vec_sub(lhs[l], mat_vec(Ts, inner[l])) for l in L], n)
+                theta[a][b][si][i][j] = mat_sub(lhs, mat_mul(Ts, inner))
     return OmegaRepresentation(algebra=algebra, dim=n, rho=rho, theta=theta)
 
 
@@ -155,8 +158,10 @@ class RBFComplex:
     A complex is a snapshot of its context: the images T, the derived D,
     the tables at (T, T) and the induced products are built once here, and
     the family check, both induced structures and every sweep of the
-    complex read them.  The standalone check_twisted_rb_family,
-    induced_omega_ly_on_V and induced_rep_on_L build theirs afresh.
+    complex read them; the D of the induced representation is built on
+    first use and read by partial_deg1 and partial_23.  The standalone
+    check_twisted_rb_family, induced_omega_ly_on_V and induced_rep_on_L
+    build theirs afresh.
     """
 
     def __init__(self, ctx: TwistedRBContext, check: bool = True):
@@ -182,6 +187,11 @@ class RBFComplex:
                                         self.derived, self.images)
         self._bases = {}
         self._d1 = None
+
+    @cached_property
+    def induced_D(self):
+        """induced_rep.d_tensor(), built on first use."""
+        return self.induced_rep.d_tensor()
 
     @property
     def dims(self):
@@ -277,14 +287,11 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
         p, q = a1 * nv + i, a2 * nv + j
         # [x, f2] - [y, f1] + T_w(rho(f2)u_i + Gamma1(f2, x)
         # - rho(f1)u_j - Gamma1(f1, y)) - f_w([u_i, u_j]_T)
-        v = vec_sub(tf.bracket[p][q], tf.bracket[q][p])
-        inner = vec_add(ft.rho[q][i], ft.gamma1[q][p])
-        inner = vec_sub(inner, ft.rho[p][j])
-        inner = vec_sub(inner, ft.gamma1[p][q])
-        v = vec_add(v, mat_vec(Tw, inner))
-        arg = vec_sub(tt.rho[p][j], tt.rho[q][i])
-        arg = vec_add(arg, tt.gamma1[p][q])
-        return vec_sub(v, mat_vec(fw, arg))
+        inner = vec_sum("++--", ft.rho[q][i], ft.gamma1[q][p], ft.rho[p][j],
+                        ft.gamma1[p][q])
+        arg = vec_sum("+-+", tt.rho[p][j], tt.rho[q][i], tt.gamma1[p][q])
+        return vec_sum("+-+-", tf.bracket[p][q], tf.bracket[q][p],
+                       mat_vec(Tw, inner), mat_vec(fw, arg))
 
     def odd(al, xs):
         (a1, a2, a3), (i, j, k) = al, xs
@@ -292,30 +299,26 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
         Tw, fw = ctx.family[w], f.even[w]
         p, q, t = a1 * nv + i, a2 * nv + j, a3 * nv + k
         z, f3 = T[t], F[t]
-        # {x, y, f3} + {f1, y, z} - {f2, x, z}
-        v = contract(tt.ternary[p][q], f3)
-        v = vec_add(v, contract(ft.ternary[p][q], z))
-        v = vec_sub(v, contract(ft.ternary[q][p], z))
         # T_w of theta(y, f3)u_i - theta(x, f3)u_j + Gamma2(x, y, f3)
         # + D(f1, y)u_k - theta(f1, z)u_j + Gamma2(f1, y, z)
         # - D(f2, x)u_k + theta(f2, z)u_i - Gamma2(f2, x, z)
-        inner = vec_sub(tf.theta[q][t][i], tf.theta[p][t][j])
-        inner = vec_add(inner, contract(tt.gamma2[p][q], f3))
-        inner = vec_add(inner, ft.D[p][q][k])
-        inner = vec_sub(inner, ft.theta[p][t][j])
-        inner = vec_add(inner, contract(ft.gamma2[p][q], z))
-        inner = vec_sub(inner, ft.D[q][p][k])
-        inner = vec_add(inner, ft.theta[q][t][i])
-        inner = vec_sub(inner, contract(ft.gamma2[q][p], z))
-        v = vec_sub(v, mat_vec(Tw, inner))
+        inner = vec_sum("+-++-+-+-", tf.theta[q][t][i], tf.theta[p][t][j],
+                        contract(tt.gamma2[p][q], f3), ft.D[p][q][k],
+                        ft.theta[p][t][j], contract(ft.gamma2[p][q], z),
+                        ft.D[q][p][k], ft.theta[q][t][i],
+                        contract(ft.gamma2[q][p], z))
         # f_w of {u_i, u_j, u_k}_T
-        arg = vec_add(tt.D[p][q][k], tt.theta[q][t][i])
-        arg = vec_sub(arg, tt.theta[p][t][j])
-        arg = vec_add(arg, contract(tt.gamma2[p][q], z))
-        return vec_sub(v, mat_vec(fw, arg))
+        arg = vec_sum("++-+", tt.D[p][q][k], tt.theta[q][t][i],
+                      tt.theta[p][t][j], contract(tt.gamma2[p][q], z))
+        # {x, y, f3} + {f1, y, z} - {f2, x, z} - T_w(inner) - f_w(arg)
+        return vec_sum("++---", contract(tt.ternary[p][q], f3),
+                       contract(ft.ternary[p][q], z),
+                       contract(ft.ternary[q][p], z), mat_vec(Tw, inner),
+                       mat_vec(fw, arg))
 
     out = cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
-    generic = delta_omega(cx.induced_algebra, cx.induced_rep, f)
+    generic = delta_omega(cx.induced_algebra, cx.induced_rep, f,
+                          D=cx.induced_D)
     if cochain_coords(out) != cochain_coords(generic):
         raise ConsistencyError(
             "family-level and induced-complex degree-1 coboundaries disagree")
@@ -325,7 +328,8 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
 def partial_23(cx: RBFComplex, fg: CochainFamily) -> CochainFamily:
     if fg.degree != (2, 3):
         raise PreconditionError("expected a (2,3)-cochain")
-    return delta_omega(cx.induced_algebra, cx.induced_rep, fg)
+    return delta_omega(cx.induced_algebra, cx.induced_rep, fg,
+                       D=cx.induced_D)
 
 
 def partial_star_23(cx: RBFComplex, fg: CochainFamily) -> CochainFamily:
@@ -400,15 +404,11 @@ def _linearized_report(cx: RBFComplex, f: CochainFamily,
         w = product(s, a1, a2)
         Tw, fw = ctx.family[w], f.even[w]
         p, q = a1 * nv + i, a2 * nv + j
-        lhs = vec_add(ft.bracket[p][q], tf.bracket[p][q])
-        inner = vec_sub(tt.rho[p][j], tt.rho[q][i])
-        inner = vec_add(inner, tt.gamma1[p][q])
-        rhs = mat_vec(fw, inner)
-        inner = vec_sub(ft.rho[p][j], ft.rho[q][i])
-        inner = vec_add(inner, ft.gamma1[p][q])
-        inner = vec_add(inner, tf.gamma1[p][q])
-        rhs = vec_add(rhs, mat_vec(Tw, inner))
-        return vec_sub(lhs, rhs)
+        arg = vec_sum("+-+", tt.rho[p][j], tt.rho[q][i], tt.gamma1[p][q])
+        inner = vec_sum("+-++", ft.rho[p][j], ft.rho[q][i], ft.gamma1[p][q],
+                        tf.gamma1[p][q])
+        return vec_sum("++--", ft.bracket[p][q], tf.bracket[p][q],
+                       mat_vec(fw, arg), mat_vec(Tw, inner))
 
     def odd(al, xs):
         (a1, a2, a3), (i, j, k) = al, xs
@@ -416,26 +416,23 @@ def _linearized_report(cx: RBFComplex, f: CochainFamily,
         Tw, fw = ctx.family[w], f.even[w]
         p, q, t = a1 * nv + i, a2 * nv + j, a3 * nv + k
         z, z1 = T[t], F[t]
-        lhs = contract(ft.ternary[p][q], z)
-        lhs = vec_add(lhs, contract(tf.ternary[p][q], z))
-        lhs = vec_add(lhs, contract(tt.ternary[p][q], z1))
-        inner = vec_sub(tt.D[p][q][k], tt.theta[p][t][j])
-        inner = vec_add(inner, tt.theta[q][t][i])
-        inner = vec_add(inner, contract(tt.gamma2[p][q], z))
-        rhs = mat_vec(fw, inner)
-        inner = vec_add(ft.D[p][q][k], tf.D[p][q][k])
-        inner = vec_sub(inner, ft.theta[p][t][j])
-        inner = vec_sub(inner, tf.theta[p][t][j])
-        inner = vec_add(inner, ft.theta[q][t][i])
-        inner = vec_add(inner, tf.theta[q][t][i])
-        inner = vec_add(inner, contract(ft.gamma2[p][q], z))
-        inner = vec_add(inner, contract(tf.gamma2[p][q], z))
-        inner = vec_add(inner, contract(tt.gamma2[p][q], z1))
-        rhs = vec_add(rhs, mat_vec(Tw, inner))
-        return vec_sub(lhs, rhs)
+        arg = vec_sum("+-++", tt.D[p][q][k], tt.theta[p][t][j],
+                      tt.theta[q][t][i], contract(tt.gamma2[p][q], z))
+        inner = vec_sum("++--+++++", ft.D[p][q][k], tf.D[p][q][k],
+                        ft.theta[p][t][j], tf.theta[p][t][j],
+                        ft.theta[q][t][i], tf.theta[q][t][i],
+                        contract(ft.gamma2[p][q], z),
+                        contract(tf.gamma2[p][q], z),
+                        contract(tt.gamma2[p][q], z1))
+        return vec_sum("+++--", contract(ft.ternary[p][q], z),
+                       contract(tf.ternary[p][q], z),
+                       contract(tt.ternary[p][q], z1), mat_vec(fw, arg),
+                       mat_vec(Tw, inner))
 
     res = cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
     rep = Report()
+    if not any(cochain_coords(res)):
+        return rep
     for al, xs, v in cochain_full_table(res):
         rep.record("DEF-6.2" if len(al) == 2 else "DEF-6.3", al + xs, v)
     return rep

@@ -536,8 +536,9 @@ def _at_vector(read, d, al, xs, j, vec):
 
 
 def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
-                budget: int | None = None) -> CochainFamily:
-    """Coboundary of a degree-1 or (2n,2n+1) cochain.
+                budget: int | None = None, D=None) -> CochainFamily:
+    """Coboundary of a degree-1 or (2n,2n+1) cochain; D is r.d_tensor(),
+    when the caller has it.
 
     The degree-1 case is the n = 0 instance of the general displayed sums, so
     a single evaluator covers every degree.  With skew brackets on O the
@@ -558,7 +559,8 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
     # degree-1 input reads as one 1-slot component), so read tells them apart
     read = cochain_reader(c)
     sign_n = -1 if n % 2 else 1
-    RHO, TH, D, T = r.rho, r.theta, r.d_tensor(), O.ternary
+    RHO, TH, T = r.rho, r.theta, O.ternary
+    D = r.d_tensor() if D is None else D
 
     def word(indices):
         return product_of(s, indices)

@@ -150,7 +150,7 @@ def induced_products(tt: ImageTables):
     + Gamma2(x, y, z).
     """
     T, nv, M = tt.X, tt.ctx.dimV, tt.ctx.semigroup.order
-    add, sub, ct = linalg.vec_add, linalg.vec_sub, linalg.contract
+    vsum, ct = linalg.vec_sum, linalg.contract
     # with dim L = 0 every contraction is a table without entries, which
     # contract gives as []; the product is then the zero vector of V
     zero = linalg.zero_vec
@@ -161,14 +161,14 @@ def induced_products(tt: ImageTables):
     for a, b in itertools.product(range(M), repeat=2):
         for i, j in itertools.product(range(nv), repeat=2):
             p, q = a * nv + i, b * nv + j
-            binary[a][b][i][j] = add(sub(tt.rho[p][j], tt.rho[q][i]),
-                                     tt.gamma1[p][q]) or zero(nv)
+            binary[a][b][i][j] = vsum("+-+", tt.rho[p][j], tt.rho[q][i],
+                                      tt.gamma1[p][q]) or zero(nv)
             duv, g2 = tt.D[p][q], tt.gamma2[p][q]
             for g, k in itertools.product(range(M), range(nv)):
                 t = g * nv + k
-                w = add(duv[k], tt.theta[q][t][i])
-                w = sub(w, tt.theta[p][t][j])
-                ternary[a][b][g][i][j][k] = add(w, ct(g2, T[t])) or zero(nv)
+                ternary[a][b][g][i][j][k] = vsum(
+                    "++-+", duv[k], tt.theta[q][t][i], tt.theta[p][t][j],
+                    ct(g2, T[t])) or zero(nv)
     return binary, ternary
 
 

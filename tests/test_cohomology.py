@@ -18,9 +18,9 @@ from lyfam.cohomology import (DeformationDirection, DegreeZeroElement,
                               cohomology_H23, deformation_equivalence_witness,
                               equivalent_deformations_same_class,
                               induced_omega_ly_on_V, induced_rep_on_L,
-                              partial_23, partial_deg0, partial_deg1,
-                              partial_star_23, rep_d_closed_form_report,
-                              rigidity_certificate)
+                              infinitesimal_report, partial_23, partial_deg0,
+                              partial_deg1, partial_star_23,
+                              rep_d_closed_form_report, rigidity_certificate)
 from lyfam.rbfamily import TwistedRBContext, identity_family, zero_family
 from lyfam.semigroup import FiniteCommutativeSemigroup, trivial_semigroup
 from conftest import (LIE_CATALOG, random_invertible, random_vec, skew_binary,
@@ -247,6 +247,23 @@ def test_symbolic_cross_check_detects_disagreement(a1, s1):
     cx.induced_rep.rho[0][0][0][0][0] += 1
     with pytest.raises(ConsistencyError):
         cohomology_H1(cx)
+
+
+def test_cross_check_fires_after_the_induced_D_is_cached(a1, a2, s2):
+    # the first check builds the complex's induced D; a changed rho must
+    # still reach the generic coboundary of the next check
+    rng = random.Random(20261019)
+    for A in (a1, a2):
+        cx = RBFComplex(identity_family(A, s2))
+        d = DeformationDirection(
+            [[[rng.choice((-1, 1)) for _ in range(cx.context.dimV)]
+              for _ in range(cx.context.dimL)] for _ in range(2)])
+        infinitesimal_report(cx, d)
+        assert "induced_D" in vars(cx)
+        cx.induced_rep.rho[0][0][0][0][0] += 1
+        with pytest.raises(ConsistencyError, match="^family-level and "
+                           "induced-complex degree-1 coboundaries disagree$"):
+            infinitesimal_report(cx, d)
 
 
 @settings(max_examples=12, deadline=None)
