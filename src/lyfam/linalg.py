@@ -8,9 +8,11 @@ entries only, so all results are exact.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
+from operator import getitem
 
 from .errors import ContainmentError, PreconditionError
 
@@ -163,6 +165,43 @@ def contract(table, *vecs):
                 out[k] += c * x
             k += 1
     return out
+
+
+def lead_slot(table, s, rank):
+    """The table of a map with rank vector slots with slot s first and the
+    others merged into one, in order: contract(lead_slot(t, s, rank), x) at
+    the flat index of the other slots' indices (j*n + k for t(x, e_j, e_k))
+    is the value at x in slot s and those basis vectors, term for term."""
+    dims, sub = [], table
+    for _ in range(rank):
+        dims.append(len(sub))
+        sub = sub[0] if sub else []
+    rest = list(itertools.product(*map(range, dims[:s] + dims[s + 1:])))
+    return [[reduce(getitem, idx[:s] + (p,) + idx[s:], table) for idx in rest]
+            for p in range(dims[s])]
+
+
+def has_shape(table, dims):
+    """Whether table is nested lists (or tuples) of the lengths dims."""
+    return isinstance(table, (list, tuple)) and len(table) == dims[0] and (
+        len(dims) == 1 or all(has_shape(x, dims[1:]) for x in table))
+
+
+def map_at(f, table, depth):
+    """table with f applied to each of its entries at the given depth."""
+    return [map_at(f, x, depth - 1) for x in table] if depth else f(table)
+
+
+def slot_views(table, depth):
+    """The rank-3 tables at the given depth of table with slot 0, 1 or 2
+    first, and their vectors in order: four tables indexed as table is."""
+    views = [map_at(lambda X: lead_slot(X, s, 3), table, depth) for s in range(3)]
+    return views + [map_at(flatten, views[0], depth)]
+
+
+def contract_each(table, vecs, depth=1):
+    """contract(table, v) for each vector v at the given depth of vecs."""
+    return map_at(lambda v: contract(table, v), vecs, depth)
 
 
 def flatten(m):

@@ -8,6 +8,7 @@ which by multilinearity is equivalent to the universally quantified law.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .errors import MalformedInputError, PreconditionError
@@ -17,15 +18,14 @@ from .semigroup import FiniteCommutativeSemigroup, validate_semigroup
 
 def _as_tensor2(t, dim, vdim):
     t = [[list(v) for v in row] for row in t]
-    if len(t) != dim or any(len(r) != dim for r in t) or any(
-            len(v) != vdim for r in t for v in r):
+    if not linalg.has_shape(t, (dim, dim, vdim)):
         raise MalformedInputError("bad shape for rank-2 structure tensor")
     return t
 
 
 def _as_tensor3(t, dim, vdim):
     t = [[[list(v) for v in row] for row in plane] for plane in t]
-    if len(t) != dim or any(len(v) != vdim for p in t for r in p for v in r):
+    if not linalg.has_shape(t, (dim, dim, dim, vdim)):
         raise MalformedInputError("bad shape for rank-3 structure tensor")
     return t
 
@@ -119,23 +119,32 @@ def zero_cocycle(alg_dim: int, space_dim: int) -> Cocycle23:
 # axiom checkers
 
 def check_ly_axioms(A: LYAlgebra) -> Report:
-    n, E = range(A.dim), linalg.identity(A.dim)
-    b, t = A.binary, A.ternary
-    ct, vsum = linalg.contract, linalg.vec_sum
+    """The laws (2.1)-(2.4) at every basis tuple, their terms read from tables
+    of contractions: at basis vectors in all slots but one (`linalg.lead_slot`)
+    once per vector, the cyclic terms at permuted indices of one table, and the
+    terms of (2.3) and (2.4) once per (a, c), from D = {e_a, e_c, -}."""
+    d, n, b, t = A.dim, range(A.dim), A.binary, A.ternary
+    each, mm, vsum = linalg.contract_each, linalg.mat_mul, linalg.vec_sum
+    (t0, t1, t2, trows), b1 = linalg.slot_views(t, 0), linalg.lead_slot(b, 1, 2)
+    bb, bt = each(b, b, 2), each(t0, b, 2)  # [[e_i,e_j],e_k], {[e_i,e_j],e_k,e_a}
+
+    @lru_cache(maxsize=1)
+    def block(a, c):  # residuals of (2.3) at [i][j], of (2.4) at [i][j][k]
+        D = t[a][c]  # row p is {e_a, e_c, e_p}
+        x, y, z, w, x4, y4, z4 = mm(linalg.flatten(b), D), each(b, D), each(b1, D), \
+            mm(trows, D), each(t0, D), each(t1, D), each(t2, D)
+        return [[vsum("+--", x[i * d + j], y[i][j], z[j][i]) for j in n] for i in n], [
+            [[vsum("+---", w[(i * d + j) * d + k], x4[i][j * d + k], y4[j][i * d + k],
+                   z4[k][i * d + j]) for k in n] for j in n] for i in n]
+
     rep = A.invariant_report().sweep([n] * 3, [
         ("LY-2.1", lambda i, j, k: vsum(
-            "++++++", ct(b, b[i][j], E[k]), ct(b, b[j][k], E[i]),
-            ct(b, b[k][i], E[j]), t[i][j][k], t[k][i][j], t[j][k][i])),
+            "++++++", bb[i][j][k], bb[j][k][i], bb[k][i][j], t[i][j][k], t[k][i][j],
+            t[j][k][i])),
         ([n], [("LY-2.2", lambda i, j, k, a: vsum(
-            "+++", ct(t, b[i][j], E[k], E[a]), ct(t, b[j][k], E[i], E[a]),
-            ct(t, b[k][i], E[j], E[a])))])])
-    return rep.sweep([n] * 4, [
-        ("LY-2.3", lambda a, c, i, j: vsum(
-            "+--", ct(t[a][c], b[i][j]), ct(b, t[a][c][i], E[j]),
-            ct(b[i], t[a][c][j]))),
-        ([n], [("LY-2.4", lambda a, c, i, j, k: vsum(
-            "+---", ct(t[a][c], t[i][j][k]), ct(t, t[a][c][i], E[j], E[k]),
-            ct(t[i], t[a][c][j], E[k]), ct(t[i][j], t[a][c][k])))])])
+            "+++", bt[i][j][k * d + a], bt[j][k][i * d + a], bt[k][i][j * d + a]))])])
+    return rep.sweep([n] * 4, [("LY-2.3", lambda a, c, i, j: block(a, c)[0][i][j]), (
+        [n], [("LY-2.4", lambda a, c, i, j, k: block(a, c)[1][i][j][k])])])
 
 
 def derived_D(A: LYAlgebra, r: Representation):
@@ -264,10 +273,9 @@ def check_jacobi(binary) -> Report:
     """Skewness and the Jacobi identity for a would-be Lie bracket tensor."""
     n = len(binary)
     A = LYAlgebra(n, binary, zero_ly(n).ternary)
-    r, E, b, ct = range(n), linalg.identity(n), A.binary, linalg.contract
+    r, bb = range(n), linalg.contract_each(A.binary, A.binary, 2)
     return A.invariant_report().sweep([r] * 3, [("jacobi", lambda i, j, k: (
-        linalg.vec_sum("+++", ct(b, b[i][j], E[k]), ct(b, b[j][k], E[i]),
-                       ct(b, b[k][i], E[j]))))])
+        linalg.vec_sum("+++", bb[i][j][k], bb[j][k][i], bb[k][i][j])))])
 
 
 def ly_from_lie(lie_binary) -> LYAlgebra:
@@ -277,19 +285,18 @@ def ly_from_lie(lie_binary) -> LYAlgebra:
         raise PreconditionError(
             "input bracket is not a Lie bracket: %s" % sorted(jac.laws()))
     n = len(lie_binary)
-    lie = LYAlgebra(n, lie_binary, zero_ly(n).ternary)
-    E = linalg.identity(n)
-    ternary = [[[lie.bracket(lie.binary[i][j], E[k])
-                 for k in range(n)] for j in range(n)] for i in range(n)]
-    return LYAlgebra(n, lie_binary, ternary)
+    b = LYAlgebra(n, lie_binary, zero_ly(n).ternary).binary
+    return LYAlgebra(n, lie_binary, linalg.contract_each(b, b, 2))
 
 
 def check_leibniz(star) -> Report:
     """Left Leibniz law x*(y*z) = (x*y)*z + y*(x*z) for a product tensor."""
-    n, E, ct = range(len(star)), linalg.identity(len(star)), linalg.contract
+    # e_i*(e_j*e_k) at P[i][j][k] (and e_j*(e_i*e_k) at P[j][i][k]), (e_i*e_j)*e_k
+    # at Q[i][j][k]
+    n, mm = range(len(star)), linalg.mat_mul
+    P, Q = [[mm(y, x) for y in star] for x in star], linalg.contract_each(star, star, 2)
     return Report().sweep([n] * 3, [("leibniz-left", lambda i, j, k: (
-        linalg.vec_sum("+--", ct(star[i], star[j][k]),
-                       ct(star, star[i][j], E[k]), ct(star[j], star[i][k]))))])
+        linalg.vec_sum("+--", P[i][j][k], Q[i][j][k], P[j][i][k])))])
 
 
 def ly_from_leibniz(star) -> LYAlgebra:
@@ -298,11 +305,9 @@ def ly_from_leibniz(star) -> LYAlgebra:
     if not law.ok:
         raise PreconditionError("input product violates the left Leibniz law")
     n = len(star)
-    E = linalg.identity(n)
     binary = [[linalg.vec_sub(star[i][j], star[j][i])
                for j in range(n)] for i in range(n)]
-    ternary = [[[linalg.vec_neg(linalg.contract(star, star[i][j], E[k]))
-                 for k in range(n)] for j in range(n)] for i in range(n)]
+    ternary = linalg.map_at(linalg.vec_neg, linalg.contract_each(star, star, 2), 3)
     out = LYAlgebra(n, binary, ternary)
     chk = check_ly_axioms(out)
     if not chk.ok:

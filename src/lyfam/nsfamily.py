@@ -7,10 +7,12 @@ trivial-semigroup specialization of the family axioms.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import MalformedInputError, PreconditionError
 from .ly import joint_table
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
@@ -25,6 +27,13 @@ class NSFamilyAlgebra:
     vee: list           # v[alpha][beta][i][j] -> Vector
     ternary_curly: list  # c[beta][gamma][i][j][k] -> Vector
     ternary_square: list  # q[alpha][beta][gamma][i][j][k] -> Vector
+
+    def __post_init__(self):
+        M, n = self.semigroup.order, self.dim
+        for name, k, r in (("bullet", 1, 2), ("vee", 2, 2), ("ternary_curly", 2, 3),
+                           ("ternary_square", 3, 3)):
+            if not linalg.has_shape(getattr(self, name), (M,) * k + (n,) * (r + 1)):
+                raise MalformedInputError("bad shape for the %s tensor" % name)
 
     def bl(self, a, x, y):
         return linalg.contract(self.bullet[a], x, y)
@@ -105,20 +114,28 @@ def zero_ns_family(dim, s) -> NSFamilyAlgebra:
 
 
 def derived_brackets(N: NSFamilyAlgebra):
-    """Tensors of the derived binary, ternary and double brackets."""
-    n, m = N.dim, N.semigroup.order
-    basis = [N.basis(i) for i in range(n)]
-    star_binary = [[[[N.star2(a, b, basis[i], basis[j])
-                      for j in range(n)] for i in range(n)]
-                    for b in range(m)] for a in range(m)]
-    star_ternary = [[[[[N.star3(a, b, basis[i], basis[j], basis[k])
-                        for k in range(n)] for j in range(n)] for i in range(n)]
-                     for b in range(m)] for a in range(m)]
-    double_bracket = [[[[[[N.dbl(a, b, g, basis[i], basis[j], basis[k])
-                           for k in range(n)] for j in range(n)]
-                         for i in range(n)]
-                        for g in range(m)] for b in range(m)] for a in range(m)]
-    return star_binary, star_ternary, double_bracket
+    """Tensors of the derived binary, ternary and double brackets.  Each
+    operation at basis vectors is read from its contraction at the first
+    one, and the terms add up in the order of star2, star3 and dbl."""
+    t, m, n, d = N.semigroup.table, range(N.semigroup.order), range(N.dim), N.dim
+    E, each, vsum, at, lead = linalg.identity(d), linalg.contract_each, \
+        linalg.vec_sum, linalg.map_at, linalg.lead_slot
+    # e_i . e_j at bl[a][i][j], each curly and square product at [..][i][j*d+k]
+    bl, vv, cu, sq = (at(lambda X: each(lead(X, 0, r), E), T, k) for T, k, r in (
+        (N.bullet, 1, 2), (N.vee, 2, 2), (N.ternary_curly, 2, 3),
+        (N.ternary_square, 3, 3)))
+    s2 = [[[[vsum("+-+", bl[a][i][j], bl[b][j][i], vv[a][b][i][j]) for j in n]
+            for i in n] for b in m] for a in m]
+    # e_i . (e_j . e_k) at [a][b][j][k][i], star2(e_i, e_j) . e_k at [a][b][i][j][k]
+    inner = [[each(lead(X, 1, 2), bl[b], 2) for b in m] for X in N.bullet]
+    outer = [[each(N.bullet[t[a][b]], s2[a][b], 2) for b in m] for a in m]
+    s3 = [[[[[vsum("+-+--", cu[b][a][k][j * d + i], cu[a][b][k][i * d + j],
+                   inner[a][b][j][k][i], inner[b][a][i][k][j], outer[a][b][i][j][k])
+              for k in n] for j in n] for i in n] for b in m] for a in m]
+    return s2, s3, [[[[[[vsum(
+        "++-+", s3[a][b][i][j][k], cu[b][g][i][j * d + k], cu[a][g][j][i * d + k],
+        sq[a][b][g][i][j * d + k]) for k in n] for j in n] for i in n] for g in m]
+        for b in m] for a in m]
 
 
 _FAMILY_TO_PLAIN = {
@@ -130,94 +147,118 @@ _FAMILY_TO_PLAIN = {
 
 
 def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
-    """The NS family axioms on every index and basis tuple.
-
-    Basis arguments are table lookups and the derived brackets come from the
-    tensors of `derived_brackets`; by multilinearity this is the same as
-    evaluating every term at basis vectors.  Elements multiply through
-    semigroup.table: ab below is t[a][b], abg is t[t[a][b]][g].
-    """
-    t, m, n = N.semigroup.table, range(N.semigroup.order), range(N.dim)
-    E = linalg.identity(N.dim)
-    BL, VV = N.bullet, N.vee
-    CU, SQ = N.ternary_curly, N.ternary_square
+    """The NS family axioms on every index and basis tuple, their terms read
+    from tables of contractions as in check_ly_axioms; the derived brackets
+    are the tensors of `derived_brackets`.  A cyclic or swapped pair of terms
+    reads one table over its sweep, at most dim times an operation tensor and
+    dropped after it; the other terms are built per block of outer indices.
+    Elements multiply through semigroup.table: ab is t[a][b], abg is
+    t[t[a][b]][g]."""
+    t, m, n, d = N.semigroup.table, range(N.semigroup.order), range(N.dim), N.dim
+    BL, VV, CU, SQ = N.bullet, N.vee, N.ternary_curly, N.ternary_square
     S2, S3, DB = derived_brackets(N)
-    ct, vsum = linalg.contract, linalg.vec_sum
+    ct, each, mm, vsum, at, lead = linalg.contract, linalg.contract_each, \
+        linalg.mat_mul, linalg.vec_sum, linalg.map_at, linalg.lead_slot
+    (cu0, cu1, cu2, curows), (s30, s31, s32, s3rows), (sq0, sq1, sq2, sqrows) = (
+        linalg.slot_views(X, k) for X, k in ((CU, 2), (S3, 2), (SQ, 3)))
+    dbrows = at(lambda X: linalg.flatten(linalg.flatten(X)), DB, 3)
+    bl, bl1 = lead(BL, 2, 3), [lead(X, 1, 2) for X in BL]  # BL[g][k] at [g*d+k], [k]
+    vv1, vvrows, s2rows = at(lambda X: lead(X, 1, 2), VV, 2), \
+        at(linalg.flatten, VV, 2), at(linalg.flatten, S2, 2)
+
+    def at_s2(X, depth):  # each table at depth of X[ab] at star2_ab(e_i, e_j)
+        return [[at(lambda Y: each(Y, S2[a][b], 2), X[t[a][b]], depth) for b in m]
+                for a in m]
+
+    @lru_cache(maxsize=1)
+    def block3(a, b, g, i, j):  # residuals of (4.16), (4.17), (4.18), (4.28) at [k][l]
+        ab, s3, x = t[a][b], S3[a][b][i][j], t[b][g]
+        u16, u17, h17 = ct(cu1[ab][g], S2[a][b][i][j]), mm(linalg.flatten(BL[g]), s3), \
+            each(bl1[g], s3)
+        w17, u18 = each(BL[t[ab][g]], DB[a][b][g][i][j]), \
+            each([[r[l * d + i] for l in n] for r in cu2[a][x]], S2[b][g][j])
+        return [[(vsum("+-+", u16[l * d + k], Q16[a][g][b][j][l][i * d + k],
+                       Q16[b][g][a][i][l][j * d + k]),
+                  vsum("+--", u17[k * d + l], h17[l][k], w17[k][l]),
+                  vsum("+-+", u18[k][l], R18[a][g][l][i][k][b * d + j],
+                       R18[a][b][l][i][j][g * d + k]),
+                  vsum("+++", T28[a][b][g][i][j][k * d + l],
+                       T28[b][g][a][j][k][i * d + l], T28[g][a][b][k][i][j * d + l]))
+                 for l in n] for k in n]
+
+    @lru_cache(maxsize=1)
+    def block4(a, b, g, si, i, j):
+        # residuals of (4.23) at [k][l], of (4.19), (4.20), (4.29), (4.30) at
+        # [k][l][p]; a term at ..[k][l*d+p] is read at e_l, e_p of a table
+        x, y, s3 = t[t[a][b]][g], t[t[a][b]][si], S3[a][b][i][j]
+        dg, ds = DB[a][b][g][i][j], DB[a][b][si][i][j]
+        x4, x5, x6 = mm(vvrows[g][si], s3), each(VV[x][si], dg), each(vv1[g][y], ds)
+        y1, y2, y3, y4 = mm(curows[g][si], s3), each(cu0[g][si], s3), \
+            each(cu1[x][si], dg), each(cu2[g][y], ds)
+        z1 = [mm(linalg.flatten(DB[b][g][si][j]), r[i]) for r in CU[a][t[t[b][g]][si]]]
+        ci, cj = [r[i] for r in CU[a][si]], [r[j] for r in CU[b][si]]  # slot 1 at i, j
+        z2 = [ct(cu0[g][si], r[i][j]) for r in CU[a][b]]
+        z3 = [each(cj, r[i]) for r in CU[a][g]]
+        z4 = [mm(cu1[a][si][i], X) for X in S3[b][g][j]]
+        w1, w2, w3, w4 = mm(s3rows[g][si], s3), each(s32[g][si], s3), \
+            each(s30[x][si], dg), each(s31[g][y], ds)
+        v2, v3 = ([each(c, [q[f] for q in r]) for r in CU[g][h]]
+                  for c, f, h in ((ci, j, b), (cj, i, a)))
+        y23 = mm(s2rows[g][si], SQ[a][b][t[g][si]][i][j])
+        return [[vsum("-+++--", Z23[a][b][si][i][j][l][g * d + k],
+                      Z23[a][b][g][i][j][k][si * d + l], y23[k * d + l], x4[k * d + l],
+                      x5[k][l], x6[l][k]) for l in n] for k in n], [[[(
+            vsum("+---", y1[(p * d + k) * d + l], y2[p][k * d + l], y3[k][p * d + l],
+                 y4[l][p * d + k]),
+            vsum("+-+-", z1[p][k * d + l], z2[p][k * d + l], z3[p][k][l],
+                 z4[k][p * d + l]),
+            vsum("+---", w1[(k * d + l) * d + p], w2[p][k * d + l], w3[k][l * d + p],
+                 w4[l][k * d + p]),
+            vsum("+-++", y3[k][p * d + l], v2[p][k][l], v3[p][k][l],
+                 y2[p][k * d + l])) for p in n] for l in n] for k in n]
+
+    @lru_cache(maxsize=1)
+    def block5(a, b, g, si, ta, i, j):  # residuals of (4.24) at [k][l][p]
+        ab, s3, Q, D = t[a][b], S3[a][b][i][j], SQ[a][b], DB[a][b]
+        c1, c2, c3, c4 = each(cu0[si][ta], Q[g][i][j]), each(cu0[g][ta], Q[si][i][j]), \
+            mm(sqrows[g][si][ta], s3), each(s32[g][si], Q[ta][i][j])
+        c5, c6 = each(sq0[t[ab][g]][si][ta], D[g][i][j]), \
+            each(sq1[g][t[ab][si]][ta], D[si][i][j])
+        c7, c8 = mm(dbrows[g][si][ta], Q[t[t[g][si]][ta]][i][j]), \
+            each(sq2[g][si][t[ab][ta]], D[ta][i][j])
+        return [[[vsum("-++---+-", c1[k][l * d + p], c2[l][k * d + p],
+                       c3[(k * d + l) * d + p], c4[p][k * d + l], c5[k][l * d + p],
+                       c6[l][k * d + p], c7[(k * d + l) * d + p], c8[p][k * d + l])
+                  for p in n] for l in n] for k in n]
+
     rep = N.invariant_report()
     # three elements, three indices; (4.16)-(4.18) and (4.28) add one index
+    F21, T28, H21, R18 = at_s2(VV, 1), at_s2(s30, 1), each(bl, VV, 4), each(bl, CU, 5)
+    Q16 = [[[each(cu0[x][g], BL[y], 2) for y in m] for g in m] for x in m]
     rep.sweep([m] * 3 + [n] * 3, [
         ("NSF-4.21", lambda a, b, g, i, j, k: vsum(
-            "+++---+++", ct(VV[t[a][b]][g], S2[a][b][i][j], E[k]),
-            ct(VV[t[b][g]][a], S2[b][g][j][k], E[i]),
-            ct(VV[t[g][a]][b], S2[g][a][k][i], E[j]),
-            ct(BL[g][k], VV[a][b][i][j]), ct(BL[a][i], VV[b][g][j][k]),
-            ct(BL[b][j], VV[g][a][k][i]), SQ[a][b][g][i][j][k],
-            SQ[b][g][a][j][k][i], SQ[g][a][b][k][i][j])),
-        ([n], [
-            ("NSF-4.16", lambda a, b, g, i, j, k, l: vsum(
-                "+-+", ct(CU[t[a][b]][g][l], S2[a][b][i][j], E[k]),
-                ct(CU[a][g], BL[b][j][l], E[i], E[k]),
-                ct(CU[b][g], BL[a][i][l], E[j], E[k]))),
-            ("NSF-4.17", lambda a, b, g, i, j, k, l: vsum(
-                "+--", ct(S3[a][b][i][j], BL[g][k][l]),
-                ct(BL[g][k], S3[a][b][i][j][l]),
-                ct(BL[t[t[a][b]][g]], DB[a][b][g][i][j][k], E[l]))),
-            ("NSF-4.18", lambda a, b, g, i, j, k, l: vsum(
-                "+-+", ct(CU[a][t[b][g]][l][i], S2[b][g][j][k]),
-                ct(BL[b][j], CU[a][g][l][i][k]),
-                ct(BL[g][k], CU[a][b][l][i][j]))),
-            ("NSF-4.28", lambda a, b, g, i, j, k, l: vsum(
-                "+++", ct(S3[t[a][b]][g], S2[a][b][i][j], E[k], E[l]),
-                ct(S3[t[b][g]][a], S2[b][g][j][k], E[i], E[l]),
-                ct(S3[t[g][a]][b], S2[g][a][k][i], E[j], E[l])))])])
+            "+++---+++", F21[a][b][g][i][j][k], F21[b][g][a][j][k][i],
+            F21[g][a][b][k][i][j], H21[a][b][i][j][g * d + k],
+            H21[b][g][j][k][a * d + i], H21[g][a][k][i][b * d + j],
+            SQ[a][b][g][i][j][k], SQ[b][g][a][j][k][i], SQ[g][a][b][k][i][j])),
+        ([n], [(law, lambda *w, q=q: block3(*w[:5])[w[5]][w[6]][q]) for q, law in
+               enumerate(("NSF-4.16", "NSF-4.17", "NSF-4.18", "NSF-4.28"))])])
+    del F21, T28, H21, R18, Q16
     # four elements, four indices; (4.19), (4.20), (4.29), (4.30) add one
+    V22, W22, Z23 = at(lambda X: each(X, VV, 4), cu0, 2), at_s2(sq0, 2), each(bl, SQ, 6)
     rep.sweep([m] * 4 + [n] * 4, [
         ("NSF-4.22", lambda a, b, g, si, i, j, k, l: vsum(
-            "++++++", ct(CU[g][si], VV[a][b][i][j], E[k], E[l]),
-            ct(CU[a][si], VV[b][g][j][k], E[i], E[l]),
-            ct(CU[b][si], VV[g][a][k][i], E[j], E[l]),
-            ct(SQ[t[a][b]][g][si], S2[a][b][i][j], E[k], E[l]),
-            ct(SQ[t[b][g]][a][si], S2[b][g][j][k], E[i], E[l]),
-            ct(SQ[t[g][a]][b][si], S2[g][a][k][i], E[j], E[l]))),
-        ("NSF-4.23", lambda a, b, g, si, i, j, k, l: vsum(
-            "-+++--", ct(BL[g][k], SQ[a][b][si][i][j][l]),
-            ct(BL[si][l], SQ[a][b][g][i][j][k]),
-            ct(SQ[a][b][t[g][si]][i][j], S2[g][si][k][l]),
-            ct(S3[a][b][i][j], VV[g][si][k][l]),
-            ct(VV[t[t[a][b]][g]][si], DB[a][b][g][i][j][k], E[l]),
-            ct(VV[g][t[t[a][b]][si]][k], DB[a][b][si][i][j][l]))),
-        ([n], [
-            ("NSF-4.19", lambda a, b, g, si, i, j, k, l, p: vsum(
-                "+---", ct(S3[a][b][i][j], CU[g][si][p][k][l]),
-                ct(CU[g][si], S3[a][b][i][j][p], E[k], E[l]),
-                ct(CU[t[t[a][b]][g]][si][p], DB[a][b][g][i][j][k], E[l]),
-                ct(CU[g][t[t[a][b]][si]][p][k], DB[a][b][si][i][j][l]))),
-            ("NSF-4.20", lambda a, b, g, si, i, j, k, l, p: vsum(
-                "+-+-", ct(CU[a][t[t[b][g]][si]][p][i], DB[b][g][si][j][k][l]),
-                ct(CU[g][si], CU[a][b][p][i][j], E[k], E[l]),
-                ct(CU[b][si], CU[a][g][p][i][k], E[j], E[l]),
-                ct(S3[b][g][j][k], CU[a][si][p][i][l]))),
-            ("NSF-4.29", lambda a, b, g, si, i, j, k, l, p: vsum(
-                "+---", ct(S3[a][b][i][j], S3[g][si][k][l][p]),
-                ct(S3[g][si][k][l], S3[a][b][i][j][p]),
-                ct(S3[t[t[a][b]][g]][si], DB[a][b][g][i][j][k], E[l], E[p]),
-                ct(S3[g][t[t[a][b]][si]][k], DB[a][b][si][i][j][l], E[p]))),
-            ("NSF-4.30", lambda a, b, g, si, i, j, k, l, p: vsum(
-                "+-++", ct(CU[t[t[a][b]][g]][si][p], DB[a][b][g][i][j][k], E[l]),
-                ct(CU[a][si], CU[g][b][p][k][j], E[i], E[l]),
-                ct(CU[b][si], CU[g][a][p][k][i], E[j], E[l]),
-                ct(CU[g][si], S3[a][b][i][j][p], E[k], E[l])))])])
+            "++++++", V22[g][si][a][b][i][j][k * d + l],
+            V22[a][si][b][g][j][k][i * d + l], V22[b][si][g][a][k][i][j * d + l],
+            W22[a][b][g][si][i][j][k * d + l], W22[b][g][a][si][j][k][i * d + l],
+            W22[g][a][b][si][k][i][j * d + l])),
+        ("NSF-4.23", lambda *w: block4(*w[:6])[0][w[6]][w[7]]),
+        ([n], [(law, lambda *w, q=q: block4(*w[:6])[1][w[6]][w[7]][w[8]][q]) for q, law
+               in enumerate(("NSF-4.19", "NSF-4.20", "NSF-4.29", "NSF-4.30"))])])
+    del V22, W22, Z23
     # (4.24): five elements, five indices
     return rep.sweep([m] * 5 + [n] * 5, [
-        ("NSF-4.24", lambda a, b, g, si, ta, i, j, k, l, p: vsum(
-            "-++---+-", ct(CU[si][ta], SQ[a][b][g][i][j][k], E[l], E[p]),
-            ct(CU[g][ta], SQ[a][b][si][i][j][l], E[k], E[p]),
-            ct(S3[a][b][i][j], SQ[g][si][ta][k][l][p]),
-            ct(S3[g][si][k][l], SQ[a][b][ta][i][j][p]),
-            ct(SQ[t[t[a][b]][g]][si][ta], DB[a][b][g][i][j][k], E[l], E[p]),
-            ct(SQ[g][t[t[a][b]][si]][ta][k], DB[a][b][si][i][j][l], E[p]),
-            ct(SQ[a][b][t[t[g][si]][ta]][i][j], DB[g][si][ta][k][l][p]),
-            ct(SQ[g][si][t[t[a][b]][ta]][k][l], DB[a][b][ta][i][j][p])))])
+        ("NSF-4.24", lambda *w: block5(*w[:7])[w[7]][w[8]][w[9]])])
 
 
 def check_ns_axioms(N: NSAlgebra) -> Report:
@@ -296,32 +337,12 @@ def ns_from_nijenhuis(A, s, N) -> NSFamilyAlgebra:
     cu = [[[[[A.tri(basis[i], Nx[b][j], Nx[g][k])
               for k in range(n)] for j in range(n)] for i in range(n)]
            for g in range(m)] for b in range(m)]
-    q = []
-    for a in range(m):
-        qa = []
-        for b in range(m):
-            qb = []
-            for g in range(m):
-                abg = product_of(s, [a, b, g])
-                qg = []
-                for i in range(n):
-                    qi = []
-                    for j in range(n):
-                        qj = []
-                        for k in range(n):
-                            t = A.tri(Nx[a][i], basis[j], basis[k])
-                            t = linalg.vec_add(
-                                t, A.tri(basis[i], Nx[b][j], basis[k]))
-                            t = linalg.vec_add(
-                                t, A.tri(basis[i], basis[j], Nx[g][k]))
-                            t = linalg.vec_sub(
-                                t, Nm(abg, A.tri(basis[i], basis[j], basis[k])))
-                            qj.append(linalg.vec_neg(Nm(abg, t)))
-                        qi.append(qj)
-                    qg.append(qi)
-                qb.append(qg)
-            qa.append(qb)
-        q.append(qa)
+    q, e = linalg.zeros(m, m, m, n, n, n), basis
+    for a, b, g, i, j, k in itertools.product(*[range(m)] * 3, *[range(n)] * 3):
+        abg = product_of(s, [a, b, g])
+        q[a][b][g][i][j][k] = linalg.vec_neg(Nm(abg, linalg.vec_sum(
+            "+++-", A.tri(Nx[a][i], e[j], e[k]), A.tri(e[i], Nx[b][j], e[k]),
+            A.tri(e[i], e[j], Nx[g][k]), Nm(abg, A.tri(e[i], e[j], e[k])))))
     return NSFamilyAlgebra(n, s, bl, v, cu, q)
 
 

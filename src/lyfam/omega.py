@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import (contract, form_columns, form_kernel, generic_vector,
-                     identity, mat_mul, mat_sum, mat_vec, quotient_dim, transpose,
-                     vec_add, vec_neg, vec_scale, vec_sub, vec_sum, zero_vec,
-                     zeros)
+from .linalg import (contract, contract_each, flatten, form_columns, form_kernel,
+                     generic_vector, identity, lead_slot, map_at, mat_mul, mat_sum,
+                     mat_vec, quotient_dim, slot_views, transpose, vec_add, vec_neg,
+                     vec_scale, vec_sub, vec_sum, zero_vec, zeros)
 from .ly import split_joint
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of
@@ -93,35 +93,49 @@ def zero_omega_ly(dim: int, s: FiniteCommutativeSemigroup) -> OmegaLYAlgebra:
 
 
 def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
-    """Evaluate the four indexed algebra laws on every basis/index tuple."""
-    t, m, n = O.semigroup.table, O.semigroup.elements, range(O.dim)
-    E = identity(O.dim)
-    B, T = O.binary, O.ternary
+    """Evaluate the four indexed algebra laws on every basis/index tuple,
+    their terms read from tables of contractions as in check_ly_axioms:
+    tables over the whole sweep for the cyclic terms of (5.2) and (5.3),
+    residuals per block of outer indices for (5.4) and (5.5)."""
+    t, m, n, d = O.semigroup.table, O.semigroup.elements, range(O.dim), O.dim
+    B, T, each = O.binary, O.ternary, contract_each
+    t0, t1, t2, trows = slot_views(T, 3)
+    b1 = map_at(lambda X: lead_slot(X, 1, 2), B, 2)
+    # [[e_i, e_j]_ab, e_k]_(ab)c at F2[a][b][c][i][j][k] and
+    # {[e_i, e_j]_ab, e_k, e_l}_(ab)ce at F3[a][b][c][e][i][j][k*d+l]
+    F2, F3 = ([[map_at(lambda X: each(X, B[a][b], 2), Y[t[a][b]], k) for b in m]
+               for a in m] for Y, k in ((B, 1), (t0, 2)))
+
+    @lru_cache(maxsize=1)
+    def block4(si, a, b, c, ii, jj):  # residuals of (5.4) at [kk][ll]
+        sa, Q = t[si][a], T[si][a]
+        x, y, z = mat_mul(flatten(B[b][c]), Q[t[b][c]][ii][jj]), \
+            each(B[t[sa][b]][c], Q[b][ii][jj]), each(b1[b][t[sa][c]], Q[c][ii][jj])
+        return [[vec_sub(x[kk * d + ll], vec_add(y[kk][ll], z[ll][kk])) for ll in n]
+                for kk in n]
+
+    @lru_cache(maxsize=1)
+    def block5(si, ta, a, b, c, ii, jj):  # residuals of (5.5) at [kk][ll][mm]
+        Q, u = T[si][ta], t[t[si][ta]]  # u[x] is the product of si, ta and x
+        w, x, y, z = mat_mul(trows[a][b][c], Q[t[t[a][b]][c]][ii][jj]), \
+            each(t0[u[a]][b][c], Q[a][ii][jj]), each(t1[a][u[b]][c], Q[b][ii][jj]), \
+            each(t2[a][b][u[c]], Q[c][ii][jj])
+        return [[[vec_sub(w[(kk * d + ll) * d + mm], vec_sum(
+            "+++", x[kk][ll * d + mm], y[ll][kk * d + mm], z[mm][kk * d + ll]))
+            for mm in n] for ll in n] for kk in n]
+
     rep = Report().sweep([m] * 3 + [n] * 3, [
         ("OLY-5.2", lambda a, b, c, i, j, k: vec_sum(
-            "++++++", contract(B[t[a][b]][c], B[a][b][i][j], E[k]),
-            contract(B[t[b][c]][a], B[b][c][j][k], E[i]),
-            contract(B[t[c][a]][b], B[c][a][k][i], E[j]),
+            "++++++", F2[a][b][c][i][j][k], F2[b][c][a][j][k][i], F2[c][a][b][k][i][j],
             T[a][b][c][i][j][k], T[b][c][a][j][k][i], T[c][a][b][k][i][j]))])
     rep.sweep([m] * 4 + [n] * 4, [
-        ("OLY-5.3", lambda a, b, c, d, i, j, k, l: vec_sum(
-            "+++", contract(T[t[a][b]][c][d], B[a][b][i][j], E[k], E[l]),
-            contract(T[t[b][c]][a][d], B[b][c][j][k], E[i], E[l]),
-            contract(T[t[c][a]][b][d], B[c][a][k][i], E[j], E[l])))])
+        ("OLY-5.3", lambda a, b, c, e, i, j, k, l: vec_sum(
+            "+++", F3[a][b][c][e][i][j][k * d + l], F3[b][c][a][e][j][k][i * d + l],
+            F3[c][a][b][e][k][i][j * d + l]))])
     rep.sweep([m] * 4 + [n] * 4, [
-        ("OLY-5.4", lambda si, a, b, c, ii, jj, kk, ll: vec_sub(
-            contract(T[si][a][t[b][c]][ii][jj], B[b][c][kk][ll]), vec_add(
-                contract(B[t[t[si][a]][b]][c], T[si][a][b][ii][jj][kk], E[ll]),
-                contract(B[b][t[t[si][a]][c]][kk], T[si][a][c][ii][jj][ll]))))])
+        ("OLY-5.4", lambda *w: block4(*w[:6])[w[6]][w[7]])])
     return rep.sweep([m] * 5 + [n] * 5, [
-        ("OLY-5.5", lambda si, ta, a, b, c, ii, jj, kk, ll, mm: vec_sub(
-            contract(T[si][ta][t[t[a][b]][c]][ii][jj], T[a][b][c][kk][ll][mm]),
-            vec_sum("+++", contract(T[t[t[si][ta]][a]][b][c],
-                                   T[si][ta][a][ii][jj][kk], E[ll], E[mm]),
-                    contract(T[a][t[t[si][ta]][b]][c][kk],
-                             T[si][ta][b][ii][jj][ll], E[mm]),
-                    contract(T[a][b][t[t[si][ta]][c]][kk][ll],
-                             T[si][ta][c][ii][jj][mm]))))])
+        ("OLY-5.5", lambda *w: block5(*w[:7])[w[7]][w[8]][w[9]])])
 
 
 def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,

@@ -323,3 +323,29 @@ def test_budget_is_scoped_to_one_call(tmp_path, a1, s1, monkeypatch):
     monkeypatch.setenv("LYFAM_BUDGET", "7")
     assert main(["--budget", "100000", "cohomology", str(p), "--h23"]) == 0
     assert os.environ["LYFAM_BUDGET"] == "7"
+
+
+def test_ly_from_leibniz_checks_its_output_once(tmp_path, capsys, monkeypatch):
+    from lyfam import cli, ly
+    checked = []
+    check = ly.check_ly_axioms
+    for module in (cli, ly):
+        monkeypatch.setattr(module, "check_ly_axioms",
+                            lambda A: checked.append(A.dim) or check(A))
+    leib, out = tmp_path / "leib.json", tmp_path / "ly3.json"
+    sz.save_json(str(leib), {"kind": "bilinear", "dim": 3, "entries": [
+        [0, 0, 2, "1"], [0, 1, 2, "-2"], [1, 0, 2, "1"]]})
+    assert main(["construct", "ly-from-leibniz", str(leib), "-o", str(out)]) == 0
+    assert checked == [3]  # by ly_from_leibniz only
+    assert main(["validate", str(out), "ly"]) == 0
+    bad = tmp_path / "bad.json"
+    sz.save_json(str(bad), {"kind": "bilinear", "dim": 1,
+                            "entries": [[0, 0, 0, "1"]]})
+    capsys.readouterr()
+    assert main(["--json", "construct", "ly-from-leibniz", str(bad),
+                 "-o", str(tmp_path / "none.json")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["summary"] == (
+        "error: input product violates the left Leibniz law")
+    assert not (tmp_path / "none.json").exists()

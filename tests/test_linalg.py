@@ -187,3 +187,39 @@ def test_vec_sum_matches_the_chain_of_vector_ops():
                         ("", ())):
         with pytest.raises(ValueError):
             la.vec_sum(signs, *vecs)
+
+
+def _entries(rng, dims):
+    """A table of int zeros, Fraction(0) entries, ints and Fractions."""
+    if not dims:
+        return rng.choice((0, 0, Fraction(0), 1, -2, Fraction(1, 2), Fraction(-3, 2)))
+    return [_entries(rng, dims[1:]) for _ in range(dims[0])]
+
+
+@pytest.mark.parametrize("n,rank", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
+def test_table_reads_equal_contract_at_basis_vectors(n, rank):
+    # equal in value and in scalar type: a raw table lookup would keep a
+    # stored Fraction(0) where contract gives the int 0
+    rng, E = random.Random(10 * n + rank), la.identity(n)
+    X = _entries(rng, (n,) * (rank + 1))
+    vecs = [_entries(rng, (n,)) for _ in range(4)] + [[0] * n, [Fraction(0)] * n] + E
+    for s in range(rank):
+        view = la.lead_slot(X, s, rank)
+        for v, got in zip(vecs, la.contract_each(view, vecs)):
+            for q, idx in enumerate(itertools.product(range(n), repeat=rank - 1)):
+                args = [E[i] for i in idx]
+                args.insert(s, v)
+                assert repr(got[q]) == repr(la.contract(X, *args))
+    # products with a matrix D are its contractions at the rows of the factor
+    D, rows = _entries(rng, (n, n)), vecs + la.lead_slot(X, 0, rank)[0]
+    for v, got in zip(rows, la.mat_mul(rows, D)):
+        assert repr(got) == repr(la.contract(D, v))
+
+
+def test_has_shape_checks_every_level():
+    assert la.has_shape(la.zeros(2, 3, 4), (2, 3, 4))
+    assert la.has_shape([], (0, 5)) and la.has_shape(((1, 2),), (1, 2))
+    assert not la.has_shape([[0, 0], [0]], (2, 2))
+    assert not la.has_shape([[0, 0], 5], (2, 2))
+    assert not la.has_shape(la.zeros(2, 2), (2, 2, 1))
+    assert la.slot_views([], 0) == [[], [], [], []]

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from lyfam import linalg as la
-from lyfam.errors import PreconditionError
-from lyfam.ly import (Representation, adjoint_representation, check_cocycle23, check_jacobi,
+from lyfam.errors import MalformedInputError, PreconditionError
+from lyfam.ly import (LYAlgebra, Representation, adjoint_representation,
+                      check_cocycle23, check_jacobi,
                       check_leibniz, check_ly_axioms, check_representation,
                       derived_D, gamma_ad, joint_index, ly_from_leibniz,
                       ly_from_lie, ly_tensor_semigroup, split_joint, zero_ly)
+from lyfam.report import Violation
 from conftest import random_leibniz_star, random_lie_binary, skew_binary
 
 
@@ -152,3 +154,33 @@ def test_zero_tensor_trivial(s1, a0):
     B = ly_tensor_semigroup(a0, s1)
     assert B.dim == a0.dim
     assert check_ly_axioms(B).ok
+
+
+def test_ragged_tensors_refused():
+    # a short plane, a short row, a short vector; each used to be accepted and
+    # to end in IndexError inside check_ly_axioms
+    A = zero_ly(2)
+    t = A.ternary
+    for bad in ([t[0][:1], t[1]], [t[0], [t[1][0], t[1][1][:1]]],
+                [t[0], [t[1][0], [t[1][1][0], t[1][1][1][:1]]]]):
+        with pytest.raises(MalformedInputError):
+            LYAlgebra(2, A.binary, bad)
+    with pytest.raises(MalformedInputError):
+        LYAlgebra(2, [A.binary[0], A.binary[1][:1]], t)
+
+
+def test_checkers_at_dimensions_zero_and_one():
+    for n in (0, 1):
+        assert check_ly_axioms(zero_ly(n)).violations == []
+        assert check_jacobi(zero_ly(n).binary).violations == []
+        assert check_leibniz(la.zeros(n, n, n)).violations == []
+    # [e_0, e_0] = e_0 is not skew, and e_0 * e_0 = e_0 is not left Leibniz
+    A = LYAlgebra(1, [[[1]]], [[[[0]]]])
+    assert check_ly_axioms(A).violations == [
+        Violation("invariant:skew-binary", (0, 0), (2,)),
+        Violation("LY-2.1", (0, 0, 0), (3,))]
+    assert check_jacobi(A.binary).violations == [
+        Violation("invariant:skew-binary", (0, 0), (2,)),
+        Violation("jacobi", (0, 0, 0), (3,))]
+    assert check_leibniz([[[1]]]).violations == [
+        Violation("leibniz-left", (0, 0, 0), (-1,))]

@@ -190,3 +190,8 @@ def test_combine_and_project_are_inverse(s, nA, degree):
         k, ko = degree
         assert len(cochain_full_coords(c)) == 2 * ((s.order * nA) ** k
                                                    + (s.order * nA) ** ko)
+
+
+def test_zero_algebras_of_dimension_zero_and_one(s2):
+    for n in (0, 1):
+        assert check_omega_ly_axioms(zero_omega_ly(n, s2)).violations == []
