@@ -341,20 +341,12 @@ def partial_star_23(cx: RBFComplex, fg: CochainFamily) -> CochainFamily:
 # ---------------------------------------------------------------------------
 # cohomology
 
-def _wedge_basis_elements(n):
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.append((a, b))
-    return out
-
-
 def _boundary_coords(cx: RBFComplex):
     """Degree-0 coboundaries of the wedge basis e_a ^ e_b (a < b), as forms
     over the wedge basis, one per degree-1 basis coordinate."""
     ctx = cx.context
     E = [ctx.algebra.basis(i) for i in range(ctx.dimL)]
-    wedge = _wedge_basis_elements(ctx.dimL)
+    wedge = list(itertools.combinations(range(ctx.dimL), 2))
     generic = DegreeZeroElement(
         [(vec_scale(g, E[a]), E[b])
          for g, (a, b) in zip(generic_vector(len(wedge)), wedge)])
@@ -366,8 +358,8 @@ def cohomology_H1(cx: RBFComplex):
     cx.context.semigroup.require_unit()
     basis1 = cx.skew_basis_at(1)
     z_basis = form_kernel(cochain_coords(cx.d1_symbolic()), basis1.size)
-    b_coords = form_columns(_boundary_coords(cx),
-                            len(_wedge_basis_elements(cx.context.dimL)))
+    n = cx.context.dimL
+    b_coords = form_columns(_boundary_coords(cx), n * (n - 1) // 2)
     dim = quotient_dim(z_basis, b_coords)
     reps = quotient_representatives(z_basis, b_coords)
     return dim, [basis1.combine(v) for v in reps]
@@ -470,7 +462,7 @@ def deformation_equivalence_witness(cx: RBFComplex, d1, d2):
         raise PreconditionError("both directions must be infinitesimals")
     n = ctx.dimL
     E = [ctx.algebra.basis(i) for i in range(n)]
-    wedge = _wedge_basis_elements(n)
+    wedge = list(itertools.combinations(range(n), 2))
     basis1 = cx.skew_basis_at(1)
     target = vec_sub(basis1.project(f1), basis1.project(f2))
     x = solve(form_rows(_boundary_coords(cx), len(wedge)), target)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import getitem
 
 from .errors import ContainmentError, PreconditionError
@@ -72,9 +72,12 @@ def identity(n):
 def zeros(*dims):
     """The nested list of zeros of shape dims, for example zeros(rows, cols);
     every row is a fresh list, so the table can be written in place."""
-    if len(dims) == 1:
-        return [0] * dims[0]
-    return [zeros(*dims[1:]) for _ in range(dims[0])]
+    *outer, cols = dims
+    table = [[0] * cols for _ in range(prod(outer))] if outer else [0] * cols
+    for k in range(len(outer) - 1, 0, -1):  # the rows grouped level by level
+        d = outer[k]
+        table = [table[g * d:(g + 1) * d] for g in range(prod(outer[:k]))]
+    return table
 
 
 def mat_vec(m, v):

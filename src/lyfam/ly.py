@@ -8,12 +8,12 @@ which by multilinearity is equivalent to the universally quantified law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg
 from .errors import MalformedInputError, PreconditionError
 from .report import Report
-from .semigroup import FiniteCommutativeSemigroup, validate_semigroup
+from .semigroup import (FiniteCommutativeSemigroup, trivial_semigroup,
+                        validate_semigroup)
 
 
 def _as_tensor2(t, dim, vdim):
@@ -118,53 +118,44 @@ def zero_cocycle(alg_dim: int, space_dim: int) -> Cocycle23:
 # ---------------------------------------------------------------------------
 # axiom checkers
 
+# each indexed law on the one-element semigroup: (LY law, number of semigroup
+# indices that lead its witness, group of the LY order)
+_LY_LAWS = {"OLY-5.2": ("LY-2.1", 3, 0), "OLY-5.3": ("LY-2.2", 4, 0),
+            "OLY-5.4": ("LY-2.3", 4, 1), "OLY-5.5": ("LY-2.4", 5, 1)}
+
+
+def _over_trivial_semigroup(A: LYAlgebra, r: Representation | None = None):
+    """A as the indexed algebra over the one-element semigroup, or, given r,
+    r as the indexed representation of that algebra."""
+    from .omega import OmegaLYAlgebra, OmegaRepresentation
+    O = OmegaLYAlgebra(A.dim, trivial_semigroup(), [[A.binary]], [[[A.ternary]]])
+    if r is None:
+        return O
+    return OmegaRepresentation(O, r.space_dim, [[r.rho]], [[[r.theta]]])
+
+
 def check_ly_axioms(A: LYAlgebra) -> Report:
-    """The laws (2.1)-(2.4) at every basis tuple, their terms read from tables
-    of contractions: at basis vectors in all slots but one (`linalg.lead_slot`)
-    once per vector, the cyclic terms at permuted indices of one table, and the
-    terms of (2.3) and (2.4) once per (a, c), from D = {e_a, e_c, -}."""
-    d, n, b, t = A.dim, range(A.dim), A.binary, A.ternary
-    each, mm, vsum = linalg.contract_each, linalg.mat_mul, linalg.vec_sum
-    (t0, t1, t2, trows), b1 = linalg.slot_views(t, 0), linalg.lead_slot(b, 1, 2)
-    bb, bt = each(b, b, 2), each(t0, b, 2)  # [[e_i,e_j],e_k], {[e_i,e_j],e_k,e_a}
-
-    @lru_cache(maxsize=1)
-    def block(a, c):  # residuals of (2.3) at [i][j], of (2.4) at [i][j][k]
-        D = t[a][c]  # row p is {e_a, e_c, e_p}
-        x, y, z, w, x4, y4, z4 = mm(linalg.flatten(b), D), each(b, D), each(b1, D), \
-            mm(trows, D), each(t0, D), each(t1, D), each(t2, D)
-        return [[vsum("+--", x[i * d + j], y[i][j], z[j][i]) for j in n] for i in n], [
-            [[vsum("+---", w[(i * d + j) * d + k], x4[i][j * d + k], y4[j][i * d + k],
-                   z4[k][i * d + j]) for k in n] for j in n] for i in n]
-
-    rep = A.invariant_report().sweep([n] * 3, [
-        ("LY-2.1", lambda i, j, k: vsum(
-            "++++++", bb[i][j][k], bb[j][k][i], bb[k][i][j], t[i][j][k], t[k][i][j],
-            t[j][k][i])),
-        ([n], [("LY-2.2", lambda i, j, k, a: vsum(
-            "+++", bt[i][j][k * d + a], bt[j][k][i * d + a], bt[k][i][j * d + a]))])])
-    return rep.sweep([n] * 4, [("LY-2.3", lambda a, c, i, j: block(a, c)[0][i][j]), (
-        [n], [("LY-2.4", lambda a, c, i, j, k: block(a, c)[1][i][j][k])])])
+    """The laws (2.1)-(2.4) at every basis tuple: the indexed laws
+    OLY-5.2...5.5 on the one-element semigroup, their witnesses without the
+    semigroup indices.  They are listed (2.1)/(2.2) first, then (2.3)/(2.4),
+    each group by witness, a witness before those that extend it: the order
+    of a sweep that checks (2.2) after (2.1) at each (i, j, k) and (2.4)
+    after (2.3) at each (a, c, i, j)."""
+    from .omega import check_omega_ly_axioms
+    rep, found = A.invariant_report(), []
+    for v in check_omega_ly_axioms(_over_trivial_semigroup(A)).violations:
+        law, skip, group = _LY_LAWS[v.law]
+        found.append((group, v.witness[skip:], law, v.residual))
+    for _, w, law, residual in sorted(found, key=lambda f: f[:2]):
+        rep.add(law, w, residual)
+    return rep
 
 
 def derived_D(A: LYAlgebra, r: Representation):
     """D[i][j] = theta(e_j,e_i) - theta(e_i,e_j) - rho([e_i,e_j])
-    + rho(e_i)rho(e_j) - rho(e_j)rho(e_i)."""
-    n = A.dim
-    # each product rho_i rho_j once; both orders are read from the table
-    prod = [[linalg.mat_mul(r.rho[i], r.rho[j]) for j in range(n)]
-            for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = linalg.mat_sub(r.theta[j][i], r.theta[i][j])
-            m = linalg.mat_sub(m, r.rho_of(A.binary[i][j]))
-            m = linalg.mat_add(m, prod[i][j])
-            m = linalg.mat_sub(m, prod[j][i])
-            row.append(m)
-        out.append(row)
-    return out
+    + rho(e_i)rho(e_j) - rho(e_j)rho(e_i): D_{a,b,s} of the indexed
+    representation over the one-element semigroup."""
+    return _over_trivial_semigroup(A, r).d_tensor()[0][0][0]
 
 
 def check_representation(A: LYAlgebra, r: Representation) -> Report:
@@ -206,27 +197,9 @@ def check_representation(A: LYAlgebra, r: Representation) -> Report:
 
 def adjoint_representation(A: LYAlgebra) -> Representation:
     """rho(x)z = [x,z]; theta(x,y)z = {z,x,y}."""
-    n = A.dim
-    rho = []
-    for i in range(n):
-        m = linalg.zeros(n, n)
-        for j in range(n):
-            col = A.binary[i][j]
-            for k in range(n):
-                m[k][j] = col[k]
-        rho.append(m)
-    theta = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = linalg.zeros(n, n)
-            for c in range(n):
-                col = A.ternary[c][i][j]
-                for k in range(n):
-                    m[k][c] = col[k]
-            row.append(m)
-        theta.append(row)
-    return Representation(n, rho, theta)
+    n, t, tp = A.dim, A.ternary, linalg.transpose
+    return Representation(n, [tp(row, n) for row in A.binary], [
+        [tp([t[c][i][j] for c in range(n)], n) for j in range(n)] for i in range(n)])
 
 
 def check_cocycle23(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:

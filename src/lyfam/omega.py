@@ -22,11 +22,11 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, MalformedInputError, PreconditionError
 from .linalg import (contract, contract_each, flatten, form_columns, form_kernel,
-                     generic_vector, identity, lead_slot, map_at, mat_mul, mat_sum,
-                     mat_vec, quotient_dim, slot_views, transpose, vec_add, vec_neg,
-                     vec_scale, vec_sub, vec_sum, zero_vec, zeros)
+                     generic_vector, has_shape, identity, lead_slot, map_at, mat_mul,
+                     mat_sum, mat_vec, quotient_dim, slot_views, transpose, vec_add,
+                     vec_neg, vec_scale, vec_sub, vec_sum, zero_vec, zeros)
 from .ly import split_joint
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of
@@ -60,6 +60,12 @@ class OmegaLYAlgebra:
     binary: list
     ternary: list
 
+    def __post_init__(self):
+        M, n = self.semigroup.order, self.dim
+        if not (has_shape(self.binary, (M, M, n, n, n))
+                and has_shape(self.ternary, (M, M, M, n, n, n, n))):
+            raise MalformedInputError("bad shape for an indexed structure tensor")
+
     def basis(self, i):
         v = zero_vec(self.dim)
         v[i] = 1
@@ -92,26 +98,35 @@ def zero_omega_ly(dim: int, s: FiniteCommutativeSemigroup) -> OmegaLYAlgebra:
                           ternary=zeros(m, m, m, n, n, n, n))
 
 
+def _bracket_of_bracket(O: OmegaLYAlgebra, Y, depth):
+    """Each map at the given depth of Y[ab] with [e_i, e_j]_ab in its first
+    slot, at [a][b]...[i][j]: for Y = O.binary and depth 1, the vector
+    [[e_i, e_j]_ab, e_k]_(ab)c at [a][b][c][i][j][k]."""
+    t, m, B = O.semigroup.table, O.semigroup.elements, O.binary
+    return [[map_at(lambda X: contract_each(X, B[a][b], 2), Y[t[a][b]], depth)
+             for b in m] for a in m]
+
+
 def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
     """Evaluate the four indexed algebra laws on every basis/index tuple,
-    their terms read from tables of contractions as in check_ly_axioms:
-    tables over the whole sweep for the cyclic terms of (5.2) and (5.3),
-    residuals per block of outer indices for (5.4) and (5.5)."""
+    their terms read from tables of contractions: tables over the whole
+    sweep for the cyclic terms of (5.2) and (5.3), residuals per block of
+    outer indices for (5.4) and (5.5).  On the one-element semigroup these
+    are the laws (2.1)-(2.4) of ly.check_ly_axioms."""
     t, m, n, d = O.semigroup.table, O.semigroup.elements, range(O.dim), O.dim
     B, T, each = O.binary, O.ternary, contract_each
     t0, t1, t2, trows = slot_views(T, 3)
     b1 = map_at(lambda X: lead_slot(X, 1, 2), B, 2)
     # [[e_i, e_j]_ab, e_k]_(ab)c at F2[a][b][c][i][j][k] and
     # {[e_i, e_j]_ab, e_k, e_l}_(ab)ce at F3[a][b][c][e][i][j][k*d+l]
-    F2, F3 = ([[map_at(lambda X: each(X, B[a][b], 2), Y[t[a][b]], k) for b in m]
-               for a in m] for Y, k in ((B, 1), (t0, 2)))
+    F2, F3 = _bracket_of_bracket(O, B, 1), _bracket_of_bracket(O, t0, 2)
 
     @lru_cache(maxsize=1)
     def block4(si, a, b, c, ii, jj):  # residuals of (5.4) at [kk][ll]
         sa, Q = t[si][a], T[si][a]
         x, y, z = mat_mul(flatten(B[b][c]), Q[t[b][c]][ii][jj]), \
             each(B[t[sa][b]][c], Q[b][ii][jj]), each(b1[b][t[sa][c]], Q[c][ii][jj])
-        return [[vec_sub(x[kk * d + ll], vec_add(y[kk][ll], z[ll][kk])) for ll in n]
+        return [[vec_sum("+--", x[kk * d + ll], y[kk][ll], z[ll][kk]) for ll in n]
                 for kk in n]
 
     @lru_cache(maxsize=1)
@@ -120,9 +135,9 @@ def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
         w, x, y, z = mat_mul(trows[a][b][c], Q[t[t[a][b]][c]][ii][jj]), \
             each(t0[u[a]][b][c], Q[a][ii][jj]), each(t1[a][u[b]][c], Q[b][ii][jj]), \
             each(t2[a][b][u[c]], Q[c][ii][jj])
-        return [[[vec_sub(w[(kk * d + ll) * d + mm], vec_sum(
-            "+++", x[kk][ll * d + mm], y[ll][kk * d + mm], z[mm][kk * d + ll]))
-            for mm in n] for ll in n] for kk in n]
+        return [[[vec_sum("+---", w[(kk * d + ll) * d + mm], x[kk][ll * d + mm],
+                          y[ll][kk * d + mm], z[mm][kk * d + ll])
+                  for mm in n] for ll in n] for kk in n]
 
     rep = Report().sweep([m] * 3 + [n] * 3, [
         ("OLY-5.2", lambda a, b, c, i, j, k: vec_sum(
@@ -142,28 +157,20 @@ def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,
                             binary: list) -> OmegaLYAlgebra:
     """Indexed Lie bracket family with the induced ternary
     {x,y,z}_{a,b,c} = [[x,y]_{a,b}, z]_{ab,c}."""
-    O = zero_omega_ly(dim, s)
-    O.binary = binary
+    M = s.order
+    O = OmegaLYAlgebra(dim, s, binary, zeros(M, M, M, dim, dim, dim, dim))
     bad = O.invariant_report()
     if not bad.ok:
         raise PreconditionError("binary tensor is not skew: %s"
                                 % (bad.violations[0],))
-    M, n, t = s.order, dim, s.table
-    E = identity(n)
-    B = O.binary
-    rep = Report().sweep([range(M)] * 3 + [range(n)] * 3, [
+    m, n, F2 = s.elements, range(dim), _bracket_of_bracket(O, O.binary, 1)
+    rep = Report().sweep([m] * 3 + [n] * 3, [
         ("OLIE-jacobi", lambda a, b, c, i, j, k: vec_sum(
-            "+++", O.br(t[a][b], c, B[a][b][i][j], E[k]),
-            O.br(t[b][c], a, B[b][c][j][k], E[i]),
-            O.br(t[c][a], b, B[c][a][k][i], E[j])))])
+            "+++", F2[a][b][c][i][j][k], F2[b][c][a][j][k][i], F2[c][a][b][k][i][j]))])
     if not rep.ok:
         raise PreconditionError("indexed Jacobi identity fails: %s"
                                 % (rep.violations[0],))
-    for a, b, c in itertools.product(range(M), repeat=3):
-        for i, j, k in itertools.product(range(n), repeat=3):
-            O.ternary[a][b][c][i][j][k] = O.br(
-                product(s, a, b), c, O.binary[a][b][i][j], E[k])
-    return O
+    return OmegaLYAlgebra(dim, s, O.binary, F2)
 
 
 def omega_ly_from_ns_family(N) -> OmegaLYAlgebra:

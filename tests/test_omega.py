@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from lyfam.errors import BudgetExceededError, PreconditionError
+from lyfam.errors import (BudgetExceededError, MalformedInputError,
+                          PreconditionError)
 from lyfam.nsfamily import ns_from_twisted_rb
-from lyfam.omega import (_canonical_tuples, check_omega_ly_axioms,
+from lyfam.omega import (OmegaLYAlgebra, _canonical_tuples, check_omega_ly_axioms,
                          check_omega_representation, cochain_build,
                          cochain_full_coords, cochain_reader, delta_omega,
                          delta_star_omega, ensure_budget,
@@ -58,6 +59,29 @@ def test_indexed_lie_rejects_non_jacobi(s1):
     binary[0][0][2][2] = [0, 0, 0]
     with pytest.raises(PreconditionError):
         omega_ly_from_omega_lie(3, s1, binary)
+
+
+def _one_short(table, depth):
+    """table with its first list at the given depth one entry short."""
+    if not depth:
+        return table[:-1]
+    return [_one_short(table[0], depth - 1)] + table[1:]
+
+
+def test_ragged_indexed_tensors_refused(s2):
+    # each used to be accepted, and to end in IndexError inside
+    # check_omega_ly_axioms or inside omega_ly_from_omega_lie's own sweeps
+    for s in (S1, s2):
+        O = zero_omega_ly(2, s)
+        for depth in range(5):
+            bad = _one_short(O.binary, depth)
+            with pytest.raises(MalformedInputError):
+                OmegaLYAlgebra(2, s, bad, O.ternary)
+            with pytest.raises(MalformedInputError):
+                omega_ly_from_omega_lie(2, s, bad)
+        for depth in range(7):
+            with pytest.raises(MalformedInputError):
+                OmegaLYAlgebra(2, s, O.binary, _one_short(O.ternary, depth))
 
 
 def test_from_reynolds(a1, s2):
