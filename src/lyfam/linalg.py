@@ -186,8 +186,14 @@ def lead_slot(table, s, rank):
 
 def has_shape(table, dims):
     """Whether table is nested lists (or tuples) of the lengths dims."""
-    return isinstance(table, (list, tuple)) and len(table) == dims[0] and (
-        len(dims) == 1 or all(has_shape(x, dims[1:]) for x in table))
+    level = [table]  # the lists at one depth
+    for k, d in enumerate(dims):
+        for x in level:
+            if not isinstance(x, (list, tuple)) or len(x) != d:
+                return False
+        if k + 1 < len(dims):
+            level = [y for x in level for y in x]
+    return True
 
 
 def map_at(f, table, depth):

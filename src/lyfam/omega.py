@@ -157,8 +157,7 @@ def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,
                             binary: list) -> OmegaLYAlgebra:
     """Indexed Lie bracket family with the induced ternary
     {x,y,z}_{a,b,c} = [[x,y]_{a,b}, z]_{ab,c}."""
-    M = s.order
-    O = OmegaLYAlgebra(dim, s, binary, zeros(M, M, M, dim, dim, dim, dim))
+    O = OmegaLYAlgebra(dim, s, binary, zero_omega_ly(dim, s).ternary)
     bad = O.invariant_report()
     if not bad.ok:
         raise PreconditionError("binary tensor is not skew: %s"
