@@ -116,15 +116,14 @@ def rep_d_closed_form_report(ctx: TwistedRBContext,
     theta_at = [[transpose(r.theta_of(x, e), nv) for e in E] for x in T]
     D = rep.d_tensor()
 
-    def residual(a, b, si, i, j, col):
-        p, q = a * nv + i, b * nv + j
-        inner = vec_sum("+-+", theta_at[q][col][i], theta_at[p][col][j],
-                        g2[p][q][col])
-        v = vec_sub(tri[p][q][col], mat_vec(F[t[t[a][b]][si]], inner))
-        return vec_sub([row[col] for row in D[a][b][si][i][j]], v)
+    def residuals(a, b, si, i, j):  # at each column col of D
+        p, q, Ts = a * nv + i, b * nv + j, F[t[t[a][b]][si]]
+        return [vec_sub(d, vec_sub(tri[p][q][col], mat_vec(Ts, vec_sum(
+            "+-+", theta_at[q][col][i], theta_at[p][col][j], g2[p][q][col]))))
+            for col, d in enumerate(transpose(D[a][b][si][i][j], n))]
 
-    return Report().sweep([M, M, M, range(nv), range(nv), range(n)],
-                          [("D-closed-form", residual)])
+    return Report().sweep([M, M, M, range(nv), range(nv)],
+                          [("D-closed-form", residuals, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,8 @@ class Cocycle23:
         return Report().sweep([n, n], [
             ("invariant:skew-gamma1", lambda i, j: (
                 add(g1[i][j], g1[j][i]) if i <= j else ())),
-            ([n], [("invariant:skew-gamma2", lambda i, j, k: (
-                add(g2[i][j][k], g2[j][i][k]) if i <= j else ()))])])
+            ("invariant:skew-gamma2", lambda i, j: (
+                [add(g2[i][j][k], g2[j][i][k]) for k in n] if i <= j else ()), 1)])
 
 
 def zero_cocycle(alg_dim: int, space_dim: int) -> Cocycle23:
@@ -224,12 +224,12 @@ def check_cocycle23(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:
             "-+++--", mv(rho[i2], g2[i1][j1][j2]), mv(rho[j2], g2[i1][j1][i2]),
             ct(g2[i1][j1], b[i2][j2]), mv(D[i1][j1], g1[i2][j2]),
             ct(g1, t[i1][j1][i2], E[j2]), ct(g1[i2], t[i1][j1][j2]))),
-        ([n], [("COC-2.17", lambda i1, j1, i2, j2, k: vsum(
+        ("COC-2.17", lambda i1, j1, i2, j2: [vsum(
             "-++---+-", mv(theta[j2][k], g2[i1][j1][i2]),
             mv(theta[i2][k], g2[i1][j1][j2]), mv(D[i1][j1], g2[i2][j2][k]),
             mv(D[i2][j2], g2[i1][j1][k]), ct(g2, t[i1][j1][i2], E[j2], E[k]),
             ct(g2[i2], t[i1][j1][j2], E[k]), ct(g2[i1][j1], t[i2][j2][k]),
-            ct(g2[i2][j2], t[i1][j1][k])))])])
+            ct(g2[i2][j2], t[i1][j1][k])) for k in n], 1)])
 
 
 def gamma_ad(A: LYAlgebra) -> Cocycle23:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from . import linalg
 from .errors import MalformedInputError, PreconditionError
@@ -78,19 +77,14 @@ class NSFamilyAlgebra:
         m, n = range(self.semigroup.order), range(self.dim)
         v, q, add = self.vee, self.ternary_square, linalg.vec_add
         rep = Report()
-
-        def square(a, b, i, j):
-            # the square's witness lists its elements first, (a, b, g, i, j, k),
-            # and it runs after the vee at (a, b, i, j)
+        # the square's witness (a, b, g, i, j, k) does not extend (a, b, i, j)
+        for a, b, i, j in itertools.product(m, m, n, n):
+            rep.record("invariant:skew-vee", (a, b, i, j),
+                       add(v[a][b][i][j], v[b][a][j][i]))
             rep.sweep([(a,), (b,), m, (i,), (j,), n], [(
                 "invariant:skew-square", lambda a, b, g, i, j, k: add(
                     q[a][b][g][i][j][k], q[b][a][g][j][i][k]))])
-            return ()
-
-        return rep.sweep([m, m, n, n], [
-            ("invariant:skew-vee", lambda a, b, i, j: add(
-                v[a][b][i][j], v[b][a][j][i])),
-            ("invariant:skew-square", square)])
+        return rep
 
 
 class NSAlgebra(NSFamilyAlgebra):
@@ -151,7 +145,7 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
     from tables of contractions as in check_ly_axioms; the derived brackets
     are the tensors of `derived_brackets`.  A cyclic or swapped pair of terms
     reads one table over its sweep, at most dim times an operation tensor and
-    dropped after it; the other terms are built per block of outer indices.
+    dropped after it; the other terms are built in each outer tuple's block.
     Elements multiply through semigroup.table: ab is t[a][b], abg is
     t[t[a][b]][g]."""
     t, m, n, d = N.semigroup.table, range(N.semigroup.order), range(N.dim), N.dim
@@ -170,7 +164,6 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
         return [[at(lambda Y: each(Y, S2[a][b], 2), X[t[a][b]], depth) for b in m]
                 for a in m]
 
-    @lru_cache(maxsize=1)
     def block3(a, b, g, i, j):  # residuals of (4.16), (4.17), (4.18), (4.28) at [k][l]
         ab, s3, x = t[a][b], S3[a][b][i][j], t[b][g]
         u16, u17, h17 = ct(cu1[ab][g], S2[a][b][i][j]), mm(linalg.flatten(BL[g]), s3), \
@@ -186,13 +179,26 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
                        T28[b][g][a][j][k][i * d + l], T28[g][a][b][k][i][j * d + l]))
                  for l in n] for k in n]
 
-    @lru_cache(maxsize=1)
+    def block23(a, b, g, si, i, j):  # residuals of (4.22) and (4.23) at [k][l]
+        x, y, s3 = t[t[a][b]][g], t[t[a][b]][si], S3[a][b][i][j]
+        x4, x5, x6 = mm(vvrows[g][si], s3), each(VV[x][si], DB[a][b][g][i][j]), \
+            each(vv1[g][y], DB[a][b][si][i][j])
+        y23 = mm(s2rows[g][si], SQ[a][b][t[g][si]][i][j])
+        return [[(vsum("++++++", V22[g][si][a][b][i][j][k * d + l],
+                       V22[a][si][b][g][j][k][i * d + l],
+                       V22[b][si][g][a][k][i][j * d + l],
+                       W22[a][b][g][si][i][j][k * d + l],
+                       W22[b][g][a][si][j][k][i * d + l],
+                       W22[g][a][b][si][k][i][j * d + l]),
+                  vsum("-+++--", Z23[a][b][si][i][j][l][g * d + k],
+                       Z23[a][b][g][i][j][k][si * d + l], y23[k * d + l], x4[k * d + l],
+                       x5[k][l], x6[l][k])) for l in n] for k in n]
+
     def block4(a, b, g, si, i, j):
-        # residuals of (4.23) at [k][l], of (4.19), (4.20), (4.29), (4.30) at
-        # [k][l][p]; a term at ..[k][l*d+p] is read at e_l, e_p of a table
+        # residuals of (4.19), (4.20), (4.29), (4.30) at [k][l][p]; a term at
+        # ..[k][l*d+p] is read at e_l, e_p of a table
         x, y, s3 = t[t[a][b]][g], t[t[a][b]][si], S3[a][b][i][j]
         dg, ds = DB[a][b][g][i][j], DB[a][b][si][i][j]
-        x4, x5, x6 = mm(vvrows[g][si], s3), each(VV[x][si], dg), each(vv1[g][y], ds)
         y1, y2, y3, y4 = mm(curows[g][si], s3), each(cu0[g][si], s3), \
             each(cu1[x][si], dg), each(cu2[g][y], ds)
         z1 = [mm(linalg.flatten(DB[b][g][si][j]), r[i]) for r in CU[a][t[t[b][g]][si]]]
@@ -204,10 +210,7 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
             each(s30[x][si], dg), each(s31[g][y], ds)
         v2, v3 = ([each(c, [q[f] for q in r]) for r in CU[g][h]]
                   for c, f, h in ((ci, j, b), (cj, i, a)))
-        y23 = mm(s2rows[g][si], SQ[a][b][t[g][si]][i][j])
-        return [[vsum("-+++--", Z23[a][b][si][i][j][l][g * d + k],
-                      Z23[a][b][g][i][j][k][si * d + l], y23[k * d + l], x4[k * d + l],
-                      x5[k][l], x6[l][k]) for l in n] for k in n], [[[(
+        return [[[(
             vsum("+---", y1[(p * d + k) * d + l], y2[p][k * d + l], y3[k][p * d + l],
                  y4[l][p * d + k]),
             vsum("+-+-", z1[p][k * d + l], z2[p][k * d + l], z3[p][k][l],
@@ -217,7 +220,6 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
             vsum("+-++", y3[k][p * d + l], v2[p][k][l], v3[p][k][l],
                  y2[p][k * d + l])) for p in n] for l in n] for k in n]
 
-    @lru_cache(maxsize=1)
     def block5(a, b, g, si, ta, i, j):  # residuals of (4.24) at [k][l][p]
         ab, s3, Q, D = t[a][b], S3[a][b][i][j], SQ[a][b], DB[a][b]
         c1, c2, c3, c4 = each(cu0[si][ta], Q[g][i][j]), each(cu0[g][ta], Q[si][i][j]), \
@@ -235,30 +237,23 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
     # three elements, three indices; (4.16)-(4.18) and (4.28) add one index
     F21, T28, H21, R18 = at_s2(VV, 1), at_s2(s30, 1), each(bl, VV, 4), each(bl, CU, 5)
     Q16 = [[[each(cu0[x][g], BL[y], 2) for y in m] for g in m] for x in m]
-    rep.sweep([m] * 3 + [n] * 3, [
-        ("NSF-4.21", lambda a, b, g, i, j, k: vsum(
+    rep.sweep([m] * 3 + [n] * 2, [
+        ("NSF-4.21", lambda a, b, g, i, j: [vsum(
             "+++---+++", F21[a][b][g][i][j][k], F21[b][g][a][j][k][i],
             F21[g][a][b][k][i][j], H21[a][b][i][j][g * d + k],
             H21[b][g][j][k][a * d + i], H21[g][a][k][i][b * d + j],
-            SQ[a][b][g][i][j][k], SQ[b][g][a][j][k][i], SQ[g][a][b][k][i][j])),
-        ([n], [(law, lambda *w, q=q: block3(*w[:5])[w[5]][w[6]][q]) for q, law in
-               enumerate(("NSF-4.16", "NSF-4.17", "NSF-4.18", "NSF-4.28"))])])
+            SQ[a][b][g][i][j][k], SQ[b][g][a][j][k][i], SQ[g][a][b][k][i][j])
+            for k in n], 1),
+        (("NSF-4.16", "NSF-4.17", "NSF-4.18", "NSF-4.28"), block3, 2)])
     del F21, T28, H21, R18, Q16
     # four elements, four indices; (4.19), (4.20), (4.29), (4.30) add one
     V22, W22, Z23 = at(lambda X: each(X, VV, 4), cu0, 2), at_s2(sq0, 2), each(bl, SQ, 6)
-    rep.sweep([m] * 4 + [n] * 4, [
-        ("NSF-4.22", lambda a, b, g, si, i, j, k, l: vsum(
-            "++++++", V22[g][si][a][b][i][j][k * d + l],
-            V22[a][si][b][g][j][k][i * d + l], V22[b][si][g][a][k][i][j * d + l],
-            W22[a][b][g][si][i][j][k * d + l], W22[b][g][a][si][j][k][i * d + l],
-            W22[g][a][b][si][k][i][j * d + l])),
-        ("NSF-4.23", lambda *w: block4(*w[:6])[0][w[6]][w[7]]),
-        ([n], [(law, lambda *w, q=q: block4(*w[:6])[1][w[6]][w[7]][w[8]][q]) for q, law
-               in enumerate(("NSF-4.19", "NSF-4.20", "NSF-4.29", "NSF-4.30"))])])
+    rep.sweep([m] * 4 + [n] * 2, [
+        (("NSF-4.22", "NSF-4.23"), block23, 2),
+        (("NSF-4.19", "NSF-4.20", "NSF-4.29", "NSF-4.30"), block4, 3)])
     del V22, W22, Z23
     # (4.24): five elements, five indices
-    return rep.sweep([m] * 5 + [n] * 5, [
-        ("NSF-4.24", lambda *w: block5(*w[:7])[w[7]][w[8]][w[9]])])
+    return rep.sweep([m] * 5 + [n] * 2, [("NSF-4.24", block5, 3)])
 
 
 def check_ns_axioms(N: NSAlgebra) -> Report:
@@ -299,17 +294,22 @@ def ns_from_twisted_rb(ctx, check: bool = True) -> NSFamilyAlgebra:
             raise PreconditionError("input is not a twisted Rota-Baxter family")
     s = ctx.semigroup
     nv, m = ctx.dimV, s.order
-    vb = linalg.identity(nv)
-    Tu = [[ctx.T(a, vb[i]) for i in range(nv)] for a in range(m)]
+    Tu = [[ctx.T(a, e) for e in linalg.identity(nv)] for a in range(m)]
     r, c = ctx.rep, ctx.cocycle
-    bl = [[[linalg.mat_vec(r.rho_of(Tu[a][i]), vb[j])
-            for j in range(nv)] for i in range(nv)] for a in range(m)]
+
+    # e_i . e_j is column j of rho(T_a e_i), curly(e_i, e_j, e_k) column i of
+    # theta(T_b e_j, T_g e_k), each zero the int 0 as mat_vec(X, e_j) gives it
+    def cols(X):
+        return [[x or 0 for x in col] for col in linalg.transpose(X, nv)]
+
+    bl = [[cols(r.rho_of(x)) for x in Tu[a]] for a in range(m)]
     v = [[[[c.g1_of(Tu[a][i], Tu[b][j])
             for j in range(nv)] for i in range(nv)]
           for b in range(m)] for a in range(m)]
-    cu = [[[[[linalg.mat_vec(r.theta_of(Tu[b][j], Tu[g][k]), vb[i])
-              for k in range(nv)] for j in range(nv)] for i in range(nv)]
+    th = [[[[cols(r.theta_of(x, y)) for y in Tu[g]] for x in Tu[b]]
            for g in range(m)] for b in range(m)]
+    cu = [[[[[th[b][g][j][k][i] for k in range(nv)] for j in range(nv)]
+             for i in range(nv)] for g in range(m)] for b in range(m)]
     q = [[[[[[c.g2_of(Tu[a][i], Tu[b][j], Tu[g][k])
               for k in range(nv)] for j in range(nv)] for i in range(nv)]
            for g in range(m)] for b in range(m)] for a in range(m)]

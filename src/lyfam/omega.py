@@ -110,9 +110,9 @@ def _bracket_of_bracket(O: OmegaLYAlgebra, Y, depth):
 def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
     """Evaluate the four indexed algebra laws on every basis/index tuple,
     their terms read from tables of contractions: tables over the whole
-    sweep for the cyclic terms of (5.2) and (5.3), residuals per block of
-    outer indices for (5.4) and (5.5).  On the one-element semigroup these
-    are the laws (2.1)-(2.4) of ly.check_ly_axioms."""
+    sweep for the cyclic terms of (5.2) and (5.3), and for (5.4) and (5.5)
+    a block of residuals per outer tuple.  On the one-element semigroup
+    these are the laws (2.1)-(2.4) of ly.check_ly_axioms."""
     t, m, n, d = O.semigroup.table, O.semigroup.elements, range(O.dim), O.dim
     B, T, each = O.binary, O.ternary, contract_each
     t0, t1, t2, trows = slot_views(T, 3)
@@ -121,7 +121,6 @@ def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
     # {[e_i, e_j]_ab, e_k, e_l}_(ab)ce at F3[a][b][c][e][i][j][k*d+l]
     F2, F3 = _bracket_of_bracket(O, B, 1), _bracket_of_bracket(O, t0, 2)
 
-    @lru_cache(maxsize=1)
     def block4(si, a, b, c, ii, jj):  # residuals of (5.4) at [kk][ll]
         sa, Q = t[si][a], T[si][a]
         x, y, z = mat_mul(flatten(B[b][c]), Q[t[b][c]][ii][jj]), \
@@ -129,7 +128,6 @@ def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
         return [[vec_sum("+--", x[kk * d + ll], y[kk][ll], z[ll][kk]) for ll in n]
                 for kk in n]
 
-    @lru_cache(maxsize=1)
     def block5(si, ta, a, b, c, ii, jj):  # residuals of (5.5) at [kk][ll][mm]
         Q, u = T[si][ta], t[t[si][ta]]  # u[x] is the product of si, ta and x
         w, x, y, z = mat_mul(trows[a][b][c], Q[t[t[a][b]][c]][ii][jj]), \
@@ -147,10 +145,8 @@ def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
         ("OLY-5.3", lambda a, b, c, e, i, j, k, l: vec_sum(
             "+++", F3[a][b][c][e][i][j][k * d + l], F3[b][c][a][e][j][k][i * d + l],
             F3[c][a][b][e][k][i][j * d + l]))])
-    rep.sweep([m] * 4 + [n] * 4, [
-        ("OLY-5.4", lambda *w: block4(*w[:6])[w[6]][w[7]])])
-    return rep.sweep([m] * 5 + [n] * 5, [
-        ("OLY-5.5", lambda *w: block5(*w[:7])[w[7]][w[8]][w[9]])])
+    rep.sweep([m] * 4 + [n] * 2, [("OLY-5.4", block4, 2)])
+    return rep.sweep([m] * 5 + [n] * 2, [("OLY-5.5", block5, 3)])
 
 
 def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,
@@ -213,14 +209,10 @@ class OmegaRepresentation:
     theta: list
 
     def __post_init__(self):
-        M = self.algebra.semigroup.order
-        n = self.algebra.dim
-        if len(self.rho) != M or any(len(r) != M for r in self.rho):
-            raise PreconditionError("rho index shape mismatch")
-        if any(len(self.rho[a][c]) != n for a in range(M) for c in range(M)):
-            raise PreconditionError("rho basis shape mismatch")
-        if len(self.theta) != M:
-            raise PreconditionError("theta index shape mismatch")
+        M, n, d = self.algebra.semigroup.order, self.algebra.dim, self.dim
+        if not (has_shape(self.rho, (M, M, n, d, d))
+                and has_shape(self.theta, (M, M, M, n, n, d, d))):
+            raise MalformedInputError("bad shape for an indexed representation")
 
     def d_tensor(self):
         """D_{a,b,s}(e_i, e_j, -) as matrices, via the derived-operator rule:
@@ -263,18 +255,15 @@ def check_omega_representation(O: OmegaLYAlgebra,
 
     Each law is a matrix identity on the module; column c of its residual
     matrix is the residual at the module basis vector u_c, recorded at the
-    tuple extended by c.  The matrices of a tuple are computed once, for
-    its first column.
-    """
+    tuple extended by c, each tuple giving the columns of its laws."""
     t, m, n = O.semigroup.table, O.semigroup.elements, range(O.dim)
-    E = identity(O.dim)
+    E, nv = identity(O.dim), r.dim
     B, T, RHO, TH, D = O.binary, O.ternary, r.rho, r.theta, r.d_tensor()
 
-    @lru_cache(maxsize=1)
     def laws_5_6_to_5_8(a, b, g, si, i, j, k):
         ab, abg = t[a][b], t[t[a][b]][g]
         absi = t[ab][si]
-        return (
+        return list(zip(*(transpose(X, nv) for X in (
             mat_sum("+-+", contract(TH[ab][g][si], B[a][b][i][j], E[k]),
                     mat_mul(TH[a][g][t[b][si]][i][k], RHO[b][si][j]),
                     mat_mul(TH[b][g][t[a][si]][j][k], RHO[a][si][i])),
@@ -283,12 +272,11 @@ def check_omega_representation(O: OmegaLYAlgebra,
                     contract(RHO[abg][si], T[a][b][g][i][j][k])),
             mat_sum("+-+", contract(TH[a][t[b][g]][si][i], B[b][g][j][k]),
                     mat_mul(RHO[b][t[t[a][g]][si]][j], TH[a][g][si][i][k]),
-                    mat_mul(RHO[g][absi][k], TH[a][b][si][i][j])))
+                    mat_mul(RHO[g][absi][k], TH[a][b][si][i][j]))))))
 
-    @lru_cache(maxsize=1)
     def laws_5_9_and_5_10(ta, a, b, g, si, ii, i, j, k):
         tasi = t[t[ta][a]][si]
-        return (
+        return list(zip(*(transpose(X, nv) for X in (
             mat_sum("+---",
                     mat_mul(D[ta][a][t[t[b][g]][si]][ii][i], TH[b][g][si][j][k]),
                     mat_mul(TH[b][g][tasi][j][k], D[ta][a][si][ii][i]),
@@ -300,19 +288,12 @@ def check_omega_representation(O: OmegaLYAlgebra,
                     contract(TH[ta][t[t[a][b]][g]][si][ii], T[a][b][g][i][j][k]),
                     mat_mul(TH[b][g][tasi][j][k], TH[ta][a][si][ii][i]),
                     mat_mul(TH[a][g][t[t[ta][b]][si]][i][k], TH[ta][b][si][ii][j]),
-                    mat_mul(D[a][b][t[t[ta][g]][si]][i][j], TH[ta][g][si][ii][k])))
+                    mat_mul(D[a][b][t[t[ta][g]][si]][i][j], TH[ta][g][si][ii][k]))))))
 
-    def column(laws, law):
-        return lambda *w: [row[w[-1]] for row in laws(*w[:-1])[law]]
-
-    cols = [range(r.dim)]
-    rep = Report().sweep([m] * 4 + [n] * 3, [(cols, [
-        ("OREP-5.6", column(laws_5_6_to_5_8, 0)),
-        ("OREP-5.7", column(laws_5_6_to_5_8, 1)),
-        ("OREP-5.8", column(laws_5_6_to_5_8, 2))])])
-    return rep.sweep([m] * 5 + [n] * 4, [(cols, [
-        ("OREP-5.9", column(laws_5_9_and_5_10, 0)),
-        ("OREP-5.10", column(laws_5_9_and_5_10, 1))])])
+    rep = Report().sweep([m] * 4 + [n] * 3, [
+        (("OREP-5.6", "OREP-5.7", "OREP-5.8"), laws_5_6_to_5_8, 1)])
+    return rep.sweep([m] * 5 + [n] * 4, [
+        (("OREP-5.9", "OREP-5.10"), laws_5_9_and_5_10, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -240,13 +240,13 @@ def check_morphism(ctx: TwistedRBContext, ctx2: TwistedRBContext,
     rep.sweep([r, r], [
         ("MOR-3.3-gamma1", lambda i, j: sub(
             mv(zeta, ctx.cocycle.gamma1[i][j]), c2.g1_of(eb[i], eb[j]))),
-        ([r], [("MOR-3.3-gamma2", lambda i, j, k: sub(
+        ("MOR-3.3-gamma2", lambda i, j: [sub(
             mv(zeta, ctx.cocycle.gamma2[i][j][k]),
-            c2.g2_of(eb[i], eb[j], eb[k])))])])
+            c2.g2_of(eb[i], eb[j], eb[k])) for k in r], 1)])
     return rep.sweep([r], [
         ("MOR-3.4-rho", lambda i: flat(linalg.mat_sub(
             mm(zeta, ctx.rep.rho[i]), mm(r2.rho_of(eb[i]), zeta)))),
-        ([r], [("MOR-3.4-theta", theta_law)])])
+        ("MOR-3.4-theta", lambda i: [theta_law(i, j) for j in r], 1)])
 
 
 # ---------------------------------------------------------------------------

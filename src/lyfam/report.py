@@ -33,22 +33,42 @@ class Report:
             self.add(law, witness, residual)
 
     def sweep(self, ranges, laws, prefix=()) -> "Report":
-        """Record laws at every index tuple prefix + idx, with idx running
+        """Record laws at every index tuple w = prefix + idx, with idx running
         over the product of ranges in lexicographic order; returns self.
 
-        A law is (name, residual), recorded at the tuple w as
-        record(name, w, residual(*w)), or a group (ranges, laws) swept at
-        every extension of w by its own ranges.  At each tuple the laws run
-        in the order listed.
+        A law (name, residual) is recorded at w as record(name, w,
+        residual(*w)).  A block (name, residuals, depth) has the residual at
+        w + (k1, ..., kd) at residuals(*w)[k1]...[kd], one per name there if
+        name is a tuple of names.  The witnesses come in lexicographic order,
+        and the laws at one witness in the order listed.
         """
+        plain = [law for law in laws if len(law) == 2]
+        blocks = [law for law in laws if len(law) == 3]
         for idx in itertools.product(*ranges):
             w = prefix + idx
-            for name, residual in laws:
-                if type(name) is str:
-                    self.record(name, w, residual(*w))
-                else:
-                    self.sweep(name, residual, w)
+            for name, residual in plain:
+                self.record(name, w, residual(*w))
+            if blocks:
+                start = len(self.violations)
+                for name, residuals, depth in blocks:
+                    self._walk(w, name, residuals(*w), depth)
+                if len(blocks) > 1:  # a stable sort keeps the listed order
+                    self.violations[start:] = sorted(self.violations[start:],
+                                                     key=lambda v: v.witness)
         return self
+
+    def _walk(self, w, name, block, depth) -> None:
+        """Record the entries of a block at w, one level per call."""
+        if depth > 1:
+            for k, sub in enumerate(block):
+                self._walk(w + (k,), name, sub, depth - 1)
+        elif type(name) is str:
+            for k, residual in enumerate(block):
+                self.record(name, w + (k,), residual)
+        else:
+            for k, residuals in enumerate(block):
+                for law, residual in zip(name, residuals):
+                    self.record(law, w + (k,), residual)
 
     def extend(self, other: "Report") -> None:
         self.violations.extend(other.violations)

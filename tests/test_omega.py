@@ -7,10 +7,10 @@ import pytest
 from lyfam.errors import (BudgetExceededError, MalformedInputError,
                           PreconditionError)
 from lyfam.nsfamily import ns_from_twisted_rb
-from lyfam.omega import (OmegaLYAlgebra, _canonical_tuples, check_omega_ly_axioms,
-                         check_omega_representation, cochain_build,
-                         cochain_full_coords, cochain_reader, delta_omega,
-                         delta_star_omega, ensure_budget,
+from lyfam.omega import (OmegaLYAlgebra, OmegaRepresentation, _canonical_tuples,
+                         check_omega_ly_axioms, check_omega_representation,
+                         cochain_build, cochain_full_coords, cochain_reader,
+                         delta_omega, delta_star_omega, ensure_budget,
                          omega_ly_from_ns_family, omega_ly_from_omega_lie,
                          omega_ly_from_reynolds, omega_cohomology_dims,
                          skew_basis, zero_omega_ly, zero_omega_representation)
@@ -82,6 +82,21 @@ def test_ragged_indexed_tensors_refused(s2):
         for depth in range(7):
             with pytest.raises(MalformedInputError):
                 OmegaLYAlgebra(2, s, O.binary, _one_short(O.ternary, depth))
+
+
+def test_ragged_indexed_representation_refused(s2):
+    # a rho matrix one row short used to be accepted, and the representation
+    # then passed check_omega_representation; a short theta list was accepted
+    # too
+    for s in (S1, s2):
+        O = zero_omega_ly(2, s)
+        r = zero_omega_representation(O, 2)
+        for depth in range(5):
+            with pytest.raises(MalformedInputError):
+                OmegaRepresentation(O, 2, _one_short(r.rho, depth), r.theta)
+        for depth in range(7):
+            with pytest.raises(MalformedInputError):
+                OmegaRepresentation(O, 2, r.rho, _one_short(r.theta, depth))
 
 
 def test_from_reynolds(a1, s2):
