@@ -157,10 +157,11 @@ class RBFComplex:
     A complex is a snapshot of its context: the images T, the derived D,
     the tables at (T, T) and the induced products are built once here, and
     the family check, both induced structures and every sweep of the
-    complex read them; the D of the induced representation is built on
-    first use and read by partial_deg1 and partial_23.  The standalone
-    check_twisted_rb_family, induced_omega_ly_on_V and induced_rep_on_L
-    build theirs afresh.
+    complex read them; a first-order check reads the family-level
+    partial_deg1 of its direction.  The D of the induced representation is
+    built on first use and read by the generic cross-check of partial_deg1
+    and by partial_23.  The standalone check_twisted_rb_family,
+    induced_omega_ly_on_V and induced_rep_on_L build theirs afresh.
     """
 
     def __init__(self, ctx: TwistedRBContext, check: bool = True):
@@ -263,21 +264,19 @@ def _first_order_tables(cx: RBFComplex, f: CochainFamily):
             ImageTables(cx.context, cx.derived, F, T))
 
 
-def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
-    """Degree-1 coboundary, computed from the family data and cross-checked
-    against the generic coboundary of the induced complex.
+def _family_d1(cx: RBFComplex, f: CochainFamily) -> CochainFamily:
+    """Degree-1 coboundary of f, computed from the family data: the tensors
+    of the context at the images of T and of f.
 
-    tables are _first_order_tables(cx, f), when the caller has them.  The
-    output is skew in its first slot pair, so, as in delta_omega, it is
+    The output is skew in its first slot pair, so, as in delta_omega, it is
     built from the canonical tuples only: those whose joint labels i*M + a
     increase strictly in the first two slots.  A context whose brackets or
     cocycle are not skew is refused.
     """
-    f = _coerce_deg1(cx, f)
     _require_skew_context(cx)
     ctx = cx.context
     s, nv = ctx.semigroup, ctx.dimV
-    T, F, tt, tf, ft = tables or _first_order_tables(cx, f)
+    T, F, tt, tf, ft = _first_order_tables(cx, f)
     # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; f1, f2, f3 likewise
     def even(al, xs):
         (a1, a2), (i, j) = al, xs
@@ -315,7 +314,15 @@ def partial_deg1(cx: RBFComplex, f, tables=None) -> CochainFamily:
                        contract(ft.ternary[q][p], z), mat_vec(Tw, inner),
                        mat_vec(fw, arg))
 
-    out = cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
+    return cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
+
+
+def partial_deg1(cx: RBFComplex, f) -> CochainFamily:
+    """Degree-1 coboundary, computed from the family data (_family_d1) and
+    cross-checked coordinate by coordinate against the generic coboundary of
+    the induced complex."""
+    f = _coerce_deg1(cx, f)
+    out = _family_d1(cx, f)
     generic = delta_omega(cx.induced_algebra, cx.induced_rep, f,
                           D=cx.induced_D)
     if cochain_coords(out) != cochain_coords(generic):
@@ -373,77 +380,30 @@ def cohomology_H23(cx: RBFComplex, budget=None) -> int:
 # ---------------------------------------------------------------------------
 # deformations
 
-def _linearized_report(cx: RBFComplex, f: CochainFamily,
-                       tables=None) -> Report:
-    """First-order deformation equations, evaluated directly; tables are
-    _first_order_tables(cx, f), when the caller has them.
-
-    Both residuals are skew in their first slot pair, so, as in
-    partial_deg1, they are evaluated at the canonical tuples only; the
-    tuple with those two slots swapped has the negative residual, and a
-    tuple that repeats the label has residual 0.  Violations are recorded
-    in the order of all tuples.  A context whose brackets or cocycle are
-    not skew is refused.
-    """
-    _require_skew_context(cx)
-    ctx = cx.context
-    s, nv = ctx.semigroup, ctx.dimV
-    T, F, tt, tf, ft = tables or _first_order_tables(cx, f)
-    # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; x1, y1, z1 likewise
-    def even(al, xs):
-        (a1, a2), (i, j) = al, xs
-        w = product(s, a1, a2)
-        Tw, fw = ctx.family[w], f.even[w]
-        p, q = a1 * nv + i, a2 * nv + j
-        arg = vec_sum("+-+", tt.rho[p][j], tt.rho[q][i], tt.gamma1[p][q])
-        inner = vec_sum("+-++", ft.rho[p][j], ft.rho[q][i], ft.gamma1[p][q],
-                        tf.gamma1[p][q])
-        return vec_sum("++--", ft.bracket[p][q], tf.bracket[p][q],
-                       mat_vec(fw, arg), mat_vec(Tw, inner))
-
-    def odd(al, xs):
-        (a1, a2, a3), (i, j, k) = al, xs
-        w = product_of(s, al)
-        Tw, fw = ctx.family[w], f.even[w]
-        p, q, t = a1 * nv + i, a2 * nv + j, a3 * nv + k
-        z, z1 = T[t], F[t]
-        arg = vec_sum("+-++", tt.D[p][q][k], tt.theta[p][t][j],
-                      tt.theta[q][t][i], contract(tt.gamma2[p][q], z))
-        inner = vec_sum("++--+++++", ft.D[p][q][k], tf.D[p][q][k],
-                        ft.theta[p][t][j], tf.theta[p][t][j],
-                        ft.theta[q][t][i], tf.theta[q][t][i],
-                        contract(ft.gamma2[p][q], z),
-                        contract(tf.gamma2[p][q], z),
-                        contract(tt.gamma2[p][q], z1))
-        return vec_sum("+++--", contract(ft.ternary[p][q], z),
-                       contract(tf.ternary[p][q], z),
-                       contract(tt.ternary[p][q], z1), mat_vec(fw, arg),
-                       mat_vec(Tw, inner))
-
-    res = cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
+def _deformation_report(d1: CochainFamily) -> Report:
+    """The first-order deformation equations DEF-6.2 (pairs) and DEF-6.3
+    (triples), whose residuals are the values of the degree-1 coboundary
+    d1; violations are recorded in the order of all tuples."""
     rep = Report()
-    if not any(cochain_coords(res)):
+    if not any(cochain_coords(d1)):
         return rep
-    for al, xs, v in cochain_full_table(res):
+    for al, xs, v in cochain_full_table(d1):
         rep.record("DEF-6.2" if len(al) == 2 else "DEF-6.3", al + xs, v)
     return rep
 
 
-def infinitesimal_report(cx: RBFComplex, d) -> Report:
-    """The first-order deformation equations of d, evaluated directly.
+def _linearized_report(cx: RBFComplex, f: CochainFamily) -> Report:
+    """First-order deformation equations of f, read off its family-level
+    degree-1 coboundary without the generic cross-check, so a context that
+    fails the family laws still gets a report.  A context whose brackets or
+    cocycle are not skew is refused."""
+    return _deformation_report(_family_d1(cx, f))
 
-    Independently tests that the degree-1 coboundary of d vanishes; a
-    disagreement between the two routes is an internal error.
-    """
-    f = _coerce_deg1(cx, d)
-    tables = _first_order_tables(cx, f)
-    rep = _linearized_report(cx, f, tables)
-    via_coboundary = not any(cochain_coords(partial_deg1(cx, f, tables)))
-    if rep.ok != via_coboundary:
-        raise ConsistencyError(
-            "deformation-equation route and coboundary route disagree "
-            "(direct=%s, coboundary=%s)" % (rep.ok, via_coboundary))
-    return rep
+
+def infinitesimal_report(cx: RBFComplex, d) -> Report:
+    """The first-order deformation equations of d, read off partial_deg1,
+    whose generic cross-check independently tests every residual."""
+    return _deformation_report(partial_deg1(cx, d))
 
 
 def check_infinitesimal(cx: RBFComplex, d) -> bool:

@@ -39,7 +39,12 @@ def ensure_budget(ncoords: int, budget: int | None = None) -> None:
     count is of stored coordinates: for a pair-degree cochain, those of its
     canonical tuples (SkewBasis.size)."""
     if budget is None:
-        budget = int(os.environ.get("LYFAM_BUDGET", DEFAULT_BUDGET))
+        raw = os.environ.get("LYFAM_BUDGET", DEFAULT_BUDGET)
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise MalformedInputError(
+                "LYFAM_BUDGET is not an integer: %r" % (raw,)) from None
     if ncoords > budget:
         raise BudgetExceededError(
             "computation needs %d coordinates, budget is %d" % (ncoords, budget))

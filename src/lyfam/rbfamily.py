@@ -493,43 +493,21 @@ def semidirect_product(A: LYAlgebra, r: Representation, c: Cocycle23) -> LYAlgeb
 
 def check_graph_subalgebra_family(ctx: TwistedRBContext) -> bool:
     """Whether the graphs Gr(T_alpha) form a subalgebra family of the
-    twisted semidirect product (membership tested by exact solving)."""
-    A, s = ctx.algebra, ctx.semigroup
-    n, nv = ctx.dimL, ctx.dimV
-    sd = semidirect_product(A, ctx.rep, ctx.cocycle)
-    vb = linalg.identity(nv)
-    gens = {}
-    for a in s.elements:
-        cols = []
-        for u in vb:
-            cols.append(list(ctx.T(a, u)) + list(u))
-        # matrix with generator columns, for membership solves
-        gens[a] = [[cols[j][i] for j in range(nv)] for i in range(n + nv)]
+    twisted semidirect product.  Gr(T_a) is {(T_a v, v)}, so w lies in it
+    exactly when its L part is T_a of its V part."""
+    s, n, nv = ctx.semigroup, ctx.dimL, ctx.dimV
+    sd = semidirect_product(ctx.algebra, ctx.rep, ctx.cocycle)
+    # graph[a][i] = (T_a u_i, u_i)
+    graph = [[ctx.T(a, u) + u for u in linalg.identity(nv)]
+             for a in s.elements]
 
-    def graph_vec(a, u):
-        return list(ctx.T(a, u)) + list(u)
+    def in_graph(a, w):
+        return w[:n] == ctx.T(a, w[n:])
 
-    for a in s.elements:
-        for b in s.elements:
-            ab = product(s, a, b)
-            for i in range(nv):
-                g1v = graph_vec(a, vb[i])
-                for j in range(nv):
-                    g2v = graph_vec(b, vb[j])
-                    w = sd.bracket(g1v, g2v)
-                    if linalg.solve(gens[ab], w) is None:
-                        return False
-    for a in s.elements:
-        for b in s.elements:
-            for g in s.elements:
-                abg = product_of(s, [a, b, g])
-                for i in range(nv):
-                    g1v = graph_vec(a, vb[i])
-                    for j in range(nv):
-                        g2v = graph_vec(b, vb[j])
-                        for k in range(nv):
-                            g3v = graph_vec(g, vb[k])
-                            w = sd.tri(g1v, g2v, g3v)
-                            if linalg.solve(gens[abg], w) is None:
-                                return False
-    return True
+    r, m = range(nv), s.elements
+    return (all(in_graph(product(s, a, b),
+                         sd.bracket(graph[a][i], graph[b][j]))
+                for a, b, i, j in itertools.product(m, m, r, r))
+            and all(in_graph(product_of(s, (a, b, g)),
+                             sd.tri(graph[a][i], graph[b][j], graph[g][k]))
+                    for a, b, g, i, j, k in itertools.product(m, m, m, r, r, r)))

@@ -325,6 +325,22 @@ def test_budget_is_scoped_to_one_call(tmp_path, a1, s1, monkeypatch):
     assert os.environ["LYFAM_BUDGET"] == "7"
 
 
+def test_non_integer_budget_is_malformed_input(files, tmp_path, capsys,
+                                              monkeypatch):
+    _, _, _, c_path, ctx = files
+    z_path = tmp_path / "zero.json"
+    sz.save_json(str(z_path), sz.direction_to_json(
+        [la.zeros(ctx.dimL, ctx.dimV)] * ctx.semigroup.order))
+    monkeypatch.setenv("LYFAM_BUDGET", "abc")
+    for argv in (["cohomology", c_path, "--h23"],
+                 ["deform", c_path, str(z_path)]):
+        capsys.readouterr()
+        assert main(["--json"] + argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["summary"] == ("malformed input: LYFAM_BUDGET is not an "
+                                  "integer: 'abc'")
+
+
 def test_ly_from_leibniz_checks_its_output_once(tmp_path, capsys, monkeypatch):
     from lyfam import cli, ly
     checked = []

@@ -195,6 +195,21 @@ def test_only_canonical_tuples_are_evaluated(cases, monkeypatch):
     assert sorted(k for k, _, _ in evaluated) == [2] * 15 + [3] * 90
     assert sorted(products) == [2] * 15 + [3] * 90
 
+    # the two-route check on a valid family: one family-level evaluation of
+    # the canonical tuples and one generic coboundary
+    (_, cx, _, fs), = [c for c in cases if c[0] == "A2xS2 moved"]
+    want = reference_linearized_report(cx, fs[1])
+    generic, delta = [], cohomology.delta_omega
+    monkeypatch.setattr(cohomology, "delta_omega",
+                        lambda *a, **k: generic.append(a) or delta(*a, **k))
+    evaluated.clear()
+    products.clear()
+    got = infinitesimal_report(cx, fs[1])
+    assert repr(got.violations) == repr(want.violations)
+    assert sorted(k for k, _, _ in evaluated) == [2] * 15 + [3] * 90
+    assert sorted(products) == [2] * 15 + [3] * 90
+    assert len(generic) == 1
+
 
 def test_non_skew_context_is_refused_with_the_partial_deg1_message(a1, s2):
     ctx = copy.deepcopy(identity_family(a1, s2))
