@@ -451,43 +451,45 @@ def bar_operator(ctx: TwistedRBContext) -> TwistedRBContext:
 # semidirect product and the graph characterization
 
 def semidirect_product(A: LYAlgebra, r: Representation, c: Cocycle23) -> LYAlgebra:
-    """LY structure on L + V twisted by the cocycle."""
+    """LY structure on L + V twisted by the cocycle, on the basis of the n
+    vectors (e_i, 0) and then the nv vectors (0, u_k):
+    [(x, u), (y, v)] = ([x, y], rho(x)v - rho(y)u + Gamma1(x, y)) and
+    {(x, u), (y, v), (z, w)} = ({x, y, z}, D(x, y)w - theta(x, z)v
+    + theta(y, z)u + Gamma2(x, y, z)).
+
+    At basis vectors at most one term of each part is nonzero, so every
+    entry is read from the tables of A, rho, theta, D and the cocycle, with
+    its sign, and with zero coordinates as the int 0."""
     n, nv = A.dim, r.space_dim
+    zl, zero = [0] * n, [0] * (n + nv)
+    tp = linalg.transpose
+    # rho(e_i)u_k at rc[i][k]; theta(e_i, e_j)u_k and D(e_i, e_j)u_k at
+    # tc[i][j][k] and dc[i][j][k]
+    rc = [tp(m, nv) for m in r.rho]
+    tc, dc = ([[tp(m, nv) for m in row] for row in X]
+              for X in (r.theta, derived_D(A, r)))
+
+    def entry(v, sign=1):
+        return [sign * x if x else 0 for x in v]
+
     N = n + nv
-    D = derived_D(A, r)
-
-    def pair(xl, xv):
-        return list(xl) + list(xv)
-
-    zero = linalg.zero_vec(N)
     binary = [[list(zero) for _ in range(N)] for _ in range(N)]
-    ternary = [[[list(zero) for _ in range(N)] for _ in range(N)] for _ in range(N)]
-    # basis: first n are (e_i, 0), last nv are (0, u_j)
-    lparts = [(A.basis(i), linalg.zero_vec(nv)) for i in range(n)] + \
-             [(linalg.zero_vec(n), u) for u in linalg.identity(nv)]
-
-    def brk(p1, p2):
-        (x, u), (y, v) = p1, p2
-        lout = A.bracket(x, y)
-        vout = linalg.mat_vec(r.rho_of(x), v)
-        vout = linalg.vec_sub(vout, linalg.mat_vec(r.rho_of(y), u))
-        vout = linalg.vec_add(vout, c.g1_of(x, y))
-        return pair(lout, vout)
-
-    def trk(p1, p2, p3):
-        (x, u), (y, v), (z, w) = p1, p2, p3
-        lout = A.tri(x, y, z)
-        vout = linalg.mat_vec(linalg.contract(D, x, y), w)
-        vout = linalg.vec_sub(vout, linalg.mat_vec(r.theta_of(x, z), v))
-        vout = linalg.vec_add(vout, linalg.mat_vec(r.theta_of(y, z), u))
-        vout = linalg.vec_add(vout, c.g2_of(x, y, z))
-        return pair(lout, vout)
-
-    for p in range(N):
-        for q in range(N):
-            binary[p][q] = brk(lparts[p], lparts[q])
-            for t in range(N):
-                ternary[p][q][t] = trk(lparts[p], lparts[q], lparts[t])
+    ternary = [[[list(zero) for _ in range(N)] for _ in range(N)]
+               for _ in range(N)]
+    for i, j in itertools.product(range(n), repeat=2):
+        binary[i][j] = entry(A.binary[i][j]) + entry(c.gamma1[i][j])
+        for k in range(n):
+            ternary[i][j][k] = entry(A.ternary[i][j][k]) + \
+                entry(c.gamma2[i][j][k])
+        # one V slot, third, second or first: D(x, y)w, -theta(x, z)v and
+        # theta(y, z)u
+        for k in range(nv):
+            ternary[i][j][n + k] = zl + entry(dc[i][j][k])
+            ternary[i][n + k][j] = zl + entry(tc[i][j][k], -1)
+            ternary[n + k][i][j] = zl + entry(tc[i][j][k])
+    for i, k in itertools.product(range(n), range(nv)):
+        binary[i][n + k] = zl + entry(rc[i][k])
+        binary[n + k][i] = zl + entry(rc[i][k], -1)
     return LYAlgebra(N, binary, ternary)
 
 
