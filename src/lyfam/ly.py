@@ -115,6 +115,28 @@ def zero_cocycle(alg_dim: int, space_dim: int) -> Cocycle23:
                      linalg.zeros(alg_dim, alg_dim, alg_dim, space_dim))
 
 
+def require_fit(A: LYAlgebra, r: Representation, c: Cocycle23 | None = None):
+    """Refuse a representation, or a cocycle, made for other dimensions than
+    those of the algebra (n) and of the representation space (m): rho,
+    theta, Gamma1 and Gamma2 must have the shapes (n, m, m), (n, n, m, m),
+    (n, n, m) and (n, n, n, m)."""
+    n, m = A.dim, r.space_dim
+    parts = [("representation rho", r.rho, (n, m, m)),
+             ("representation theta", r.theta, (n, n, m, m))]
+    if c is not None:
+        parts += [("cocycle Gamma1", c.gamma1, (n, n, m)),
+                  ("cocycle Gamma2", c.gamma2, (n, n, n, m))]
+    for what, t, dims in parts:
+        if not linalg.has_shape(t, dims):
+            shape = []  # the lengths along the first entries
+            while isinstance(t, (list, tuple)) and len(shape) < len(dims):
+                shape.append(len(t))
+                t = t[0] if t else None
+            raise MalformedInputError(
+                "%s of shape %s does not fit an algebra of dim %d and a space "
+                "of dim %d, which need %s" % (what, tuple(shape), n, m, dims))
+
+
 # ---------------------------------------------------------------------------
 # axiom checkers
 
@@ -159,6 +181,7 @@ def derived_D(A: LYAlgebra, r: Representation):
 
 
 def check_representation(A: LYAlgebra, r: Representation) -> Report:
+    require_fit(A, r)
     n, E = range(A.dim), linalg.identity(A.dim)
     D = derived_D(A, r)
     b, t, rho, theta = A.binary, A.ternary, r.rho, r.theta
@@ -203,6 +226,7 @@ def adjoint_representation(A: LYAlgebra) -> Representation:
 
 
 def check_cocycle23(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:
+    require_fit(A, r, c)
     n, E = range(A.dim), linalg.identity(A.dim)
     D = derived_D(A, r)
     b, t, g1, g2 = A.binary, A.ternary, c.gamma1, c.gamma2

@@ -18,7 +18,8 @@ from . import linalg
 from .errors import PreconditionError
 from .ly import (Cocycle23, LYAlgebra, Representation, adjoint_representation,
                  check_cocycle23, check_ly_axioms, check_representation,
-                 derived_D, gamma_ad, joint_table, ly_tensor_semigroup)
+                 derived_D, gamma_ad, joint_table, ly_tensor_semigroup,
+                 require_fit)
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
     trivial_semigroup, validate_semigroup
@@ -33,6 +34,7 @@ class TwistedRBContext:
     family: list  # family[alpha] -> Matrix(V -> L)
 
     def __post_init__(self):
+        require_fit(self.algebra, self.rep, self.cocycle)
         n, nv = self.algebra.dim, self.rep.space_dim
         for T in self.family:
             if len(T) != n or any(len(row) != nv for row in T):
@@ -460,6 +462,7 @@ def semidirect_product(A: LYAlgebra, r: Representation, c: Cocycle23) -> LYAlgeb
     At basis vectors at most one term of each part is nonzero, so every
     entry is read from the tables of A, rho, theta, D and the cocycle, with
     its sign, and with zero coordinates as the int 0."""
+    require_fit(A, r, c)
     n, nv = A.dim, r.space_dim
     zl, zero = [0] * n, [0] * (n + nv)
     tp = linalg.transpose

@@ -240,6 +240,63 @@ def test_nijenhuis_context_of_wrong_shape_exits_one(files, capsys, order, dim):
     assert not out_path.exists()
 
 
+def _assert_malformed_summary(capsys, argv, *words):
+    capsys.readouterr()
+    assert main(["--json"] + argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = json.loads(captured.out)["summary"]
+    assert summary.startswith("malformed input:")
+    for w in words:
+        assert w in summary
+
+
+# a context whose cocycle is declared for another algebra or space than
+# the context's (dims 4 and 2): every verb refuses it as malformed
+@pytest.mark.parametrize("change,words", [
+    ({"algebra_dim": 5, "gamma1": [[0, 4, 0, "1"], [4, 0, 0, "-1"]]},
+     ("(5, 5, 2)", "algebra of dim 4", "space of dim 2")),
+    ({"space_dim": 3}, ("(4, 4, 3)", "algebra of dim 4", "space of dim 2")),
+])
+@pytest.mark.parametrize("verb", [["validate", "{}", "context"],
+                                  ["check-rbf", "{}"], ["cohomology", "{}"]],
+                         ids=["validate", "check-rbf", "cohomology"])
+def test_context_with_a_cocycle_of_other_dims_exits_two(files, capsys, change,
+                                                         words, verb):
+    tmp, _, _, c_path, _ = files
+    d = json.load(open(c_path))
+    d["cocycle"].update(change)
+    bad = tmp / "badctx.json"
+    json.dump(d, open(bad, "w"))
+    _assert_malformed_summary(
+        capsys, [str(bad) if a == "{}" else a for a in verb],
+        "cocycle Gamma1", *words)
+
+
+@pytest.mark.parametrize("algebra,words", [
+    # a cocycle declared for a 3-dim algebra, whose Gamma1(e_0, e_2) = u_1
+    # lies outside the 2-dim one
+    ("a1", ("cocycle Gamma1", "(3, 3, 2)", "algebra of dim 2")),
+    # the 2-dim adjoint representation of A1 with the 3-dim A2
+    ("a2", ("representation rho", "(2, 2, 2)", "algebra of dim 3")),
+])
+def test_semidirect_of_other_dims_exits_two(tmp_path, capsys, a1, a2, algebra,
+                                            words):
+    from lyfam.ly import adjoint_representation
+    paths = {k: str(tmp_path / (k + ".json")) for k in ("a", "ad", "gad3")}
+    sz.save_json(paths["a"], sz.ly_to_json({"a1": a1, "a2": a2}[algebra]))
+    sz.save_json(paths["ad"], sz.representation_to_json(
+        adjoint_representation(a1), 2))
+    sz.save_json(paths["gad3"], {
+        "kind": "cocycle", "algebra_dim": 3, "space_dim": 2,
+        "gamma1": [[0, 2, 1, "1"], [2, 0, 1, "-1"]]})
+    out = tmp_path / "sd.json"
+    _assert_malformed_summary(
+        capsys, ["construct", "semidirect", paths["a"], paths["ad"],
+                 paths["gad3"], "-o", str(out)], *words)
+    assert not out.exists()
+
+
 def test_construct_rejects_non_jacobi(tmp_path):
     bad = tmp_path / "bil.json"
     sz.save_json(str(bad), {
