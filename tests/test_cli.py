@@ -257,7 +257,7 @@ def _assert_malformed_summary(capsys, argv, *words):
     ({"algebra_dim": 5, "gamma1": [[0, 4, 0, "1"], [4, 0, 0, "-1"]]},
      ("(5, 5, 2)", "algebra of dim 4", "space of dim 2")),
     ({"space_dim": 3}, ("(4, 4, 3)", "algebra of dim 4", "space of dim 2")),
-])
+], ids=["algebra_dim", "space_dim"])
 @pytest.mark.parametrize("verb", [["validate", "{}", "context"],
                                   ["check-rbf", "{}"], ["cohomology", "{}"]],
                          ids=["validate", "check-rbf", "cohomology"])
