@@ -234,3 +234,131 @@ def test_combine_and_project_are_inverse(s, nA, degree):
 def test_zero_algebras_of_dimension_zero_and_one(s2):
     for n in (0, 1):
         assert check_omega_ly_axioms(zero_omega_ly(n, s2)).violations == []
+
+
+# ---------------------------------------------------------------------------
+# the canonical-tuple screen of check_omega_ly_axioms
+
+def _induced(A, s):
+    from lyfam.cohomology import RBFComplex
+    return RBFComplex(identity_family(A, s), check=False).induced_algebra
+
+
+@pytest.mark.parametrize("base,before,after", [
+    ("sl2-S1", 18, 6), ("A1-S2-induced", 192, 72), ("A2-S2-induced", 432, 180)])
+def test_screen_evaluates_the_blocks_of_canonical_pairs_only(
+        monkeypatch, a1, a2, base, before, after):
+    """Each block of (5.4) and (5.5) makes one mat_mul.  A valid algebra is
+    decided by the canonical pairs (ii, si) < (jj, a) of its blocks: 3 of
+    the 9 on sl2, 6 of the 16 joint-label pairs over S2."""
+    from lyfam import omega
+    from lyfam.ly import _over_trivial_semigroup
+    O = {"sl2-S1": lambda: _over_trivial_semigroup(a2),
+         "A1-S2-induced": lambda: _induced(a1, S2),
+         "A2-S2-induced": lambda: _induced(a2, S2)}[base]()
+    calls = []
+    mat_mul = omega.mat_mul
+    monkeypatch.setattr(omega, "mat_mul",
+                        lambda x, y: calls.append(1) or mat_mul(x, y))
+    assert check_omega_ly_axioms(O).ok
+    m, n = O.semigroup.order, O.dim
+    assert m ** 4 * n ** 2 * (1 + m) == before
+    assert len(calls) == after
+
+
+def _brute_force_laws_hold(O):
+    """OLY-5.2 ... 5.5 at every tuple, each term one contraction of the
+    brackets at basis vectors, as the laws read."""
+    t, m, E = O.semigroup.table, O.semigroup.elements, la.identity(O.dim)
+    br, tr = O.br, O.tr
+    V = [(a, E[i]) for a in m for i in range(O.dim)]
+    for (a, x), (b, y), (c, z) in itertools.product(V, repeat=3):
+        cyclic = ((a, b, c, x, y, z), (b, c, a, y, z, x), (c, a, b, z, x, y))
+        if any(la.vec_sum("++++++", *[
+                br(t[p][q], r, br(p, q, u, v), w) for p, q, r, u, v, w in cyclic],
+                *[tr(p, q, r, u, v, w) for p, q, r, u, v, w in cyclic])):
+            return False
+        for e, w in V:
+            if any(la.vec_sum("+++", *[
+                    tr(t[p][q], r, e, br(p, q, u, v), s, w)
+                    for p, q, r, u, v, s in cyclic])):
+                return False
+    for (a, x), (b, y), (c, z), (e, w) in itertools.product(V, repeat=4):
+        ab = t[a][b]
+        # D(x, y)[z, w] = [D(x, y)z, w] + [z, D(x, y)w]
+        if any(la.vec_sum("+--", tr(a, b, t[c][e], x, y, br(c, e, z, w)),
+                          br(t[ab][c], e, tr(a, b, c, x, y, z), w),
+                          br(c, t[ab][e], z, tr(a, b, e, x, y, w)))):
+            return False
+        for g, v in V:
+            # D(x, y){z, w, v} = {D(x, y)z, w, v} + {z, D(x, y)w, v}
+            # + {z, w, D(x, y)v}
+            if any(la.vec_sum(
+                    "+---", tr(a, b, t[t[c][e]][g], x, y, tr(c, e, g, z, w, v)),
+                    tr(t[ab][c], e, g, tr(a, b, c, x, y, z), w, v),
+                    tr(c, t[ab][e], g, z, tr(a, b, e, x, y, w), v),
+                    tr(c, e, t[ab][g], z, w, tr(a, b, g, x, y, v)))):
+                return False
+    return True
+
+
+def _skew_perturbed(O, rng):
+    """O with one ternary coordinate moved and its skew partner moved back,
+    so that the ternary family stays skew."""
+    M, n = O.semigroup.order, O.dim
+    T = [[[[[[list(v) for v in r] for r in p] for p in c] for c in b]
+          for b in a] for a in O.ternary]
+    while True:
+        a, b, c = (rng.randrange(M) for _ in range(3))
+        i, j, k, l = (rng.randrange(n) for _ in range(4))
+        if (a, i) != (b, j):
+            break
+    delta = rng.choice((-1, 1, Fraction(1, 2)))
+    T[a][b][c][i][j][k][l] += delta
+    T[b][a][c][j][i][k][l] -= delta
+    return OmegaLYAlgebra(n, O.semigroup, O.binary, T)
+
+
+def _screen_cases():
+    from conftest import make_a1, make_a2
+    from lyfam.ly import ly_from_lie
+    from lyfam.semigroup import FiniteCommutativeSemigroup
+    # W2 is neither commutative nor associative: the sweep must not be cut
+    # to canonical tuples there
+    W2 = FiniteCommutativeSemigroup(2, [[1, 0], [1, 1]])
+    heis = ly_from_lie([[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                        [[0, 0, -1], [0, 0, 0], [0, 0, 0]],
+                        [[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
+    out = {}
+    for aname, A in (("A1", make_a1()), ("A2", make_a2()), ("heis", heis)):
+        for sname, s in (("S1", S1), ("S2", S2), ("W2", W2)):
+            m, n = s.order, A.dim
+            out["lie-%s-%s" % (aname, sname)] = omega_ly_from_omega_lie(
+                n, s, [[A.binary] * m for _ in range(m)])
+        for sname, s in (("S1", S1), ("S2", S2)):
+            out["induced-%s-%s" % (aname, sname)] = _induced(A, s)
+            out["ns-%s-%s" % (aname, sname)] = omega_ly_from_ns_family(
+                ns_from_twisted_rb(identity_family(A, s)))
+    out["zero-2-S2"] = zero_omega_ly(2, S2)
+    rng = random.Random(20261019)
+    for name, O in list(out.items()):
+        for k in range(2):
+            out["%s-perturbed%d" % (name, k)] = _skew_perturbed(O, rng)
+    # {e_0, e_0, e_0}_{0,1,c} = e_0 = -{e_0, e_0, e_0}_{1,0,c} over W2: (5.5)
+    # holds at every canonical tuple, where the first pair is (0, 1), and
+    # fails at others
+    T = zero_omega_ly(1, W2).ternary
+    for c in W2.elements:
+        T[0][1][c][0][0][0], T[1][0][c][0][0][0] = [1], [-1]
+    out["one-dim-W2"] = OmegaLYAlgebra(1, W2, zero_omega_ly(1, W2).binary, T)
+    return out
+
+
+SCREEN_CASES = _screen_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+def test_screen_agrees_with_a_brute_force_evaluation(name):
+    O = SCREEN_CASES[name]
+    assert O.invariant_report().ok
+    assert check_omega_ly_axioms(O).ok == _brute_force_laws_hold(O)
