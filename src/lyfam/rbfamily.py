@@ -464,8 +464,7 @@ def semidirect_product(A: LYAlgebra, r: Representation, c: Cocycle23) -> LYAlgeb
     its sign, and with zero coordinates as the int 0."""
     require_fit(A, r, c)
     n, nv = A.dim, r.space_dim
-    zl, zero = [0] * n, [0] * (n + nv)
-    tp = linalg.transpose
+    N, zl, tp = n + nv, [0] * n, linalg.transpose
     # rho(e_i)u_k at rc[i][k]; theta(e_i, e_j)u_k and D(e_i, e_j)u_k at
     # tc[i][j][k] and dc[i][j][k]
     rc = [tp(m, nv) for m in r.rho]
@@ -475,9 +474,8 @@ def semidirect_product(A: LYAlgebra, r: Representation, c: Cocycle23) -> LYAlgeb
     def entry(v, sign=1):
         return [sign * x if x else 0 for x in v]
 
-    N = n + nv
-    binary = [[list(zero) for _ in range(N)] for _ in range(N)]
-    ternary = [[[list(zero) for _ in range(N)] for _ in range(N)]
+    binary = [[[0] * N for _ in range(N)] for _ in range(N)]
+    ternary = [[[[0] * N for _ in range(N)] for _ in range(N)]
                for _ in range(N)]
     for i, j in itertools.product(range(n), repeat=2):
         binary[i][j] = entry(A.binary[i][j]) + entry(c.gamma1[i][j])
