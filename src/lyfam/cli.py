@@ -236,11 +236,11 @@ def cmd_cohomology(args):
         summary.append("H1=%d" % dim)
         summary.append("rigid" if result["rigid"] else "non-rigid")
     if args.h23:
-        result["H23"] = cohomology_H23(cx, args.budget)
+        result["H23"] = cohomology_H23(cx)
         summary.append("H23=%d" % result["H23"])
     if args.max_n:
         dims = omega_cohomology_dims(cx.induced_algebra, cx.induced_rep,
-                                     args.max_n, args.budget)
+                                     args.max_n)
         result["generic_dims"] = dims
         summary.append("generic=%s" % (dims,))
     return _emit(args, "ok", "%s: %s" % (args.path, " ".join(summary)),

@@ -21,18 +21,16 @@ from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_build, cochain_coords, cochain_full_table,
                     cohomology_step, delta_omega, delta_star_omega,
                     skew_basis)
-from .ly import derived_D
-from .rbfamily import (ImageTables, TwistedRBContext, family_report, images,
-                       induced_products)
+from .rbfamily import (ImageTables, TwistedRBContext, family_report,
+                       family_tables, images, induced_products)
 from .report import Report
-from .semigroup import product, product_of
+from .semigroup import product, product_of, validate_semigroup
 
 
 def induced_omega_ly_on_V(ctx: TwistedRBContext,
                           check: bool = True) -> OmegaLYAlgebra:
     """The indexed algebra the family induces on V."""
-    return _induced_algebra(ctx, check, images(ctx.family, ctx.dimV),
-                            derived_D(ctx.algebra, ctx.rep))
+    return _induced_algebra(family_tables(ctx), check)
 
 
 def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
@@ -44,44 +42,41 @@ def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
     - T_sab(D(e_l, x)u_j - theta(e_l, y)u_i + Gamma2(e_l, x, y)), at
     x = T_a u_i and y = T_b u_j; only T_sa and T_sab depend on s.
     """
-    T, D = images(ctx.family, ctx.dimV), derived_D(ctx.algebra, ctx.rep)
+    tt = family_tables(ctx)
     if algebra is None:
-        algebra = _induced_algebra(ctx, check, T, D)
-    return _induced_rep(ctx, algebra, D, T)
+        algebra = _induced_algebra(tt, check)
+    return _induced_rep(tt, algebra)
 
 
-def _induced_algebra(ctx: TwistedRBContext, check: bool, T,
-                     D) -> OmegaLYAlgebra:
-    """induced_omega_ly_on_V from the images T and the derived D; the family
-    check runs on the same tables as the products."""
-    tt = ImageTables(ctx, D, T, T)
+def _induced_algebra(tt: ImageTables, check: bool) -> OmegaLYAlgebra:
+    """induced_omega_ly_on_V from the tables at the family's images; the
+    family check runs on the same tables as the products."""
     binary, ternary = induced_products(tt)
     if check and not family_report(tt, binary, ternary).ok:
         raise PreconditionError("input is not a twisted Rota-Baxter family")
-    return OmegaLYAlgebra(dim=ctx.dimV, semigroup=ctx.semigroup,
+    return OmegaLYAlgebra(dim=tt.ctx.dimV, semigroup=tt.ctx.semigroup,
                           binary=binary, ternary=ternary)
 
 
-def _induced_rep(ctx: TwistedRBContext, algebra: OmegaLYAlgebra, D,
-                 T) -> OmegaRepresentation:
-    """induced_rep_on_L from the derived D of the context and the images
-    T = images(ctx.family, dimV)."""
-    A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
+def _induced_rep(tt: ImageTables,
+                 algebra: OmegaLYAlgebra) -> OmegaRepresentation:
+    """induced_rep_on_L from the tables at the family's images T.  The terms
+    with e_l in a first slot are read from the tables at (E, T), for the
+    basis E of L, and [x, e_l] from those at (T, E); {e_l, x, y} and
+    Gamma2(e_l, x, y) are contracted here, since the tables leave the last
+    slot free."""
+    ctx, T = tt.ctx, tt.X
+    A, c, s = ctx.algebra, ctx.cocycle, ctx.semigroup
     n, nv, M = ctx.dimL, ctx.dimV, s.order
-    L = range(n)
-    rho_cols = [transpose(m, nv) for m in r.rho]
-    # D(e_l, x) and theta(e_l, x) by their columns, for each image x
-    d_at = [[transpose(contract(D[l], x), nv) for l in L] for x in T]
-    theta_at = [[transpose(contract(r.theta[l], x), nv) for l in L] for x in T]
-    rho = [[[None for _ in range(nv)] for _ in range(M)] for _ in range(M)]
-    theta = [[[[[None for _ in range(nv)] for _ in range(nv)]
-               for _ in range(M)] for _ in range(M)] for _ in range(M)]
+    L, E = range(n), identity(n)
+    et, te = ImageTables(ctx, tt.derived, E, T), ImageTables(ctx, None, T, E)
+    rho, theta = zeros(M, M, nv), zeros(M, M, M, nv, nv)
     # each block is lhs + T_s inner (rho) or lhs - T_s inner (theta), with
     # column l of lhs and of inner the terms at e_l
     for a, i in itertools.product(range(M), range(nv)):
-        x = T[a * nv + i]
-        lhs = transpose(contract(A.binary, x), n)
-        inner = transpose([vec_add(rho_cols[l][i], contract(c.gamma1[l], x))
+        p = a * nv + i
+        lhs = transpose(te.bracket[p], n)
+        inner = transpose([vec_add(et.rho[l][i], et.gamma1[l][p])
                            for l in L], nv)
         for si in range(M):
             Ts = ctx.family[product(s, si, a)]
@@ -91,7 +86,7 @@ def _induced_rep(ctx: TwistedRBContext, algebra: OmegaLYAlgebra, D,
             p, q = a * nv + i, b * nv + j
             x, y = T[p], T[q]
             lhs = transpose([contract(A.ternary[l], x, y) for l in L], n)
-            inner = transpose([vec_sum("+-+", d_at[p][l][j], theta_at[q][l][i],
+            inner = transpose([vec_sum("+-+", et.D[l][p][j], et.theta[l][q][i],
                                        contract(c.gamma2[l], x, y))
                                for l in L], nv)
             for si in range(M):
@@ -104,22 +99,20 @@ def rep_d_closed_form_report(ctx: TwistedRBContext,
                              rep: OmegaRepresentation | None = None) -> Report:
     """Compare the derived family D of the induced representation with its
     closed form {T_a u, T_b v, x} - T_abs(theta(T_b v, x)u - theta(T_a u, x)v
-    + Gamma2(T_a u, T_b v, x))."""
+    + Gamma2(T_a u, T_b v, x)), read from the tables at the images T and at
+    (T, E), for the basis E of L."""
     if rep is None:
         rep = induced_rep_on_L(ctx)
-    A, r, c, s = ctx.algebra, ctx.rep, ctx.cocycle, ctx.semigroup
-    n, nv, M, t, F = ctx.dimL, ctx.dimV, range(s.order), s.table, ctx.family
-    E = identity(n)
-    T = images(F, nv)
-    tri = [[contract(A.ternary, x, y) for y in T] for x in T]
-    g2 = [[contract(c.gamma2, x, y) for y in T] for x in T]
-    theta_at = [[transpose(r.theta_of(x, e), nv) for e in E] for x in T]
+    s, F, n, nv = ctx.semigroup, ctx.family, ctx.dimL, ctx.dimV
+    M, t, T = range(s.order), s.table, images(ctx.family, nv)
+    tt, te = (ImageTables(ctx, None, T, Y) for Y in (T, identity(n)))
     D = rep.d_tensor()
 
     def residuals(a, b, si, i, j):  # at each column col of D
         p, q, Ts = a * nv + i, b * nv + j, F[t[t[a][b]][si]]
-        return [vec_sub(d, vec_sub(tri[p][q][col], mat_vec(Ts, vec_sum(
-            "+-+", theta_at[q][col][i], theta_at[p][col][j], g2[p][q][col]))))
+        return [vec_sub(d, vec_sub(tt.ternary[p][q][col], mat_vec(Ts, vec_sum(
+            "+-+", te.theta[q][col][i], te.theta[p][col][j],
+            tt.gamma2[p][q][col]))))
             for col, d in enumerate(transpose(D[a][b][si][i][j], n))]
 
     return Report().sweep([M, M, M, range(nv), range(nv)],
@@ -166,11 +159,13 @@ class RBFComplex:
 
     def __init__(self, ctx: TwistedRBContext, check: bool = True):
         self.context = ctx
-        self.images = images(ctx.family, ctx.dimV)
-        self.derived = derived_D(ctx.algebra, ctx.rep)
-        self.tables = ImageTables(ctx, self.derived, self.images, self.images)
+        self.tables = family_tables(ctx)
         binary, ternary = induced_products(self.tables)
         if check:
+            sg = validate_semigroup(ctx.semigroup)
+            if not sg.ok:
+                raise PreconditionError("semigroup fails validation: %s"
+                                        % sorted(sg.laws()))
             chk = family_report(self.tables, binary, ternary)
             if not chk.ok:
                 raise PreconditionError(
@@ -183,8 +178,7 @@ class RBFComplex:
         self.induced_algebra = OmegaLYAlgebra(
             dim=ctx.dimV, semigroup=ctx.semigroup, binary=binary,
             ternary=ternary)
-        self.induced_rep = _induced_rep(ctx, self.induced_algebra,
-                                        self.derived, self.images)
+        self.induced_rep = _induced_rep(self.tables, self.induced_algebra)
         self._bases = {}
         self._d1 = None
 
@@ -225,7 +219,7 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
     """(a, b) |-> (u |-> T_a(D(a,b)u + Gamma2(a,b,T_a u)) - {a,b,T_a u})."""
     ctx = cx.context
     ctx.semigroup.require_unit()
-    A, c, D = ctx.algebra, ctx.cocycle, cx.derived
+    A, c, D = ctx.algebra, ctx.cocycle, cx.tables.derived
     nv, n, M = ctx.dimV, ctx.dimL, ctx.semigroup.order
     U = identity(nv)
     maps = []
@@ -259,9 +253,10 @@ def _first_order_tables(cx: RBFComplex, f: CochainFamily):
     """Images x = T_a u_i and x1 = f_a u_i, and the contractions at the
     pairs (x, y), (x, y1) and (x1, y): the complex's own tables at (T, T)
     and new ones at (T, F) and (F, T)."""
-    T, F = cx.images, images(f.even, cx.context.dimV)
-    return (T, F, cx.tables, ImageTables(cx.context, cx.derived, T, F),
-            ImageTables(cx.context, cx.derived, F, T))
+    tt, ctx = cx.tables, cx.context
+    T, F = tt.X, images(f.even, ctx.dimV)
+    return (T, F, tt, ImageTables(ctx, tt.derived, T, F),
+            ImageTables(ctx, tt.derived, F, T))
 
 
 def _family_d1(cx: RBFComplex, f: CochainFamily) -> CochainFamily:

@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 from . import linalg
 from .errors import MalformedInputError, PreconditionError
 from .ly import joint_table
+from .rbfamily import (bar_operator, family_report, family_tables,
+                       induced_products, nijenhuis_induced_context)
 from .report import Report
-from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
-    trivial_semigroup
+from .semigroup import FiniteCommutativeSemigroup, product, trivial_semigroup
 
 
 @dataclass
@@ -286,70 +287,42 @@ def ns_tensor_semigroup(N: NSFamilyAlgebra) -> NSAlgebra:
 
 
 def ns_from_twisted_rb(ctx, check: bool = True) -> NSFamilyAlgebra:
-    """The splitting structure on V induced by a twisted Rota-Baxter family."""
-    from .rbfamily import check_twisted_rb_family
-    if check:
-        chk = check_twisted_rb_family(ctx)
-        if not chk.ok:
-            raise PreconditionError("input is not a twisted Rota-Baxter family")
-    s = ctx.semigroup
-    nv, m = ctx.dimV, s.order
-    Tu = [[ctx.T(a, e) for e in linalg.identity(nv)] for a in range(m)]
-    r, c = ctx.rep, ctx.cocycle
+    """The splitting structure on V induced by a twisted Rota-Baxter family:
+    at x = T_a u_i, y = T_b u_j and z = T_g u_k, e_i . e_j is rho(x)u_j,
+    e_i vee e_j is Gamma1(x, y), curly(e_i, e_j, e_k) is theta(y, z)u_i and
+    the square is Gamma2(x, y, z).  The first three are read from the tables
+    the family check reads, bullet and curly with each zero the int 0.  The
+    square is one contraction per triple: a two-stage one, through the table
+    of Gamma2(x, y, -), can change the type of a zero whose terms cancel."""
+    tt = family_tables(ctx)
+    if check and not family_report(tt, *induced_products(tt)).ok:
+        raise PreconditionError("input is not a twisted Rota-Baxter family")
+    s, nv, T, g2 = ctx.semigroup, ctx.dimV, tt.X, ctx.cocycle.gamma2
+    m, u = range(s.order), range(nv)
 
-    # e_i . e_j is column j of rho(T_a e_i), curly(e_i, e_j, e_k) column i of
-    # theta(T_b e_j, T_g e_k), each zero the int 0 as mat_vec(X, e_j) gives it
-    def cols(X):
-        return [[x or 0 for x in col] for col in linalg.transpose(X, nv)]
+    def ints(v):
+        return [x or 0 for x in v]
 
-    bl = [[cols(r.rho_of(x)) for x in Tu[a]] for a in range(m)]
-    v = [[[[c.g1_of(Tu[a][i], Tu[b][j])
-            for j in range(nv)] for i in range(nv)]
-          for b in range(m)] for a in range(m)]
-    th = [[[[cols(r.theta_of(x, y)) for y in Tu[g]] for x in Tu[b]]
-           for g in range(m)] for b in range(m)]
-    cu = [[[[[th[b][g][j][k][i] for k in range(nv)] for j in range(nv)]
-             for i in range(nv)] for g in range(m)] for b in range(m)]
-    q = [[[[[[c.g2_of(Tu[a][i], Tu[b][j], Tu[g][k])
-              for k in range(nv)] for j in range(nv)] for i in range(nv)]
-           for g in range(m)] for b in range(m)] for a in range(m)]
+    bl = [[[ints(col) for col in tt.rho[a * nv + i]] for i in u] for a in m]
+    v = [[[[tt.gamma1[a * nv + i][b * nv + j] for j in u] for i in u]
+          for b in m] for a in m]
+    cu = [[[[[ints(tt.theta[b * nv + j][g * nv + k][i]) for k in u]
+             for j in u] for i in u] for g in m] for b in m]
+    q = [[[[[[linalg.contract(g2, T[a * nv + i], T[b * nv + j], T[g * nv + k])
+              for k in u] for j in u] for i in u] for g in m] for b in m]
+         for a in m]
     return NSFamilyAlgebra(nv, s, bl, v, cu, q)
 
 
 def ns_from_nijenhuis(A, s, N) -> NSFamilyAlgebra:
-    """The NS family on L induced by a Nijenhuis family."""
-    from .rbfamily import check_nijenhuis_family
-    chk = check_nijenhuis_family(A, s, N)
-    if not chk.ok:
-        raise PreconditionError("input is not a Nijenhuis family")
-    n, m = A.dim, s.order
-    basis = [A.basis(i) for i in range(n)]
-
-    def Nm(alpha, x):
-        return linalg.mat_vec(N[alpha], x)
-
-    Nx = [[Nm(a, basis[i]) for i in range(n)] for a in range(m)]
-    bl = [[[A.bracket(Nx[a][i], basis[j]) for j in range(n)] for i in range(n)]
-          for a in range(m)]
-    v = [[[[linalg.vec_neg(Nm(product(s, a, b), A.bracket(basis[i], basis[j])))
-            for j in range(n)] for i in range(n)]
-          for b in range(m)] for a in range(m)]
-    cu = [[[[[A.tri(basis[i], Nx[b][j], Nx[g][k])
-              for k in range(n)] for j in range(n)] for i in range(n)]
-           for g in range(m)] for b in range(m)]
-    q, e = linalg.zeros(m, m, m, n, n, n), basis
-    for a, b, g, i, j, k in itertools.product(*[range(m)] * 3, *[range(n)] * 3):
-        abg = product_of(s, [a, b, g])
-        q[a][b][g][i][j][k] = linalg.vec_neg(Nm(abg, linalg.vec_sum(
-            "+++-", A.tri(Nx[a][i], e[j], e[k]), A.tri(e[i], Nx[b][j], e[k]),
-            A.tri(e[i], e[j], Nx[g][k]), Nm(abg, A.tri(e[i], e[j], e[k])))))
-    return NSFamilyAlgebra(n, s, bl, v, cu, q)
+    """The NS family on L induced by a Nijenhuis family: the NS family of
+    the twisted family of its induced context."""
+    return ns_from_twisted_rb(nijenhuis_induced_context(A, s, N), check=False)
 
 
 def ns_tensor_from_rb_coincidence(ctx) -> bool:
     """Whether tensoring the induced NS family agrees with the NS algebra of
     the collapsed single operator on V (x) K-Omega."""
-    from .rbfamily import bar_operator
     left = ns_tensor_semigroup(ns_from_twisted_rb(ctx))
     right = ns_from_twisted_rb(bar_operator(ctx))
     return (left.bullet == right.bullet

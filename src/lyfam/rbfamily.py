@@ -89,7 +89,8 @@ class ImageTables:
     Operators on V are stored by their columns, so their value at a basis
     vector u_k is a lookup.  ternary and gamma2 leave their last slot free,
     so a triple term is a one-argument contraction.  D is the derived D of
-    the context's algebra and representation.
+    the context's algebra and representation, or None where no table of D
+    is read.
     """
 
     def __init__(self, ctx: TwistedRBContext, D, X, Y):
@@ -174,9 +175,16 @@ def induced_products(tt: ImageTables):
     return binary, ternary
 
 
-def check_twisted_rb_family(ctx: TwistedRBContext) -> Report:
+def family_tables(ctx: TwistedRBContext) -> ImageTables:
+    """The tables at the family's own images, X = Y = images(ctx.family,
+    dimV), with the derived D of the context: what the family laws, the
+    induced structures and the NS family read."""
     T = images(ctx.family, ctx.dimV)
-    tt = ImageTables(ctx, derived_D(ctx.algebra, ctx.rep), T, T)
+    return ImageTables(ctx, derived_D(ctx.algebra, ctx.rep), T, T)
+
+
+def check_twisted_rb_family(ctx: TwistedRBContext) -> Report:
+    tt = family_tables(ctx)
     return family_report(tt, *induced_products(tt))
 
 

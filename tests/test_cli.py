@@ -364,6 +364,32 @@ def test_deform_single_and_pair(files, tmp_path, capsys):
     assert "first_violation" in out["payload"]
 
 
+# the zero context over a table that is not commutative or not associative
+# satisfies every family law, so only the semigroup check refuses it
+@pytest.mark.parametrize("table,dim,law", [
+    ([[0, 1], [0, 1]], 1, "SG-comm"),
+    ([[1, 0], [0, 0]], 2, "SG-assoc"),
+])
+@pytest.mark.parametrize("verb", ["cohomology", "deform"])
+def test_complex_verbs_refuse_an_invalid_semigroup(tmp_path, capsys, table,
+                                                   dim, law, verb):
+    dims = {"space_dim": dim, "algebra_dim": dim}
+    p, z = tmp_path / "ctx.json", tmp_path / "zero.json"
+    sz.save_json(str(p), {
+        "kind": "context", "algebra": {"kind": "ly", "dim": dim},
+        "representation": dict(kind="representation", **dims),
+        "cocycle": dict(kind="cocycle", **dims),
+        "semigroup": {"kind": "semigroup", "order": 2, "table": table},
+        "family": []})
+    sz.save_json(str(z), {"kind": "direction", "order": 2, "dim_l": dim,
+                          "dim_v": dim, "family": []})
+    argv = {"cohomology": ["cohomology", "--h23", str(p)],
+            "deform": ["deform", str(p), str(z)]}[verb]
+    assert main(["--json"] + argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["summary"] == "error: semigroup fails validation: ['%s']" % law
+
+
 def test_seed_is_printed(files, capsys):
     _, a_path, _, _, _ = files
     assert main(["--seed", "123", "validate", a_path, "ly"]) == 0

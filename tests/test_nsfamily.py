@@ -12,7 +12,7 @@ from lyfam.nsfamily import (NSFamilyAlgebra, check_ns_axioms, check_ns_family_ax
                             derived_brackets, ns_from_nijenhuis,
                             ns_from_twisted_rb, ns_tensor_from_rb_coincidence,
                             ns_tensor_semigroup, zero_ns_family)
-from lyfam.rbfamily import identity_family
+from lyfam.rbfamily import check_twisted_rb_family, identity_family
 
 
 def test_zero_family_passes(s1, s2):
@@ -85,6 +85,27 @@ def test_from_nijenhuis(a1, s2):
     ident = [la.identity(a1.dim) for _ in range(s2.order)]
     N = ns_from_nijenhuis(a1, s2, ident)
     assert check_ns_family_axioms(N).ok
+
+
+def test_ns_family_reads_the_tables_of_its_family_check(a1, s2, monkeypatch):
+    # beyond its family check, the NS family contracts only the square, one
+    # Gamma2(x, y, z) per triple of images; rho, Gamma1 and theta are read
+    # from the tables the check built
+    ctx, calls, contract = identity_family(a1, s2), [0], la.contract
+
+    def counted(*args):
+        calls[0] += 1
+        return contract(*args)
+
+    def count(f):
+        calls[0] = 0
+        f(ctx)
+        return calls[0]
+
+    monkeypatch.setattr(la, "contract", counted)
+    nimages = s2.order * ctx.dimV
+    assert count(ns_from_twisted_rb) == \
+        count(check_twisted_rb_family) + nimages ** 3
 
 
 def test_corrupted_family_fails(a1, s2):
