@@ -104,7 +104,7 @@ def rep_d_closed_form_report(ctx: TwistedRBContext,
     if rep is None:
         rep = induced_rep_on_L(ctx)
     s, F, n, nv = ctx.semigroup, ctx.family, ctx.dimL, ctx.dimV
-    M, t, T = range(s.order), s.table, images(ctx.family, nv)
+    M, t, T = range(s.order), s.table, images(F, nv)
     tt, te = (ImageTables(ctx, None, T, Y) for Y in (T, identity(n)))
     D = rep.d_tensor()
 
