@@ -366,10 +366,10 @@ def cohomology_H1(cx: RBFComplex):
     return dim, [basis1.combine(v) for v in reps]
 
 
-def cohomology_H23(cx: RBFComplex, budget=None) -> int:
+def cohomology_H23(cx: RBFComplex) -> int:
     """dim of (ker d meet ker d*) over the image of the degree-1 coboundary."""
     return cohomology_step(cx.induced_algebra, cx.induced_rep, 1,
-                           cx.d1_symbolic(), budget)[0]
+                           cx.d1_symbolic())[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,17 +34,16 @@ from .semigroup import FiniteCommutativeSemigroup, product, product_of
 DEFAULT_BUDGET = 100000
 
 
-def ensure_budget(ncoords: int, budget: int | None = None) -> None:
-    """Refuse computations whose coordinate count exceeds the budget.  The
-    count is of stored coordinates: for a pair-degree cochain, those of its
-    canonical tuples (SkewBasis.size)."""
-    if budget is None:
-        raw = os.environ.get("LYFAM_BUDGET", DEFAULT_BUDGET)
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise MalformedInputError(
-                "LYFAM_BUDGET is not an integer: %r" % (raw,)) from None
+def ensure_budget(ncoords: int) -> None:
+    """Refuse computations whose coordinate count exceeds LYFAM_BUDGET
+    (DEFAULT_BUDGET if unset).  The count is of stored coordinates: for a
+    pair-degree cochain, those of its canonical tuples (SkewBasis.size)."""
+    raw = os.environ.get("LYFAM_BUDGET", DEFAULT_BUDGET)
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise MalformedInputError(
+            "LYFAM_BUDGET is not an integer: %r" % (raw,)) from None
     if ncoords > budget:
         raise BudgetExceededError(
             "computation needs %d coordinates, budget is %d" % (ncoords, budget))
@@ -223,12 +222,12 @@ def omega_ly_from_ns_family(N) -> OmegaLYAlgebra:
 def omega_ly_from_reynolds(A, s, family) -> OmegaLYAlgebra:
     """Indexed algebra induced by a Reynolds family on the algebra itself."""
     from .cohomology import induced_omega_ly_on_V
-    from .rbfamily import check_reynolds_family, reynolds_as_twisted
-    bad = check_reynolds_family(A, s, family)
+    from .rbfamily import reynolds_context
+    ctx, bad = reynolds_context(A, s, family)
     if not bad.ok:
         raise PreconditionError("input fails the Reynolds family laws: %s"
                                 % (bad.violations[0],))
-    return induced_omega_ly_on_V(reynolds_as_twisted(A, s, family))
+    return induced_omega_ly_on_V(ctx, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +530,7 @@ class SkewBasis:
         return self.combine(generic_vector(self.size))
 
 
-def skew_basis(degree, dims, s: FiniteCommutativeSemigroup,
-               budget: int | None = None) -> SkewBasis:
+def skew_basis(degree, dims, s: FiniteCommutativeSemigroup) -> SkewBasis:
     """Basis of the skew subspace; dims = (carrier dim, coefficient dim)."""
     nA, d = dims
     if degree == 1:
@@ -541,7 +539,7 @@ def skew_basis(degree, dims, s: FiniteCommutativeSemigroup,
     if ko != ke + 1 or ke < 2 or ke % 2:
         raise PreconditionError("degree must be 1 or (2n, 2n+1): %r" % (degree,))
     bas = SkewBasis((ke, ko), s, nA, d)
-    ensure_budget(bas.size, budget)
+    ensure_budget(bas.size)
     return bas
 
 
@@ -577,7 +575,7 @@ def _at_vector(read, d, al, xs, j, vec):
 
 
 def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
-                budget: int | None = None, D=None) -> CochainFamily:
+                D=None) -> CochainFamily:
     """Coboundary of a degree-1 or (2n,2n+1) cochain; D is r.d_tensor(),
     when the caller has it.
 
@@ -594,7 +592,7 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
         raise PreconditionError("cochain shape does not match algebra/module")
     n = 0 if c.degree == 1 else c.degree[0] // 2
     KE, KO = 2 * n + 2, 2 * n + 3
-    ensure_budget(SkewBasis((KE, KO), s, nA, d).size, budget)
+    ensure_budget(SkewBasis((KE, KO), s, nA, d).size)
     _require_skew_brackets(O)
     # the input's even component has 2n slots and its odd one 2n + 1 (a
     # degree-1 input reads as one 1-slot component), so read tells them apart
@@ -723,7 +721,7 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
 # cohomology dimensions of the indexed complex
 
 def cohomology_step(O: OmegaLYAlgebra, r: OmegaRepresentation, n: int,
-                    below: CochainFamily, budget: int | None = None):
+                    below: CochainFamily):
     """(dim H^(2n, 2n+1), delta of the symbolic (2n, 2n+1)-cochain).
 
     The cocycles are the kernel of delta on the skew (2n, 2n+1)-cochains,
@@ -732,11 +730,10 @@ def cohomology_step(O: OmegaLYAlgebra, r: OmegaRepresentation, n: int,
     coordinates are forms over that degree's skew basis.
     """
     s, dims = O.semigroup, (O.dim, r.dim)
-    lower = skew_basis(1 if n == 1 else (2 * n - 2, 2 * n - 1), dims, s,
-                       budget)
-    bas = skew_basis((2 * n, 2 * n + 1), dims, s, budget)
+    lower = skew_basis(1 if n == 1 else (2 * n - 2, 2 * n - 1), dims, s)
+    bas = skew_basis((2 * n, 2 * n + 1), dims, s)
     c = bas.symbolic()
-    image = delta_omega(O, r, c, budget)
+    image = delta_omega(O, r, c)
     rows = cochain_coords(image)
     if n == 1:
         rows += cochain_coords(delta_star_omega(O, r, c))
@@ -746,7 +743,7 @@ def cohomology_step(O: OmegaLYAlgebra, r: OmegaRepresentation, n: int,
 
 
 def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
-                          max_n: int, budget: int | None = None):
+                          max_n: int):
     """[dim H^1, dim H^(2,3), ..., dim H^(2 max_n, 2 max_n + 1)].
 
     Degree 1 is the kernel of delta on C^1 (the indexed complex has no degree
@@ -755,9 +752,9 @@ def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
     if max_n < 0:
         raise PreconditionError("max_n must be >= 0")
     basis1 = skew_basis(1, (O.dim, r.dim), O.semigroup)
-    image = delta_omega(O, r, basis1.symbolic(), budget)
+    image = delta_omega(O, r, basis1.symbolic())
     out = [len(form_kernel(cochain_coords(image), basis1.size))]
     for n in range(1, max_n + 1):
-        dim, image = cohomology_step(O, r, n, image, budget)
+        dim, image = cohomology_step(O, r, n, image)
         out.append(dim)
     return out

@@ -11,7 +11,7 @@ graph characterization.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import linalg
@@ -273,38 +273,34 @@ def _require_operator_shape(A: LYAlgebra, s, F, what) -> None:
             % (what, s.order, d, d))
 
 
-def check_reynolds_family(A: LYAlgebra, s, T) -> Report:
+def reynolds_context(A: LYAlgebra, s, T):
+    """(the adjoint context of T, the report of its family laws): the one
+    sweep of the Reynolds laws, which are named REY-bin and REY-ter."""
     _require_operator_shape(A, s, T, "Reynolds")
-    t, m, n, d = s.table, s.elements, range(A.dim), A.dim
-    E = linalg.identity(d)
-    X = [linalg.mat_vec(T[a], e) for a in m for e in E]  # X[a * d + i]
-    br, tr, mv, vsum = A.bracket, A.tri, linalg.mat_vec, linalg.vec_sum
+    ctx = TwistedRBContext(A, adjoint_representation(A), gamma_ad(A), s,
+                           [[list(row) for row in m] for m in T])
+    return ctx, Report([replace(v, law={"RBF-3.1": "REY-bin",
+                                        "RBF-3.2": "REY-ter"}[v.law])
+                        for v in check_twisted_rb_family(ctx).violations])
 
-    def binary(a, b, i, j):
-        x, y, Tx, Ty = E[i], E[j], X[a * d + i], X[b * d + j]
-        lhs = br(Tx, Ty)
-        inner = vsum("++-", br(Tx, y), br(x, Ty), br(Tx, Ty))
-        return linalg.vec_sub(lhs, mv(T[t[a][b]], inner))
 
-    def ternary(a, b, g, i, j, k):
-        x, y, z = E[i], E[j], E[k]
-        Tx, Ty, Tz = X[a * d + i], X[b * d + j], X[g * d + k]
-        lhs = tr(Tx, Ty, Tz)
-        inner = vsum("+++-", tr(Tx, Ty, z), tr(Tx, y, Tz), tr(x, Ty, Tz),
-                     tr(Tx, Ty, Tz))
-        return linalg.vec_sub(lhs, mv(T[t[t[a][b]][g]], inner))
-
-    rep = Report().sweep([m, m, n, n], [("REY-bin", binary)])
-    return rep.sweep([m, m, m, n, n, n], [("REY-ter", ternary)])
+def check_reynolds_family(A: LYAlgebra, s, T) -> Report:
+    """[Tx, Ty] = T_ab([Tx, y] + [x, Ty] - [Tx, Ty]) (REY-bin) and its
+    ternary analogue (REY-ter), read as the family laws RBF-3.1/3.2 of the
+    adjoint context (L; ad, -[.,.], -{.,.,.}).  On an LY algebra the terms
+    agree one by one: rho(Tx)y - rho(Ty)x = [Tx, y] + [x, Ty]; the D of ad
+    is {x, y, -}, by LY-2.1 and skewness; theta(Ty, Tz)x - theta(Tx, Tz)y
+    = {x, Ty, Tz} + {Tx, y, Tz}; Gamma is minus the brackets.  On an algebra
+    that fails the LY laws the residuals are the adjoint context's."""
+    return reynolds_context(A, s, T)[1]
 
 
 def reynolds_as_twisted(A: LYAlgebra, s, T) -> TwistedRBContext:
-    chk = check_reynolds_family(A, s, T)
+    ctx, chk = reynolds_context(A, s, T)
     if not chk.ok:
         raise PreconditionError(
             "not a Reynolds family: %s" % sorted(chk.laws()))
-    return TwistedRBContext(A, adjoint_representation(A), gamma_ad(A), s,
-                            [[list(row) for row in m] for m in T])
+    return ctx
 
 
 def check_relative_rb_family(ctx: TwistedRBContext) -> Report:
@@ -379,7 +375,8 @@ def nijenhuis_induced_context(A: LYAlgebra, s, N) -> TwistedRBContext:
     """Deformed structure on L (x) K-Omega induced by a Nijenhuis family."""
     chk = check_nijenhuis_family(A, s, N)
     if not chk.ok:
-        raise PreconditionError("not a Nijenhuis family")
+        raise PreconditionError(
+            "not a Nijenhuis family: %s" % sorted(chk.laws()))
     n, t, E = A.dim, s.table, linalg.identity(A.dim)
     br, tr, mv, vsum = A.bracket, A.tri, linalg.mat_vec, linalg.vec_sum
     NE = [[mv(Na, e) for e in E] for Na in N]  # NE[alpha][i] = N_alpha e_i

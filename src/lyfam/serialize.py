@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 
 from .errors import MalformedInputError, PreconditionError
@@ -38,9 +39,17 @@ def dump_scalar(x) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+# Fraction expands an exponent in full, so "1e999999999" would take hours
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(\d+(_\d+)*)?)?"
+                       r"e[-+]?\d+(_\d+)*\s*", re.IGNORECASE)
+
+
 def parse_scalar(s):
+    text = str(s)
     try:
-        f = Fraction(str(s))
+        if _EXPONENT.fullmatch(text):
+            raise ValueError("exponents are refused")
+        f = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError("bad rational %r: %s" % (s, exc))
     return f.numerator if f.denominator == 1 else f
@@ -406,15 +415,6 @@ def direction_from_json(d: dict) -> list:
 
 # ---------------------------------------------------------------------------
 # files
-
-KIND_SAVERS = {
-    "semigroup": semigroup_to_json,
-    "ly": ly_to_json,
-    "context": context_to_json,
-    "ns-family": ns_family_to_json,
-    "omega-ly": omega_ly_to_json,
-    "cochain": cochain_to_json,
-}
 
 KIND_LOADERS = {
     "semigroup": semigroup_from_json,

@@ -29,6 +29,19 @@ def test_validate_ok(files, capsys):
     assert main(["validate", c_path, "context"]) == 0
 
 
+def test_validate_scalar_with_an_exponent_exits_two(files, capsys):
+    tmp, a_path, _, _, _ = files
+    d = json.load(open(a_path))
+    d["binary"][0][-1] = "1e5"
+    bad = tmp / "exponent.json"
+    json.dump(d, open(bad, "w"))
+    assert main(["--json", "validate", str(bad), "ly"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["summary"] == (
+        "malformed input: bad rational '1e5': exponents are refused")
+
+
 def test_validate_non_skew_exits_one(files, capsys):
     tmp, a_path, _, _, _ = files
     d = json.load(open(a_path))
@@ -238,6 +251,39 @@ def test_nijenhuis_context_of_wrong_shape_exits_one(files, capsys, order, dim):
         "error: a Nijenhuis family over this semigroup and algebra needs "
         "order 2 (one matrix per index) and dims 2 x 2 (dim(L) x dim(L))")
     assert not out_path.exists()
+
+
+def test_nijenhuis_context_of_a_non_nijenhuis_family_exits_one(files, capsys):
+    # N_0 = 0 and N_1 = e_10 fail both Nijenhuis laws on A1 over S2
+    tmp, a_path, s_path, _, _ = files
+    d_path = tmp / "direction.json"
+    json.dump({"kind": "direction", "order": 2, "dim_l": 2, "dim_v": 2,
+               "family": [[1, 1, 0, "1"]]}, open(d_path, "w"))
+    out_path = tmp / "nij.json"
+    assert main(["--json", "construct", "nijenhuis-context", a_path, s_path,
+                 str(d_path), "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["summary"] == (
+        "error: not a Nijenhuis family: ['NIJ-bin', 'NIJ-ter']")
+    assert not out_path.exists()
+
+
+def test_nijenhuis_context_checks_its_family_once(files, monkeypatch):
+    from lyfam import cli, rbfamily
+    tmp, a_path, s_path, _, _ = files
+    checked = []
+    check = rbfamily.check_nijenhuis_family
+    for module in (cli, rbfamily):
+        monkeypatch.setattr(module, "check_nijenhuis_family",
+                            lambda *args: checked.append(1) or check(*args),
+                            raising=False)
+    d_path = tmp / "direction.json"
+    json.dump({"kind": "direction", "order": 2, "dim_l": 2, "dim_v": 2,
+               "family": []}, open(d_path, "w"))
+    assert main(["construct", "nijenhuis-context", a_path, s_path,
+                 str(d_path), "-o", str(tmp / "nij.json")]) == 0
+    assert checked == [1]
 
 
 def _assert_malformed_summary(capsys, argv, *words):

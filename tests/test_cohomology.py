@@ -178,26 +178,27 @@ def test_noncoboundary_cocycle_has_no_witness(s1):
     assert deformation_equivalence_witness(cx, d, zero) is None
 
 
-def test_h23_budget_gate(a1, s1):
+def test_h23_budget_gate(a1, s1, monkeypatch):
     cx = RBFComplex(identity_family(a1, s1))
+    monkeypatch.setenv("LYFAM_BUDGET", "2")
     with pytest.raises(BudgetExceededError):
-        cohomology_H23(cx, budget=2)
+        cohomology_H23(cx)
 
 
-def test_h23_budget_counts_stored_coordinates(a1, s2):
+def test_h23_budget_counts_stored_coordinates(a1, s2, monkeypatch):
     # on A1 x S2 (4 joint labels, so 6 pairs, and dim L = 4) the (4,5)
     # image of the symbolic (2,3)-cochain stores 6^2 * 4 * (1 + 4) = 720
     # coordinates; its full table would have 4^4 * 4 + 4^5 * 4 = 5120
     cx = RBFComplex(identity_family(a1, s2))
-    assert cohomology_H23(cx, budget=720) == 4
+    monkeypatch.setenv("LYFAM_BUDGET", "720")
+    assert cohomology_H23(cx) == 4
+    assert omega_cohomology_dims(cx.induced_algebra, cx.induced_rep, 1)[1] == 4
+    monkeypatch.setenv("LYFAM_BUDGET", "719")
     with pytest.raises(BudgetExceededError,
                        match="needs 720 coordinates, budget is 719"):
-        cohomology_H23(RBFComplex(identity_family(a1, s2)), budget=719)
-    assert omega_cohomology_dims(cx.induced_algebra, cx.induced_rep, 1,
-                                 budget=720)[1] == 4
+        cohomology_H23(RBFComplex(identity_family(a1, s2)))
     with pytest.raises(BudgetExceededError, match="needs 720 coordinates"):
-        omega_cohomology_dims(cx.induced_algebra, cx.induced_rep, 1,
-                              budget=719)
+        omega_cohomology_dims(cx.induced_algebra, cx.induced_rep, 1)
 
 
 def assembled_contexts(a1, a2, s1, s2):

@@ -15,6 +15,7 @@ from lyfam.omega import (OmegaLYAlgebra, OmegaRepresentation, _canonical_tuples,
                          omega_ly_from_reynolds, omega_cohomology_dims,
                          skew_basis, zero_omega_ly, zero_omega_representation)
 from lyfam.rbfamily import identity_family
+from lyfam.report import Report
 
 from lyfam import linalg as la
 from test_coboundary_reference import skew_violations
@@ -105,6 +106,19 @@ def test_from_reynolds(a1, s2):
     assert check_omega_ly_axioms(O).ok
 
 
+def test_from_reynolds_sweeps_the_family_laws_once(a1, s2, monkeypatch):
+    swept, sweep = [], Report.sweep
+
+    def spy(self, ranges, laws, *rest):
+        swept.extend(law[0] for law in laws)
+        return sweep(self, ranges, laws, *rest)
+
+    monkeypatch.setattr(Report, "sweep", spy)
+    omega_ly_from_reynolds(a1, s2, [la.zeros(a1.dim, a1.dim)
+                                    for _ in range(s2.order)])
+    assert swept == ["RBF-3.1", "RBF-3.2"]
+
+
 def test_zero_representation_passes(s2):
     O = zero_omega_ly(2, s2)
     r = zero_omega_representation(O, 2)
@@ -162,8 +176,9 @@ def test_generic_cohomology_dims(s1, s2):
 
 
 def test_budget_gate(monkeypatch):
+    monkeypatch.setenv("LYFAM_BUDGET", "5")
     with pytest.raises(BudgetExceededError):
-        ensure_budget(10, budget=5)
+        ensure_budget(10)
     monkeypatch.setenv("LYFAM_BUDGET", "3")
     with pytest.raises(BudgetExceededError):
         ensure_budget(10)

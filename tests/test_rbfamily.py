@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,14 +7,16 @@ import pytest
 
 from lyfam import linalg as la
 from lyfam.errors import PreconditionError
-from lyfam.ly import (Cocycle23, adjoint_representation, gamma_ad,
-                      zero_cocycle, zero_ly, zero_representation)
+from lyfam.ly import (Cocycle23, LYAlgebra, adjoint_representation, gamma_ad,
+                      ly_tensor_semigroup, zero_cocycle, zero_ly,
+                      zero_representation)
 from lyfam.rbfamily import (TwistedRBContext, bar_operator,
                             check_graph_subalgebra_family, check_morphism,
-                            check_nijenhuis_family, check_reynolds_family,
-                            check_twisted_rb_family, identity_family,
-                            nijenhuis_induced_context, reynolds_as_twisted,
-                            semidirect_product, zero_family)
+                            check_nijenhuis_family, check_relative_rb_family,
+                            check_reynolds_family, check_twisted_rb_family,
+                            identity_family, nijenhuis_induced_context,
+                            reynolds_as_twisted, semidirect_product,
+                            zero_family)
 from lyfam.omega import omega_ly_from_reynolds
 from conftest import random_vec
 
@@ -119,6 +122,67 @@ def test_reynolds_family_of_wrong_shape_is_refused(a1, s2, order, dim):
                            match=r"Reynolds family .* needs order 2 \(.*\) "
                                  r"and dims 2 x 2"):
             route(a1, s2, fam)
+
+
+def test_reynolds_routes_contract_no_brackets_of_the_algebra(a1, s2,
+                                                             monkeypatch):
+    # the laws are those of the adjoint context, read off its tables
+    calls = []
+    for name in ("bracket", "tri"):
+        monkeypatch.setattr(LYAlgebra, name,
+                            lambda self, *xs, name=name: calls.append(name))
+    zero = [la.zeros(a1.dim, a1.dim) for _ in range(s2.order)]
+    ident = [la.identity(a1.dim) for _ in range(s2.order)]
+    assert check_reynolds_family(a1, s2, zero).ok
+    assert not check_reynolds_family(a1, s2, ident).ok
+    reynolds_as_twisted(a1, s2, zero)
+    omega_ly_from_reynolds(a1, s2, zero)
+    assert calls == []
+
+
+def _literal_reynolds_violations(A, s, T):
+    """The paper's two laws, [Tx, Ty] = T_ab([Tx, y] + [x, Ty] - [Tx, Ty])
+    and {Tx, Ty, Tz} = T_abg({Tx, Ty, z} + {Tx, y, Tz} + {x, Ty, Tz}
+    - {Tx, Ty, Tz}), evaluated at every tuple of basis vectors."""
+    t, E, mv, vsum = s.table, la.identity(A.dim), la.mat_vec, la.vec_sum
+    br, tr, m, n = A.bracket, A.tri, s.elements, range(A.dim)
+    out = []
+    for a, b, i, j in itertools.product(m, m, n, n):
+        x, y, Tx, Ty = E[i], E[j], mv(T[a], E[i]), mv(T[b], E[j])
+        inner = vsum("++-", br(Tx, y), br(x, Ty), br(Tx, Ty))
+        out.append(("REY-bin", (a, b, i, j),
+                    la.vec_sub(br(Tx, Ty), mv(T[t[a][b]], inner))))
+    for a, b, g, i, j, k in itertools.product(m, m, m, n, n, n):
+        x, y, z = E[i], E[j], E[k]
+        Tx, Ty, Tz = mv(T[a], x), mv(T[b], y), mv(T[g], z)
+        inner = vsum("+++-", tr(Tx, Ty, z), tr(Tx, y, Tz), tr(x, Ty, Tz),
+                     tr(Tx, Ty, Tz))
+        out.append(("REY-ter", (a, b, g, i, j, k),
+                    la.vec_sub(tr(Tx, Ty, Tz), mv(T[t[t[a][b]][g]], inner))))
+    return [(law, w, tuple(r)) for law, w, r in out if any(r)]
+
+
+def test_reynolds_laws_equal_the_literal_formulas(a1, s2):
+    A, rng = ly_tensor_semigroup(a1, s2), random.Random(21)
+    T = [[[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+           for _ in range(A.dim)] for _ in range(A.dim)] for _ in s2.elements]
+    expected = _literal_reynolds_violations(A, s2, T)
+    assert len(expected) > 100
+    assert [(v.law, v.witness, v.residual) for v in
+            check_reynolds_family(A, s2, T).violations] == expected
+
+
+def test_relative_family_is_the_twisted_family_with_zero_cocycle(a1, s2):
+    with pytest.raises(PreconditionError,
+                       match="a relative Rota-Baxter family requires Gamma = 0"):
+        check_relative_rb_family(identity_family(a1, s2))
+    rng = random.Random(22)
+    fam = [[random_vec(rng, a1.dim) for _ in range(a1.dim)] for _ in s2.elements]
+    ctx = TwistedRBContext(a1, adjoint_representation(a1),
+                           zero_cocycle(a1.dim, a1.dim), s2, fam)
+    rep = check_relative_rb_family(ctx)
+    assert not rep.ok
+    assert rep == check_twisted_rb_family(ctx)
 
 
 def test_nijenhuis_zero_and_identity(a1, s2):

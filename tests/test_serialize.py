@@ -20,6 +20,14 @@ def test_scalar_round_trip():
         sz.parse_scalar("x")
 
 
+@pytest.mark.parametrize("text", ["1e5", "1E-3"])
+def test_scalar_with_an_exponent_is_refused(text):
+    # Fraction would expand the exponent to a power of 10 in full
+    with pytest.raises(MalformedInputError,
+                       match="bad rational '%s': exponents are refused" % text):
+        sz.parse_scalar(text)
+
+
 def test_semigroup_round_trip(s2):
     d = sz.semigroup_to_json(s2)
     s = sz.semigroup_from_json(d)
