@@ -163,9 +163,9 @@ def check_ly_axioms(A: LYAlgebra) -> Report:
     each group by witness, a witness before those that extend it: the order
     of a sweep that checks (2.2) after (2.1) at each (i, j, k) and (2.4)
     after (2.3) at each (a, c, i, j)."""
-    from .omega import check_omega_ly_axioms
-    rep, found = A.invariant_report(), []
-    for v in check_omega_ly_axioms(_over_trivial_semigroup(A)).violations:
+    from .omega import _omega_ly_report
+    rep, found = A.invariant_report(), []  # also the skewness of A over S1
+    for v in _omega_ly_report(_over_trivial_semigroup(A), rep.ok).violations:
         law, skip, group = _LY_LAWS[v.law]
         found.append((group, v.witness[skip:], law, v.residual))
     for _, w, law, residual in sorted(found, key=lambda f: f[:2]):

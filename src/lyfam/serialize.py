@@ -45,11 +45,14 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(\d+(_\d+)*)?)?"
 
 
 def parse_scalar(s):
-    text = str(s)
+    """The int or Fraction that a JSON string such as "-3" or "1/2" holds.
+    Any other string, and a JSON number, bool or null, is malformed input."""
     try:
-        if _EXPONENT.fullmatch(text):
+        if type(s) is not str:
+            raise ValueError("scalars are strings")
+        if _EXPONENT.fullmatch(s):
             raise ValueError("exponents are refused")
-        f = Fraction(text)
+        f = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError("bad rational %r: %s" % (s, exc))
     return f.numerator if f.denominator == 1 else f

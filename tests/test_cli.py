@@ -42,6 +42,20 @@ def test_validate_scalar_with_an_exponent_exits_two(files, capsys):
         "malformed input: bad rational '1e5': exponents are refused")
 
 
+@pytest.mark.parametrize("value", [0.5, 1, None])
+def test_validate_scalar_that_is_a_json_number_exits_two(files, capsys, value):
+    tmp, a_path, _, _, _ = files
+    d = json.load(open(a_path))
+    d["binary"][0][-1] = value
+    bad = tmp / "number.json"
+    json.dump(d, open(bad, "w"))
+    assert main(["--json", "validate", str(bad), "ly"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["summary"] == (
+        "malformed input: bad rational %r: scalars are strings" % (value,))
+
+
 def test_validate_non_skew_exits_one(files, capsys):
     tmp, a_path, _, _, _ = files
     d = json.load(open(a_path))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lyfam import serialize as sz
@@ -26,6 +28,15 @@ def test_scalar_with_an_exponent_is_refused(text):
     with pytest.raises(MalformedInputError,
                        match="bad rational '%s': exponents are refused" % text):
         sz.parse_scalar(text)
+
+
+@pytest.mark.parametrize("value", [0.1, 1, 1e16, -3, True, None, [1]])
+def test_scalar_that_is_not_a_string_is_refused(value):
+    # a JSON number would load through its Python repr: 0.1 as 1/10
+    with pytest.raises(MalformedInputError,
+                       match=r"bad rational %s: scalars are strings"
+                       % re.escape(repr(value))):
+        sz.parse_scalar(value)
 
 
 def test_semigroup_round_trip(s2):
