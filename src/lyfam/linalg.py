@@ -34,27 +34,28 @@ def vec_sub(u, v):
 
 @lru_cache(maxsize=None)
 def _signed_sum(signs, nterms):
-    """The function of a column c = (c[0], c[1], ...) that adds and subtracts
-    its entries left to right with the signs of the string signs, as a
-    chain of vec_add/vec_sub on whole vectors would."""
+    """The function of a sequence of vectors that adds and subtracts them
+    coordinate by coordinate, left to right with the signs of the string
+    signs, as a chain of vec_add/vec_sub on whole vectors would."""
     if not signs or len(signs) != nterms or not set(signs) <= {"+", "-"}:
         raise ValueError("need one sign, '+' or '-', per term: %r for %d"
                          % (signs, nterms))
-    expr = "".join("%sc[%d]" % (s, k) for k, s in enumerate(signs))
-    return eval("lambda c: " + expr.lstrip("+"))  # e.g. c[0]-c[1]+c[2]
+    expr = "".join("%sc%d" % (s, k) for k, s in enumerate(signs)).lstrip("+")
+    names = "".join("c%d," % k for k in range(nterms))
+    # e.g. lambda vecs: [c0-c1+c2 for c0,c1,c2, in zip(*vecs)]
+    return eval("lambda vecs: [%s for %s in zip(*vecs)]" % (expr, names))
 
 
 def vec_sum(signs, *vecs):
     """vecs[0] +- vecs[1] +- ..., one sign per vector in the string signs;
     each coordinate is summed left to right."""
-    f = _signed_sum(signs, len(vecs))
-    return [f(c) for c in zip(*vecs)]
+    return _signed_sum(signs, len(vecs))(vecs)
 
 
 def mat_sum(signs, *mats):
-    """mats[0] +- mats[1] +- ..., entry by entry as vec_sum sums vectors."""
+    """mats[0] +- mats[1] +- ..., row by row as vec_sum sums vectors."""
     f = _signed_sum(signs, len(mats))
-    return [[f(c) for c in zip(*rows)] for rows in zip(*mats)]
+    return [f(rows) for rows in zip(*mats)]
 
 
 def vec_scale(c, u):
@@ -92,16 +93,23 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
-    """a b, skipping zero entries of both factors as mat_vec does."""
+    """a b, skipping zero entries of both factors as mat_vec does.  The
+    nonzero entries of row k of b are listed when a nonzero entry of column
+    k of a first meets them, so a sparse a reads few rows of b."""
     ncols = len(b[0]) if b else 0
-    support = [[(k, y) for k, y in enumerate(brow) if y] for brow in b]
+    support = [None] * len(b)
     out = []
     for row in a:
         orow = [0] * ncols
-        for x, sup in zip(row, support):
+        k = 0
+        for x in row:
             if x:
-                for k, y in sup:
-                    orow[k] += x * y
+                sup = support[k]
+                if sup is None:
+                    sup = support[k] = [(c, y) for c, y in enumerate(b[k]) if y]
+                for c, y in sup:
+                    orow[c] += x * y
+            k += 1
         out.append(orow)
     return out
 

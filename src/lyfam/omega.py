@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError, MalformedInputError, PreconditionError
 from .linalg import (contract, contract_each, flatten, form_columns, form_kernel,
-                     generic_vector, has_shape, identity, lead_slot, map_at, mat_mul,
+                     generic_vector, has_shape, lead_slot, map_at, mat_mul,
                      mat_sum, mat_vec, quotient_dim, slot_views, transpose, vec_add,
                      vec_neg, vec_scale, vec_sub, vec_sum, zero_vec, zeros)
 from .ly import split_joint
@@ -126,9 +126,9 @@ def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
     which are linear in D(x, y).  The residual at labels p > q is then
     minus the one at q < p, and at p = q it is its own negative, so 0.  The
     laws are therefore first evaluated at the canonical tuples of that pair
-    only (those of _canonical_tuples); when all those residuals vanish the
-    report is empty.  Otherwise, and for brackets that are not skew, the
-    full sweep runs and makes the report."""
+    only (_screened); when all those residuals vanish the report is empty.
+    Otherwise, and for brackets that are not skew, the full sweep runs and
+    makes the report."""
     return _omega_ly_report(O, O.invariant_report().ok)
 
 
@@ -168,28 +168,37 @@ def _omega_ly_report(O: OmegaLYAlgebra, skew: bool) -> Report:
                           y[ll][kk * d + mm], z[mm][kk * d + ll])
                   for mm in n] for ll in n] for kk in n]
 
-    def screen():
-        """Whether every law vanishes at the canonical tuples of its pair.
-        A law takes the pair's two semigroup indices, those of its other
-        slots, then the basis indices; per law: (law, slots that carry a
-        basis index, semigroup indices of the other slots, block depth)."""
-        for law, slots, more, depth in ((law2, 3, 0, 0), (law3, 4, 0, 0),
-                                        (block4, 2, 2, 2), (block5, 2, 3, 3)):
-            for alphas, idxs in _canonical_tuples(O.semigroup.order, d, slots, 1):
-                for rest in itertools.product(m, repeat=more):
-                    vecs = [law(*alphas, *rest, *idxs)]
-                    for _ in range(depth):
-                        vecs = [v for block in vecs for v in block]
-                    if any(map(any, vecs)):
-                        return False
-        return True
-
-    if skew and all(t[a][b] == t[b][a] for a in m for b in m) and screen():
+    # each law has the pair of slots 0 and 1; block4 and block5 take the
+    # semigroup indices of x, y, then those of their other slots
+    if _screened(O, skew, ((law2, 3, 3, 0, 0), (law3, 4, 4, 0, 0),
+                           (block4, 4, 2, 0, 2), (block5, 5, 2, 0, 3))):
         return Report()
     rep = Report().sweep([m] * 3 + [n] * 3, [("OLY-5.2", law2)])
     rep.sweep([m] * 4 + [n] * 4, [("OLY-5.3", law3)])
     rep.sweep([m] * 4 + [n] * 2, [("OLY-5.4", block4, 2)])
     return rep.sweep([m] * 5 + [n] * 2, [("OLY-5.5", block5, 3)])
+
+
+def _screened(O: OmegaLYAlgebra, skew: bool, laws) -> bool:
+    """Whether the screen finds that every law holds: the brackets are skew
+    (skew is O.invariant_report().ok), the table is commutative, and each
+    law vanishes where the joint labels i*M + a of its slot pair increase
+    strictly.  A law (residuals, ne, nb, p, depth) takes ne semigroup and
+    then nb basis indices, slot t of a tuple w is (w[t], w[ne + t]), its
+    pair is slots p and p + 1, and residuals(*w) holds vectors depth lists
+    deep."""
+    t, m, M, n = O.semigroup.table, O.semigroup.elements, O.semigroup.order, range(O.dim)
+    if not (skew and all(t[a][b] == t[b][a] for a in m for b in m)):
+        return False
+    for residuals, ne, nb, p, depth in laws:
+        for w in itertools.product(*[m] * ne, *[n] * nb):
+            if w[ne + p] * M + w[p] < w[ne + p + 1] * M + w[p + 1]:
+                vecs = [residuals(*w)]
+                for _ in range(depth):
+                    vecs = [v for block in vecs for v in block]
+                if any(map(any, vecs)):
+                    return False
+    return True
 
 
 def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,
@@ -262,27 +271,17 @@ class OmegaRepresentation:
         theta_{b,a,s}(e_j, e_i) - theta_{a,b,s}(e_i, e_j)
         - rho_{ab,s}([e_i, e_j]) + rho_{a,bs}(e_i)rho_{b,s}(e_j)
         - rho_{b,as}(e_j)rho_{a,s}(e_i)."""
-        s = self.algebra.semigroup
-        M, n = s.order, self.algebra.dim
-        RHO, TH = self.rho, self.theta
+        t, m, n = self.algebra.semigroup.table, self.algebra.semigroup.elements, \
+            range(self.algebra.dim)
+        RHO, TH, B = self.rho, self.theta, self.algebra.binary
         # each product rho_{a,bc}(e_i)rho_{b,c}(e_j) once; the other order
         # is the entry at [b][a][c][j][i]
-        prod = [[[[[mat_mul(RHO[a][product(s, b, c)][i], RHO[b][c][j])
-                    for j in range(n)] for i in range(n)] for c in range(M)]
-                 for b in range(M)] for a in range(M)]
-        D = [[[[[None for _ in range(n)] for _ in range(n)]
-               for _ in range(M)] for _ in range(M)] for _ in range(M)]
-        for a, b, c in itertools.product(range(M), repeat=3):
-            rho_ab = RHO[product(s, a, b)][c]
-            for i, j in itertools.product(range(n), repeat=2):
-                # the five matrices row by row, summed left to right
-                rows = zip(TH[b][a][c][j][i], TH[a][b][c][i][j],
-                           contract(rho_ab, self.algebra.binary[a][b][i][j]),
-                           prod[a][b][c][i][j], prod[b][a][c][j][i])
-                D[a][b][c][i][j] = [
-                    [t1 - t2 - r1 + p1 - p2
-                     for t1, t2, r1, p1, p2 in zip(*row)] for row in rows]
-        return D
+        prod = [[[[[mat_mul(RHO[a][t[b][c]][i], RHO[b][c][j]) for j in n] for i in n]
+                  for c in m] for b in m] for a in m]
+        return [[[[[mat_sum("+--+-", TH[b][a][c][j][i], TH[a][b][c][i][j],
+                            contract(RHO[t[a][b]][c], B[a][b][i][j]),
+                            prod[a][b][c][i][j], prod[b][a][c][j][i])
+                    for j in n] for i in n] for c in m] for b in m] for a in m]
 
 
 def zero_omega_representation(O: OmegaLYAlgebra, dim: int) -> OmegaRepresentation:
@@ -298,45 +297,71 @@ def check_omega_representation(O: OmegaLYAlgebra,
 
     Each law is a matrix identity on the module; column c of its residual
     matrix is the residual at the module basis vector u_c, recorded at the
-    tuple extended by c, each tuple giving the columns of its laws."""
+    tuple extended by c.  A tuple holds the semigroup indices of the law's
+    slots (x, y, z in (5.6)-(5.8); w, x, y, z in (5.9), (5.10)), that of
+    the module, then the basis indices of the slots.
+
+    With skew brackets (O.invariant_report() empty) and a commutative
+    table, D = r.d_tensor() is skew in its pair (a swap trades its theta
+    terms and its rho products, and negates [x, y]), and each residual
+    changes sign when the joint labels i*M + a of one slot pair swap:
+    slots 0, 1 in (5.6), (5.7), (5.9), and slots 1, 2 in (5.8), (5.10).  A
+    term changes sign alone, where both slots enter [x, y], {x, y, -} or
+    D(x, y), or trades places with a term of the opposite sign:
+    theta(x, z)rho(y) and theta(y, z)rho(x) in (5.6), rho(y)theta(x, z)
+    and rho(z)theta(x, y) in (5.8), theta(y, z)theta(w, x) and
+    theta(x, z)theta(w, y) in (5.10).  So the residual at labels p > q is
+    minus the one at q < p, and 0 at p = q, and _screened evaluates each
+    law where the labels of its pair increase strictly.  When all those
+    residuals vanish the report is empty; otherwise, and for other
+    algebras, the full sweep runs and makes the report."""
     t, m, n = O.semigroup.table, O.semigroup.elements, range(O.dim)
-    E, nv = identity(O.dim), r.dim
-    B, T, RHO, TH, D = O.binary, O.ternary, r.rho, r.theta, r.d_tensor()
+    nv, B, T, RHO, TH, D = r.dim, O.binary, O.ternary, r.rho, r.theta, r.d_tensor()
+    th1 = map_at(lambda X: lead_slot(X, 1, 2), TH, 3)  # theta(e_l, e_k) at [k][l]
 
-    def laws_5_6_to_5_8(a, b, g, si, i, j, k):
-        ab, abg = t[a][b], t[t[a][b]][g]
-        absi = t[ab][si]
-        return list(zip(*(transpose(X, nv) for X in (
-            mat_sum("+-+", contract(TH[ab][g][si], B[a][b][i][j], E[k]),
-                    mat_mul(TH[a][g][t[b][si]][i][k], RHO[b][si][j]),
-                    mat_mul(TH[b][g][t[a][si]][j][k], RHO[a][si][i])),
-            mat_sum("+--", mat_mul(D[a][b][t[g][si]][i][j], RHO[g][si][k]),
-                    mat_mul(RHO[g][absi][k], D[a][b][si][i][j]),
-                    contract(RHO[abg][si], T[a][b][g][i][j][k])),
-            mat_sum("+-+", contract(TH[a][t[b][g]][si][i], B[b][g][j][k]),
-                    mat_mul(RHO[b][t[t[a][g]][si]][j], TH[a][g][si][i][k]),
-                    mat_mul(RHO[g][absi][k], TH[a][b][si][i][j]))))))
+    def law6(a, b, g, si, i, j, k):
+        return mat_sum("+-+", contract(th1[t[a][b]][g][si][k], B[a][b][i][j]),
+                       mat_mul(TH[a][g][t[b][si]][i][k], RHO[b][si][j]),
+                       mat_mul(TH[b][g][t[a][si]][j][k], RHO[a][si][i]))
 
-    def laws_5_9_and_5_10(ta, a, b, g, si, ii, i, j, k):
-        tasi = t[t[ta][a]][si]
-        return list(zip(*(transpose(X, nv) for X in (
-            mat_sum("+---",
-                    mat_mul(D[ta][a][t[t[b][g]][si]][ii][i], TH[b][g][si][j][k]),
-                    mat_mul(TH[b][g][tasi][j][k], D[ta][a][si][ii][i]),
-                    contract(TH[t[t[ta][a]][b]][g][si], T[ta][a][b][ii][i][j],
-                             E[k]),
-                    contract(TH[b][t[t[ta][a]][g]][si][j],
-                             T[ta][a][g][ii][i][k])),
-            mat_sum("+-+-",
-                    contract(TH[ta][t[t[a][b]][g]][si][ii], T[a][b][g][i][j][k]),
-                    mat_mul(TH[b][g][tasi][j][k], TH[ta][a][si][ii][i]),
-                    mat_mul(TH[a][g][t[t[ta][b]][si]][i][k], TH[ta][b][si][ii][j]),
-                    mat_mul(D[a][b][t[t[ta][g]][si]][i][j], TH[ta][g][si][ii][k]))))))
+    def law7(a, b, g, si, i, j, k):
+        ab = t[a][b]
+        return mat_sum("+--", mat_mul(D[a][b][t[g][si]][i][j], RHO[g][si][k]),
+                       mat_mul(RHO[g][t[ab][si]][k], D[a][b][si][i][j]),
+                       contract(RHO[t[ab][g]][si], T[a][b][g][i][j][k]))
 
-    rep = Report().sweep([m] * 4 + [n] * 3, [
-        (("OREP-5.6", "OREP-5.7", "OREP-5.8"), laws_5_6_to_5_8, 1)])
-    return rep.sweep([m] * 5 + [n] * 4, [
-        (("OREP-5.9", "OREP-5.10"), laws_5_9_and_5_10, 1)])
+    def law8(a, b, g, si, i, j, k):
+        return mat_sum("+-+", contract(TH[a][t[b][g]][si][i], B[b][g][j][k]),
+                       mat_mul(RHO[b][t[t[a][g]][si]][j], TH[a][g][si][i][k]),
+                       mat_mul(RHO[g][t[t[a][b]][si]][k], TH[a][b][si][i][j]))
+
+    def law9(ta, a, b, g, si, ii, i, j, k):
+        taa = t[ta][a]
+        return mat_sum(
+            "+---", mat_mul(D[ta][a][t[t[b][g]][si]][ii][i], TH[b][g][si][j][k]),
+            mat_mul(TH[b][g][t[taa][si]][j][k], D[ta][a][si][ii][i]),
+            contract(th1[t[taa][b]][g][si][k], T[ta][a][b][ii][i][j]),
+            contract(TH[b][t[taa][g]][si][j], T[ta][a][g][ii][i][k]))
+
+    def law10(ta, a, b, g, si, ii, i, j, k):
+        return mat_sum(
+            "+-+-", contract(TH[ta][t[t[a][b]][g]][si][ii], T[a][b][g][i][j][k]),
+            mat_mul(TH[b][g][t[t[ta][a]][si]][j][k], TH[ta][a][si][ii][i]),
+            mat_mul(TH[a][g][t[t[ta][b]][si]][i][k], TH[ta][b][si][ii][j]),
+            mat_mul(D[a][b][t[t[ta][g]][si]][i][j], TH[ta][g][si][ii][k]))
+
+    # per sweep: its indexed slots, and each law with the first slot of its pair
+    sweeps = ((3, (("OREP-5.6", law6, 0), ("OREP-5.7", law7, 0), ("OREP-5.8", law8, 1))),
+              (4, (("OREP-5.9", law9, 0), ("OREP-5.10", law10, 1))))
+
+    if _screened(O, O.invariant_report().ok,
+                 [(law, k + 1, k, p, 1) for k, laws in sweeps for _, law, p in laws]):
+        return Report()
+    rep = Report()
+    for k, laws in sweeps:
+        rep.sweep([m] * (k + 1) + [n] * k, [
+            (name, lambda *w, law=law: transpose(law(*w), nv), 1) for name, law, _ in laws])
+    return rep
 
 
 # ---------------------------------------------------------------------------

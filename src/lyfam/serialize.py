@@ -44,12 +44,18 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(\d+(_\d+)*)?)?"
                        r"e[-+]?\d+(_\d+)*\s*", re.IGNORECASE)
 
 
+_INT = re.compile(r"[-+]?[0-9]+")
+
+
 def parse_scalar(s):
     """The int or Fraction that a JSON string such as "-3" or "1/2" holds.
-    Any other string, and a JSON number, bool or null, is malformed input."""
+    Any other string, and a JSON number, bool or null, is malformed input.
+    An ASCII integer string is read by int, which gives Fraction's value."""
     try:
         if type(s) is not str:
             raise ValueError("scalars are strings")
+        if _INT.fullmatch(s):
+            return int(s)
         if _EXPONENT.fullmatch(s):
             raise ValueError("exponents are refused")
         f = Fraction(s)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -377,3 +378,202 @@ def test_screen_agrees_with_a_brute_force_evaluation(name):
     O = SCREEN_CASES[name]
     assert O.invariant_report().ok
     assert check_omega_ly_axioms(O).ok == _brute_force_laws_hold(O)
+
+
+# ---------------------------------------------------------------------------
+# the canonical-tuple screen of check_omega_representation
+
+# per law: the number of its indexed slots, and the swaps of two slots that
+# change the sign of its residual for a skew algebra over a commutative
+# table; slot t of a witness w with E indexed slots is (w[t], w[E + 1 + t]),
+# and w[E] is the index of the module
+REP_ANTISYMMETRIES = {"OREP-5.6": (3, {(0, 1)}), "OREP-5.7": (3, {(0, 1)}),
+                      "OREP-5.8": (3, {(1, 2)}), "OREP-5.9": (4, {(0, 1)}),
+                      "OREP-5.10": (4, {(1, 2)})}
+
+
+def _induced_rep(A, s, rng=None):
+    """The induced algebra and representation of the identity family of A
+    over s, the representation nudged when rng is given."""
+    from lyfam.cohomology import RBFComplex
+    from test_law_reference import nudged
+    cx = RBFComplex(identity_family(A, s), check=False)
+    r = cx.induced_rep
+    if rng is not None:
+        r = OmegaRepresentation(r.algebra, r.dim, nudged(rng, r.rho, True),
+                                nudged(rng, r.theta, False))
+    return cx.induced_algebra, r
+
+
+def test_representation_law_antisymmetries_hold_and_no_others(a1):
+    """Read from the full reports of nudged induced representations, whose
+    laws fail at canonical tuples and so are swept in full: a swap in the
+    table sends every residual to minus the one at the swapped witness, and
+    every other swap of two slots fails on some representation."""
+    rng = random.Random(20261020)
+    held = {law: set(itertools.combinations(range(e), 2))
+            for law, (e, _) in REP_ANTISYMMETRIES.items()}
+    seen = set()
+    for s in (S1, S2, Z3):
+        O, r = _induced_rep(a1, s, rng)
+        assert O.invariant_report().ok
+        residual = {(v.law, v.witness): v.residual
+                    for v in check_omega_representation(O, r).violations}
+        seen |= {law for law, _ in residual}
+        for (law, w), res in residual.items():
+            e = REP_ANTISYMMETRIES[law][0]
+            for p, q in list(held[law]):
+                u = list(w)
+                for x, y in ((p, q), (e + 1 + p, e + 1 + q)):
+                    u[x], u[y] = u[y], u[x]
+                if residual.get((law, tuple(u))) != tuple(-x for x in res):
+                    held[law].discard((p, q))
+    assert seen == set(REP_ANTISYMMETRIES)
+    assert held == {law: swaps for law, (_, swaps) in REP_ANTISYMMETRIES.items()}
+
+
+def _w2_representation():
+    """On the zero algebra of dimension 1 over W2, with rho_{0,1}(e_0) = -1
+    and theta_{0,1,1}(e_0, e_0) = -1 on a module of dimension 1."""
+    from test_law_reference import W2
+    O = zero_omega_ly(1, W2)
+    r = zero_omega_representation(O, 1)
+    r.rho[0][1][0], r.theta[0][1][1][0][0] = [[-1]], [[-1]]
+    return O, r
+
+
+def test_non_commutative_representation_gets_the_full_report():
+    """Every law of the W2 representation vanishes where the screen would
+    evaluate it (where the label of slot 0 is below that of slot 1), yet
+    OREP-5.7 and 5.9 fail elsewhere, so the full sweep must run.  The
+    expected report is the one of a sweep that never screens."""
+    O, r = _w2_representation()
+    assert O.invariant_report().ok
+    got = [(v.law, v.witness, v.residual)
+           for v in check_omega_representation(O, r).violations]
+    assert got == [("OREP-5.7", (1, 0, 0, 1, 0, 0, 0, 0), (-1,)),
+                   ("OREP-5.9", (1, 0, 0, 1, 1, 0, 0, 0, 0, 0), (-1,))]
+    for law, w, _ in got:  # slots 0 and 1, of dimension 1: labels w[0], w[1]
+        assert REP_ANTISYMMETRIES[law][1] == {(0, 1)} and w[0] > w[1]
+
+
+def test_screen_evaluates_each_representation_law_at_its_canonical_tuples(
+        monkeypatch, a1):
+    """Each law makes one mat_sum, whose signs name it (5.6 and 5.8 share
+    "+-+"), and contracts [x, y] or {x, y, -} of the two slots of its pair.
+    On the induced representation of A1 x S2, M = 2 and n = 2: the screen
+    evaluates each law where the joint labels of its pair increase, 6 of
+    their 16 pairs, out of 128 tuples of (5.6)-(5.8) and 512 of (5.9) and
+    (5.10), so every bracket it contracts has increasing labels.  Over W2
+    the full sweep evaluates every tuple."""
+    from collections import Counter
+    from lyfam import omega
+    O, r = _induced_rep(a1, S2)
+    # a fresh list per bracket vector, so that its id names its labels
+    O = OmegaLYAlgebra(O.dim, S2, la.map_at(list, O.binary, 4),
+                       la.map_at(list, O.ternary, 6))
+    labels, M, n = {}, S2.order, range(O.dim)
+    for a, b, c, i, j, k in itertools.product(S2.elements, S2.elements,
+                                              S2.elements, n, n, n):
+        labels[id(O.binary[a][b][i][j])] = labels[id(
+            O.ternary[a][b][c][i][j][k])] = (i * M + a, j * M + b)
+    calls, read, mat_sum, contract = Counter(), [], omega.mat_sum, omega.contract
+    monkeypatch.setattr(omega, "mat_sum",
+                        lambda signs, *m: calls.update([signs]) or mat_sum(signs, *m))
+    monkeypatch.setattr(omega, "contract", lambda X, *vecs: read.extend(
+        labels[id(v)] for v in vecs if id(v) in labels) or contract(X, *vecs))
+    assert check_omega_representation(O, r).ok
+    # and d_tensor makes one "+--+-" sum at each of its 32 entries
+    assert calls == {"+-+": 2 * 128 * 6 // 16, "+--": 128 * 6 // 16,
+                     "+---": 512 * 6 // 16, "+-+-": 512 * 6 // 16, "+--+-": 32}
+    assert len(read) == 3 * 128 * 6 // 16 + 3 * 512 * 6 // 16
+    assert all(p < q for p, q in read)
+    calls.clear()
+    assert not check_omega_representation(*_w2_representation()).ok
+    assert calls == {"+-+": 2 * 16, "+--": 16, "+---": 32, "+-+-": 32, "+--+-": 8}
+
+
+def _brute_force_rep_laws_hold(O, r):
+    """OREP-5.6 ... 5.10 at every tuple, each map evaluated at basis vectors
+    as the laws read: rho(a, s, x), theta(a, b, s, x, y), D(a, b, s, x, y)."""
+    t, m, E, mm = O.semigroup.table, O.semigroup.elements, la.identity(O.dim), la.mat_mul
+    Dt = r.d_tensor()
+
+    def rho(a, s, x):
+        return la.contract(r.rho[a][s], x)
+
+    def th(a, b, s, x, y):
+        return la.contract(r.theta[a][b][s], x, y)
+
+    def D(a, b, s, x, y):
+        return la.contract(Dt[a][b][s], x, y)
+
+    V = [(a, E[i]) for a in m for i in range(O.dim)]
+    for (a, x), (b, y), (g, z), s in itertools.product(V, V, V, m):
+        ab = t[a][b]
+        if any(map(any, la.mat_sum(
+                "+-+", th(ab, g, s, O.br(a, b, x, y), z),
+                mm(th(a, g, t[b][s], x, z), rho(b, s, y)),
+                mm(th(b, g, t[a][s], y, z), rho(a, s, x))))) \
+                or any(map(any, la.mat_sum(
+                    "+--", mm(D(a, b, t[g][s], x, y), rho(g, s, z)),
+                    mm(rho(g, t[ab][s], z), D(a, b, s, x, y)),
+                    rho(t[ab][g], s, O.tr(a, b, g, x, y, z))))) \
+                or any(map(any, la.mat_sum(
+                    "+-+", th(a, t[b][g], s, x, O.br(b, g, y, z)),
+                    mm(rho(b, t[t[a][g]][s], y), th(a, g, s, x, z)),
+                    mm(rho(g, t[ab][s], z), th(a, b, s, x, y))))):
+            return False
+        for c, w in V:  # w, indexed by c, in the slot before x, y, z
+            ca = t[c][a]
+            if any(map(any, la.mat_sum(
+                    "+---", mm(D(c, a, t[t[b][g]][s], w, x), th(b, g, s, y, z)),
+                    mm(th(b, g, t[ca][s], y, z), D(c, a, s, w, x)),
+                    th(t[ca][b], g, s, O.tr(c, a, b, w, x, y), z),
+                    th(b, t[ca][g], s, y, O.tr(c, a, g, w, x, z))))) \
+                    or any(map(any, la.mat_sum(
+                        "+-+-", th(c, t[ab][g], s, w, O.tr(a, b, g, x, y, z)),
+                        mm(th(b, g, t[ca][s], y, z), th(c, a, s, w, x)),
+                        mm(th(a, g, t[t[c][b]][s], x, z), th(c, b, s, w, y)),
+                        mm(D(a, b, t[t[c][g]][s], x, y), th(c, g, s, w, z))))):
+                return False
+    return True
+
+
+def _rep_screen_cases():
+    from conftest import make_a1, make_a2
+    out = {"w2": _w2_representation()}
+    rng = random.Random(20261021)
+    for name, A, s in (("A1-S1", make_a1(), S1), ("A1-S2", make_a1(), S2),
+                       ("A2-S1", make_a2(), S1)):
+        O, r = _induced_rep(A, s)
+        out["induced-" + name] = O, r
+        out["nudged-" + name] = _induced_rep(A, s, rng)
+        for table in ("rho", "theta"):  # one entry of r moved by 1
+            moved = OmegaRepresentation(O, r.dim, copy.deepcopy(r.rho),
+                                        copy.deepcopy(r.theta))
+            cell = getattr(moved, table)
+            while isinstance(cell[0], list):
+                cell = rng.choice(cell)
+            cell[rng.randrange(len(cell))] += 1
+            out["%s-moved-%s" % (table, name)] = O, moved
+    O = zero_omega_ly(1, Z3)
+    out["zero-Z3"] = O, zero_omega_representation(O, 2)
+    # [e_0, e_0] = e_0 is not skew, and over S1 in dimension 1 the screen
+    # would evaluate no tuple; theta(e_0, e_0) = 1 fails OREP-5.6
+    O = zero_omega_ly(1, S1)
+    O.binary[0][0][0][0] = [1]
+    r = zero_omega_representation(O, 1)
+    r.theta[0][0][0][0][0] = [[1]]
+    out["not-skew-S1"] = O, r
+    return out
+
+
+REP_SCREEN_CASES = _rep_screen_cases()
+
+
+@pytest.mark.parametrize("name", sorted(REP_SCREEN_CASES))
+def test_representation_screen_agrees_with_a_brute_force_evaluation(name):
+    O, r = REP_SCREEN_CASES[name]
+    assert check_omega_representation(O, r).ok == _brute_force_rep_laws_hold(O, r) \
+        == (name.startswith(("induced", "zero")))

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,31 @@ def test_scalar_that_is_not_a_string_is_refused(value):
                        match=r"bad rational %s: scalars are strings"
                        % re.escape(repr(value))):
         sz.parse_scalar(value)
+
+
+def _fraction_scalar(s):
+    """parse_scalar read through Fraction alone: its value and type, or
+    its MalformedInputError message."""
+    try:
+        if sz._EXPONENT.fullmatch(s):
+            raise ValueError("exponents are refused")
+        f = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return "bad rational %r: %s" % (s, exc)
+    v = f.numerator if f.denominator == 1 else f
+    return v, type(v)
+
+
+@pytest.mark.parametrize("text", ["+3", "-0", "007", " 3 ", "1_000", "٣",
+                                  "-4/2", "1e3", "", "--1", "1" * 4301])
+def test_scalar_agrees_with_the_fraction_reading(text):
+    # an ASCII integer string is read by int, every other one by Fraction
+    try:
+        v = sz.parse_scalar(text)
+        got = v, type(v)
+    except MalformedInputError as exc:
+        got = str(exc)
+    assert got == _fraction_scalar(text)
 
 
 def test_semigroup_round_trip(s2):
