@@ -11,6 +11,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 
 from . import serialize
 from .cohomology import (DeformationDirection, RBFComplex, cohomology_H1,
@@ -292,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="check one JSON file against its laws")
     v.add_argument("path")
     v.add_argument("kind", choices=sorted(serialize.KIND_LOADERS))
-    v.set_defaults(func=cmd_validate)
 
     c = sub.add_parser("construct", help="run a construction recipe")
     c.add_argument("recipe", choices=[
@@ -301,29 +301,32 @@ def build_parser() -> argparse.ArgumentParser:
         "ns-tensor", "omega-from-ns", "semidirect", "bar-operator"])
     c.add_argument("inputs", nargs="*")
     c.add_argument("-o", "--output", required=True)
-    c.set_defaults(func=cmd_construct)
 
     r = sub.add_parser("check-rbf", help="check the operator family equations")
     r.add_argument("path")
-    r.set_defaults(func=cmd_check_rbf)
 
     h = sub.add_parser("cohomology", help="cohomology of a context")
     h.add_argument("path")
     h.add_argument("--h1", action="store_true")
     h.add_argument("--h23", action="store_true")
     h.add_argument("--max-n", type=int, default=0, dest="max_n")
-    h.set_defaults(func=cmd_cohomology)
 
     d = sub.add_parser("deform", help="first-order deformation checks")
     d.add_argument("path")
     d.add_argument("t1")
     d.add_argument("t2", nargs="?", default=None)
-    d.set_defaults(func=cmd_deform)
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process on first use: parse_args
+    leaves a parser as it was and makes a fresh namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
     random.seed(seed)
     print("seed: %d" % seed, file=sys.stderr)
@@ -333,7 +336,9 @@ def main(argv=None) -> int:
     if args.budget is not None:
         os.environ["LYFAM_BUDGET"] = str(args.budget)
     try:
-        return args.func(args)
+        # the command is read from the module at each call, not bound into
+        # the cached parser, so a replaced cmd_* function takes effect
+        return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except MalformedInputError as exc:
         return _emit(args, "error", "malformed input: %s" % exc)
     except LyfamError as exc:

@@ -82,11 +82,18 @@ def zeros(*dims):
 
 
 def mat_vec(m, v):
+    """m v, for v with one coordinate per column of m.  Only the support of
+    v is read: each row sums a * b over the nonzero b = v[k] and nonzero
+    a = row[k], in the order of k, so a zero v gives int zeros at once."""
+    sup = [(k, b) for k, b in enumerate(v) if b]
+    if not sup:
+        return [0] * len(m)
     out = []
     for row in m:
         s = 0
-        for a, b in zip(row, v):
-            if a and b:
+        for k, b in sup:
+            a = row[k]
+            if a:
                 s += a * b
         out.append(s)
     return out

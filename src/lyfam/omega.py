@@ -26,7 +26,7 @@ from .errors import BudgetExceededError, MalformedInputError, PreconditionError
 from .linalg import (contract, contract_each, flatten, form_columns, form_kernel,
                      generic_vector, has_shape, lead_slot, map_at, mat_mul,
                      mat_sum, mat_vec, quotient_dim, slot_views, transpose, vec_add,
-                     vec_neg, vec_scale, vec_sub, vec_sum, zero_vec, zeros)
+                     vec_neg, vec_scale, vec_sum, zero_vec, zeros)
 from .ly import split_joint
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of
@@ -585,21 +585,33 @@ def _require_skew_brackets(O: OmegaLYAlgebra) -> None:
 
 
 def _plus(acc, sign, v):
-    """acc + sign * v for sign 1 or -1: the sign picks the operation."""
-    return vec_add(acc, v) if sign > 0 else vec_sub(acc, v)
+    """acc + sign * v for sign 1 or -1, written into acc coordinate by
+    coordinate: the sign picks the operation, acc[k] + v[k] or acc[k] - v[k].
+    acc is a fresh list of the caller's."""
+    if sign > 0:
+        for k, x in enumerate(v):
+            acc[k] += x
+    else:
+        for k, x in enumerate(v):
+            acc[k] -= x
 
 
 def _at_vector(read, d, al, xs, j, vec):
     """The cochain read by read at the basis vectors xs, with the vector vec
-    in slot j instead: a sum over the support of vec (xs[j] is ignored)."""
+    in slot j instead: a sum over the support of vec (xs[j] is ignored),
+    each term cz * v[k] added or subtracted in place."""
     xs = list(xs)
     out = zero_vec(d)
     for z, cz in enumerate(vec):
         if cz:
             xs[j] = z
             sign, v = read(al, xs)
-            if sign:
-                out = _plus(out, sign, vec_scale(cz, v))
+            if sign > 0:
+                for k, x in enumerate(v):
+                    out[k] += cz * x
+            elif sign:
+                for k, x in enumerate(v):
+                    out[k] -= cz * x
     return out
 
 
@@ -643,8 +655,8 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
             rem_al = al[:i1] + al[i2 + 1:]
             sign, v = read(rem_al, xs[:i1] + xs[i2 + 1:])
             if sign:
-                t = mat_vec(D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]], v)
-                acc = vec_add(acc, vec_scale(sign if k % 2 else -sign, t))
+                _plus(acc, sign if k % 2 else -sign, mat_vec(
+                    D[al[i1]][al[i2]][word(rem_al)][xs[i1]][xs[i2]], v))
         for k in range(1, npairs + 1):
             i1, i2 = 2 * k - 2, 2 * k - 1
             sk = 1 if k % 2 == 0 else -1
@@ -653,9 +665,9 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
                 new_al = list(al)
                 new_al[j] = product_of(s, (al[i1], al[i2], al[j]))
                 new_al = new_al[:i1] + new_al[i2 + 1:]
-                t = _at_vector(read, d, new_al, rem_xs, j - 2,
-                               T[al[i1]][al[i2]][al[j]][xs[i1]][xs[i2]][xs[j]])
-                acc = vec_add(acc, vec_scale(sk, t))
+                _plus(acc, sk, _at_vector(
+                    read, d, new_al, rem_xs, j - 2,
+                    T[al[i1]][al[i2]][al[j]][xs[i1]][xs[i2]][xs[j]]))
         return acc
 
     def even(al, xs):
@@ -663,14 +675,14 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
         t = zero_vec(d)
         sign, g1 = read(al[:2 * n] + [al[KE - 1]], xs[:2 * n] + [xs[KE - 1]])
         if sign:
-            t = _plus(t, sign, mat_vec(
+            _plus(t, sign, mat_vec(
                 RHO[al[KE - 2]][word(al[:KE - 2] + [al[KE - 1]])][xs[KE - 2]],
                 g1))
         sign, g2 = read(al[:KE - 1], xs[:KE - 1])
         if sign:
-            t = _plus(t, -sign, mat_vec(
+            _plus(t, -sign, mat_vec(
                 RHO[al[KE - 1]][word(al[:KE - 1])][xs[KE - 1]], g2))
-        t = vec_sub(t, _at_vector(
+        _plus(t, -1, _at_vector(
             read, d, al[:2 * n] + [product(s, al[KE - 2], al[KE - 1])],
             xs[:KE - 1], 2 * n,
             O.binary[al[KE - 2]][al[KE - 1]][xs[KE - 2]][xs[KE - 1]]))
@@ -680,12 +692,12 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
         t = zero_vec(d)
         sign, gA = read(al[:KO - 2], xs[:KO - 2])
         if sign:
-            t = _plus(t, sign, mat_vec(
+            _plus(t, sign, mat_vec(
                 TH[al[KO - 2]][al[KO - 1]][word(al[:KO - 2])]
                 [xs[KO - 2]][xs[KO - 1]], gA))
         sign, gB = read(al[:2 * n] + [al[KO - 2]], xs[:2 * n] + [xs[KO - 2]])
         if sign:
-            t = _plus(t, -sign, mat_vec(
+            _plus(t, -sign, mat_vec(
                 TH[al[KO - 3]][al[KO - 1]][word(al[:2 * n] + [al[KO - 2]])]
                 [xs[KO - 3]][xs[KO - 1]], gB))
         return removed_pairs(vec_scale(sign_n, t), al, xs, n + 1)
@@ -717,16 +729,16 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
         for u, v, w in rotations:
             sign, f = read((al[v], al[w]), (xs[v], xs[w]))
             if sign:
-                acc = _plus(acc, -sign, mat_vec(
+                _plus(acc, -sign, mat_vec(
                     RHO[al[u]][product(s, al[v], al[w])][xs[u]], f))
         for u, v, w in rotations:
-            acc = vec_add(acc, _at_vector(
+            _plus(acc, 1, _at_vector(
                 read, d, (product(s, al[u], al[v]), al[w]), (0, xs[w]), 0,
                 B[al[u]][al[v]][xs[u]][xs[v]]))
         for u, v, w in rotations:
             sign, g = read((al[u], al[v], al[w]), (xs[u], xs[v], xs[w]))
             if sign:
-                acc = _plus(acc, sign, g)
+                _plus(acc, sign, g)
         return acc
 
     def odd(al, xs):
@@ -734,11 +746,11 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
         for u, v, w in rotations:
             sign, f = read((al[v], al[w]), (xs[v], xs[w]))
             if sign:
-                acc = _plus(acc, sign, mat_vec(
+                _plus(acc, sign, mat_vec(
                     TH[al[u]][al[3]][product(s, al[v], al[w])][xs[u]][xs[3]],
                     f))
         for u, v, w in rotations:
-            acc = vec_add(acc, _at_vector(
+            _plus(acc, 1, _at_vector(
                 read, d, (product(s, al[u], al[v]), al[w], al[3]),
                 (0, xs[w], xs[3]), 0, B[al[u]][al[v]][xs[u]][xs[v]]))
         return acc

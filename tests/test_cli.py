@@ -468,6 +468,36 @@ def test_budget_is_scoped_to_one_call(tmp_path, a1, s1, monkeypatch):
     assert os.environ["LYFAM_BUDGET"] == "7"
 
 
+def test_cached_parser_starts_each_call_from_its_defaults(files, capsys,
+                                                         monkeypatch):
+    # the parser is built once per process; no option of one call may
+    # reach the next
+    from lyfam import cli
+    _, _, _, c_path, _ = files
+    assert cli._parser() is cli._parser()
+    seen = []
+    run = cli.cmd_cohomology
+    monkeypatch.setattr(cli, "cmd_cohomology", lambda args: seen.append(
+        (dict(vars(args)), os.environ.get("LYFAM_BUDGET"))) or run(args))
+    monkeypatch.setenv("LYFAM_BUDGET", "100000")
+    capsys.readouterr()
+    # 7 coordinates are too few for the (2,3) step: exit 1
+    assert main(["--budget", "7", "--json", "cohomology", c_path,
+                 "--max-n", "1"]) == 1
+    assert os.environ["LYFAM_BUDGET"] == "100000"
+    first = capsys.readouterr().out
+    assert main(["cohomology", c_path]) == 0
+    second = capsys.readouterr().out
+    (args1, budget1), (args2, budget2) = seen
+    assert (args1["budget"], args1["json"], args1["max_n"], budget1) == (
+        7, True, 1, "7")
+    assert (args2["budget"], args2["json"], args2["max_n"], budget2) == (
+        None, False, 0, "100000")
+    assert json.loads(first)["status"] == "violations"
+    assert second == "%s: H1=2 non-rigid\n" % c_path
+    assert os.environ["LYFAM_BUDGET"] == "100000"
+
+
 def test_non_integer_budget_is_malformed_input(files, tmp_path, capsys,
                                               monkeypatch):
     _, _, _, c_path, ctx = files

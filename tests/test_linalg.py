@@ -168,6 +168,60 @@ def test_mat_mul_matches_triple_sum(rows, inner, cols):
     assert la.mat_mul(a, b) == want
 
 
+def dense_mat_vec(m, v):
+    """m v read at every coordinate: each row adds a * b, left to right,
+    where both factors are nonzero."""
+    out = []
+    for row in m:
+        s = 0
+        for a, b in zip(row, v):
+            if a and b:
+                s += a * b
+        out.append(s)
+    return out
+
+
+def _mat_vec_cases():
+    x, y, z = la.generic_vector(3)
+    half = Fraction(1, 2)
+    cases = {
+        "zero rows": ([[0, 0, 0], [1, Fraction(0), 2], [0, 0, 0]],
+                      [1, half, 0]),
+        "zero vector": ([[1, half, 2], [0, 0, 0]], [0, Fraction(0), 0]),
+        "no rows": ([], [1, 2]),
+        "rows without columns": ([[], []], []),
+        # 1/2 * 2/3 - 1/3 * 1 and 3 * 2/3 - 2 * 1 are Fraction(0)
+        "cancelling fractions": ([[half, Fraction(-1, 3)], [3, -2]],
+                                 [Fraction(2, 3), 1]),
+        "cancelling ints": ([[1, 1, 0], [3, 3, 1]], [2, -2, 0]),
+        "linear forms": ([[1, 0, 2, -1], [0, 0, 0, 0], [half, 3, 0, 0],
+                          [2, 0, 0, -1]], [x, 0, y - y, 2 * x + z]),
+        "cancelling forms": ([[2, 0, -1], [1, 1, 0]],
+                             [x + z, Fraction(0), 2 * x + 2 * z]),
+    }
+    rng = random.Random(2024)
+    scalars = [0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2), Fraction(0)]
+    for k in range(6):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        m = [[rng.choice(scalars) for _ in range(cols)] for _ in range(rows)]
+        # a vector of forms holds no nonzero scalar
+        entries = [0, Fraction(0), x, y - z, 2 * x] if k % 2 else scalars
+        v = [rng.choice(entries) for _ in range(cols)]
+        cases["random %d" % k] = (m, v)
+    return cases
+
+
+MAT_VEC_CASES = _mat_vec_cases()
+
+
+@pytest.mark.parametrize("name", sorted(MAT_VEC_CASES))
+def test_mat_vec_matches_the_dense_loop(name):
+    # the same values with the same types: an int 0 where no product is
+    # nonzero, a Fraction(0) where nonzero Fraction products cancel
+    m, v = MAT_VEC_CASES[name]
+    assert repr(la.mat_vec(m, v)) == repr(dense_mat_vec(m, v))
+
+
 def test_vec_sum_matches_the_chain_of_vector_ops():
     rng = random.Random(7)
     for _ in range(50):
