@@ -277,7 +277,10 @@ def cmd_deform(args):
 # ---------------------------------------------------------------------------
 # dispatch
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `lyfam`, built once per process, on first use:
+    parse_args leaves it as it was and makes a fresh namespace per call."""
     p = argparse.ArgumentParser(
         prog="lyfam",
         description="Validate, construct, and analyze bracket structures "
@@ -318,15 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built once per process on first use: parse_args
-    leaves a parser as it was and makes a fresh namespace on every call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
     random.seed(seed)
     print("seed: %d" % seed, file=sys.stderr)

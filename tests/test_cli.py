@@ -474,7 +474,7 @@ def test_cached_parser_starts_each_call_from_its_defaults(files, capsys,
     # reach the next
     from lyfam import cli
     _, _, _, c_path, _ = files
-    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is cli.build_parser()
     seen = []
     run = cli.cmd_cohomology
     monkeypatch.setattr(cli, "cmd_cohomology", lambda args: seen.append(
