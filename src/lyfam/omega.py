@@ -84,15 +84,27 @@ class OmegaLYAlgebra:
         return contract(self.ternary[a][b][c], x, y, z)
 
     def invariant_report(self) -> Report:
-        """Skewness of both bracket families (simultaneous index swap)."""
+        """Skewness of both bracket families (simultaneous index swap).  A
+        sum is the same with its first two slots (a, i), (b, j) swapped, so
+        the full sweep runs only when one is nonzero at an unordered pair of
+        slots, equal slots included."""
         m, n = self.semigroup.elements, range(self.dim)
         B, T = self.binary, self.ternary
-        rep = Report().sweep([m, m, n, n], [
-            ("invariant:skew-binary", lambda a, b, i, j: vec_add(
-                B[a][b][i][j], B[b][a][j][i]))])
-        return rep.sweep([m, m, m, n, n, n], [
-            ("invariant:skew-ternary", lambda a, b, c, i, j, k: vec_add(
-                T[a][b][c][i][j][k], T[b][a][c][j][i][k]))])
+
+        def binary(a, b, i, j):
+            return vec_add(B[a][b][i][j], B[b][a][j][i])
+
+        def ternary(a, b, c, i, j, k):
+            return vec_add(T[a][b][c][i][j][k], T[b][a][c][j][i][k])
+
+        slots = list(itertools.product(m, n))
+        pairs = list(itertools.combinations_with_replacement(slots, 2))
+        if not (any(any(binary(a, b, i, j)) for (a, i), (b, j) in pairs)
+                or any(any(ternary(a, b, c, i, j, k))
+                       for (a, i), (b, j) in pairs for c, k in slots)):
+            return Report()
+        rep = Report().sweep([m, m, n, n], [("invariant:skew-binary", binary)])
+        return rep.sweep([m, m, m, n, n, n], [("invariant:skew-ternary", ternary)])
 
 
 def zero_omega_ly(dim: int, s: FiniteCommutativeSemigroup) -> OmegaLYAlgebra:
@@ -404,6 +416,14 @@ def _canonical_tuples(M, nA, K, npairs):
         yield [split[t][1] for t in joints], [split[t][0] for t in joints]
 
 
+@lru_cache(maxsize=64)
+def _canonical_table(M, nA, K, npairs):
+    """_canonical_tuples as tuples, listed once per shape: no function given
+    them can change what the next one reads."""
+    return tuple((tuple(al), tuple(xs))
+                 for al, xs in _canonical_tuples(M, nA, K, npairs))
+
+
 @lru_cache(maxsize=None)
 def _pair_ranks(J):
     """ranks[t][u] for two of J joint labels: the rank of the pair (t, u)
@@ -457,16 +477,16 @@ def cochain_build(s: FiniteCommutativeSemigroup, dim_alg, dim_coeff, degree,
                   even, odd) -> CochainFamily:
     """The (k, k+1)-cochain whose value at each canonical k-slot tuple is
     even(alphas, idxs), and at each canonical (k+1)-slot tuple
-    odd(alphas, idxs).  The functions run once per canonical tuple, in the
-    order of _canonical_tuples, even first; the other tuples follow by
-    skewness."""
+    odd(alphas, idxs), with alphas and idxs tuples.  The functions run once
+    per canonical tuple, in the order of _canonical_tuples, even first; the
+    other tuples follow by skewness."""
     M, J = s.order, s.order * dim_alg
     npairs = degree[0] // 2
     comps = []
     for value, k in zip((even, odd), degree):
         width = max(J ** (k - 2 * npairs), 1)
         vals = [value(al, xs)
-                for al, xs in _canonical_tuples(M, dim_alg, k, npairs)]
+                for al, xs in _canonical_table(M, dim_alg, k, npairs)]
         comps.append([vals[r:r + width] for r in range(0, len(vals), width)])
     return CochainFamily(s, dim_alg, dim_coeff, tuple(degree), *comps)
 
@@ -673,17 +693,17 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
     def even(al, xs):
         # block in the last two slots
         t = zero_vec(d)
-        sign, g1 = read(al[:2 * n] + [al[KE - 1]], xs[:2 * n] + [xs[KE - 1]])
+        sign, g1 = read(al[:2 * n] + (al[KE - 1],), xs[:2 * n] + (xs[KE - 1],))
         if sign:
             _plus(t, sign, mat_vec(
-                RHO[al[KE - 2]][word(al[:KE - 2] + [al[KE - 1]])][xs[KE - 2]],
+                RHO[al[KE - 2]][word(al[:KE - 2] + (al[KE - 1],))][xs[KE - 2]],
                 g1))
         sign, g2 = read(al[:KE - 1], xs[:KE - 1])
         if sign:
             _plus(t, -sign, mat_vec(
                 RHO[al[KE - 1]][word(al[:KE - 1])][xs[KE - 1]], g2))
         _plus(t, -1, _at_vector(
-            read, d, al[:2 * n] + [product(s, al[KE - 2], al[KE - 1])],
+            read, d, al[:2 * n] + (product(s, al[KE - 2], al[KE - 1]),),
             xs[:KE - 1], 2 * n,
             O.binary[al[KE - 2]][al[KE - 1]][xs[KE - 2]][xs[KE - 1]]))
         return removed_pairs(vec_scale(sign_n, t), al, xs, n)
@@ -695,10 +715,10 @@ def delta_omega(O: OmegaLYAlgebra, r: OmegaRepresentation, c: CochainFamily,
             _plus(t, sign, mat_vec(
                 TH[al[KO - 2]][al[KO - 1]][word(al[:KO - 2])]
                 [xs[KO - 2]][xs[KO - 1]], gA))
-        sign, gB = read(al[:2 * n] + [al[KO - 2]], xs[:2 * n] + [xs[KO - 2]])
+        sign, gB = read(al[:2 * n] + (al[KO - 2],), xs[:2 * n] + (xs[KO - 2],))
         if sign:
             _plus(t, -sign, mat_vec(
-                TH[al[KO - 3]][al[KO - 1]][word(al[:2 * n] + [al[KO - 2]])]
+                TH[al[KO - 3]][al[KO - 1]][word(al[:2 * n] + (al[KO - 2],))]
                 [xs[KO - 3]][xs[KO - 1]], gB))
         return removed_pairs(vec_scale(sign_n, t), al, xs, n + 1)
 

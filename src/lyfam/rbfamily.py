@@ -188,17 +188,24 @@ def check_twisted_rb_family(ctx: TwistedRBContext) -> Report:
     return family_report(tt, *induced_products(tt))
 
 
-def family_report(tt: ImageTables, binary, ternary) -> Report:
-    """The two family laws, from the tables at the family's own images and
-    the products they induce (see induced_products)."""
+def family_laws(tt: ImageTables, binary, ternary):
+    """The residuals of RBF-3.1 at (a, b, i, j) and RBF-3.2 at (a, b, g, i, j,
+    k), from the tables at the family's images and its induced_products."""
     ctx, T, F = tt.ctx, tt.X, tt.ctx.family
-    t, m, nv = ctx.semigroup.table, ctx.semigroup.elements, ctx.dimV
-    u, mv, sub = range(nv), linalg.mat_vec, linalg.vec_sub
-    rep = Report().sweep([m, m, u, u], [("RBF-3.1", lambda a, b, i, j: sub(
-        tt.bracket[a * nv + i][b * nv + j], mv(F[t[a][b]], binary[a][b][i][j])))])
-    return rep.sweep([m, m, m, u, u, u], [("RBF-3.2", lambda a, b, g, i, j, k: sub(
-        linalg.contract(tt.ternary[a * nv + i][b * nv + j], T[g * nv + k]),
-        mv(F[t[t[a][b]][g]], ternary[a][b][g][i][j][k])))])
+    t, nv, mv, sub = ctx.semigroup.table, ctx.dimV, linalg.mat_vec, linalg.vec_sub
+    return (lambda a, b, i, j: sub(tt.bracket[a * nv + i][b * nv + j],
+                                   mv(F[t[a][b]], binary[a][b][i][j])),
+            lambda a, b, g, i, j, k: sub(
+                linalg.contract(tt.ternary[a * nv + i][b * nv + j], T[g * nv + k]),
+                mv(F[t[t[a][b]][g]], ternary[a][b][g][i][j][k])))
+
+
+def family_report(tt: ImageTables, binary, ternary) -> Report:
+    """The two family laws (family_laws) at every tuple."""
+    m, u = tt.ctx.semigroup.elements, range(tt.ctx.dimV)
+    law1, law2 = family_laws(tt, binary, ternary)
+    rep = Report().sweep([m, m, u, u], [("RBF-3.1", law1)])
+    return rep.sweep([m, m, m, u, u, u], [("RBF-3.2", law2)])
 
 
 def check_morphism(ctx: TwistedRBContext, ctx2: TwistedRBContext,

@@ -6,7 +6,6 @@ These semigroups index every family of operators in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import MalformedInputError, PreconditionError, UnitRequiredError
 from .report import Report
@@ -70,10 +69,16 @@ def product(s: FiniteCommutativeSemigroup, i: int, j: int) -> int:
 
 
 def product_of(s: FiniteCommutativeSemigroup, indices) -> int:
+    """The product of the elements in order, each step checked as by product."""
     indices = list(indices)
     if not indices:
         raise PreconditionError("product_of requires a nonempty list")
-    return reduce(lambda a, b: product(s, a, b), indices)
+    t, m, w = s.table, s.order, indices[0]
+    for j in indices[1:]:
+        if not (0 <= w < m and 0 <= j < m):
+            raise MalformedInputError("element index out of range: (%r, %r)" % (w, j))
+        w = t[w][j]
+    return w
 
 
 def trivial_semigroup() -> FiniteCommutativeSemigroup:

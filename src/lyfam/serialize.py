@@ -88,13 +88,15 @@ def sparse_entries(entries, what, fields, dims):
     """
     _require(isinstance(entries, list), "%s entries must be a list" % what)
     for ent in entries:
-        _require(isinstance(ent, list) and len(ent) == len(dims) + 1,
-                 "%s entries are [%s,value]: %r" % (what, fields, ent))
+        if not (isinstance(ent, list) and len(ent) == len(dims) + 1):
+            raise MalformedInputError(
+                "%s entries are [%s,value]: %r" % (what, fields, ent))
         idx = tuple(ent[:-1])
-        _require(all(type(i) is int for i in idx),
-                 "%s entry has a non-integer index: %r" % (what, ent))
-        _require(all(0 <= i < n for i, n in zip(idx, dims)),
-                 "%s entry out of range: %r" % (what, ent))
+        if not all(type(i) is int for i in idx):
+            raise MalformedInputError(
+                "%s entry has a non-integer index: %r" % (what, ent))
+        if not all(0 <= i < n for i, n in zip(idx, dims)):
+            raise MalformedInputError("%s entry out of range: %r" % (what, ent))
         yield idx, parse_scalar(ent[-1])
 
 
@@ -171,8 +173,9 @@ def _mirrored(entries, what):
     """The checked entries of the i <= j half of a tensor skew in (i, j),
     each followed by its mirror at (j, i) with the opposite sign."""
     for idx, v in entries:
-        _require(idx[0] <= idx[1],
-                 "%s entry not in the i<=j half: %r" % (what, list(idx)))
+        if idx[0] > idx[1]:
+            raise MalformedInputError(
+                "%s entry not in the i<=j half: %r" % (what, list(idx)))
         yield idx, v
         if idx[0] != idx[1]:
             yield (idx[1], idx[0]) + idx[2:], -v
@@ -349,11 +352,12 @@ def _read_cochain(d: dict):
     _require(isinstance(entries, list), "cochain entries must be a list")
     tables = {}
     for ent in entries:
-        _require(isinstance(ent, list) and len(ent) == 4
-                 and isinstance(ent[0], list) and isinstance(ent[1], list)
-                 and len(ent[0]) == len(ent[1]) and len(ent[0]) in arities,
-                 "cochain entries are [alphas,args,coeff,value] with the "
-                 "arity of the degree: %r" % (ent,))
+        if not (isinstance(ent, list) and len(ent) == 4
+                and isinstance(ent[0], list) and isinstance(ent[1], list)
+                and len(ent[0]) == len(ent[1]) and len(ent[0]) in arities):
+            raise MalformedInputError(
+                "cochain entries are [alphas,args,coeff,value] with the "
+                "arity of the degree: %r" % (ent,))
         k = len(ent[0])
         (idx, v), = sparse_entries([ent[0] + ent[1] + ent[2:]], "cochain",
                                    "alphas,args,coeff",

@@ -5,10 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lyfam import cohomology
 from lyfam import linalg as la
 from lyfam.errors import (BudgetExceededError, ConsistencyError,
                           PreconditionError, UnitRequiredError)
-from lyfam.ly import ly_from_lie, zero_cocycle, zero_ly, zero_representation
+from lyfam.ly import (Cocycle23, ly_from_lie, zero_cocycle, zero_ly,
+                      zero_representation)
 from lyfam.nsfamily import ns_from_twisted_rb
 from lyfam.omega import (OmegaRepresentation, check_omega_ly_axioms,
                          check_omega_representation, cochain_full_coords,
@@ -21,10 +23,12 @@ from lyfam.cohomology import (DeformationDirection, DegreeZeroElement,
                               infinitesimal_report, partial_23, partial_deg0,
                               partial_deg1, partial_star_23,
                               rep_d_closed_form_report, rigidity_certificate)
-from lyfam.rbfamily import TwistedRBContext, identity_family, zero_family
+from lyfam.rbfamily import (TwistedRBContext, family_report, family_tables,
+                             identity_family, induced_products, zero_family)
 from lyfam.semigroup import FiniteCommutativeSemigroup, trivial_semigroup
-from conftest import (LIE_CATALOG, random_invertible, random_vec, skew_binary,
-                      transport_bilinear)
+from conftest import (LIE_CATALOG, make_a1, make_a2, random_invertible,
+                      random_vec, skew_binary, transport_bilinear)
+from test_dense_images import change_basis_of_V
 
 
 def zero_context(s, dim_l=2, dim_v=2):
@@ -317,3 +321,87 @@ def test_representation_check_sees_a_changed_theta(a2, s2):
         O, OmegaRepresentation(O, r.dim, r.rho, r.theta))
     assert "OREP-5.7" in got.laws()
     assert repr(got.violations) == repr(fresh.violations)
+
+
+# ---------------------------------------------------------------------------
+# the screened family check of the complex
+
+SEMIGROUPS = {"S1": trivial_semigroup(),
+              "S2": FiniteCommutativeSemigroup(2, [[0, 1], [1, 1]], unit=0),
+              "Z3": FiniteCommutativeSemigroup(3, [[(i + j) % 3 for j in range(3)]
+                                                   for i in range(3)], unit=0)}
+
+
+def _family_screen_cases(A, s, rng):
+    """(name, context): the identity family of A over s, its copy with V
+    moved by a Fraction change of basis, and each with +-1 added to one
+    entry of T_a in column i, for the first, a middle and the last joint
+    label i*M + a, so that the changed image lies in the first slot of the
+    screened pairs p < q, in their second slot, or in both."""
+    ctx = identity_family(A, s)
+    moved = change_basis_of_V(ctx, random_invertible(rng, ctx.dimV, 12))
+    M, J = s.order, s.order * ctx.dimV
+    for name, base in (("", ctx), ("moved", moved)):
+        yield name, base
+        for label in (0, J // 2, J - 1):
+            i, a = divmod(label, M)
+            row = rng.randrange(ctx.dimL)
+            for sign in (1, -1):
+                fam = copy.deepcopy(base.family)
+                fam[a][row][i] += sign
+                yield ("%s T_%d[%d][%d] %+d" % (name, a, row, i, sign),
+                       TwistedRBContext(base.algebra, base.rep, base.cocycle,
+                                        s, fam))
+
+
+def _counted_family_report(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return family_report(*args)
+
+    monkeypatch.setattr(cohomology, "family_report", counted)
+    return calls
+
+
+@pytest.mark.parametrize("A", ["A1", "A2"])
+@pytest.mark.parametrize("sname", sorted(SEMIGROUPS))
+def test_complex_screen_decides_as_the_family_laws(A, sname, monkeypatch):
+    # a skew context: the complex accepts exactly the families that
+    # family_report accepts, refuses the others with its laws, and runs
+    # the full sweep only to make that message
+    calls = _counted_family_report(monkeypatch)
+    rng = random.Random("%s-%s" % (A, sname))
+    verdicts = set()
+    for name, ctx in _family_screen_cases(make_a1() if A == "A1" else make_a2(),
+                                          SEMIGROUPS[sname], rng):
+        tt = family_tables(ctx)
+        want = family_report(tt, *induced_products(tt))
+        del calls[:]
+        if want.ok:
+            RBFComplex(ctx)
+        else:
+            with pytest.raises(PreconditionError) as exc:
+                RBFComplex(ctx)
+            assert str(exc.value) == (
+                "input is not a twisted Rota-Baxter family: %s"
+                % sorted(want.laws())), name
+        assert len(calls) == (not want.ok), name
+        verdicts.add(want.ok)
+    assert verdicts == {True, False}
+
+
+def test_complex_checks_a_context_that_is_not_skew_in_full(monkeypatch):
+    # Gamma1(e_0, e_0) = u_0 is not skew.  With dim L = dim V = 1 over the
+    # trivial semigroup the one tuple has p = q, where RBF-3.1 reads
+    # -T Gamma1(x, x): a screen of the pairs p < q would see nothing
+    calls = _counted_family_report(monkeypatch)
+    s, L, V = trivial_semigroup(), zero_ly(1), zero_representation(1, 1)
+    c = Cocycle23([[[1]]], [[[[0]]]])
+    with pytest.raises(PreconditionError,
+                       match=r"family: \['RBF-3.1'\]$"):
+        RBFComplex(TwistedRBContext(L, V, c, s, [[[1]]]))
+    # with T = 0 both laws hold, and the full sweep still decides
+    RBFComplex(TwistedRBContext(L, V, c, s, [[[0]]]))
+    assert len(calls) == 2

@@ -15,12 +15,13 @@ from lyfam.omega import (OmegaLYAlgebra, OmegaRepresentation, _canonical_tuples,
                          omega_ly_from_ns_family, omega_ly_from_omega_lie,
                          omega_ly_from_reynolds, omega_cohomology_dims,
                          skew_basis, zero_omega_ly, zero_omega_representation)
+from lyfam.cohomology import RBFComplex
 from lyfam.rbfamily import identity_family
 from lyfam.report import Report
 
 from lyfam import linalg as la
 from test_coboundary_reference import skew_violations
-from test_law_reference import S1, S2, Z3
+from test_law_reference import A1, A2, S1, S2, Z3
 
 
 def test_zero_omega_ly(s2):
@@ -227,6 +228,64 @@ def test_reader_gives_the_signed_canonical_value(s, nA, degree):
                     assert got[0] == sign and got[1] is at[tuple(labels)]
                 else:
                     assert got == (0, None)
+
+
+@pytest.mark.parametrize("s,nA,degree", LAYOUTS)
+def test_cochain_build_repeats_its_output_from_the_cached_tuples(s, nA, degree):
+    # the canonical tuples of a shape are listed once and handed out as
+    # tuples, so a second build reads the same tuples as the first
+    seen = []
+
+    def value(al, xs):
+        assert type(al) is tuple and type(xs) is tuple
+        seen.append((al, xs))
+        return [sum(al) - len(seen), Fraction(sum(xs), len(seen) + 1)]
+
+    first = cochain_build(s, nA, 2, degree, value, value)
+    once = seen[:]
+    del seen[:]
+    second = cochain_build(s, nA, 2, degree, value, value)
+    assert seen == once
+    assert repr(second) == repr(first)
+
+
+def _full_skew_report(O):
+    """OmegaLYAlgebra.invariant_report without its screen: both sums at
+    every tuple."""
+    m, n, B, T = O.semigroup.elements, range(O.dim), O.binary, O.ternary
+    rep = Report().sweep([m, m, n, n], [
+        ("invariant:skew-binary", lambda a, b, i, j: la.vec_add(
+            B[a][b][i][j], B[b][a][j][i]))])
+    return rep.sweep([m, m, m, n, n, n], [
+        ("invariant:skew-ternary", lambda a, b, c, i, j, k: la.vec_add(
+            T[a][b][c][i][j][k], T[b][a][c][j][i][k]))])
+
+
+@pytest.mark.parametrize("A", ["A1", "A2"])
+@pytest.mark.parametrize("s", [S1, S2, Z3], ids=["S1", "S2", "Z3"])
+def test_screened_skewness_report_equals_the_full_sweep(A, s):
+    # the induced algebra is skew; each copy has one entry changed where
+    # the joint labels i*M + a of the first two slots are p < q, p > q or
+    # p = q, and its report must be the full sweep's, violation by violation
+    O = RBFComplex(identity_family(A1 if A == "A1" else A2, s)).induced_algebra
+    assert O.invariant_report().ok and _full_skew_report(O).ok
+    rng, M, n = random.Random("%s-%d" % (A, s.order)), s.order, range(O.dim)
+    labelled = [(i * M + a, (a, i)) for a, i in itertools.product(s.elements, n)]
+    for rel in (-1, 1, 0):  # p < q, p > q, p = q
+        (a, i), (b, j) = rng.choice([(x, y) for p, x in labelled
+                                     for q, y in labelled
+                                     if (p > q) - (p < q) == rel])
+        c, k, coord = rng.choice(s.elements), rng.choice(n), rng.choice(n)
+        for tensor in ("binary", "ternary"):
+            binary, ternary = copy.deepcopy(O.binary), copy.deepcopy(O.ternary)
+            vec = (binary[a][b][i][j] if tensor == "binary"
+                   else ternary[a][b][c][i][j][k])
+            vec[coord] += 1
+            changed = OmegaLYAlgebra(O.dim, s, binary, ternary)
+            want = _full_skew_report(changed)
+            assert not want.ok
+            assert repr(changed.invariant_report().violations) == \
+                repr(want.violations)
 
 
 @pytest.mark.parametrize("s,nA,degree", [

@@ -1,6 +1,7 @@
 import pytest
 
-from lyfam.errors import UnitRequiredError
+from lyfam.errors import (MalformedInputError, PreconditionError,
+                          UnitRequiredError)
 from lyfam.semigroup import (FiniteCommutativeSemigroup, product, product_of,
                              trivial_semigroup, validate_semigroup)
 
@@ -16,6 +17,29 @@ def test_order_two_with_absorber(s2):
     assert product(s2, 0, 1) == 1
     assert product(s2, 1, 1) == 1
     assert product_of(s2, (0, 1, 0)) == 1
+
+
+@pytest.mark.parametrize("indices,message", [
+    ((0, 2, 1), "element index out of range: (0, 2)"),
+    ((1, 1, 5), "element index out of range: (1, 5)"),
+    ((-1, 0), "element index out of range: (-1, 0)"),
+    ([0, 1, 1, -1], "element index out of range: (1, -1)"),
+])
+def test_product_of_refuses_an_index_out_of_range(s2, indices, message):
+    with pytest.raises(MalformedInputError) as exc:
+        product_of(s2, indices)
+    assert str(exc.value) == message
+
+
+def test_product_of_walks_the_table(s2):
+    z3 = FiniteCommutativeSemigroup(3, [[(i + j) % 3 for j in range(3)]
+                                        for i in range(3)], unit=0)
+    assert product_of(z3, iter([1, 2, 2, 1])) == 0
+    assert product_of(z3, [2]) == 2
+    for words in ((), iter(())):
+        with pytest.raises(PreconditionError,
+                           match="^product_of requires a nonempty list$"):
+            product_of(s2, words)
 
 
 def test_non_commutative_table_rejected():

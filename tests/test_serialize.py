@@ -94,6 +94,44 @@ def test_out_of_half_entry_is_malformed():
         sz.ly_from_json({"dim": 2, "binary": [[1, 0, 0, "1"]], "ternary": []})
 
 
+@pytest.mark.parametrize("entry,message", [
+    ("abc", "family entries are [alpha,row,col,value]: 'abc'"),
+    ([0, 0, "1"], "family entries are [alpha,row,col,value]: [0, 0, '1']"),
+    ([0, 0, 0, 0, "1"],
+     "family entries are [alpha,row,col,value]: [0, 0, 0, 0, '1']"),
+    ([0, True, 0, "1"], "family entry has a non-integer index: [0, True, 0, '1']"),
+    ([0, 0, 1.0, "1"], "family entry has a non-integer index: [0, 0, 1.0, '1']"),
+    (["0", 0, 0, "1"], "family entry has a non-integer index: ['0', 0, 0, '1']"),
+    ([0, -1, 0, "1"], "family entry out of range: [0, -1, 0, '1']"),
+    ([0, 0, 3, "1"], "family entry out of range: [0, 0, 3, '1']"),
+    # out of range in its first index and not an integer in its third: the
+    # type check comes first
+    ([5, 0, "0", "1"], "family entry has a non-integer index: [5, 0, '0', '1']"),
+])
+def test_malformed_entry_messages(entry, message):
+    # the message names the entry it refuses; valid entries before it load
+    d = {"kind": "direction", "order": 2, "dim_l": 2, "dim_v": 3,
+         "family": [[1, 1, 2, "1/2"], entry]}
+    with pytest.raises(MalformedInputError) as exc:
+        sz.direction_from_json(d)
+    assert str(exc.value) == message
+
+
+def test_malformed_half_and_cochain_entry_messages(s2):
+    with pytest.raises(MalformedInputError) as exc:
+        sz.ly_from_json({"dim": 2, "binary": [[0, 1, 0, "1"], [1, 0, 0, "1"]],
+                         "ternary": []})
+    assert str(exc.value) == "binary entry not in the i<=j half: [1, 0, 0]"
+    d = {"kind": "cochain", "degree": [2, 3], "dim_alg": 1, "dim_coeff": 1,
+         "semigroup": sz.semigroup_to_json(s2),
+         "entries": [[[0, 1], [0, 0], 0, "1"], [[0], [0, 0], 0, "1"]]}
+    with pytest.raises(MalformedInputError) as exc:
+        sz.cochain_from_json(d)
+    assert str(exc.value) == (
+        "cochain entries are [alphas,args,coeff,value] with the arity of the "
+        "degree: [[0], [0, 0], 0, '1']")
+
+
 def test_representation_and_cocycle_round_trip(a2):
     r = adjoint_representation(a2)
     r2 = sz.representation_from_json(sz.representation_to_json(r, a2.dim))
