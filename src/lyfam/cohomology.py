@@ -19,10 +19,11 @@ from .linalg import (contract, form_columns, form_kernel, form_rows,
                      transpose, vec_add, vec_scale, vec_sub, vec_sum, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_build, cochain_coords, cochain_full_table,
-                    _screened, cohomology_step, delta_omega,
+                    cohomology_step, delta_omega,
                     delta_star_omega, skew_basis)
-from .rbfamily import (ImageTables, TwistedRBContext, family_laws,
-                       family_report, family_tables, images, induced_products)
+from .rbfamily import (ImageTables, TwistedRBContext, family_check,
+                       family_report, family_screened, family_tables, images,
+                       induced_products)
 from .report import Report
 from .semigroup import product, product_of, validate_semigroup
 
@@ -52,7 +53,7 @@ def _induced_algebra(tt: ImageTables, check: bool) -> OmegaLYAlgebra:
     """induced_omega_ly_on_V from the tables at the family's images; the
     family check runs on the same tables as the products."""
     binary, ternary = induced_products(tt)
-    if check and not family_report(tt, binary, ternary).ok:
+    if check and not family_check(tt, binary, ternary).ok:
         raise PreconditionError("input is not a twisted Rota-Baxter family")
     return OmegaLYAlgebra(dim=tt.ctx.dimV, semigroup=tt.ctx.semigroup,
                           binary=binary, ternary=ternary)
@@ -155,38 +156,24 @@ class RBFComplex:
     built on first use and read by the generic cross-check of partial_deg1
     and by partial_23.  The standalone check_twisted_rb_family,
     induced_omega_ly_on_V and induced_rep_on_L build theirs afresh.
-
-    The family check is screened (omega._screened).  With skew brackets and
-    cocycle (_skew empty) over a validated semigroup, both residuals change
-    sign when x = T_a u_i and y = T_b u_j trade their joint labels: [x, y]
-    and {x, y, -} are skew; so is the induced rho(x)u_j - rho(y)u_i
-    + Gamma1(x, y), and D(x, y)u_k + theta(y, z)u_i - theta(x, z)u_j
-    + Gamma2(x, y, z), as D is skew with the bracket and Gamma2 in its first
-    pair; and T_ab = T_ba.  So the residual at labels p > q is minus the one
-    at q < p, and 0 at p = q.  family_report runs, and makes the message,
-    only when a residual at p < q is nonzero or the context is not skew.
     """
 
     def __init__(self, ctx: TwistedRBContext, check: bool = True):
         self.context = ctx
         self.tables = family_tables(ctx)
-        binary, ternary = induced_products(self.tables)
+        self.induced_algebra = O = _induced_algebra(self.tables, False)
         # partial_deg1 evaluates canonical tuples only, which needs brackets
         # and cocycle skew in their first slot pair
         self._skew = ctx.algebra.invariant_report()
         self._skew.extend(ctx.cocycle.invariant_report())
-        self.induced_algebra = OmegaLYAlgebra(
-            dim=ctx.dimV, semigroup=ctx.semigroup, binary=binary,
-            ternary=ternary)
         if check:
             sg = validate_semigroup(ctx.semigroup)
             if not sg.ok:
                 raise PreconditionError("semigroup fails validation: %s"
                                         % sorted(sg.laws()))
-            law1, law2 = family_laws(self.tables, binary, ternary)
-            if not _screened(self.induced_algebra, self._skew.ok,
-                             ((law1, 2, 2, 0, 0), (law2, 3, 3, 0, 0))):
-                chk = family_report(self.tables, binary, ternary)
+            if not family_screened(self.tables, O.binary, O.ternary,
+                                   self._skew.ok):
+                chk = family_report(self.tables, O.binary, O.ternary)
                 if not chk.ok:
                     raise PreconditionError(
                         "input is not a twisted Rota-Baxter family: %s"

@@ -181,32 +181,29 @@ def derived_D(A: LYAlgebra, r: Representation):
 
 
 def check_representation(A: LYAlgebra, r: Representation) -> Report:
+    """REP-2.5...2.9 are OREP-5.6...5.10 of r over the one-element
+    semigroup, screened as check_omega_representation screens them: each
+    residual matrix at semigroup indices 0 and a basis tuple, flattened row
+    by row, at that tuple.  REP-2.11...2.13 follow as a self-test."""
+    from .omega import _representation_laws
     require_fit(A, r)
-    n, E = range(A.dim), linalg.identity(A.dim)
-    D = derived_D(A, r)
-    b, t, rho, theta = A.binary, A.ternary, r.rho, r.theta
+    R = _over_trivial_semigroup(A, r)
+    n, E, DR = range(A.dim), linalg.identity(A.dim), R.d_tensor()
+    b, t, theta, D = A.binary, A.ternary, r.theta, DR[0][0][0]
     ct, mm = linalg.contract, linalg.mat_mul
+    names = {"OREP-5.6": "REP-2.5", "OREP-5.7": "REP-2.6", "OREP-5.8": "REP-2.7",
+             "OREP-5.9": "REP-2.8", "OREP-5.10": "REP-2.9"}
 
     def msum(signs, *mats):
         return linalg.flatten(linalg.mat_sum(signs, *mats))
 
-    rep = Report().sweep([n] * 3, [
-        ("REP-2.5", lambda i, j, k: msum(
-            "+-+", ct(theta, b[i][j], E[k]), mm(theta[i][k], rho[j]),
-            mm(theta[j][k], rho[i]))),
-        ("REP-2.6", lambda i, j, k: msum(
-            "+--", mm(D[i][j], rho[k]), mm(rho[k], D[i][j]),
-            ct(rho, t[i][j][k]))),
-        ("REP-2.7", lambda i, j, k: msum(
-            "+-+", ct(theta[i], b[j][k]), mm(rho[j], theta[i][k]),
-            mm(rho[k], theta[i][j])))])
-    rep.sweep([n] * 4, [("REP-2.8", lambda a, c, i, j: msum(
-        "+---", mm(D[a][c], theta[i][j]), mm(theta[i][j], D[a][c]),
-        ct(theta, t[a][c][i], E[j]), ct(theta[i], t[a][c][j])))])
-    rep.sweep([n] * 4, [("REP-2.9", lambda a, i, j, k: msum(
-        "+-+-", ct(theta[a], t[i][j][k]), mm(theta[j][k], theta[a][i]),
-        mm(theta[i][k], theta[a][j]), mm(D[i][j], theta[a][k])))])
-    # redundant consequences of the definition, kept as a consistency self-test
+    rep = Report()
+    for k, laws in _representation_laws(R.algebra, R, A.invariant_report().ok, DR):
+        flat = [(names[name], lambda *w, law=law, k=k: linalg.flatten(
+            law(*[0] * (k + 1), *w))) for name, law, _ in laws]
+        # REP-2.5...2.7 share the sweep of (i, j, k); 2.8 and 2.9 have one each
+        for group in [flat] if k == 3 else [[law] for law in flat]:
+            rep.sweep([n] * k, group)
     rep.sweep([n] * 3, [("REP-2.11", lambda i, j, k: msum(
         "+++", ct(D, b[i][j], E[k]), ct(D, b[j][k], E[i]),
         ct(D, b[k][i], E[j])))])

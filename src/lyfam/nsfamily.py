@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from . import linalg
 from .errors import MalformedInputError, PreconditionError
 from .ly import joint_table
-from .rbfamily import (bar_operator, family_report, family_tables,
+from .rbfamily import (bar_operator, family_check, family_tables,
                        induced_products, nijenhuis_induced_context)
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, trivial_semigroup
@@ -344,7 +344,7 @@ def ns_from_twisted_rb(ctx, check: bool = True) -> NSFamilyAlgebra:
     square is one contraction per triple: a two-stage one, through the table
     of Gamma2(x, y, -), can change the type of a zero whose terms cancel."""
     tt = family_tables(ctx)
-    if check and not family_report(tt, *induced_products(tt)).ok:
+    if check and not family_check(tt, *induced_products(tt)).ok:
         raise PreconditionError("input is not a twisted Rota-Baxter family")
     s, nv, T, g2 = ctx.semigroup, ctx.dimV, tt.X, ctx.cocycle.gamma2
     m, u = range(s.order), range(nv)

@@ -182,8 +182,8 @@ def _omega_ly_report(O: OmegaLYAlgebra, skew: bool) -> Report:
 
     # each law has the pair of slots 0 and 1; block4 and block5 take the
     # semigroup indices of x, y, then those of their other slots
-    if _screened(O, skew, ((law2, 3, 3, 0, 0), (law3, 4, 4, 0, 0),
-                           (block4, 4, 2, 0, 2), (block5, 5, 2, 0, 3))):
+    if _screened(O.semigroup, O.dim, skew, ((law2, 3, 3, 0, 0), (law3, 4, 4, 0, 0),
+                                            (block4, 4, 2, 0, 2), (block5, 5, 2, 0, 3))):
         return Report()
     rep = Report().sweep([m] * 3 + [n] * 3, [("OLY-5.2", law2)])
     rep.sweep([m] * 4 + [n] * 4, [("OLY-5.3", law3)])
@@ -191,15 +191,15 @@ def _omega_ly_report(O: OmegaLYAlgebra, skew: bool) -> Report:
     return rep.sweep([m] * 5 + [n] * 2, [("OLY-5.5", block5, 3)])
 
 
-def _screened(O: OmegaLYAlgebra, skew: bool, laws) -> bool:
-    """Whether the screen finds that every law holds: the brackets are skew
-    (skew is O.invariant_report().ok), the table is commutative, and each
-    law vanishes where the joint labels i*M + a of its slot pair increase
-    strictly.  A law (residuals, ne, nb, p, depth) takes ne semigroup and
-    then nb basis indices, slot t of a tuple w is (w[t], w[ne + t]), its
-    pair is slots p and p + 1, and residuals(*w) holds vectors depth lists
-    deep."""
-    t, m, M, n = O.semigroup.table, O.semigroup.elements, O.semigroup.order, range(O.dim)
+def _screened(s: FiniteCommutativeSemigroup, dim: int, skew: bool, laws) -> bool:
+    """Whether the screen finds that every law holds: the laws' skewness
+    hypothesis holds (skew), the table of s is commutative, and each law
+    vanishes where the joint labels i*M + a (i < dim) of its slot pair
+    increase strictly.  A law (residuals, ne, nb, p, depth) takes ne
+    semigroup and then nb basis indices, slot t of a tuple w is (w[t],
+    w[ne + t]), its pair is slots p and p + 1, and residuals(*w) holds
+    vectors depth lists deep."""
+    t, m, M, n = s.table, s.elements, s.order, range(dim)
     if not (skew and all(t[a][b] == t[b][a] for a in m for b in m)):
         return False
     for residuals, ne, nb, p, depth in laws:
@@ -246,13 +246,12 @@ def omega_ly_from_ns_family(N) -> OmegaLYAlgebra:
 
 def omega_ly_from_reynolds(A, s, family) -> OmegaLYAlgebra:
     """Indexed algebra induced by a Reynolds family on the algebra itself."""
-    from .cohomology import induced_omega_ly_on_V
     from .rbfamily import reynolds_context
-    ctx, bad = reynolds_context(A, s, family)
+    ctx, (binary, ternary), bad = reynolds_context(A, s, family)
     if not bad.ok:
         raise PreconditionError("input fails the Reynolds family laws: %s"
                                 % (bad.violations[0],))
-    return induced_omega_ly_on_V(ctx, check=False)
+    return OmegaLYAlgebra(ctx.dimV, s, binary, ternary)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +326,18 @@ def check_omega_representation(O: OmegaLYAlgebra,
     law where the labels of its pair increase strictly.  When all those
     residuals vanish the report is empty; otherwise, and for other
     algebras, the full sweep runs and makes the report."""
-    t, m, n = O.semigroup.table, O.semigroup.elements, range(O.dim)
-    nv, B, T, RHO, TH, D = r.dim, O.binary, O.ternary, r.rho, r.theta, r.d_tensor()
+    nv, m, n, rep = r.dim, O.semigroup.elements, range(O.dim), Report()
+    for k, laws in _representation_laws(O, r, O.invariant_report().ok, r.d_tensor()):
+        rep.sweep([m] * (k + 1) + [n] * k, [
+            (name, lambda *w, law=law: transpose(law(*w), nv), 1) for name, law, _ in laws])
+    return rep
+
+
+def _representation_laws(O: OmegaLYAlgebra, r: OmegaRepresentation, skew, D):
+    """Per sweep of check_omega_representation, its k slots and each law
+    (name, residual matrix, first slot of its pair); () when _screened finds
+    that they all hold.  skew is O.invariant_report().ok, D r.d_tensor()."""
+    t, B, T, RHO, TH = O.semigroup.table, O.binary, O.ternary, r.rho, r.theta
     th1 = map_at(lambda X: lead_slot(X, 1, 2), TH, 3)  # theta(e_l, e_k) at [k][l]
 
     def law6(a, b, g, si, i, j, k):
@@ -362,18 +371,13 @@ def check_omega_representation(O: OmegaLYAlgebra,
             mat_mul(TH[a][g][t[t[ta][b]][si]][i][k], TH[ta][b][si][ii][j]),
             mat_mul(D[a][b][t[t[ta][g]][si]][i][j], TH[ta][g][si][ii][k]))
 
-    # per sweep: its indexed slots, and each law with the first slot of its pair
     sweeps = ((3, (("OREP-5.6", law6, 0), ("OREP-5.7", law7, 0), ("OREP-5.8", law8, 1))),
               (4, (("OREP-5.9", law9, 0), ("OREP-5.10", law10, 1))))
 
-    if _screened(O, O.invariant_report().ok,
+    if _screened(O.semigroup, O.dim, skew,
                  [(law, k + 1, k, p, 1) for k, laws in sweeps for _, law, p in laws]):
-        return Report()
-    rep = Report()
-    for k, laws in sweeps:
-        rep.sweep([m] * (k + 1) + [n] * k, [
-            (name, lambda *w, law=law: transpose(law(*w), nv), 1) for name, law, _ in laws])
-    return rep
+        return ()
+    return sweeps
 
 
 # ---------------------------------------------------------------------------

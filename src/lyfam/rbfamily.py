@@ -20,6 +20,7 @@ from .ly import (Cocycle23, LYAlgebra, Representation, adjoint_representation,
                  check_cocycle23, check_ly_axioms, check_representation,
                  derived_D, gamma_ad, joint_table, ly_tensor_semigroup,
                  require_fit)
+from .omega import _screened
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
     trivial_semigroup, validate_semigroup
@@ -185,7 +186,7 @@ def family_tables(ctx: TwistedRBContext) -> ImageTables:
 
 def check_twisted_rb_family(ctx: TwistedRBContext) -> Report:
     tt = family_tables(ctx)
-    return family_report(tt, *induced_products(tt))
+    return family_check(tt, *induced_products(tt))
 
 
 def family_laws(tt: ImageTables, binary, ternary):
@@ -200,8 +201,32 @@ def family_laws(tt: ImageTables, binary, ternary):
                 mv(F[t[t[a][b]][g]], ternary[a][b][g][i][j][k])))
 
 
+def family_screened(tt: ImageTables, binary, ternary, skew: bool) -> bool:
+    """Whether omega._screened finds that both family laws hold; skew is
+    whether the brackets and the cocycle are.  With them skew over a
+    commutative semigroup, both residuals change sign when x = T_a u_i and
+    y = T_b u_j trade their joint labels: [x, y] and {x, y, -} are skew; so
+    is the induced rho(x)u_j - rho(y)u_i + Gamma1(x, y), and D(x, y)u_k
+    + theta(y, z)u_i - theta(x, z)u_j + Gamma2(x, y, z), as D is skew with
+    the bracket and Gamma2 in its first pair; and T_ab = T_ba.  So the
+    residual at labels p > q is minus the one at q < p, and 0 at p = q."""
+    law1, law2 = family_laws(tt, binary, ternary)
+    return _screened(tt.ctx.semigroup, tt.ctx.dimV, skew,
+                     ((law1, 2, 2, 0, 0), (law2, 3, 3, 0, 0)))
+
+
+def family_check(tt: ImageTables, binary, ternary) -> Report:
+    """The report of the family laws: empty when family_screened finds
+    that they hold, else family_report's."""
+    A, c = tt.ctx.algebra, tt.ctx.cocycle
+    skew = A.invariant_report().ok and c.invariant_report().ok
+    if family_screened(tt, binary, ternary, skew):
+        return Report()
+    return family_report(tt, binary, ternary)
+
+
 def family_report(tt: ImageTables, binary, ternary) -> Report:
-    """The two family laws (family_laws) at every tuple."""
+    """The two family laws (family_laws) at every tuple, unscreened."""
     m, u = tt.ctx.semigroup.elements, range(tt.ctx.dimV)
     law1, law2 = family_laws(tt, binary, ternary)
     rep = Report().sweep([m, m, u, u], [("RBF-3.1", law1)])
@@ -281,14 +306,16 @@ def _require_operator_shape(A: LYAlgebra, s, F, what) -> None:
 
 
 def reynolds_context(A: LYAlgebra, s, T):
-    """(the adjoint context of T, the report of its family laws): the one
-    sweep of the Reynolds laws, which are named REY-bin and REY-ter."""
+    """(the adjoint context of T, its induced_products, the report of its
+    family laws): the one check of the Reynolds laws, REY-bin and REY-ter."""
     _require_operator_shape(A, s, T, "Reynolds")
     ctx = TwistedRBContext(A, adjoint_representation(A), gamma_ad(A), s,
                            [[list(row) for row in m] for m in T])
-    return ctx, Report([replace(v, law={"RBF-3.1": "REY-bin",
-                                        "RBF-3.2": "REY-ter"}[v.law])
-                        for v in check_twisted_rb_family(ctx).violations])
+    tt = family_tables(ctx)
+    products = induced_products(tt)
+    return ctx, products, Report([
+        replace(v, law={"RBF-3.1": "REY-bin", "RBF-3.2": "REY-ter"}[v.law])
+        for v in family_check(tt, *products).violations])
 
 
 def check_reynolds_family(A: LYAlgebra, s, T) -> Report:
@@ -299,11 +326,11 @@ def check_reynolds_family(A: LYAlgebra, s, T) -> Report:
     is {x, y, -}, by LY-2.1 and skewness; theta(Ty, Tz)x - theta(Tx, Tz)y
     = {x, Ty, Tz} + {Tx, y, Tz}; Gamma is minus the brackets.  On an algebra
     that fails the LY laws the residuals are the adjoint context's."""
-    return reynolds_context(A, s, T)[1]
+    return reynolds_context(A, s, T)[2]
 
 
 def reynolds_as_twisted(A: LYAlgebra, s, T) -> TwistedRBContext:
-    ctx, chk = reynolds_context(A, s, T)
+    ctx, _, chk = reynolds_context(A, s, T)
     if not chk.ok:
         raise PreconditionError(
             "not a Reynolds family: %s" % sorted(chk.laws()))

@@ -69,13 +69,16 @@ def product(s: FiniteCommutativeSemigroup, i: int, j: int) -> int:
 
 
 def product_of(s: FiniteCommutativeSemigroup, indices) -> int:
-    """The product of the elements in order, each step checked as by product."""
+    """The product of the elements in order, each checked as by product."""
     indices = list(indices)
     if not indices:
         raise PreconditionError("product_of requires a nonempty list")
     t, m, w = s.table, s.order, indices[0]
-    for j in indices[1:]:
-        if not (0 <= w < m and 0 <= j < m):
+    if not 0 <= w < m:
+        raise MalformedInputError(
+            "element index out of range: %r" % (tuple(indices[:2]),))
+    for j in indices[1:]:  # w is a table entry from here on, so in range
+        if not 0 <= j < m:
             raise MalformedInputError("element index out of range: (%r, %r)" % (w, j))
         w = t[w][j]
     return w

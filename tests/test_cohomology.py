@@ -23,8 +23,9 @@ from lyfam.cohomology import (DeformationDirection, DegreeZeroElement,
                               infinitesimal_report, partial_23, partial_deg0,
                               partial_deg1, partial_star_23,
                               rep_d_closed_form_report, rigidity_certificate)
-from lyfam.rbfamily import (TwistedRBContext, family_report, family_tables,
-                             identity_family, induced_products, zero_family)
+from lyfam.rbfamily import (TwistedRBContext, check_twisted_rb_family,
+                             family_report, family_tables, identity_family,
+                             induced_products, zero_family)
 from lyfam.semigroup import FiniteCommutativeSemigroup, trivial_semigroup
 from conftest import (LIE_CATALOG, make_a1, make_a2, random_invertible,
                       random_vec, skew_binary, transport_bilinear)
@@ -390,6 +391,57 @@ def test_complex_screen_decides_as_the_family_laws(A, sname, monkeypatch):
         assert len(calls) == (not want.ok), name
         verdicts.add(want.ok)
     assert verdicts == {True, False}
+
+
+def _not_skew_contexts():
+    """(name, context): Gamma1(e_0, e_0) = u_0 is not skew, with dim L =
+    dim V = 1 over the trivial semigroup; T = 1 fails RBF-3.1, T = 0 holds."""
+    s, L, V = trivial_semigroup(), zero_ly(1), zero_representation(1, 1)
+    c = Cocycle23([[[1]]], [[[[0]]]])
+    for t in (1, 0):
+        yield "not skew, T = %d" % t, TwistedRBContext(L, V, c, s, [[[t]]])
+
+
+@pytest.mark.parametrize("A", ["A1", "A2"])
+@pytest.mark.parametrize("sname", sorted(SEMIGROUPS))
+def test_every_family_check_is_screened(A, sname, monkeypatch):
+    # check_twisted_rb_family, induced_omega_ly_on_V and ns_from_twisted_rb
+    # accept and refuse as the unscreened family_report does, and run it
+    # exactly when its report is not empty or the context is not skew
+    from lyfam import rbfamily
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return family_report(*args)
+
+    for module in (rbfamily, cohomology):
+        monkeypatch.setattr(module, "family_report", counted)
+    rng = random.Random("every-%s-%s" % (A, sname))
+    cases = list(_family_screen_cases(
+        make_a1() if A == "A1" else make_a2(), SEMIGROUPS[sname], rng))
+    verdicts = set()
+    for name, ctx in cases + list(_not_skew_contexts()):
+        tt = family_tables(ctx)
+        want = family_report(tt, *induced_products(tt))
+        skew = (ctx.algebra.invariant_report().ok
+                and ctx.cocycle.invariant_report().ok)
+        full = not want.ok or not skew
+        del calls[:]
+        assert repr(check_twisted_rb_family(ctx).violations) == \
+            repr(want.violations), name
+        assert len(calls) == full, name
+        for build in (induced_omega_ly_on_V, ns_from_twisted_rb):
+            del calls[:]
+            if want.ok:
+                build(ctx)
+            else:
+                with pytest.raises(PreconditionError, match=(
+                        "^input is not a twisted Rota-Baxter family$")):
+                    build(ctx)
+            assert len(calls) == full, (name, build.__name__)
+        verdicts.add((want.ok, full))
+    assert verdicts == {(True, False), (False, True), (True, True)}
 
 
 def test_complex_checks_a_context_that_is_not_skew_in_full(monkeypatch):

@@ -16,6 +16,7 @@ from lyfam.omega import (OmegaLYAlgebra, OmegaRepresentation, _canonical_tuples,
                          omega_ly_from_reynolds, omega_cohomology_dims,
                          skew_basis, zero_omega_ly, zero_omega_representation)
 from lyfam.cohomology import RBFComplex
+from lyfam import cohomology, rbfamily
 from lyfam.rbfamily import identity_family
 from lyfam.report import Report
 
@@ -109,16 +110,34 @@ def test_from_reynolds(a1, s2):
 
 
 def test_from_reynolds_sweeps_the_family_laws_once(a1, s2, monkeypatch):
+    # the induced products are built once, for the check and the algebra;
+    # the screen accepts the zero family without a sweep, and a refused
+    # family is swept once per law
     swept, sweep = [], Report.sweep
+    built, products = [], rbfamily.induced_products
 
     def spy(self, ranges, laws, *rest):
         swept.extend(law[0] for law in laws)
         return sweep(self, ranges, laws, *rest)
 
+    def counted(tt):
+        built.append(tt)
+        return products(tt)
+
     monkeypatch.setattr(Report, "sweep", spy)
+    for module in (rbfamily, cohomology):
+        monkeypatch.setattr(module, "induced_products", counted)
     omega_ly_from_reynolds(a1, s2, [la.zeros(a1.dim, a1.dim)
                                     for _ in range(s2.order)])
-    assert swept == ["RBF-3.1", "RBF-3.2"]
+    assert len(built) == 1
+    assert not {"RBF-3.1", "RBF-3.2"} & set(swept)
+    del built[:], swept[:]
+    with pytest.raises(PreconditionError, match="Reynolds family laws"):
+        omega_ly_from_reynolds(a1, s2, [la.identity(a1.dim),
+                                        la.zeros(a1.dim, a1.dim)])
+    assert len(built) == 1
+    assert [law for law in swept if law.startswith("RBF")] == \
+        ["RBF-3.1", "RBF-3.2"]
 
 
 def test_zero_representation_passes(s2):
@@ -636,3 +655,53 @@ def test_representation_screen_agrees_with_a_brute_force_evaluation(name):
     O, r = REP_SCREEN_CASES[name]
     assert check_omega_representation(O, r).ok == _brute_force_rep_laws_hold(O, r) \
         == (name.startswith(("induced", "zero")))
+
+
+# check_representation reads its laws REP-2.5 ... 2.9 off OREP-5.6 ... 5.10
+# over S1, and screens them as check_omega_representation does
+
+REP_NAMES = ["REP-2.5", "REP-2.6", "REP-2.7", "REP-2.8", "REP-2.9"]
+
+
+def _ly_rep_screen_cases():
+    """(name, algebra, representation): the adjoint representations of A1
+    and A2, copies with +-1 at one entry of rho, and the algebra with the
+    bracket [e_0, e_0] = e_0, which is not skew, with the zero
+    representation and with theta(e_0, e_0) = 1."""
+    from conftest import make_a1, make_a2
+    from lyfam.ly import (LYAlgebra, Representation, adjoint_representation,
+                          zero_representation)
+    rng = random.Random(20261022)
+    for name, A in (("A1", make_a1()), ("A2", make_a2())):
+        r = adjoint_representation(A)
+        yield "adjoint-" + name, A, r
+        for sign in (1, -1):
+            rho = copy.deepcopy(r.rho)
+            rng.choice(rng.choice(rho))[rng.randrange(A.dim)] += sign
+            yield "rho%+d-%s" % (sign, name), A, Representation(A.dim, rho, r.theta)
+    A = LYAlgebra(1, [[[1]]], [[[[0]]]])
+    yield "not-skew-zero", A, zero_representation(1, 1)
+    yield "not-skew-theta", A, Representation(1, [[[0]]], [[[[1]]]])
+
+
+@pytest.mark.parametrize("case", list(_ly_rep_screen_cases()),
+                         ids=lambda case: case[0])
+def test_check_representation_sweeps_only_where_the_screen_fails(
+        case, monkeypatch):
+    from lyfam.ly import _over_trivial_semigroup, check_representation
+    name, A, r = case
+    swept, sweep = [], Report.sweep
+
+    def spy(self, ranges, laws, *rest):
+        swept.extend(law[0] for law in laws if law[0] in REP_NAMES)
+        return sweep(self, ranges, laws, *rest)
+
+    monkeypatch.setattr(Report, "sweep", spy)
+    got = check_representation(A, r)
+    R = _over_trivial_semigroup(A, r)
+    holds = _brute_force_rep_laws_hold(R.algebra, R)
+    assert holds == (not got.laws() & set(REP_NAMES)) == \
+        name.startswith(("adjoint", "not-skew-zero")), name
+    skew = A.invariant_report().ok
+    assert skew == (not name.startswith("not-skew")), name
+    assert swept == ([] if holds and skew else REP_NAMES), name

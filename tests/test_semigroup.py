@@ -24,6 +24,9 @@ def test_order_two_with_absorber(s2):
     ((1, 1, 5), "element index out of range: (1, 5)"),
     ((-1, 0), "element index out of range: (-1, 0)"),
     ([0, 1, 1, -1], "element index out of range: (1, -1)"),
+    # a single element is checked too
+    ([7], "element index out of range: (7,)"),
+    ([-1], "element index out of range: (-1,)"),
 ])
 def test_product_of_refuses_an_index_out_of_range(s2, indices, message):
     with pytest.raises(MalformedInputError) as exc:
