@@ -23,8 +23,8 @@ from .ly import (adjoint_representation, check_cocycle23, check_ly_axioms,
                  ly_tensor_semigroup)
 from .nsfamily import (check_ns_family_axioms, ns_from_twisted_rb,
                        ns_tensor_semigroup)
-from .omega import (_omega_ly_report, check_omega_ly_axioms,
-                    omega_ly_from_ns_family, omega_cohomology_dims)
+from .omega import (check_omega_ly_axioms, omega_ly_from_ns_family,
+                    omega_cohomology_dims)
 from .rbfamily import (bar_operator, check_twisted_rb_family,
                        identity_family, nijenhuis_induced_context,
                        semidirect_product)
@@ -45,8 +45,16 @@ def _emit(args, status, summary, payload=None):
     return {"ok": 0, "violations": 1, "error": 2}[status]
 
 
+def _verdict(args, rep, ok_summary):
+    """The result of a report on args.path: ok if it is None or empty."""
+    if rep is None or rep.ok:
+        return _emit(args, "ok", ok_summary)
+    return _emit(args, "violations", "%s: %d violation(s) in laws %s" % (
+        args.path, len(rep.violations), sorted(rep.laws())), rep.to_json())
+
+
 # ---------------------------------------------------------------------------
-# validate
+# validate and check-rbf
 
 def _validate_object(path, kind):
     """Load and fully check one file; returns a checker report (or None)."""
@@ -65,33 +73,26 @@ def _validate_object(path, kind):
     if kind == "omega-ly":
         # the laws leave skewness to the invariant report
         rep = obj.invariant_report()
-        rep.extend(_omega_ly_report(obj, rep.ok))
+        rep.extend(check_omega_ly_axioms(obj))
         return rep
-    # representation / cocycle / direction files carry no self-contained
-    # laws; a successful parse is the whole check.
+    # the other kinds carry no laws of their own: the parse is the check
     return None
 
 
 def cmd_validate(args):
-    rep = _validate_object(args.path, args.kind)
-    if rep is None or rep.ok:
-        return _emit(args, "ok", "%s: ok (%s)" % (args.path, args.kind))
-    return _emit(args, "violations",
-                 "%s: %d violation(s) in laws %s"
-                 % (args.path, len(rep.violations), sorted(rep.laws())),
-                 rep.to_json())
+    return _verdict(args, _validate_object(args.path, args.kind),
+                    "%s: ok (%s)" % (args.path, args.kind))
+
+
+def cmd_check_rbf(args):
+    ctx = serialize.load_object(args.path, "context")
+    rep = ctx.validate()
+    rep.extend(check_twisted_rb_family(ctx))
+    return _verdict(args, rep, "%s: twisted family equations hold" % args.path)
 
 
 # ---------------------------------------------------------------------------
 # construct
-
-def _load_bilinear(path):
-    """{"kind": "bilinear", "dim": n, "entries": [[i, j, k, value]]}."""
-    d = serialize.load_json(path)
-    n = serialize.header_int(d, "dim", "bilinear")
-    return serialize.tensor_from_entries(d.get("entries", []), "bilinear",
-                                         "i,j,k", (n, n, n))
-
 
 def _checked(report, what):
     if not report.ok:
@@ -99,123 +100,90 @@ def _checked(report, what):
             "%s fails re-verification: %s" % (what, sorted(report.laws())))
 
 
-def _run_recipe(recipe, inputs):
-    """Build the requested object, re-verify it, return (payload, summary)."""
+def _ly(A, what=None):
+    """An algebra output, re-verified as what unless that is None (as after
+    ly_from_leibniz, which checks its output itself)."""
+    if what is not None:
+        _checked(check_ly_axioms(A), what)
+    return serialize.ly_to_json(A), "algebra of dim %d" % A.dim
 
-    def need(k):
-        if len(inputs) != k:
-            raise MalformedInputError(
-                "recipe %r takes %d input file(s), got %d"
-                % (recipe, k, len(inputs)))
 
-    if recipe == "ly-from-lie":
-        need(1)
-        A = ly_from_lie(_load_bilinear(inputs[0]))
-        _checked(check_ly_axioms(A), "constructed algebra")
-        return serialize.ly_to_json(A), "algebra of dim %d" % A.dim
-    if recipe == "ly-from-leibniz":
-        need(1)
-        A = ly_from_leibniz(_load_bilinear(inputs[0]))  # checks its output
-        return serialize.ly_to_json(A), "algebra of dim %d" % A.dim
-    if recipe == "tensor-semigroup":
-        need(2)
-        A = serialize.load_object(inputs[0], "ly")
-        s = serialize.load_object(inputs[1], "semigroup")
-        B = ly_tensor_semigroup(A, s)
-        _checked(check_ly_axioms(B), "tensor algebra")
-        return serialize.ly_to_json(B), "algebra of dim %d" % B.dim
-    if recipe == "adjoint":
-        need(1)
-        A = serialize.load_object(inputs[0], "ly")
-        r = adjoint_representation(A)
-        _checked(check_representation(A, r), "adjoint representation")
-        return (serialize.representation_to_json(r, A.dim),
-                "representation on dim %d" % r.space_dim)
-    if recipe == "gamma-ad":
-        need(1)
-        A = serialize.load_object(inputs[0], "ly")
-        c = gamma_ad(A)
-        _checked(check_cocycle23(A, adjoint_representation(A), c),
-                 "adjoint twist")
-        return (serialize.cocycle_to_json(c, A.dim, A.dim),
-                "cocycle pair on dim %d" % A.dim)
-    if recipe == "identity-family":
-        need(2)
-        A = serialize.load_object(inputs[0], "ly")
-        s = serialize.load_object(inputs[1], "semigroup")
-        ctx = identity_family(A, s)
-        _checked(ctx.validate(), "context data")
-        _checked(check_twisted_rb_family(ctx), "identity family")
-        return serialize.context_to_json(ctx), "context (dims %d, %d)" % (
-            ctx.dimL, ctx.dimV)
-    if recipe == "nijenhuis-context":
-        need(3)
-        A = serialize.load_object(inputs[0], "ly")
-        s = serialize.load_object(inputs[1], "semigroup")
-        N = serialize.load_object(inputs[2], "direction")
-        ctx = nijenhuis_induced_context(A, s, N)
-        _checked(ctx.validate(), "context data")
-        _checked(check_twisted_rb_family(ctx), "induced family")
-        return serialize.context_to_json(ctx), "context (dims %d, %d)" % (
-            ctx.dimL, ctx.dimV)
-    if recipe == "ns-from-rbf":
-        need(1)
-        ctx = serialize.load_object(inputs[0], "context")
-        N = ns_from_twisted_rb(ctx)
-        _checked(check_ns_family_axioms(N), "splitting family")
-        return serialize.ns_family_to_json(N), "splitting family of dim %d" % N.dim
-    if recipe == "ns-tensor":
-        need(1)
-        N = serialize.load_object(inputs[0], "ns-family")
-        T = ns_tensor_semigroup(N)
-        _checked(check_ns_family_axioms(T), "tensor algebra")
-        return serialize.ns_family_to_json(T), "algebra of dim %d" % T.dim
-    if recipe == "omega-from-ns":
-        need(1)
-        N = serialize.load_object(inputs[0], "ns-family")
-        O = omega_ly_from_ns_family(N)
-        _checked(check_omega_ly_axioms(O), "indexed algebra")
-        return serialize.omega_ly_to_json(O), "indexed algebra of dim %d" % O.dim
-    if recipe == "semidirect":
-        need(3)
-        A = serialize.load_object(inputs[0], "ly")
-        r = serialize.load_object(inputs[1], "representation")
-        c = serialize.load_object(inputs[2], "cocycle")
-        _checked(check_representation(A, r), "representation input")
-        _checked(check_cocycle23(A, r, c), "cocycle input")
-        B = semidirect_product(A, r, c)
-        _checked(check_ly_axioms(B), "semidirect algebra")
-        return serialize.ly_to_json(B), "algebra of dim %d" % B.dim
-    if recipe == "bar-operator":
-        need(1)
-        ctx = serialize.load_object(inputs[0], "context")
-        bar = bar_operator(ctx)
-        _checked(bar.validate(), "context data")
-        _checked(check_twisted_rb_family(bar), "collapsed operator")
-        return serialize.context_to_json(bar), "context (dims %d, %d)" % (
-            bar.dimL, bar.dimV)
-    raise MalformedInputError("unknown recipe %r" % recipe)
+def _context(ctx, what):
+    """A context output, its data and then its family laws re-verified."""
+    _checked(ctx.validate(), "context data")
+    _checked(check_twisted_rb_family(ctx), what)
+    return serialize.context_to_json(ctx), "context (dims %d, %d)" % (
+        ctx.dimL, ctx.dimV)
+
+
+def _ns_family(N, what, name):
+    _checked(check_ns_family_axioms(N), what)
+    return serialize.ns_family_to_json(N), "%s of dim %d" % (name, N.dim)
+
+
+def _adjoint(A):
+    r = adjoint_representation(A)
+    _checked(check_representation(A, r), "adjoint representation")
+    return (serialize.representation_to_json(r, A.dim),
+            "representation on dim %d" % r.space_dim)
+
+
+def _gamma_ad(A):
+    c = gamma_ad(A)
+    _checked(check_cocycle23(A, adjoint_representation(A), c), "adjoint twist")
+    return (serialize.cocycle_to_json(c, A.dim, A.dim),
+            "cocycle pair on dim %d" % A.dim)
+
+
+def _omega_from_ns(N):
+    O = omega_ly_from_ns_family(N)
+    _checked(check_omega_ly_axioms(O), "indexed algebra")
+    return serialize.omega_ly_to_json(O), "indexed algebra of dim %d" % O.dim
+
+
+def _semidirect(A, r, c):
+    _checked(check_representation(A, r), "representation input")
+    _checked(check_cocycle23(A, r, c), "cocycle input")
+    return _ly(semidirect_product(A, r, c), "semidirect algebra")
+
+
+RECIPES = {
+    "ly-from-lie": ("bilinear", lambda b: _ly(ly_from_lie(b),
+                                              "constructed algebra")),
+    "ly-from-leibniz": ("bilinear", lambda b: _ly(ly_from_leibniz(b))),
+    "tensor-semigroup": ("ly semigroup", lambda A, s: _ly(
+        ly_tensor_semigroup(A, s), "tensor algebra")),
+    "adjoint": ("ly", _adjoint),
+    "gamma-ad": ("ly", _gamma_ad),
+    "identity-family": ("ly semigroup", lambda A, s: _context(
+        identity_family(A, s), "identity family")),
+    "nijenhuis-context": ("ly semigroup direction", lambda A, s, N: _context(
+        nijenhuis_induced_context(A, s, N), "induced family")),
+    "ns-from-rbf": ("context", lambda ctx: _ns_family(
+        ns_from_twisted_rb(ctx), "splitting family", "splitting family")),
+    "ns-tensor": ("ns-family", lambda N: _ns_family(
+        ns_tensor_semigroup(N), "tensor algebra", "algebra")),
+    "omega-from-ns": ("ns-family", _omega_from_ns),
+    "semidirect": ("ly representation cocycle", _semidirect),
+    "bar-operator": ("context", lambda ctx: _context(
+        bar_operator(ctx), "collapsed operator")),
+}
+"""Each `construct` recipe, in the order of its choices: the serialize
+kinds of its input files, in order and separated by spaces, and the
+function that takes the loaded inputs, builds the output, re-verifies it
+and returns (payload, summary)."""
 
 
 def cmd_construct(args):
-    payload, what = _run_recipe(args.recipe, args.inputs)
+    """Load the inputs of the recipe as their kinds, build and re-verify its
+    output, and write that."""
+    kinds, build = RECIPES[args.recipe][0].split(), RECIPES[args.recipe][1]
+    if len(args.inputs) != len(kinds):
+        raise MalformedInputError("recipe %r takes %d input file(s), got %d"
+                                  % (args.recipe, len(kinds), len(args.inputs)))
+    payload, what = build(*map(serialize.load_object, args.inputs, kinds))
     serialize.save_json(args.output, payload)
     return _emit(args, "ok", "wrote %s: %s" % (args.output, what))
-
-
-# ---------------------------------------------------------------------------
-# check-rbf
-
-def cmd_check_rbf(args):
-    ctx = serialize.load_object(args.path, "context")
-    rep = ctx.validate()
-    rep.extend(check_twisted_rb_family(ctx))
-    if rep.ok:
-        return _emit(args, "ok", "%s: twisted family equations hold" % args.path)
-    return _emit(args, "violations",
-                 "%s: %d violation(s) in laws %s"
-                 % (args.path, len(rep.violations), sorted(rep.laws())),
-                 rep.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("kind", choices=sorted(serialize.KIND_LOADERS))
 
     c = sub.add_parser("construct", help="run a construction recipe")
-    c.add_argument("recipe", choices=[
-        "ly-from-lie", "ly-from-leibniz", "tensor-semigroup", "adjoint",
-        "gamma-ad", "identity-family", "nijenhuis-context", "ns-from-rbf",
-        "ns-tensor", "omega-from-ns", "semidirect", "bar-operator"])
+    c.add_argument("recipe", choices=list(RECIPES))
     c.add_argument("inputs", nargs="*")
     c.add_argument("-o", "--output", required=True)
 

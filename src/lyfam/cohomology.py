@@ -273,6 +273,8 @@ def _family_d1(cx: RBFComplex, f: CochainFamily) -> CochainFamily:
     ctx = cx.context
     s, nv = ctx.semigroup, ctx.dimV
     T, F, tt, tf, ft = _first_order_tables(cx, f)
+    # [u_i, u_j]_T and {u_i, u_j, u_k}_T, the products induced on V
+    B, C = cx.induced_algebra.binary, cx.induced_algebra.ternary
     # x, y, z = T_a1 u_i, T_a2 u_j, T_a3 u_k at p, q, t; f1, f2, f3 likewise
     def even(al, xs):
         (a1, a2), (i, j) = al, xs
@@ -283,9 +285,8 @@ def _family_d1(cx: RBFComplex, f: CochainFamily) -> CochainFamily:
         # - rho(f1)u_j - Gamma1(f1, y)) - f_w([u_i, u_j]_T)
         inner = vec_sum("++--", ft.rho[q][i], ft.gamma1[q][p], ft.rho[p][j],
                         ft.gamma1[p][q])
-        arg = vec_sum("+-+", tt.rho[p][j], tt.rho[q][i], tt.gamma1[p][q])
         return vec_sum("+-+-", tf.bracket[p][q], tf.bracket[q][p],
-                       mat_vec(Tw, inner), mat_vec(fw, arg))
+                       mat_vec(Tw, inner), mat_vec(fw, B[a1][a2][i][j]))
 
     def odd(al, xs):
         (a1, a2, a3), (i, j, k) = al, xs
@@ -301,14 +302,12 @@ def _family_d1(cx: RBFComplex, f: CochainFamily) -> CochainFamily:
                         ft.theta[p][t][j], contract(ft.gamma2[p][q], z),
                         ft.D[q][p][k], ft.theta[q][t][i],
                         contract(ft.gamma2[q][p], z))
-        # f_w of {u_i, u_j, u_k}_T
-        arg = vec_sum("++-+", tt.D[p][q][k], tt.theta[q][t][i],
-                      tt.theta[p][t][j], contract(tt.gamma2[p][q], z))
-        # {x, y, f3} + {f1, y, z} - {f2, x, z} - T_w(inner) - f_w(arg)
+        # {x, y, f3} + {f1, y, z} - {f2, x, z} - T_w(inner)
+        # - f_w({u_i, u_j, u_k}_T)
         return vec_sum("++---", contract(tt.ternary[p][q], f3),
                        contract(ft.ternary[p][q], z),
                        contract(ft.ternary[q][p], z), mat_vec(Tw, inner),
-                       mat_vec(fw, arg))
+                       mat_vec(fw, C[a1][a2][a3][i][j][k]))
 
     return cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
 

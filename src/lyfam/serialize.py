@@ -130,6 +130,13 @@ def tensor_from_entries(entries, what, fields, dims) -> list:
     return _filled(dims, sparse_entries(entries, what, fields, dims))
 
 
+def bilinear_from_json(d: dict) -> list:
+    """{"kind": "bilinear", "dim": n, "entries": [[i, j, k, value]]}."""
+    n = header_int(d, "dim", "bilinear")
+    return tensor_from_entries(d.get("entries", []), "bilinear", "i,j,k",
+                               (n, n, n))
+
+
 # ---------------------------------------------------------------------------
 # semigroups
 
@@ -430,6 +437,7 @@ def direction_from_json(d: dict) -> list:
 # files
 
 KIND_LOADERS = {
+    "bilinear": bilinear_from_json,
     "semigroup": semigroup_from_json,
     "ly": ly_from_json,
     "representation": representation_from_json,

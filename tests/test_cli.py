@@ -538,3 +538,27 @@ def test_ly_from_leibniz_checks_its_output_once(tmp_path, capsys, monkeypatch):
     assert json.loads(captured.out)["summary"] == (
         "error: input product violates the left Leibniz law")
     assert not (tmp_path / "none.json").exists()
+
+
+@pytest.mark.parametrize("recipe", ["ly-from-lie", "ly-from-leibniz"])
+def test_bilinear_recipes_refuse_a_file_of_another_kind(files, capsys, recipe):
+    # an algebra file read as a bracket used to load as the zero product
+    tmp, a_path, _, _, _ = files
+    out = tmp / "out.json"
+    capsys.readouterr()
+    assert main(["--json", "construct", recipe, a_path, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["summary"] == (
+        "malformed input: file %s declares kind 'ly', expected 'bilinear'"
+        % a_path)
+    assert not out.exists()
+
+
+def test_validate_reads_a_bilinear_file(files, tmp_path, capsys):
+    _, a_path, _, _, _ = files
+    bil = tmp_path / "bil.json"
+    sz.save_json(str(bil), {"kind": "bilinear", "dim": 2,
+                            "entries": [[0, 1, 0, "1"], [1, 0, 0, "-1"]]})
+    assert main(["validate", str(bil), "bilinear"]) == 0
+    assert main(["validate", a_path, "bilinear"]) == 2

@@ -29,7 +29,6 @@ from fractions import Fraction
 import pytest
 
 from lyfam import serialize as sz
-from lyfam.cli import _load_bilinear
 from lyfam.cohomology import induced_omega_ly_on_V
 from lyfam.errors import MalformedInputError
 from lyfam.ly import ly_from_lie
@@ -172,7 +171,7 @@ def load_bad(tmp_path, kind, key, appended=None, replaced=None):
     if load is None:
         path = tmp_path / "bilinear.json"
         path.write_text(json.dumps(d))
-        load = lambda _: _load_bilinear(str(path))  # noqa: E731
+        load = lambda _: sz.load_object(str(path), "bilinear")  # noqa: E731
     with pytest.raises(MalformedInputError) as err:
         load(d)
     return str(err.value)
