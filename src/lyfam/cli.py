@@ -45,6 +45,9 @@ def _emit(args, status, summary, payload=None):
     return {"ok": 0, "violations": 1, "error": 2}[status]
 
 
+# ---------------------------------------------------------------------------
+# validate and check-rbf
+
 def _verdict(args, rep, ok_summary):
     """The result of a report on args.path: ok if it is None or empty."""
     if rep is None or rep.ok:
@@ -52,9 +55,6 @@ def _verdict(args, rep, ok_summary):
     return _emit(args, "violations", "%s: %d violation(s) in laws %s" % (
         args.path, len(rep.violations), sorted(rep.laws())), rep.to_json())
 
-
-# ---------------------------------------------------------------------------
-# validate and check-rbf
 
 def _validate_object(path, kind):
     """Load and fully check one file; returns a checker report (or None)."""
@@ -179,8 +179,8 @@ def cmd_construct(args):
     output, and write that."""
     kinds, build = RECIPES[args.recipe][0].split(), RECIPES[args.recipe][1]
     if len(args.inputs) != len(kinds):
-        raise MalformedInputError("recipe %r takes %d input file(s), got %d"
-                                  % (args.recipe, len(kinds), len(args.inputs)))
+        raise MalformedInputError("recipe %r takes %d input file(s), got %d" %
+                                  (args.recipe, len(kinds), len(args.inputs)))
     payload, what = build(*map(serialize.load_object, args.inputs, kinds))
     serialize.save_json(args.output, payload)
     return _emit(args, "ok", "wrote %s: %s" % (args.output, what))
