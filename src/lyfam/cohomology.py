@@ -15,8 +15,8 @@ from functools import cached_property
 from .errors import ConsistencyError, PreconditionError
 from .linalg import (contract, form_columns, form_kernel, form_rows,
                      generic_vector, identity, mat_add, mat_mul, mat_sub,
-                     mat_vec, quotient_dim, quotient_representatives, solve,
-                     transpose, vec_add, vec_scale, vec_sub, vec_sum, zeros)
+                     mat_vec, quotient, solve, transpose, vec_add, vec_scale,
+                     vec_sub, vec_sum, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_build, cochain_coords, cochain_full_table,
                     cohomology_step, delta_omega,
@@ -361,15 +361,14 @@ def cohomology_H1(cx: RBFComplex):
     z_basis = form_kernel(cochain_coords(cx.d1_symbolic()), basis1.size)
     n = cx.context.dimL
     b_coords = form_columns(_boundary_coords(cx), n * (n - 1) // 2)
-    dim = quotient_dim(z_basis, b_coords)
-    reps = quotient_representatives(z_basis, b_coords)
+    dim, reps = quotient(z_basis, b_coords)
     return dim, [basis1.combine(v) for v in reps]
 
 
 def cohomology_H23(cx: RBFComplex) -> int:
     """dim of (ker d meet ker d*) over the image of the degree-1 coboundary."""
     return cohomology_step(cx.induced_algebra, cx.induced_rep, 1,
-                           cx.d1_symbolic())[0]
+                           cx.d1_symbolic(), D=cx.induced_D)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Scalars are Python ints or fractions.Fraction (they interoperate exactly);
 matrices are sequences of rows, vectors are flat sequences, and linear forms
 are sparse dicts.  Kernels, ranks, solutions and quotients all come from one
 sparse, fully reducing echelon routine (`Echelon`) that touches nonzero
-entries only, so all results are exact.
+entries only and holds its rows in integers, so all results are exact.
 """
 from __future__ import annotations
 
@@ -318,6 +318,17 @@ def form_columns(forms, ncols):
     return cols
 
 
+def _integral(row):
+    """row, a dict of nonzero ints and Fractions, times the lcm of its
+    denominators: a dict of ints, with the same support and signs."""
+    for v in row.values():
+        if type(v) is not int:
+            den = lcm(*(v.denominator for v in row.values()))
+            return {k: v.numerator * (den // v.denominator)
+                    for k, v in row.items()}
+    return dict(row)
+
+
 def _distinct_forms(forms):
     """The distinct nonzero forms, each taken up to a nonzero scalar: as
     sorted (index, value) tuples of the integer multiple whose entries are
@@ -326,10 +337,7 @@ def _distinct_forms(forms):
     seen = {}
     for f in forms:
         if f:
-            items = sorted(f.items())
-            den = lcm(*(v.denominator for _, v in items))
-            items = [(k, v.numerator * (den // v.denominator))
-                     for k, v in items]
+            items = sorted(_integral(f).items())
             g = gcd(*(v for _, v in items))
             if items[0][1] < 0:
                 g = -g
@@ -347,15 +355,41 @@ def _sparse(v):
     return {k: x for k, x in enumerate(v) if x}
 
 
-class Echelon:
-    """The fully reduced row echelon form of a growing row space over Q.
+def _clear(row, c, pivot):
+    """row with column c cleared by pivot, an int dict with a positive entry
+    (its lead) at c: (lead * row - row[c] * pivot) / gcd(lead, row[c]),
+    written into row unless it is scaled first."""
+    lead, x = pivot[c], row[c]
+    g = gcd(x, lead)
+    if g != lead:
+        a = lead // g
+        row = {k: a * v for k, v in row.items()}
+    x //= g
+    for k, y in pivot.items():
+        w = row.get(k, 0) - x * y
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return row
 
-    rows maps each pivot column to its row: a dict column -> nonzero
-    int/Fraction with 1 at the pivot, the row's leftmost column, and no
-    entry in any other pivot column.  A row space has exactly one such form,
-    so the kernel bases, solutions and ranks read from it do not depend on
-    the order in which its rows were added.  Rows are dicts, so LinearForms
-    go in as they are, and elimination touches nonzero entries only.
+
+class Echelon:
+    """The fully reduced row echelon form of a growing row space over Q,
+    held in integers.
+
+    rows maps each pivot column to its row: a dict column -> nonzero int
+    whose leftmost column is the pivot, with a positive entry (the lead)
+    there, no entry in any other pivot column, and coprime entries.  That is
+    the row of the reduced form over Q, with 1 at the pivot, times the one
+    positive rational that makes it so.  A row space has exactly one reduced
+    form, so the kernel bases, solutions and ranks read from it do not
+    depend on the order in which its rows were added.  Rows are reduced
+    fraction-free, lead * row - x * pivot row (both divided by gcd(lead,
+    x)), and a stored row is divided by the gcd of its entries, so no
+    Fraction is made until a vector leaves the echelon (`kernel`, `solve`).
+    Rows are dicts, so LinearForms go in as they are, and elimination
+    touches nonzero entries only.
     """
     __slots__ = ("rows",)
 
@@ -368,21 +402,16 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, row) -> dict:
-        """What is left of row after subtracting its part in the row space;
-        empty exactly when row lies in it."""
-        out = dict(row)
+        """A positive integer multiple of what is left of row after
+        subtracting its part in the row space; empty exactly when row lies
+        in it."""
+        out = _integral(row)
         rows = self.rows
-        # a pivot row has no other pivot column, so each pivot column of
-        # row is cleared with the coefficient row had there
-        for c, x in row.items():
-            p = rows.get(c)
-            if p is not None:
-                for k, y in p.items():
-                    w = out.get(k, 0) - x * y
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
+        # a pivot row has no other pivot column, so clearing one pivot
+        # column only scales row's entries in the others: the columns to
+        # clear are those of the pivots that row meets at first
+        for c in [c for c in out if c in rows]:
+            out = _clear(out, c, rows[c])
         return out
 
     def add(self, row) -> bool:
@@ -391,21 +420,22 @@ class Echelon:
         if not r:
             return False
         c = min(r)
-        lead = r[c]
-        if lead != 1:
-            inv = 1 / Fraction(lead)
-            r = {k: x * inv for k, x in r.items()}
-        # clear the new pivot column from the older rows
-        for p in self.rows.values():
-            x = p.get(c)
-            if x is not None:
-                for k, y in r.items():
-                    w = p.get(k, 0) - x * y
-                    if w:
-                        p[k] = w
-                    else:
-                        del p[k]
-        self.rows[c] = r
+        g = gcd(*r.values())
+        if r[c] < 0:
+            g = -g
+        if g != 1:
+            r = {k: v // g for k, v in r.items()}
+        # clear the new pivot column from the older rows; r has no entry in
+        # their pivot columns, so their leads keep their sign
+        rows = self.rows
+        for pc in [pc for pc, p in rows.items() if c in p]:
+            p = _clear(rows[pc], c, r)
+            if p[pc] != 1:  # a lead of 1 has no common factor to divide
+                g = gcd(*p.values())
+                if g != 1:
+                    p = {k: v // g for k, v in p.items()}
+            rows[pc] = p
+        rows[c] = r
         return True
 
     def kernel(self, ncols):
@@ -418,9 +448,10 @@ class Echelon:
                 free[c] = v = [Fraction(0)] * ncols
                 v[c] = Fraction(1)
         for pc, row in self.rows.items():
+            lead = row[pc]
             for k, y in row.items():
                 if k != pc:
-                    free[k][pc] = -Fraction(y)
+                    free[k][pc] = Fraction(-y, lead)
         return list(free.values())
 
 
@@ -467,15 +498,14 @@ def solve(m, b):
         return None
     x = [Fraction(0)] * ncols
     for pc, row in ech.rows.items():
-        x[pc] = Fraction(row.get(ncols, 0))
+        x[pc] = Fraction(row.get(ncols, 0), row[pc])
     return x
 
 
 def in_span(basis_rref, pivots, v):
-    """Whether v lies in the row space described by (rref rows, pivot cols)."""
-    ech = Echelon()
-    ech.rows = {pc: _sparse(row) for row, pc in zip(basis_rref, pivots)}
-    return not ech.reduce(_sparse(v))
+    """Whether v lies in the row space of the reduced echelon rows
+    basis_rref, whose pivot columns are pivots (the rows imply them)."""
+    return not Echelon(map(_sparse, basis_rref)).reduce(_sparse(v))
 
 
 def quotient_dim(z_basis, b_basis) -> int:
@@ -496,3 +526,23 @@ def quotient_representatives(z_basis, b_basis):
     """
     ech = Echelon(map(_sparse, b_basis))
     return [v for v in z_basis if ech.add(_sparse(v))]
+
+
+def quotient(z_basis, b_basis):
+    """(quotient_dim(z_basis, b_basis), quotient_representatives(z_basis,
+    b_basis)) from one elimination: the echelon of b_basis extended by the
+    vectors of z_basis.
+
+    z vectors whose last nonzero columns differ are independent, as a kernel
+    basis is (its vector for free column c ends at c).  b then lies in
+    span(z) exactly when the extended echelon has rank len(z_basis), and the
+    quotient has the dimension of the representatives.  Any other z_basis,
+    and a b vector outside span(z), go to quotient_dim, which gives the
+    dimension or raises its ContainmentError.
+    """
+    z = [_sparse(v) for v in z_basis]
+    ech = Echelon(map(_sparse, b_basis))
+    reps = [v for v, s in zip(z_basis, z) if ech.add(s)]
+    if len(ech) == len(z) == len({max(s) for s in z if s}):
+        return len(reps), reps
+    return quotient_dim(z_basis, b_basis), reps

@@ -25,7 +25,7 @@ from functools import lru_cache
 from .errors import BudgetExceededError, MalformedInputError, PreconditionError
 from .linalg import (contract, contract_each, flatten, form_columns, form_kernel,
                      generic_vector, has_shape, lead_slot, map_at, mat_mul,
-                     mat_sum, mat_vec, quotient_dim, slot_views, transpose, vec_add,
+                     mat_sum, mat_vec, quotient, slot_views, transpose, vec_add,
                      vec_neg, vec_scale, vec_sum, zero_vec, zeros)
 from .ly import split_joint
 from .report import Report
@@ -786,25 +786,26 @@ def delta_star_omega(O: OmegaLYAlgebra, r: OmegaRepresentation,
 # cohomology dimensions of the indexed complex
 
 def cohomology_step(O: OmegaLYAlgebra, r: OmegaRepresentation, n: int,
-                    below: CochainFamily):
+                    below: CochainFamily, D=None):
     """(dim H^(2n, 2n+1), delta of the symbolic (2n, 2n+1)-cochain).
 
     The cocycles are the kernel of delta on the skew (2n, 2n+1)-cochains,
     and for n = 1 of delta* as well; the coboundaries are below, the image
     of the symbolic cochain one degree down (degree 1 for n = 1), whose
-    coordinates are forms over that degree's skew basis.
+    coordinates are forms over that degree's skew basis.  D is
+    r.d_tensor(), built here when not given.
     """
     s, dims = O.semigroup, (O.dim, r.dim)
     lower = skew_basis(1 if n == 1 else (2 * n - 2, 2 * n - 1), dims, s)
     bas = skew_basis((2 * n, 2 * n + 1), dims, s)
     c = bas.symbolic()
-    image = delta_omega(O, r, c)
+    image = delta_omega(O, r, c, D=D)
     rows = cochain_coords(image)
     if n == 1:
         rows += cochain_coords(delta_star_omega(O, r, c))
     z_basis = form_kernel(rows, bas.size)
-    return quotient_dim(z_basis, form_columns(bas.project(below),
-                                              lower.size)), image
+    return quotient(z_basis, form_columns(bas.project(below),
+                                          lower.size))[0], image
 
 
 def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
@@ -817,9 +818,10 @@ def omega_cohomology_dims(O: OmegaLYAlgebra, r: OmegaRepresentation,
     if max_n < 0:
         raise PreconditionError("max_n must be >= 0")
     basis1 = skew_basis(1, (O.dim, r.dim), O.semigroup)
-    image = delta_omega(O, r, basis1.symbolic())
+    D = r.d_tensor()
+    image = delta_omega(O, r, basis1.symbolic(), D=D)
     out = [len(form_kernel(cochain_coords(image), basis1.size))]
     for n in range(1, max_n + 1):
-        dim, image = cohomology_step(O, r, n, image)
+        dim, image = cohomology_step(O, r, n, image, D=D)
         out.append(dim)
     return out

@@ -8,6 +8,7 @@ ranks, kernel bases, solutions and quotient representatives must agree
 exactly, types included (compared through repr).
 """
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -115,11 +116,11 @@ SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 3),
 
 
 @st.composite
-def rational_matrices(draw, max_rows=6):
+def rational_matrices(draw, max_rows=6, scalars=SCALARS):
     """Matrices over Q with zero, duplicate and scalar-multiple rows, row
     combinations (rank deficiency), or no rows at all."""
     ncols = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(SCALARS, min_size=ncols, max_size=ncols),
+    rows = draw(st.lists(st.lists(scalars, min_size=ncols, max_size=ncols),
                          max_size=max_rows))
     for kind in draw(st.lists(st.sampled_from(["zero", "dup", "multiple",
                                                "combination"]),
@@ -129,11 +130,11 @@ def rational_matrices(draw, max_rows=6):
         elif rows and kind == "dup":
             rows.append(list(draw(st.sampled_from(rows))))
         elif rows and kind == "multiple":
-            c = draw(SCALARS.filter(bool))
+            c = draw(scalars.filter(bool))
             rows.append([c * x for x in draw(st.sampled_from(rows))])
         elif rows and kind == "combination":
             u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            c, d = draw(SCALARS), draw(SCALARS)
+            c, d = draw(scalars), draw(scalars)
             rows.append([c * x + d * y for x, y in zip(u, v)])
     return ncols, draw(st.permutations(rows))
 
@@ -202,3 +203,105 @@ def test_edge_cases_match_reference():
         outcome(ref_quotient_dim, [], [[0, 1]])
     assert la.quotient_dim([], []) == 0
     assert la.quotient_representatives([[1, 2]], []) == [[1, 2]]
+
+
+# integer leads that are not units, and Fractions with coprime denominators,
+# so that fraction-free reduction scales rows and divides them by their gcd
+NON_UNIT = st.sampled_from([0, 0, 0, 6, -6, 10, 15, -15, 1, Fraction(1, 2),
+                            Fraction(-2, 3), Fraction(6, 5), Fraction(10, 7),
+                            Fraction(-15, 22)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(scalars=NON_UNIT), st.data())
+def test_non_unit_leads_match_reference(mat, data):
+    ncols, m = mat
+    assert la.rank(m) == ref_rank(m)
+    kernel = repr(ref_nullspace_basis(m, ncols))
+    assert repr(la.nullspace_basis(m, ncols)) == kernel
+    forms = [la.LinearForm({k: x for k, x in enumerate(row) if x}) or 0
+             for row in m]
+    assert repr(la.form_kernel(forms, ncols)) == kernel
+    x = data.draw(st.lists(NON_UNIT, min_size=ncols, max_size=ncols))
+    for b in (la.mat_vec(m, x),
+              data.draw(st.lists(NON_UNIT, min_size=len(m), max_size=len(m)))):
+        assert repr(la.solve(m, b)) == repr(ref_solve(m, b))
+    red, pivots = ref_rref(m)
+    for v in [x] + list(m):
+        assert la.in_span(red, pivots, v) == ref_in_span(red, pivots, v)
+    zk = ref_nullspace_basis(m[:2], ncols) if m else []
+    assert outcome(la.quotient_dim, zk, m) == outcome(ref_quotient_dim, zk, m)
+    assert repr(la.quotient_representatives(zk, m)) == \
+        repr(ref_quotient_representatives(zk, m))
+
+
+def assert_integer_echelon(ech):
+    """Each stored row is a primitive int dict whose leftmost column is its
+    pivot, with a positive entry there and none in another pivot column."""
+    for pc, row in ech.rows.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == pc and row[pc] > 0
+        assert gcd(*row.values()) == 1
+        assert not set(row) & (set(ech.rows) - {pc})
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(scalars=NON_UNIT))
+def test_echelon_rows_stay_primitive_and_reduced(mat):
+    ncols, m = mat
+    ech = la.Echelon()
+    for row in m:
+        ech.add(la._sparse(row))
+        assert_integer_echelon(ech)
+    assert len(ech) == ref_rank(m)
+
+
+def quotient_outcome(z, b):
+    """repr of quotient(z, b), or its ContainmentError with the message."""
+    try:
+        return repr(la.quotient(z, b))
+    except ContainmentError as e:
+        return "ContainmentError: %s" % e
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(scalars=NON_UNIT), st.data())
+def test_single_elimination_quotient_matches_reference(mat, data):
+    ncols, rows = mat
+    # b from combinations of the rows, sometimes with a vector that may lie
+    # outside their span
+    b = []
+    for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+        u, v = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+        c, d = data.draw(NON_UNIT), data.draw(NON_UNIT)
+        b.append([c * x + d * y for x, y in zip(u, v)])
+    if data.draw(st.booleans()):
+        b.append(data.draw(st.lists(NON_UNIT, min_size=ncols, max_size=ncols)))
+    # z the rows themselves (often dependent), or a kernel basis, as the
+    # cohomology routines pass it
+    for z, bb in ((rows, b), (ref_nullspace_basis(b, ncols), rows)):
+        try:
+            want = repr((ref_quotient_dim(z, bb),
+                         ref_quotient_representatives(z, bb)))
+        except ContainmentError as e:
+            want = "ContainmentError: %s" % e
+        assert quotient_outcome(z, bb) == want
+
+
+def test_single_elimination_quotient_falls_back():
+    # a boundary outside the cocycles, z a kernel basis: the extended
+    # echelon has more pivots than z has vectors, and quotient_dim's error
+    # is raised
+    z = la.nullspace_basis([[1, 1, 0]], 3)
+    b = [[1, -1, 0], [0, 0, 5], [1, 0, 0]]
+    err = "ContainmentError: vector 2 of b_basis is outside span(z_basis)"
+    assert outcome(la.quotient_dim, z, b) == quotient_outcome(z, b) == err
+    assert la.quotient(z, b[:2]) == (0, [])
+    # a dependent z whose extended echelon still has rank len(z): only the
+    # fallback finds that b is outside span(z)
+    z, b = [[1, 0], [2, 0]], [[0, 3]]
+    assert la.Echelon(map(la._sparse, b + z)).rows.keys() == {0, 1}
+    assert quotient_outcome(z, b) == \
+        "ContainmentError: vector 0 of b_basis is outside span(z_basis)"
+    assert la.quotient(z, [[3, 0]]) == (0, [])
+    assert la.quotient([[6, 0], [0, 10]], [[3, 0]]) == (1, [[0, 10]])
