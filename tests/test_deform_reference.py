@@ -7,8 +7,12 @@ reduces its exit code and its JSON output (status, summary and payload:
 the string `dump_scalar` writes, so a moved witness coordinate, a lost
 sign or another first violated tuple changes the digest.
 
-The contexts are the identity family of A2 over the two-element semigroup
-and a copy of it with V written in a seeded signed-permutation basis.  On
+The contexts are the identity family of A2 over the two-element semigroup,
+a copy of it with V written in a seeded signed-permutation basis, and
+copies of it and of the A1 family with V written in a seeded basis with
+non-integral `Fraction` entries.  In the last two no image T_a u_i of the
+family is a signed basis vector, so the contractions at the images sum
+several terms per coordinate.  On
 each, the directions are seeded degree-0 boundaries (against zero and
 against each other), boundaries moved by a seeded +-1 direction (the
 refused comparison of a non-infinitesimal: H^1 vanishes there, so no
@@ -37,7 +41,8 @@ from lyfam.cli import main
 from lyfam.cohomology import (DegreeZeroElement, RBFComplex, cohomology_H1,
                               partial_deg0)
 from lyfam.rbfamily import identity_family
-from test_dense_images import change_basis_of_V
+from conftest import random_invertible
+from test_dense_images import change_basis_of_V, dense
 from test_law_reference import A1, A2, S2, digest
 
 
@@ -46,6 +51,14 @@ def signed_permutation(rng, n):
     rng.shuffle(perm)
     return [[rng.choice((-1, 1)) if perm[r] == c else 0 for c in range(n)]
             for r in range(n)]
+
+
+def fraction_basis(rng, n):
+    """A seeded invertible matrix whose rows are scaled by 1/2, 2/3, ...,
+    so its entries are Fractions, not all integral."""
+    p = random_invertible(rng, n, 12)
+    return [[x * Fraction(r + 1, r + 2) for x in row]
+            for r, row in enumerate(p)]
 
 
 def _ints(rng, n):
@@ -133,13 +146,83 @@ _CONTEXTS = [
      False),
     ("A1-S2", identity_family(A1, S2), True),
 ]
+_CONTEXTS += [
+    (name + "-V-frac", change_basis_of_V(
+        ctx, fraction_basis(random.Random(name + "-V-frac"), ctx.dimV)),
+     by_classes)
+    for name, ctx, by_classes in _CONTEXTS if name in ("A2-S2", "A1-S2")]
 CASES = {name: (lambda files=files: _run(files))
          for cname, ctx, by_classes in _CONTEXTS
          for name, files in queries(cname, ctx, by_classes)}
 
 
-# recorded before the coboundaries accumulated in place
+# recorded before the coboundaries accumulated in place; the -V-frac cases
+# before the image tables came from one batched contraction kernel
 EXPECTED = {
+    'A1-S2-V-frac/boundary0':
+        'ffcbd939bd46a0c9ebeb9d443f1f549f2dda3a1d62eb88b244b0796692700b4b',
+    'A1-S2-V-frac/boundary0-boundary':
+        '51dd40c60e4db5c352788350ded643c9db8f0a45e9b02adf91b21de6512b1bcc',
+    'A1-S2-V-frac/boundary1':
+        '39670d4ff777c572d263ab7649a4682e6e897180cba79dbc05c5bb4035a8a576',
+    'A1-S2-V-frac/boundary1-boundary':
+        '85e2d08585a8be1e5a32a661e3f6f94769b94317ed63053a0491c1831f715f2b',
+    'A1-S2-V-frac/boundary2':
+        '03e5f3fb3420d954237769f2f9f9943aa61018ca2076e57b7c8b76dfbf20dab5',
+    'A1-S2-V-frac/boundary2-boundary':
+        '20cbe736bf2f8959cc1c03b275d0192d4aa18b47324218a07ed5817a740ec550',
+    'A1-S2-V-frac/class0':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A1-S2-V-frac/class0-boundary':
+        '8fa473eb96571257cb1fcfff1f6deeb76c2a5a274f45cd0dbd58f00fe799e460',
+    'A1-S2-V-frac/class1':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A1-S2-V-frac/class1-boundary':
+        '8fa473eb96571257cb1fcfff1f6deeb76c2a5a274f45cd0dbd58f00fe799e460',
+    'A1-S2-V-frac/class2':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A1-S2-V-frac/class2-boundary':
+        '8fa473eb96571257cb1fcfff1f6deeb76c2a5a274f45cd0dbd58f00fe799e460',
+    'A1-S2-V-frac/entry0':
+        '58c57db87af167d4edb604afd864a13cb96ed4429d79fe2e7216b7dacdd92359',
+    'A1-S2-V-frac/entry1':
+        'a6c05f4cdf9142ab73fb377c0e5d0723fe3c66f536d6afde2bd7287b4f8fe42b',
+    'A1-S2-V-frac/entry2':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/fraction0':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A1-S2-V-frac/fraction0-random':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/fraction0-zero':
+        'aa7a9ab8a349a3a6b3db24506183f7a84f3c2e57b31d8ed9bd6f209684977d95',
+    'A1-S2-V-frac/fraction1':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A1-S2-V-frac/fraction1-random':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/fraction1-zero':
+        'cc37cc0ab79f4c3df13d606228382e8711ca2586a29bf2022981845e4ab00bd6',
+    'A1-S2-V-frac/moved0':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/moved0-boundary':
+        '2e8207ef1ba98f93f7fed7f02ae0e47b61603c311ce9b1e887c449b6fdb50497',
+    'A1-S2-V-frac/moved1':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/moved1-boundary':
+        '2e8207ef1ba98f93f7fed7f02ae0e47b61603c311ce9b1e887c449b6fdb50497',
+    'A1-S2-V-frac/moved2':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/moved2-boundary':
+        '2e8207ef1ba98f93f7fed7f02ae0e47b61603c311ce9b1e887c449b6fdb50497',
+    'A1-S2-V-frac/random0':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/random1':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/random2':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A1-S2-V-frac/zero':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A1-S2-V-frac/zero-zero':
+        '0fd3b52f4de13ec3883e99fbb51a8566506f961995a4e4050fc1bea86d360d05',
     'A1-S2/boundary0':
         '9a618cd6bd7b19e05dfbcf399c2e71b60900104ceee02036cf9d664562e54561',
     'A1-S2/boundary0-boundary':
@@ -203,6 +286,58 @@ EXPECTED = {
     'A1-S2/zero':
         '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
     'A1-S2/zero-zero':
+        '0fd3b52f4de13ec3883e99fbb51a8566506f961995a4e4050fc1bea86d360d05',
+    'A2-S2-V-frac/boundary0':
+        '072caef0f8a20e34a51c6e53c3cbdef4e88667e464b315ee42fe285d6565a6d8',
+    'A2-S2-V-frac/boundary0-boundary':
+        '926c252a2e63fd667406c4ca4249242c79d4c279383c87745541b1186f6f5356',
+    'A2-S2-V-frac/boundary1':
+        'e22f6dccfcdef0ea264c0f8d6c8afdc1a69aadb6ef87f7f14e9c2bc00678a61c',
+    'A2-S2-V-frac/boundary1-boundary':
+        'eb366390f57a7dc9338a1c1e9a7728f11d4365d5943dbba56402eeea586622cd',
+    'A2-S2-V-frac/boundary2':
+        '2ef15ac15b527386445dbb05c12f4c68f1d8a1d32680a4e2bd63c41a7196d64a',
+    'A2-S2-V-frac/boundary2-boundary':
+        'd70a441d089d4f6d4eea7ffd42f10f914412ec0ee67a29e5e25da86b677fbd83',
+    'A2-S2-V-frac/entry0':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/entry1':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/entry2':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/fraction0':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A2-S2-V-frac/fraction0-random':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/fraction0-zero':
+        'e905ac9860392391bb5162b0945ec00ee511980194ca64aa8858d851382bcdcf',
+    'A2-S2-V-frac/fraction1':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A2-S2-V-frac/fraction1-random':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/fraction1-zero':
+        'fe73742320c87d1e48df25319b7857a83c2f176398228488b7df671404554b74',
+    'A2-S2-V-frac/moved0':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/moved0-boundary':
+        '2e8207ef1ba98f93f7fed7f02ae0e47b61603c311ce9b1e887c449b6fdb50497',
+    'A2-S2-V-frac/moved1':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/moved1-boundary':
+        '2e8207ef1ba98f93f7fed7f02ae0e47b61603c311ce9b1e887c449b6fdb50497',
+    'A2-S2-V-frac/moved2':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/moved2-boundary':
+        '2e8207ef1ba98f93f7fed7f02ae0e47b61603c311ce9b1e887c449b6fdb50497',
+    'A2-S2-V-frac/random0':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/random1':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/random2':
+        'a62595040faeafd12c3ddb104b51f4e6acf0ebc0f04bdb2d929be36450e350d0',
+    'A2-S2-V-frac/zero':
+        '565b723b5312fd5713171fb8faa5b57066af0dd9539732eb3015f109a687f3b5',
+    'A2-S2-V-frac/zero-zero':
         '0fd3b52f4de13ec3883e99fbb51a8566506f961995a4e4050fc1bea86d360d05',
     'A2-S2-V-signed/boundary0':
         'bab4ae82a444f70b7b01df3acc8f83fa8f0d868a4e035aa9c517ac5abd860e6d',
@@ -309,6 +444,14 @@ EXPECTED = {
     'A2-S2/zero-zero':
         '0fd3b52f4de13ec3883e99fbb51a8566506f961995a4e4050fc1bea86d360d05',
 }
+
+
+def test_fraction_contexts_have_dense_images():
+    for name, ctx, _ in _CONTEXTS:
+        if name.endswith("-V-frac"):
+            assert dense(ctx), name
+            assert any(type(x) is Fraction and x.denominator > 1
+                       for T in ctx.family for row in T for x in row), name
 
 
 def test_every_case_has_a_digest():
