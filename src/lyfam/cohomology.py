@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConsistencyError, PreconditionError
-from .linalg import (contract, form_columns, form_kernel, form_rows,
-                     generic_vector, identity, mat_add, mat_mul, mat_sub,
-                     mat_vec, quotient, solve, transpose, vec_add, vec_scale,
-                     vec_sub, vec_sum, zeros)
+from .linalg import (contract, contract_grid, form_columns, form_kernel,
+                     form_rows, generic_vector, identity, mat_add, mat_mul,
+                     mat_sub, mat_vec, quotient, solve, transpose, vec_add,
+                     vec_scale, vec_sub, vec_sum, zeros)
 from .omega import (CochainFamily, OmegaLYAlgebra, OmegaRepresentation,
                     cochain_build, cochain_coords, cochain_full_table,
                     cohomology_step, delta_omega,
@@ -46,7 +46,9 @@ def induced_rep_on_L(ctx: TwistedRBContext, check: bool = True,
     tt = family_tables(ctx)
     if algebra is None:
         algebra = _induced_algebra(tt, check)
-    return _induced_rep(tt, algebra)
+    rho, theta = _induced_rep(tt)
+    return OmegaRepresentation(algebra=algebra, dim=ctx.dimL, rho=rho,
+                               theta=theta)
 
 
 def _induced_algebra(tt: ImageTables, check: bool) -> OmegaLYAlgebra:
@@ -59,41 +61,61 @@ def _induced_algebra(tt: ImageTables, check: bool) -> OmegaLYAlgebra:
                           binary=binary, ternary=ternary)
 
 
-def _induced_rep(tt: ImageTables,
-                 algebra: OmegaLYAlgebra) -> OmegaRepresentation:
-    """induced_rep_on_L from the tables at the family's images T.  The terms
-    with e_l in a first slot are read from the tables at (E, T), for the
-    basis E of L, and [x, e_l] from those at (T, E); {e_l, x, y} and
-    Gamma2(e_l, x, y) are contracted here, since the tables leave the last
-    slot free."""
-    ctx, T = tt.ctx, tt.X
-    A, c, s = ctx.algebra, ctx.cocycle, ctx.semigroup
-    n, nv, M = ctx.dimL, ctx.dimV, s.order
-    L, E = range(n), identity(n)
-    et, te = ImageTables(ctx, tt.derived, E, T), ImageTables(ctx, None, T, E)
+def _built(cls, **fields):
+    """The dataclass cls with these fields, without its __post_init__ shape
+    check: for tables built here from a checked context, which have their
+    shapes by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _per_word(words, block):
+    """[block(w) for w in words], each block computed once per distinct
+    word; a repeated word gets a fresh copy of its rows."""
+    done = {}
+    return [[list(r) for r in done[w]] if w in done
+            else done.setdefault(w, block(w)) for w in words]
+
+
+def _induced_rep(tt: ImageTables):
+    """(rho, theta) of induced_rep_on_L from the tables at the family's
+    images T.  The terms with e_l in a first slot are read from the tables
+    at (E, T), for the basis E of L, and [x, e_l] from those at (T, E);
+    {e_l, x, y} and Gamma2(e_l, x, y) come from one grid each over (E, T,
+    T), since the tables leave the last slot free.  A block depends on s
+    only through the word w = sa (sab), so it is computed once per word."""
+    ctx, T, t, F = tt.ctx, tt.X, tt.ctx.semigroup.table, tt.ctx.family
+    A, n, nv, M = ctx.algebra, ctx.dimL, ctx.dimV, ctx.semigroup.order
+    L, E, S = range(n), identity(n), range(M)
+    et = ImageTables(ctx, tt.derived, E, T)
+    # [x, e_l] and {e_l, x, y} as the columns l of matrices: the brackets
+    # with their last slot, and the first slot of the ternary one, left free
+    br = contract_grid(A.binary, T, columns=n)
+    tern = contract_grid([[[A.ternary[l][i][j] for l in L] for j in L]
+                          for i in L], T, T, columns=n)
+    g2 = contract_grid(ctx.cocycle.gamma2, E, T, T)
     rho, theta = zeros(M, M, nv), zeros(M, M, M, nv, nv)
-    # each block is lhs + T_s inner (rho) or lhs - T_s inner (theta), with
+    # each block is lhs + T_w inner (rho) or lhs - T_w inner (theta), with
     # column l of lhs and of inner the terms at e_l
-    for a, i in itertools.product(range(M), range(nv)):
+    for a, i in itertools.product(S, range(nv)):
         p = a * nv + i
-        lhs = transpose(te.bracket[p], n)
+        lhs = br[p]
         inner = transpose([vec_add(et.rho[l][i], et.gamma1[l][p])
                            for l in L], nv)
-        for si in range(M):
-            Ts = ctx.family[product(s, si, a)]
-            rho[a][si][i] = mat_add(lhs, mat_mul(Ts, inner))
-    for a, b in itertools.product(range(M), repeat=2):
+        for si, m in enumerate(_per_word([t[si][a] for si in S], (
+                lambda w: mat_add(lhs, mat_mul(F[w], inner))))):
+            rho[a][si][i] = m
+    for a, b in itertools.product(S, repeat=2):
         for i, j in itertools.product(range(nv), repeat=2):
             p, q = a * nv + i, b * nv + j
-            x, y = T[p], T[q]
-            lhs = transpose([contract(A.ternary[l], x, y) for l in L], n)
+            lhs = tern[p][q]
             inner = transpose([vec_sum("+-+", et.D[l][p][j], et.theta[l][q][i],
-                                       contract(c.gamma2[l], x, y))
-                               for l in L], nv)
-            for si in range(M):
-                Ts = ctx.family[product_of(s, (si, a, b))]
-                theta[a][b][si][i][j] = mat_sub(lhs, mat_mul(Ts, inner))
-    return OmegaRepresentation(algebra=algebra, dim=n, rho=rho, theta=theta)
+                                       g2[l][p][q]) for l in L], nv)
+            for si, m in enumerate(_per_word([t[t[si][a]][b] for si in S], (
+                    lambda w: mat_sub(lhs, mat_mul(F[w], inner))))):
+                theta[a][b][si][i][j] = m
+    return rho, theta
 
 
 def rep_d_closed_form_report(ctx: TwistedRBContext,
@@ -160,8 +182,11 @@ class RBFComplex:
 
     def __init__(self, ctx: TwistedRBContext, check: bool = True):
         self.context = ctx
-        self.tables = family_tables(ctx)
-        self.induced_algebra = O = _induced_algebra(self.tables, False)
+        self.tables = tt = family_tables(ctx)
+        binary, ternary = induced_products(tt)
+        self.induced_algebra = O = _built(
+            OmegaLYAlgebra, dim=ctx.dimV, semigroup=ctx.semigroup,
+            binary=binary, ternary=ternary)
         # partial_deg1 evaluates canonical tuples only, which needs brackets
         # and cocycle skew in their first slot pair
         self._skew = ctx.algebra.invariant_report()
@@ -171,14 +196,15 @@ class RBFComplex:
             if not sg.ok:
                 raise PreconditionError("semigroup fails validation: %s"
                                         % sorted(sg.laws()))
-            if not family_screened(self.tables, O.binary, O.ternary,
-                                   self._skew.ok):
-                chk = family_report(self.tables, O.binary, O.ternary)
+            if not family_screened(tt, binary, ternary, self._skew.ok):
+                chk = family_report(tt, binary, ternary)
                 if not chk.ok:
                     raise PreconditionError(
                         "input is not a twisted Rota-Baxter family: %s"
                         % sorted(chk.laws()))
-        self.induced_rep = _induced_rep(self.tables, self.induced_algebra)
+        rho, theta = _induced_rep(tt)
+        self.induced_rep = _built(OmegaRepresentation, algebra=O,
+                                  dim=ctx.dimL, rho=rho, theta=theta)
         self._bases = {}
         self._d1 = None
 
@@ -222,19 +248,20 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
     A, c, D, T = ctx.algebra, ctx.cocycle, cx.tables.derived, cx.tables.X
     nv, n, M = ctx.dimV, ctx.dimL, ctx.semigroup.order
     U = identity(nv)
-    terms = [(a_vec, b_vec, contract(D, a_vec, b_vec))
+    # D(a, b), and Gamma2(a, b, x) and {a, b, x} at each image x = T_al u
+    terms = [(contract(D, a_vec, b_vec),
+              *(contract_grid(X, [a_vec], [b_vec], T)[0][0]
+                for X in (c.gamma2, A.ternary)))
              for a_vec, b_vec in e.terms]
     maps = []
     for al in range(M):
         mat = zeros(n, nv)
-        for a_vec, b_vec, Dab in terms:
+        for Dab, g2, tri in terms:
             for col in range(nv):
-                # column col of T_al; contract skips its zeros of any type
-                u, Tu = U[col], T[al * nv + col]
-                inner = mat_vec(Dab, u)
-                inner = vec_add(inner, c.g2_of(a_vec, b_vec, Tu))
+                inner = mat_vec(Dab, U[col])
+                inner = vec_add(inner, g2[al * nv + col])
                 v = ctx.T(al, inner)
-                v = vec_sub(v, A.tri(a_vec, b_vec, Tu))
+                v = vec_sub(v, tri[al * nv + col])
                 for row in range(n):
                     mat[row][col] += v[row]
         maps.append(mat)
@@ -288,26 +315,28 @@ def _family_d1(cx: RBFComplex, f: CochainFamily) -> CochainFamily:
         return vec_sum("+-+-", tf.bracket[p][q], tf.bracket[q][p],
                        mat_vec(Tw, inner), mat_vec(fw, B[a1][a2][i][j]))
 
+    # Gamma2 and {.,.,.} at (f1, y, z), also read at (q, p) for (f2, x, z)
+    g2f, trf = ft.triples(ft.gamma2, T), ft.triples(ft.ternary, T)
+
     def odd(al, xs):
         (a1, a2, a3), (i, j, k) = al, xs
         w = product_of(s, al)
         Tw, fw = ctx.family[w], f.even[w]
         p, q, t = a1 * nv + i, a2 * nv + j, a3 * nv + k
-        z, f3 = T[t], F[t]
+        f3 = F[t]
         # T_w of theta(y, f3)u_i - theta(x, f3)u_j + Gamma2(x, y, f3)
         # + D(f1, y)u_k - theta(f1, z)u_j + Gamma2(f1, y, z)
         # - D(f2, x)u_k + theta(f2, z)u_i - Gamma2(f2, x, z)
         inner = vec_sum("+-++-+-+-", tf.theta[q][t][i], tf.theta[p][t][j],
                         contract(tt.gamma2[p][q], f3), ft.D[p][q][k],
-                        ft.theta[p][t][j], contract(ft.gamma2[p][q], z),
-                        ft.D[q][p][k], ft.theta[q][t][i],
-                        contract(ft.gamma2[q][p], z))
+                        ft.theta[p][t][j],
+                        g2f[p][q][t], ft.D[q][p][k], ft.theta[q][t][i],
+                        g2f[q][p][t])
         # {x, y, f3} + {f1, y, z} - {f2, x, z} - T_w(inner)
         # - f_w({u_i, u_j, u_k}_T)
-        return vec_sum("++---", contract(tt.ternary[p][q], f3),
-                       contract(ft.ternary[p][q], z),
-                       contract(ft.ternary[q][p], z), mat_vec(Tw, inner),
-                       mat_vec(fw, C[a1][a2][a3][i][j][k]))
+        return vec_sum("++---", contract(tt.ternary[p][q], f3), trf[p][q][t],
+                       trf[q][p][t],
+                       mat_vec(Tw, inner), mat_vec(fw, C[a1][a2][a3][i][j][k]))
 
     return cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
 

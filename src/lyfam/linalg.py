@@ -185,6 +185,69 @@ def contract(table, *vecs):
     return out
 
 
+def contract_grid(table, *lists, columns=None):
+    """contract(table, v1, ..., vk) for every v1 in lists[0], ..., vk in
+    lists[k-1] (k >= 1), as the nested list out[j1]...[jk].
+
+    Each value is computed term for term as contract computes it: the same
+    (coefficient, sub-table) terms in the same order, each coordinate summed
+    from the int 0 over the nonzero entries of the leaves, so every value,
+    zero type and LinearForm key order is the same.  The supports of the
+    vectors are listed once per call, and the terms of v1, ..., vr once for
+    every combination that extends them.  With columns=n each value, a
+    matrix with n columns, is given by its columns, as transpose(value, n).
+    """
+    leaf = table  # every value has the shape of this leaf, as in contract
+    for _ in lists:
+        leaf = leaf[0] if leaf else []
+    matrix = columns is not None or bool(leaf) and type(leaf[0]) is list
+    *sups, last = [[[(i, x) for i, x in enumerate(v) if x] for v in vs]
+                   for vs in lists]
+
+    def grid(r, terms):  # terms: (coefficient, sub-table) pairs
+        if r < len(sups):
+            return [grid(r + 1, [(c * x, sub[i]) for c, sub in terms
+                                 for i, x in sup]) for sup in sups[r]]
+        out = []
+        for sup in last:
+            if not matrix:
+                value = [0] * len(leaf)
+                for c, sub in terms:
+                    for i, x in sup:
+                        cx, k = c * x, 0
+                        for y in sub[i]:
+                            if y:
+                                value[k] += cx * y
+                            k += 1
+            elif columns is None:
+                value = [[0] * len(row) for row in leaf]
+                for c, sub in terms:
+                    for i, x in sup:
+                        cx = c * x
+                        for orow, row in zip(value, sub[i]):
+                            if any(row):
+                                j = 0
+                                for y in row:
+                                    if y:
+                                        orow[j] += cx * y
+                                    j += 1
+            else:  # entry y at row a and column j goes to value[j][a]
+                value = [[0] * len(leaf) for _ in range(columns)]
+                for c, sub in terms:
+                    for i, x in sup:
+                        cx, a = c * x, 0
+                        for row in sub[i]:
+                            if any(row):
+                                for y, col in zip(row, value):
+                                    if y:
+                                        col[a] += cx * y
+                            a += 1
+            out.append(value)
+        return out
+
+    return grid(0, [(1, table)])
+
+
 def lead_slot(table, s, rank):
     """The table of a map with rank vector slots with slot s first and the
     others merged into one, in order: contract(lead_slot(t, s, rank), x) at

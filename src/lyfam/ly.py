@@ -185,8 +185,13 @@ def check_representation(A: LYAlgebra, r: Representation) -> Report:
     semigroup, screened as check_omega_representation screens them: each
     residual matrix at semigroup indices 0 and a basis tuple, flattened row
     by row, at that tuple.  REP-2.11...2.13 follow as a self-test."""
-    from .omega import _representation_laws
     require_fit(A, r)
+    return _representation_report(A, r)
+
+
+def _representation_report(A: LYAlgebra, r: Representation) -> Report:
+    """check_representation of an r that fits A."""
+    from .omega import _representation_laws
     R = _over_trivial_semigroup(A, r)
     n, E, DR = range(A.dim), linalg.identity(A.dim), R.d_tensor()
     b, t, theta, D = A.binary, A.ternary, r.theta, DR[0][0][0]
@@ -224,6 +229,11 @@ def adjoint_representation(A: LYAlgebra) -> Representation:
 
 def check_cocycle23(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:
     require_fit(A, r, c)
+    return _cocycle_report(A, r, c)
+
+
+def _cocycle_report(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:
+    """check_cocycle23 of an r and a c that fit A."""
     n, E = range(A.dim), linalg.identity(A.dim)
     D = derived_D(A, r)
     b, t, g1, g2 = A.binary, A.ternary, c.gamma1, c.gamma2

@@ -341,12 +341,14 @@ def ns_from_twisted_rb(ctx, check: bool = True) -> NSFamilyAlgebra:
     e_i vee e_j is Gamma1(x, y), curly(e_i, e_j, e_k) is theta(y, z)u_i and
     the square is Gamma2(x, y, z).  The first three are read from the tables
     the family check reads, bullet and curly with each zero the int 0.  The
-    square is one contraction per triple: a two-stage one, through the table
-    of Gamma2(x, y, -), can change the type of a zero whose terms cancel."""
+    square is one grid of Gamma2 over all triples of images: each value is
+    one contraction, so its zeros keep their types (a two-stage one,
+    through the table of Gamma2(x, y, -), can change the type of a zero
+    whose terms cancel)."""
     tt = family_tables(ctx)
     if check and not family_check(tt, *induced_products(tt)).ok:
         raise PreconditionError("input is not a twisted Rota-Baxter family")
-    s, nv, T, g2 = ctx.semigroup, ctx.dimV, tt.X, ctx.cocycle.gamma2
+    s, nv, T = ctx.semigroup, ctx.dimV, tt.X
     m, u = range(s.order), range(nv)
 
     def ints(v):
@@ -357,9 +359,9 @@ def ns_from_twisted_rb(ctx, check: bool = True) -> NSFamilyAlgebra:
           for b in m] for a in m]
     cu = [[[[[ints(tt.theta[b * nv + j][g * nv + k][i]) for k in u]
              for j in u] for i in u] for g in m] for b in m]
-    q = [[[[[[linalg.contract(g2, T[a * nv + i], T[b * nv + j], T[g * nv + k])
-              for k in u] for j in u] for i in u] for g in m] for b in m]
-         for a in m]
+    g2 = linalg.contract_grid(ctx.cocycle.gamma2, T, T, T)
+    q = [[[[[[g2[a * nv + i][b * nv + j][g * nv + k] for k in u] for j in u]
+            for i in u] for g in m] for b in m] for a in m]
     return NSFamilyAlgebra(nv, s, bl, v, cu, q)
 
 

@@ -16,10 +16,10 @@ from functools import cached_property
 
 from . import linalg
 from .errors import PreconditionError
-from .ly import (Cocycle23, LYAlgebra, Representation, adjoint_representation,
-                 check_cocycle23, check_ly_axioms, check_representation,
-                 derived_D, gamma_ad, joint_table, ly_tensor_semigroup,
-                 require_fit)
+from .ly import (Cocycle23, LYAlgebra, Representation, _cocycle_report,
+                 _representation_report, adjoint_representation,
+                 check_ly_axioms, derived_D, gamma_ad, joint_table,
+                 ly_tensor_semigroup, require_fit)
 from .omega import _screened
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
@@ -55,12 +55,13 @@ class TwistedRBContext:
         return linalg.mat_vec(self.family[alpha], u)
 
     def validate(self) -> Report:
-        """Full component validation (semigroup, algebra, rep, cocycle)."""
+        """Full component validation (semigroup, algebra, rep, cocycle); the
+        shapes were checked when the context was built."""
         rep = Report()
         rep.extend(validate_semigroup(self.semigroup))
         rep.extend(check_ly_axioms(self.algebra))
-        rep.extend(check_representation(self.algebra, self.rep))
-        rep.extend(check_cocycle23(self.algebra, self.rep, self.cocycle))
+        rep.extend(_representation_report(self.algebra, self.rep))
+        rep.extend(_cocycle_report(self.algebra, self.rep, self.cocycle))
         return rep
 
 
@@ -86,32 +87,25 @@ class ImageTables:
     """A context's tensors contracted at every pair of images (X_p, Y_q).
 
     Each table is built on first use, once for the sweep or the complex
-    that holds it.
+    that holds it, in one linalg.contract_grid call.
     Operators on V are stored by their columns, so their value at a basis
     vector u_k is a lookup.  ternary and gamma2 leave their last slot free,
-    so a triple term is a one-argument contraction.  D is the derived D of
-    the context's algebra and representation, or None where no table of D
-    is read.
+    so a triple term is a one-argument contraction, and triples contracts
+    it at every image of a list.  D is the derived D of the context's
+    algebra and representation, or None where no table of D is read.
     """
 
     def __init__(self, ctx: TwistedRBContext, D, X, Y):
         self.ctx, self.derived, self.X, self.Y = ctx, D, X, Y
 
-    def _pairs(self, table):
-        ct = linalg.contract
-        return [[ct(table, x, y) for y in self.Y] for x in self.X]
-
-    def _operators(self, table):
-        nv = self.ctx.dimV
-        return [[linalg.transpose(m, nv) for m in row]
-                for row in self._pairs(table)]
+    def _pairs(self, table, columns=None):
+        return linalg.contract_grid(table, self.X, self.Y, columns=columns)
 
     @cached_property
     def rho(self):
         """rho[p][k] = rho(X_p) u_k"""
-        nv = self.ctx.dimV
-        return [linalg.transpose(linalg.contract(self.ctx.rep.rho, x), nv)
-                for x in self.X]
+        return linalg.contract_grid(self.ctx.rep.rho, self.X,
+                                    columns=self.ctx.dimV)
 
     @cached_property
     def bracket(self):
@@ -126,12 +120,12 @@ class ImageTables:
     @cached_property
     def theta(self):
         """theta[p][q][k] = theta(X_p, Y_q) u_k"""
-        return self._operators(self.ctx.rep.theta)
+        return self._pairs(self.ctx.rep.theta, self.ctx.dimV)
 
     @cached_property
     def D(self):
         """D[p][q][k] = D(X_p, Y_q) u_k"""
-        return self._operators(self.derived)
+        return self._pairs(self.derived, self.ctx.dimV)
 
     @cached_property
     def ternary(self):
@@ -143,6 +137,13 @@ class ImageTables:
         """gamma2[p][q][l] = Gamma2(X_p, Y_q, e_l)"""
         return self._pairs(self.ctx.cocycle.gamma2)
 
+    def triples(self, table, Z):
+        """table[p][q][t] = table(X_p, Y_q, Z_t) for table self.ternary or
+        self.gamma2: a grid over its pairs at unit vectors, so each value is
+        contract(table[p][q], Z_t) term for term."""
+        return linalg.contract_grid(table, linalg.identity(len(self.X)),
+                                    linalg.identity(len(self.Y)), Z)
+
 
 def induced_products(tt: ImageTables):
     """The products a family induces on V, as (binary, ternary) tables.
@@ -153,8 +154,8 @@ def induced_products(tt: ImageTables):
     ternary[a][b][g][i][j][k] = D(x, y)u_k + theta(y, z)u_i - theta(x, z)u_j
     + Gamma2(x, y, z).
     """
-    T, nv, M = tt.X, tt.ctx.dimV, tt.ctx.semigroup.order
-    vsum, ct = linalg.vec_sum, linalg.contract
+    nv, M = tt.ctx.dimV, tt.ctx.semigroup.order
+    vsum, g2 = linalg.vec_sum, tt.triples(tt.gamma2, tt.X)
     # with dim L = 0 every contraction is a table without entries, which
     # contract gives as []; the product is then the zero vector of V
     zero = linalg.zero_vec
@@ -167,12 +168,12 @@ def induced_products(tt: ImageTables):
             p, q = a * nv + i, b * nv + j
             binary[a][b][i][j] = vsum("+-+", tt.rho[p][j], tt.rho[q][i],
                                       tt.gamma1[p][q]) or zero(nv)
-            duv, g2 = tt.D[p][q], tt.gamma2[p][q]
+            duv = tt.D[p][q]
             for g, k in itertools.product(range(M), range(nv)):
                 t = g * nv + k
                 ternary[a][b][g][i][j][k] = vsum(
                     "++-+", duv[k], tt.theta[q][t][i], tt.theta[p][t][j],
-                    ct(g2, T[t])) or zero(nv)
+                    g2[p][q][t]) or zero(nv)
     return binary, ternary
 
 

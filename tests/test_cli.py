@@ -300,6 +300,26 @@ def test_nijenhuis_context_checks_its_family_once(files, monkeypatch):
     assert checked == [1]
 
 
+@pytest.mark.parametrize("verb", [["validate", "{}", "context"],
+                                  ["check-rbf", "{}"]],
+                         ids=["validate", "check-rbf"])
+def test_context_shapes_are_fitted_once(files, monkeypatch, verb):
+    # loading the context fits its shapes; validate and check-rbf then run
+    # the representation and cocycle laws without fitting them again
+    from lyfam import ly, rbfamily
+    _, _, _, c_path, ctx = files
+    fitted, fit = [], ly.require_fit
+    for module in (ly, rbfamily):
+        monkeypatch.setattr(module, "require_fit",
+                            lambda *args: fitted.append(1) or fit(*args))
+    assert main([c_path if a == "{}" else a for a in verb]) == 0
+    assert fitted == [1]
+    # the public checks still fit their input themselves
+    assert ly.check_representation(ctx.algebra, ctx.rep).ok
+    assert ly.check_cocycle23(ctx.algebra, ctx.rep, ctx.cocycle).ok
+    assert fitted == [1, 1, 1]
+
+
 def _assert_malformed_summary(capsys, argv, *words):
     capsys.readouterr()
     assert main(["--json"] + argv) == 2

@@ -89,24 +89,26 @@ def test_from_nijenhuis(a1, s2):
 
 
 def test_ns_family_reads_the_tables_of_its_family_check(a1, s2, monkeypatch):
-    # beyond its family check, the NS family contracts only the square, one
-    # Gamma2(x, y, z) per triple of images; rho, Gamma1 and theta are read
-    # from the tables the check built
-    ctx, calls, contract = identity_family(a1, s2), [0], la.contract
+    # beyond its family check, the NS family contracts only the square, in
+    # one grid of Gamma2 over the triples of images; rho, Gamma1 and theta
+    # are read from the tables the check built
+    ctx, calls = identity_family(a1, s2), []
 
-    def counted(*args):
-        calls[0] += 1
-        return contract(*args)
+    def counted(name, kernel):
+        def call(table, *args, **kw):
+            calls.append((name, len(args)))
+            return kernel(table, *args, **kw)
+        return call
 
     def count(f):
-        calls[0] = 0
+        calls.clear()
         f(ctx)
-        return calls[0]
+        return list(calls)
 
-    monkeypatch.setattr(la, "contract", counted)
-    nimages = s2.order * ctx.dimV
+    for name in ("contract", "contract_grid"):
+        monkeypatch.setattr(la, name, counted(name, getattr(la, name)))
     assert count(ns_from_twisted_rb) == \
-        count(check_twisted_rb_family) + nimages ** 3
+        count(check_twisted_rb_family) + [("contract_grid", 3)]
 
 
 def test_corrupted_family_fails(a1, s2):
