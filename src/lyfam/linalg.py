@@ -201,6 +201,8 @@ def contract_grid(table, *lists, columns=None):
     for _ in lists:
         leaf = leaf[0] if leaf else []
     matrix = columns is not None or bool(leaf) and type(leaf[0]) is list
+    zero = [[0] * len(leaf)] * columns if columns is not None else \
+        [[0] * len(row) for row in leaf] if matrix else leaf
     *sups, last = [[[(i, x) for i, x in enumerate(v) if x] for v in vs]
                    for vs in lists]
 
@@ -211,7 +213,7 @@ def contract_grid(table, *lists, columns=None):
         out = []
         for sup in last:
             if not matrix:
-                value = [0] * len(leaf)
+                value = [0] * len(zero)
                 for c, sub in terms:
                     for i, x in sup:
                         cx, k = c * x, 0
@@ -220,7 +222,7 @@ def contract_grid(table, *lists, columns=None):
                                 value[k] += cx * y
                             k += 1
             elif columns is None:
-                value = [[0] * len(row) for row in leaf]
+                value = list(map(list.copy, zero))
                 for c, sub in terms:
                     for i, x in sup:
                         cx = c * x
@@ -232,7 +234,7 @@ def contract_grid(table, *lists, columns=None):
                                         orow[j] += cx * y
                                     j += 1
             else:  # entry y at row a and column j goes to value[j][a]
-                value = [[0] * len(leaf) for _ in range(columns)]
+                value = list(map(list.copy, zero))
                 for c, sub in terms:
                     for i, x in sup:
                         cx, a = c * x, 0
