@@ -80,11 +80,11 @@ def _per_word(words, block):
 
 def _induced_rep(tt: ImageTables):
     """(rho, theta) of induced_rep_on_L from the tables at the family's
-    images T.  The terms with e_l in a first slot are read from the tables
-    at (E, T), for the basis E of L, and [x, e_l] from those at (T, E);
-    {e_l, x, y} and Gamma2(e_l, x, y) come from one grid each over (E, T,
-    T), since the tables leave the last slot free.  A block depends on s
-    only through the word w = sa (sab), so it is computed once per word."""
+    images T.  rho(e_l), Gamma1(e_l, x), theta(e_l, x) and D(e_l, x) are
+    read from the tables at (E, T), for the basis E of L; [x, e_l],
+    {e_l, x, y} and Gamma2(e_l, x, y) come from one grid each.  A block
+    depends on s only through the word w = sa (sab), so it is computed
+    once per word."""
     ctx, T, t, F = tt.ctx, tt.X, tt.ctx.semigroup.table, tt.ctx.family
     A, n, nv, M = ctx.algebra, ctx.dimL, ctx.dimV, ctx.semigroup.order
     L, E, S = range(n), identity(n), range(M)
@@ -315,7 +315,9 @@ def _family_d1(cx: RBFComplex, f: CochainFamily) -> CochainFamily:
         return vec_sum("+-+-", tf.bracket[p][q], tf.bracket[q][p],
                        mat_vec(Tw, inner), mat_vec(fw, B[a1][a2][i][j]))
 
-    # Gamma2 and {.,.,.} at (f1, y, z), also read at (q, p) for (f2, x, z)
+    # Gamma2 and {.,.,.} at (f1, y, z), also read at (q, p) for (f2, x, z);
+    # at (x, y, f3) they are contracted per canonical tuple, as a grid over
+    # all pairs would evaluate the other half too
     g2f, trf = ft.triples(ft.gamma2, T), ft.triples(ft.ternary, T)
 
     def odd(al, xs):
@@ -329,14 +331,13 @@ def _family_d1(cx: RBFComplex, f: CochainFamily) -> CochainFamily:
         # - D(f2, x)u_k + theta(f2, z)u_i - Gamma2(f2, x, z)
         inner = vec_sum("+-++-+-+-", tf.theta[q][t][i], tf.theta[p][t][j],
                         contract(tt.gamma2[p][q], f3), ft.D[p][q][k],
-                        ft.theta[p][t][j],
-                        g2f[p][q][t], ft.D[q][p][k], ft.theta[q][t][i],
-                        g2f[q][p][t])
+                        ft.theta[p][t][j], g2f[p][q][t], ft.D[q][p][k],
+                        ft.theta[q][t][i], g2f[q][p][t])
         # {x, y, f3} + {f1, y, z} - {f2, x, z} - T_w(inner)
         # - f_w({u_i, u_j, u_k}_T)
         return vec_sum("++---", contract(tt.ternary[p][q], f3), trf[p][q][t],
-                       trf[q][p][t],
-                       mat_vec(Tw, inner), mat_vec(fw, C[a1][a2][a3][i][j][k]))
+                       trf[q][p][t], mat_vec(Tw, inner),
+                       mat_vec(fw, C[a1][a2][a3][i][j][k]))
 
     return cochain_build(s, nv, ctx.dimL, (2, 3), even, odd)
 
