@@ -9,7 +9,6 @@ whose terms can cancel to an int 0 or a Fraction 0; linear forms sit in
 the vectors of one slot or in the table, never in two places, since their
 product is not linear.  Lists may be empty and vectors zero.
 """
-import itertools
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -92,10 +91,3 @@ def test_zero_and_one_term_values_keep_their_types():
     assert repr(grid[0][0]) == repr([0, Fraction(0)])
     assert repr(grid[1][0]) == repr([0, 0])
 
-
-def test_every_combination_in_order():
-    E = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    table = [[[i, j, 10 * i + j] for j in range(3)] for i in range(3)]
-    grid = contract_grid(table, E[:2], E)
-    for (i, x), (j, y) in itertools.product(enumerate(E[:2]), enumerate(E)):
-        assert grid[i][j] == contract(table, x, y) == table[i][j]
