@@ -17,7 +17,7 @@ from . import serialize
 from .cohomology import (DeformationDirection, RBFComplex, cohomology_H1,
                          cohomology_H23, deformation_equivalence_witness,
                          infinitesimal_report)
-from .errors import LyfamError, MalformedInputError, PreconditionError
+from .errors import LyfamError, MalformedInputError
 from .ly import (adjoint_representation, check_cocycle23, check_ly_axioms,
                  check_representation, gamma_ad, ly_from_leibniz, ly_from_lie,
                  ly_tensor_semigroup)
@@ -95,9 +95,7 @@ def cmd_check_rbf(args):
 # construct
 
 def _checked(report, what):
-    if not report.ok:
-        raise PreconditionError(
-            "%s fails re-verification: %s" % (what, sorted(report.laws())))
+    report.require(what + " fails re-verification: {laws}")
 
 
 def _ly(A, what=None):

@@ -55,8 +55,9 @@ def _induced_algebra(tt: ImageTables, check: bool) -> OmegaLYAlgebra:
     """induced_omega_ly_on_V from the tables at the family's images; the
     family check runs on the same tables as the products."""
     binary, ternary = induced_products(tt)
-    if check and not family_check(tt, binary, ternary).ok:
-        raise PreconditionError("input is not a twisted Rota-Baxter family")
+    if check:
+        family_check(tt, binary, ternary).require(
+            "input is not a twisted Rota-Baxter family")
     return OmegaLYAlgebra(dim=tt.ctx.dimV, semigroup=tt.ctx.semigroup,
                           binary=binary, ternary=ternary)
 
@@ -192,16 +193,11 @@ class RBFComplex:
         self._skew = ctx.algebra.invariant_report()
         self._skew.extend(ctx.cocycle.invariant_report())
         if check:
-            sg = validate_semigroup(ctx.semigroup)
-            if not sg.ok:
-                raise PreconditionError("semigroup fails validation: %s"
-                                        % sorted(sg.laws()))
+            validate_semigroup(ctx.semigroup).require(
+                "semigroup fails validation: {laws}")
             if not family_screened(tt, binary, ternary, self._skew.ok):
-                chk = family_report(tt, binary, ternary)
-                if not chk.ok:
-                    raise PreconditionError(
-                        "input is not a twisted Rota-Baxter family: %s"
-                        % sorted(chk.laws()))
+                family_report(tt, binary, ternary).require(
+                    "input is not a twisted Rota-Baxter family: {laws}")
         rho, theta = _induced_rep(tt)
         self.induced_rep = _built(OmegaRepresentation, algebra=O,
                                   dim=ctx.dimL, rho=rho, theta=theta)
@@ -271,10 +267,7 @@ def partial_deg0(cx: RBFComplex, e: DegreeZeroElement) -> CochainFamily:
 def _require_skew_context(cx: RBFComplex) -> None:
     """Refuse a context outside the hypotheses of the canonical-tuple
     evaluation."""
-    if not cx._skew.ok:
-        raise PreconditionError(
-            "the brackets or cocycle of the context are not skew: %s"
-            % (cx._skew.violations[0],))
+    cx._skew.require("the brackets or cocycle of the context are not skew: {first}")
 
 
 def _first_order_tables(cx: RBFComplex, f: CochainFamily):

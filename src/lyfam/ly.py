@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import MalformedInputError, PreconditionError
+from .errors import MalformedInputError
 from .report import Report
 from .semigroup import (FiniteCommutativeSemigroup, trivial_semigroup,
                         validate_semigroup)
@@ -284,10 +284,7 @@ def check_jacobi(binary) -> Report:
 
 def ly_from_lie(lie_binary) -> LYAlgebra:
     """{x,y,z} = [[x,y],z] on top of a Lie bracket."""
-    jac = check_jacobi(lie_binary)
-    if not jac.ok:
-        raise PreconditionError(
-            "input bracket is not a Lie bracket: %s" % sorted(jac.laws()))
+    check_jacobi(lie_binary).require("input bracket is not a Lie bracket: {laws}")
     n = len(lie_binary)
     b = LYAlgebra(n, lie_binary, zero_ly(n).ternary).binary
     return LYAlgebra(n, lie_binary, linalg.contract_each(b, b, 2))
@@ -305,18 +302,14 @@ def check_leibniz(star) -> Report:
 
 def ly_from_leibniz(star) -> LYAlgebra:
     """[x,y] = x*y - y*x and {x,y,z} = -(x*y)*z on top of a left Leibniz product."""
-    law = check_leibniz(star)
-    if not law.ok:
-        raise PreconditionError("input product violates the left Leibniz law")
+    check_leibniz(star).require("input product violates the left Leibniz law")
     n = len(star)
     binary = [[linalg.vec_sub(star[i][j], star[j][i])
                for j in range(n)] for i in range(n)]
     ternary = linalg.map_at(linalg.vec_neg, linalg.contract_each(star, star, 2), 3)
     out = LYAlgebra(n, binary, ternary)
-    chk = check_ly_axioms(out)
-    if not chk.ok:
-        raise PreconditionError(
-            "Leibniz input produced an invalid bracket pair: %s" % sorted(chk.laws()))
+    check_ly_axioms(out).require(
+        "Leibniz input produced an invalid bracket pair: {laws}")
     return out
 
 
@@ -368,8 +361,7 @@ def joint_table(s: FiniteCommutativeSemigroup, dims, value, place=False):
 
 def ly_tensor_semigroup(A: LYAlgebra, s: FiniteCommutativeSemigroup) -> LYAlgebra:
     """[a@x, b@y] = [a,b]@xy and {a@x, b@y, c@z} = {a,b,c}@xyz on L (x) K-Omega."""
-    if not validate_semigroup(s).ok:
-        raise PreconditionError("semigroup fails validation")
+    validate_semigroup(s).require("semigroup fails validation")
     n, b, t = A.dim, A.binary, A.ternary
     binary = joint_table(s, (n, n), lambda al, ix: b[ix[0]][ix[1]], place=True)
     ternary = joint_table(s, (n, n, n), lambda al, ix: t[ix[0]][ix[1]][ix[2]],

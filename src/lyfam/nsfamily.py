@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from . import linalg
 from .errors import MalformedInputError, PreconditionError
 from .ly import joint_table
+from .omega import _screened
 from .rbfamily import (bar_operator, family_check, family_tables,
                        induced_products, nijenhuis_induced_context)
 from .report import Report
@@ -169,12 +170,12 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
     {[x, y, w], z, v} and [dbl(x, y, z), w, v], [z, dbl(x, y, w), v];
     (4.29) star3(dbl(x, y, z), w, u), star3(z, dbl(x, y, w), u).  Such a
     residual is 0 where the two joint labels i*M + a are equal and minus
-    its value at the swapped tuple elsewhere.  So each phase first
-    evaluates its blocks where the label of x is below that of y, and
-    (4.18) or (4.20) at the other outer tuples; when all vanish, the
-    phase's sweep would record nothing and is skipped.  Otherwise, and for
-    a family that is not skew, it runs unchanged and alone records the
-    violations."""
+    its value at the swapped tuple elsewhere.  So each phase declares its
+    laws once, and omega._screened evaluates its blocks where the label of
+    x is below that of y, and (4.18) or (4.20), whose sign changes with y
+    and z, off that pair, at the other outer tuples; when all vanish, the
+    phase's sweep would record nothing and is skipped.  Otherwise, and for a family
+    that is not skew, it runs unchanged and alone records the violations."""
     t, m, n, d = N.semigroup.table, range(N.semigroup.order), range(N.dim), N.dim
     BL, VV, CU, SQ = N.bullet, N.vee, N.ternary_curly, N.ternary_square
     S2, S3, DB = derived_brackets(N)
@@ -265,27 +266,22 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
                        c6[l][k * d + p], c7[(k * d + l) * d + p], c8[p][k * d + l])
                   for p in n] for l in n] for k in n]
 
-    rep, M = N.invariant_report(), N.semigroup.order
-    screened = rep.ok and all(t[a][b] == t[b][a] for a in m for b in m)
+    rep = N.invariant_report()
+    skew = rep.ok  # read before a sweep adds to rep
 
-    def sweep(ranges, laws, elsewhere=()):
-        # rep.sweep(ranges, laws), skipped when the screen finds every residual
-        # 0: of laws at each outer tuple (a, b, ..., i, j) with i*M + a <
-        # j*M + b, and of the laws elsewhere at the others
-        for w in itertools.product(*ranges) if screened else ():
-            for name, f, depth in laws if w[-2] * M + w[0] < w[-1] * M + w[1] \
-                    else elsewhere:
-                vecs = f(*w)
-                for _ in range(depth - (type(name) is str)):  # to a list of vectors
-                    vecs = [v for sub in vecs for v in sub]
-                if any(map(any, vecs)):
-                    return rep.sweep(ranges, laws)
-        return rep if screened else rep.sweep(ranges, laws)
+    def phase(ne, laws, off=()):
+        # rep.sweep of laws over ne elements and the indices of x and y,
+        # unless _screened finds that they and the laws off their pair hold;
+        # a block with a tuple of names has one more level of lists
+        screen = [[(f, ne, 2, 0, depth + (type(name) is not str))
+                   for name, f, depth in group] for group in (laws, off)]
+        if not _screened(N.semigroup, N.dim, skew, *screen):
+            rep.sweep([m] * ne + [n] * 2, laws)
 
     # three elements, three indices; (4.16)-(4.18) and (4.28) add one index
     F21, T28, H21, R18 = at_s2(VV, 1), at_s2(s30, 1), each(bl, VV, 4), each(bl, CU, 5)
     Q16 = [[[each(cu0[x][g], BL[y], 2) for y in m] for g in m] for x in m]
-    sweep([m] * 3 + [n] * 2, [
+    phase(3, [
         ("NSF-4.21", lambda a, b, g, i, j: [vsum(
             "+++---+++", F21[a][b][g][i][j][k], F21[b][g][a][j][k][i],
             F21[g][a][b][k][i][j], H21[a][b][i][j][g * d + k],
@@ -297,13 +293,14 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
     del F21, T28, H21, R18, Q16
     # four elements, four indices; (4.19), (4.20), (4.29), (4.30) add one
     V22, W22, Z23 = at(lambda X: each(X, VV, 4), cu0, 2), at_s2(sq0, 2), each(bl, SQ, 6)
-    sweep([m] * 4 + [n] * 2, [
+    phase(4, [
         (("NSF-4.22", "NSF-4.23"), block23, 2),
         (("NSF-4.19", "NSF-4.20", "NSF-4.29", "NSF-4.30"), block4, 3)],
         [("NSF-4.20", law20, 3)])
     del V22, W22, Z23
     # (4.24): five elements, five indices
-    return sweep([m] * 5 + [n] * 2, [("NSF-4.24", block5, 3)])
+    phase(5, [("NSF-4.24", block5, 3)])
+    return rep
 
 
 def check_ns_axioms(N: NSAlgebra) -> Report:
@@ -317,10 +314,7 @@ def check_ns_axioms(N: NSAlgebra) -> Report:
 
 def ns_tensor_semigroup(N: NSFamilyAlgebra) -> NSAlgebra:
     """The single NS algebra on L (x) K-Omega induced by an NS family."""
-    chk = check_ns_family_axioms(N)
-    if not chk.ok:
-        raise PreconditionError("input fails the NS family axioms: %s"
-                                % sorted(chk.laws()))
+    check_ns_family_axioms(N).require("input fails the NS family axioms: {laws}")
     s, n = N.semigroup, N.dim
     bl, v, c, q = N.bullet, N.vee, N.ternary_curly, N.ternary_square
 
@@ -346,8 +340,9 @@ def ns_from_twisted_rb(ctx, check: bool = True) -> NSFamilyAlgebra:
     through the table of Gamma2(x, y, -), can change the type of a zero
     whose terms cancel)."""
     tt = family_tables(ctx)
-    if check and not family_check(tt, *induced_products(tt)).ok:
-        raise PreconditionError("input is not a twisted Rota-Baxter family")
+    if check:
+        family_check(tt, *induced_products(tt)).require(
+            "input is not a twisted Rota-Baxter family")
     s, nv, T = ctx.semigroup, ctx.dimV, tt.X
     m, u = range(s.order), range(nv)
 

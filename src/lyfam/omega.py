@@ -191,25 +191,27 @@ def _omega_ly_report(O: OmegaLYAlgebra, skew: bool) -> Report:
     return rep.sweep([m] * 5 + [n] * 2, [("OLY-5.5", block5, 3)])
 
 
-def _screened(s: FiniteCommutativeSemigroup, dim: int, skew: bool, laws) -> bool:
+def _screened(s: FiniteCommutativeSemigroup, dim: int, skew: bool, laws,
+              off=()) -> bool:
     """Whether the screen finds that every law holds: the laws' skewness
-    hypothesis holds (skew), the table of s is commutative, and each law
-    vanishes where the joint labels i*M + a (i < dim) of its slot pair
-    increase strictly.  A law (residuals, ne, nb, p, depth) takes ne
-    semigroup and then nb basis indices, slot t of a tuple w is (w[t],
-    w[ne + t]), its pair is slots p and p + 1, and residuals(*w) holds
-    vectors depth lists deep."""
+    hypothesis holds (skew), the table of s is commutative, each law of
+    laws vanishes where the joint labels i*M + a (i < dim) of its slot pair
+    increase strictly, and each law of off where they do not.  A law
+    (residuals, ne, nb, p, depth) takes ne semigroup and then nb basis
+    indices, slot t of a tuple w is (w[t], w[ne + t]), its pair is slots p
+    and p + 1, and residuals(*w) holds vectors depth lists deep."""
     t, m, M, n = s.table, s.elements, s.order, range(dim)
     if not (skew and all(t[a][b] == t[b][a] for a in m for b in m)):
         return False
-    for residuals, ne, nb, p, depth in laws:
-        for w in itertools.product(*[m] * ne, *[n] * nb):
-            if w[ne + p] * M + w[p] < w[ne + p + 1] * M + w[p + 1]:
-                vecs = [residuals(*w)]
-                for _ in range(depth):
-                    vecs = [v for block in vecs for v in block]
-                if any(map(any, vecs)):
-                    return False
+    for on, group in ((True, laws), (False, off)):
+        for residuals, ne, nb, p, depth in group:
+            for w in itertools.product(*[m] * ne, *[n] * nb):
+                if (w[ne + p] * M + w[p] < w[ne + p + 1] * M + w[p + 1]) == on:
+                    vecs = [residuals(*w)]
+                    for _ in range(depth):
+                        vecs = [v for block in vecs for v in block]
+                    if any(map(any, vecs)):
+                        return False
     return True
 
 
@@ -218,27 +220,20 @@ def omega_ly_from_omega_lie(dim: int, s: FiniteCommutativeSemigroup,
     """Indexed Lie bracket family with the induced ternary
     {x,y,z}_{a,b,c} = [[x,y]_{a,b}, z]_{ab,c}."""
     O = OmegaLYAlgebra(dim, s, binary, zero_omega_ly(dim, s).ternary)
-    bad = O.invariant_report()
-    if not bad.ok:
-        raise PreconditionError("binary tensor is not skew: %s"
-                                % (bad.violations[0],))
+    O.invariant_report().require("binary tensor is not skew: {first}")
     m, n, F2 = s.elements, range(dim), _bracket_of_bracket(O, O.binary, 1)
-    rep = Report().sweep([m] * 3 + [n] * 3, [
+    Report().sweep([m] * 3 + [n] * 3, [
         ("OLIE-jacobi", lambda a, b, c, i, j, k: vec_sum(
-            "+++", F2[a][b][c][i][j][k], F2[b][c][a][j][k][i], F2[c][a][b][k][i][j]))])
-    if not rep.ok:
-        raise PreconditionError("indexed Jacobi identity fails: %s"
-                                % (rep.violations[0],))
+            "+++", F2[a][b][c][i][j][k], F2[b][c][a][j][k][i], F2[c][a][b][k][i][j]))
+    ]).require("indexed Jacobi identity fails: {first}")
     return OmegaLYAlgebra(dim, s, O.binary, F2)
 
 
 def omega_ly_from_ns_family(N) -> OmegaLYAlgebra:
     """Indexed algebra on the derived star-binary and double brackets."""
     from .nsfamily import check_ns_family_axioms, derived_brackets
-    bad = check_ns_family_axioms(N)
-    if not bad.ok:
-        raise PreconditionError("input fails the splitting-family axioms: %s"
-                                % (bad.violations[0],))
+    check_ns_family_axioms(N).require(
+        "input fails the splitting-family axioms: {first}")
     star2, _, dbl = derived_brackets(N)
     return OmegaLYAlgebra(dim=N.dim, semigroup=N.semigroup,
                           binary=star2, ternary=dbl)
@@ -248,9 +243,7 @@ def omega_ly_from_reynolds(A, s, family) -> OmegaLYAlgebra:
     """Indexed algebra induced by a Reynolds family on the algebra itself."""
     from .rbfamily import reynolds_context
     ctx, (binary, ternary), bad = reynolds_context(A, s, family)
-    if not bad.ok:
-        raise PreconditionError("input fails the Reynolds family laws: %s"
-                                % (bad.violations[0],))
+    bad.require("input fails the Reynolds family laws: {first}")
     return OmegaLYAlgebra(ctx.dimV, s, binary, ternary)
 
 
@@ -602,10 +595,7 @@ def skew_basis(degree, dims, s: FiniteCommutativeSemigroup) -> SkewBasis:
 def _require_skew_brackets(O: OmegaLYAlgebra) -> None:
     """Refuse an algebra outside the hypotheses of the canonical-tuple
     evaluation: its brackets must be skew."""
-    bad = O.invariant_report()
-    if not bad.ok:
-        raise PreconditionError("the brackets of the algebra are not skew: %s"
-                                % (bad.violations[0],))
+    O.invariant_report().require("the brackets of the algebra are not skew: {first}")
 
 
 def _plus(acc, sign, v):

@@ -332,9 +332,7 @@ def check_reynolds_family(A: LYAlgebra, s, T) -> Report:
 
 def reynolds_as_twisted(A: LYAlgebra, s, T) -> TwistedRBContext:
     ctx, _, chk = reynolds_context(A, s, T)
-    if not chk.ok:
-        raise PreconditionError(
-            "not a Reynolds family: %s" % sorted(chk.laws()))
+    chk.require("not a Reynolds family: {laws}")
     return ctx
 
 
@@ -356,8 +354,7 @@ def _inclusions(n, s):
 
 def identity_family(A: LYAlgebra, s: FiniteCommutativeSemigroup) -> TwistedRBContext:
     """id_alpha : L -> L (x) K-Omega, a -> a (x) alpha, twisted by (-[.,.], -{.,.,.})."""
-    if not validate_semigroup(s).ok:
-        raise PreconditionError("semigroup fails validation")
+    validate_semigroup(s).require("semigroup fails validation")
     n = A.dim
     Lhat = ly_tensor_semigroup(A, s)
     adj, g = adjoint_representation(A), gamma_ad(A)
@@ -408,10 +405,7 @@ def check_nijenhuis_family(A: LYAlgebra, s, N) -> Report:
 
 def nijenhuis_induced_context(A: LYAlgebra, s, N) -> TwistedRBContext:
     """Deformed structure on L (x) K-Omega induced by a Nijenhuis family."""
-    chk = check_nijenhuis_family(A, s, N)
-    if not chk.ok:
-        raise PreconditionError(
-            "not a Nijenhuis family: %s" % sorted(chk.laws()))
+    check_nijenhuis_family(A, s, N).require("not a Nijenhuis family: {laws}")
     n, t, E = A.dim, s.table, linalg.identity(A.dim)
     br, tr, mv, vsum = A.bracket, A.tri, linalg.mat_vec, linalg.vec_sum
     NE = [[mv(Na, e) for e in E] for Na in N]  # NE[alpha][i] = N_alpha e_i
@@ -460,9 +454,7 @@ def nijenhuis_induced_context(A: LYAlgebra, s, N) -> TwistedRBContext:
 
 def bar_operator(ctx: TwistedRBContext) -> TwistedRBContext:
     """Collapse a family to one operator on V (x) K-Omega (trivial index set)."""
-    chk = check_twisted_rb_family(ctx)
-    if not chk.ok:
-        raise PreconditionError("input is not a twisted Rota-Baxter family")
+    check_twisted_rb_family(ctx).require("input is not a twisted Rota-Baxter family")
     r, c, s = ctx.rep, ctx.cocycle, ctx.semigroup
     n, nv, NV = ctx.dimL, ctx.dimV, ctx.dimV * s.order
     rho_cols = [list(zip(*m)) for m in r.rho]

@@ -8,6 +8,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .errors import PreconditionError
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -69,6 +71,15 @@ class Report:
             for k, residuals in enumerate(block):
                 for law, residual in zip(name, residuals):
                     self.record(law, w + (k,), residual)
+
+    def require(self, message: str) -> "Report":
+        """Return self when empty; otherwise refuse with
+        PreconditionError(message), its {first} the first violation and its
+        {laws} the sorted law names."""
+        if self.violations:
+            raise PreconditionError(message.format(
+                first=self.violations[0], laws=sorted(self.laws())))
+        return self
 
     def extend(self, other: "Report") -> None:
         self.violations.extend(other.violations)

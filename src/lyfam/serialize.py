@@ -21,7 +21,7 @@ import os
 import re
 from fractions import Fraction
 
-from .errors import MalformedInputError, PreconditionError
+from .errors import MalformedInputError
 from .linalg import vec_add, zero_vec, zeros
 from .ly import Cocycle23, LYAlgebra, Representation
 from .nsfamily import NSFamilyAlgebra
@@ -402,9 +402,7 @@ def cochain_from_json(d: dict) -> CochainFamily:
     (cochain_skew_report); only its canonical entries are kept, since the
     others follow from them."""
     s, degree, dim_alg, dim_coeff, tables, bad = _read_cochain(d)
-    if not bad.ok:
-        raise PreconditionError("the cochain is not skew: %s"
-                                % (bad.violations[0],))
+    bad.require("the cochain is not skew: {first}")
     if degree == 1:
         return CochainFamily(s, dim_alg, dim_coeff, 1, _filled(
             (s.order, dim_coeff, dim_alg),
