@@ -174,8 +174,9 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
     laws once, and omega._screened evaluates its blocks where the label of
     x is below that of y, and (4.18) or (4.20), whose sign changes with y
     and z, off that pair, at the other outer tuples; when all vanish, the
-    phase's sweep would record nothing and is skipped.  Otherwise, and for a family
-    that is not skew, it runs unchanged and alone records the violations."""
+    phase's sweep would record nothing and is skipped.  Otherwise, and for
+    a family that is not skew, it runs unchanged and alone records the
+    violations."""
     t, m, n, d = N.semigroup.table, range(N.semigroup.order), range(N.dim), N.dim
     BL, VV, CU, SQ = N.bullet, N.vee, N.ternary_curly, N.ternary_square
     S2, S3, DB = derived_brackets(N)
