@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd, lcm, prod
 from operator import getitem
 
@@ -32,29 +32,36 @@ def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
 
-@lru_cache(maxsize=None)
-def _signed_sum(signs, nterms):
-    """The function of a sequence of vectors that adds and subtracts them
-    coordinate by coordinate, left to right with the signs of the string
-    signs, as a chain of vec_add/vec_sub on whole vectors would."""
-    if not signs or len(signs) != nterms or not set(signs) <= {"+", "-"}:
-        raise ValueError("need one sign, '+' or '-', per term: %r for %d"
-                         % (signs, nterms))
+_SUMS = {}  # sign string -> its summing function (_summing), built once
+
+
+def _summing(signs):
+    """The function of a tuple of one vector per sign that adds and subtracts
+    them coordinate by coordinate, left to right with the signs, as a chain
+    of vec_add/vec_sub on whole vectors would.  It unpacks the tuple first,
+    so a tuple of another length is a ValueError."""
+    if not signs or not set(signs) <= {"+", "-"}:
+        raise ValueError("need one sign, '+' or '-', per term: %r" % (signs,))
     expr = "".join("%sc%d" % (s, k) for k, s in enumerate(signs)).lstrip("+")
-    names = "".join("c%d," % k for k in range(nterms))
-    # e.g. lambda vecs: [c0-c1+c2 for c0,c1,c2, in zip(*vecs)]
-    return eval("lambda vecs: [%s for %s in zip(*vecs)]" % (expr, names))
+    cs, vs = ("".join("%s%d," % (x, k) for k in range(len(signs))) for x in "cv")
+    scope = {}  # def f(vecs): v0,v1, = vecs; return [c0-c1 for c0,c1, in zip(v0,v1,)]
+    exec("def f(vecs):\n %s = vecs\n return [%s for %s in zip(%s)]"
+         % (vs, expr, cs, vs), scope)
+    f = _SUMS[signs] = scope["f"]
+    return f
 
 
 def vec_sum(signs, *vecs):
     """vecs[0] +- vecs[1] +- ..., one sign per vector in the string signs;
     each coordinate is summed left to right."""
-    return _signed_sum(signs, len(vecs))(vecs)
+    return (_SUMS.get(signs) or _summing(signs))(vecs)
 
 
 def mat_sum(signs, *mats):
     """mats[0] +- mats[1] +- ..., row by row as vec_sum sums vectors."""
-    f = _signed_sum(signs, len(mats))
+    f = _SUMS.get(signs) or _summing(signs)
+    if len(mats) != len(signs):
+        raise ValueError("need one matrix per sign: %r" % (signs,))
     return [f(rows) for rows in zip(*mats)]
 
 
@@ -136,7 +143,8 @@ def mat_sub(a, b):
 
 
 def contract(table, *vecs):
-    """Value at vecs of the multilinear map with structure constants table.
+    """Value at vecs of the multilinear map with structure constants table:
+    the one cell of contract_grid(table, [v1], ..., [vk]), k >= 1.
 
     table is a nested list: table[i1]...[ik] is the value at the basis tuple
     (e_i1, ..., e_ik), a vector or a matrix (a list of rows).  The result
@@ -145,59 +153,67 @@ def contract(table, *vecs):
     coefficients and zero table entries are skipped, so each argument costs
     only its support.  Entries may be scalars or LinearForms.
     """
-    # (coefficient, sub-table) for every nonzero product of coordinates;
-    # plain loops with a counter are the fastest form on CPython 3.11
-    terms = [(1, table)]
-    for v in vecs:
-        nxt = []
-        for c, sub in terms:
-            i = 0
+    if len(vecs) == 1:  # the call of every law checker, without the grid
+        return _contract_list(table, vecs)[0]
+    return reduce(getitem, [0] * len(vecs), contract_grid(table, *[[v] for v in vecs]))
+
+
+def _contract_list(table, vecs):
+    """[contract(table, v) for v in vecs], with plain counter loops (the
+    fastest form on CPython 3.11): the terms x * table[i] at the nonzero
+    x = v[i] (the grid's coefficient 1 * x is x), each coordinate summed
+    over them from the int 0 at the nonzero entries, and a matrix row by
+    row, each row over all the terms."""
+    leaf, out = table[0] if table else [], []
+    if leaf and type(leaf[0]) is list:
+        for v in vecs:
+            terms, i = [], 0
             for x in v:
                 if x:
-                    nxt.append((c * x, sub[i]))
+                    terms.append((x, table[i]))
                 i += 1
-        terms = nxt
-    if terms:
-        leaf = terms[0][1]
-    else:
-        leaf = table
-        for _ in vecs:
-            leaf = leaf[0] if leaf else []
-    if leaf and type(leaf[0]) is list:
-        out = []
-        for a in range(len(leaf)):
-            orow = [0] * len(leaf[a])
-            for c, m in terms:
-                j = 0
-                for x in m[a]:
-                    if x:
-                        orow[j] += c * x
-                    j += 1
-            out.append(orow)
+            value = []
+            for a, lrow in enumerate(leaf):
+                orow = [0] * len(lrow)
+                for c, m in terms:
+                    j = 0
+                    for y in m[a]:
+                        if y:
+                            orow[j] += c * y
+                        j += 1
+                value.append(orow)
+            out.append(value)
         return out
-    out = [0] * len(leaf)
-    for c, v in terms:
-        k = 0
+    for v in vecs:
+        value, i = [0] * len(leaf), 0
         for x in v:
             if x:
-                out[k] += c * x
-            k += 1
+                k = 0
+                for y in table[i]:
+                    if y:
+                        value[k] += x * y
+                    k += 1
+            i += 1
+        out.append(value)
     return out
 
 
 def contract_grid(table, *lists, columns=None):
     """contract(table, v1, ..., vk) for every v1 in lists[0], ..., vk in
-    lists[k-1] (k >= 1), as the nested list out[j1]...[jk].
-
-    Each value is computed term for term as contract computes it: the same
-    (coefficient, sub-table) terms in the same order, each coordinate summed
-    from the int 0 over the nonzero entries of the leaves, so every value,
-    zero type and LinearForm key order is the same.  The supports of the
-    vectors are listed once per call, and the terms of v1, ..., vr once for
-    every combination that extends them.  With columns=n each value, a
-    matrix with n columns, is given by its columns, as transpose(value, n).
+    lists[k-1] (k >= 1), as the nested list out[j1]...[jk]: the one
+    contraction kernel.  Each value sums the terms 1 * v1[i1] * ... * vk[ik]
+    times table[i1]...[ik] at the nonzero coordinates, in the order of the
+    indices, each coordinate from the int 0 over the nonzero entries of the
+    leaves, so values, zero types and LinearForm key orders do not depend on
+    the lists.  One list is the straight path of _contract_list; with more,
+    the supports of the vectors are listed once per call, and the terms of
+    v1, ..., vr once for every combination that extends them.  With
+    columns=n each value, a matrix with n columns, is given by its columns,
+    as transpose(value, n).
     """
-    leaf = table  # every value has the shape of this leaf, as in contract
+    if columns is None and len(lists) == 1:
+        return _contract_list(table, lists[0])
+    leaf = table  # every value has the shape of this leaf
     for _ in lists:
         leaf = leaf[0] if leaf else []
     matrix = columns is not None or bool(leaf) and type(leaf[0]) is list
@@ -286,11 +302,6 @@ def slot_views(table, depth):
     first, and their vectors in order: four tables indexed as table is."""
     views = [map_at(lambda X: lead_slot(X, s, 3), table, depth) for s in range(3)]
     return views + [map_at(flatten, views[0], depth)]
-
-
-def contract_each(table, vecs, depth=1):
-    """contract(table, v) for each vector v at the given depth of vecs."""
-    return map_at(lambda v: contract(table, v), vecs, depth)
 
 
 def flatten(m):

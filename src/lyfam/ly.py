@@ -277,7 +277,7 @@ def check_jacobi(binary) -> Report:
     """Skewness and the Jacobi identity for a would-be Lie bracket tensor."""
     n = len(binary)
     A = LYAlgebra(n, binary, zero_ly(n).ternary)
-    r, bb = range(n), linalg.contract_each(A.binary, A.binary, 2)
+    r, bb = range(n), [linalg.contract_grid(A.binary, vs) for vs in A.binary]
     return A.invariant_report().sweep([r] * 3, [("jacobi", lambda i, j, k: (
         linalg.vec_sum("+++", bb[i][j][k], bb[j][k][i], bb[k][i][j])))])
 
@@ -287,15 +287,15 @@ def ly_from_lie(lie_binary) -> LYAlgebra:
     check_jacobi(lie_binary).require("input bracket is not a Lie bracket: {laws}")
     n = len(lie_binary)
     b = LYAlgebra(n, lie_binary, zero_ly(n).ternary).binary
-    return LYAlgebra(n, lie_binary, linalg.contract_each(b, b, 2))
+    return LYAlgebra(n, lie_binary, [linalg.contract_grid(b, vs) for vs in b])
 
 
 def check_leibniz(star) -> Report:
     """Left Leibniz law x*(y*z) = (x*y)*z + y*(x*z) for a product tensor."""
     # e_i*(e_j*e_k) at P[i][j][k] (and e_j*(e_i*e_k) at P[j][i][k]), (e_i*e_j)*e_k
     # at Q[i][j][k]
-    n, mm = range(len(star)), linalg.mat_mul
-    P, Q = [[mm(y, x) for y in star] for x in star], linalg.contract_each(star, star, 2)
+    n, mm, grid = range(len(star)), linalg.mat_mul, linalg.contract_grid
+    P, Q = [[mm(y, x) for y in star] for x in star], [grid(star, vs) for vs in star]
     return Report().sweep([n] * 3, [("leibniz-left", lambda i, j, k: (
         linalg.vec_sum("+--", P[i][j][k], Q[i][j][k], P[j][i][k])))])
 
@@ -306,7 +306,8 @@ def ly_from_leibniz(star) -> LYAlgebra:
     n = len(star)
     binary = [[linalg.vec_sub(star[i][j], star[j][i])
                for j in range(n)] for i in range(n)]
-    ternary = linalg.map_at(linalg.vec_neg, linalg.contract_each(star, star, 2), 3)
+    ternary = linalg.map_at(linalg.vec_neg, [linalg.contract_grid(star, vs)
+                                             for vs in star], 3)
     out = LYAlgebra(n, binary, ternary)
     check_ly_axioms(out).require(
         "Leibniz input produced an invalid bracket pair: {laws}")

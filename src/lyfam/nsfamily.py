@@ -114,7 +114,7 @@ def derived_brackets(N: NSFamilyAlgebra):
     operation at basis vectors is read from its contraction at the first
     one, and the terms add up in the order of star2, star3 and dbl."""
     t, m, n, d = N.semigroup.table, range(N.semigroup.order), range(N.dim), N.dim
-    E, each, vsum, at, lead = linalg.identity(d), linalg.contract_each, \
+    E, each, vsum, at, lead = linalg.identity(d), linalg.contract_grid, \
         linalg.vec_sum, linalg.map_at, linalg.lead_slot
     # e_i . e_j at bl[a][i][j], each curly and square product at [..][i][j*d+k]
     bl, vv, cu, sq = (at(lambda X: each(lead(X, 0, r), E), T, k) for T, k, r in (
@@ -123,8 +123,10 @@ def derived_brackets(N: NSFamilyAlgebra):
     s2 = [[[[vsum("+-+", bl[a][i][j], bl[b][j][i], vv[a][b][i][j]) for j in n]
             for i in n] for b in m] for a in m]
     # e_i . (e_j . e_k) at [a][b][j][k][i], star2(e_i, e_j) . e_k at [a][b][i][j][k]
-    inner = [[each(lead(X, 1, 2), bl[b], 2) for b in m] for X in N.bullet]
-    outer = [[each(N.bullet[t[a][b]], s2[a][b], 2) for b in m] for a in m]
+    inner = [[[each(Y, vs) for vs in bl[b]] for b in m]
+             for Y in (lead(X, 1, 2) for X in N.bullet)]
+    outer = [[[each(N.bullet[t[a][b]], vs) for vs in s2[a][b]] for b in m]
+             for a in m]
     s3 = [[[[[vsum("+-+--", cu[b][a][k][j * d + i], cu[a][b][k][i * d + j],
                    inner[a][b][j][k][i], inner[b][a][i][k][j], outer[a][b][i][j][k])
               for k in n] for j in n] for i in n] for b in m] for a in m]
@@ -180,7 +182,7 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
     t, m, n, d = N.semigroup.table, range(N.semigroup.order), range(N.dim), N.dim
     BL, VV, CU, SQ = N.bullet, N.vee, N.ternary_curly, N.ternary_square
     S2, S3, DB = derived_brackets(N)
-    ct, each, mm, vsum, at, lead = linalg.contract, linalg.contract_each, \
+    ct, each, mm, vsum, at, lead = linalg.contract, linalg.contract_grid, \
         linalg.mat_mul, linalg.vec_sum, linalg.map_at, linalg.lead_slot
     (cu0, cu1, cu2, curows), (s30, s31, s32, s3rows), (sq0, sq1, sq2, sqrows) = (
         linalg.slot_views(X, k) for X, k in ((CU, 2), (S3, 2), (SQ, 3)))
@@ -190,8 +192,8 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
         at(linalg.flatten, VV, 2), at(linalg.flatten, S2, 2)
 
     def at_s2(X, depth):  # each table at depth of X[ab] at star2_ab(e_i, e_j)
-        return [[at(lambda Y: each(Y, S2[a][b], 2), X[t[a][b]], depth) for b in m]
-                for a in m]
+        return [[at(lambda Y: [each(Y, vs) for vs in S2[a][b]], X[t[a][b]], depth)
+                 for b in m] for a in m]
 
     def law18(a, b, g, i, j):  # residuals of (4.18) at [k][l]
         u18 = each([[r[l * d + i] for l in n] for r in cu2[a][t[b][g]]], S2[b][g][j])
@@ -280,8 +282,9 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
             rep.sweep([m] * ne + [n] * 2, laws)
 
     # three elements, three indices; (4.16)-(4.18) and (4.28) add one index
-    F21, T28, H21, R18 = at_s2(VV, 1), at_s2(s30, 1), each(bl, VV, 4), each(bl, CU, 5)
-    Q16 = [[[each(cu0[x][g], BL[y], 2) for y in m] for g in m] for x in m]
+    F21, T28 = at_s2(VV, 1), at_s2(s30, 1)
+    H21, R18 = at(lambda vs: each(bl, vs), VV, 3), at(lambda vs: each(bl, vs), CU, 4)
+    Q16 = [[[[each(cu0[x][g], vs) for vs in BL[y]] for y in m] for g in m] for x in m]
     phase(3, [
         ("NSF-4.21", lambda a, b, g, i, j: [vsum(
             "+++---+++", F21[a][b][g][i][j][k], F21[b][g][a][j][k][i],
@@ -293,7 +296,8 @@ def check_ns_family_axioms(N: NSFamilyAlgebra) -> Report:
         [("NSF-4.18", law18, 2)])
     del F21, T28, H21, R18, Q16
     # four elements, four indices; (4.19), (4.20), (4.29), (4.30) add one
-    V22, W22, Z23 = at(lambda X: each(X, VV, 4), cu0, 2), at_s2(sq0, 2), each(bl, SQ, 6)
+    V22, W22, Z23 = at(lambda X: at(lambda vs: each(X, vs), VV, 3), cu0, 2), \
+        at_s2(sq0, 2), at(lambda vs: each(bl, vs), SQ, 5)
     phase(4, [
         (("NSF-4.22", "NSF-4.23"), block23, 2),
         (("NSF-4.19", "NSF-4.20", "NSF-4.29", "NSF-4.30"), block4, 3)],

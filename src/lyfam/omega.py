@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, MalformedInputError, PreconditionError
-from .linalg import (contract, contract_each, flatten, form_columns, form_kernel,
+from .linalg import (contract, contract_grid, flatten, form_columns, form_kernel,
                      generic_vector, has_shape, lead_slot, map_at, mat_mul,
                      mat_sum, mat_vec, quotient, slot_views, transpose, vec_add,
                      vec_neg, vec_scale, vec_sum, zero_vec, zeros)
@@ -119,7 +119,8 @@ def _bracket_of_bracket(O: OmegaLYAlgebra, Y, depth):
     slot, at [a][b]...[i][j]: for Y = O.binary and depth 1, the vector
     [[e_i, e_j]_ab, e_k]_(ab)c at [a][b][c][i][j][k]."""
     t, m, B = O.semigroup.table, O.semigroup.elements, O.binary
-    return [[map_at(lambda X: contract_each(X, B[a][b], 2), Y[t[a][b]], depth)
+    return [[map_at(lambda X: [contract_grid(X, vs) for vs in B[a][b]],
+                    Y[t[a][b]], depth)
              for b in m] for a in m]
 
 
@@ -147,7 +148,7 @@ def check_omega_ly_axioms(O: OmegaLYAlgebra) -> Report:
 def _omega_ly_report(O: OmegaLYAlgebra, skew: bool) -> Report:
     """check_omega_ly_axioms, told whether O.invariant_report() is empty."""
     t, m, n, d = O.semigroup.table, O.semigroup.elements, range(O.dim), O.dim
-    B, T, each = O.binary, O.ternary, contract_each
+    B, T, each = O.binary, O.ternary, contract_grid
     t0, t1, t2, trows = slot_views(T, 3)
     b1 = map_at(lambda X: lead_slot(X, 1, 2), B, 2)
     # [[e_i, e_j]_ab, e_k]_(ab)c at F2[a][b][c][i][j][k] and

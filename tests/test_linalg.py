@@ -259,7 +259,7 @@ def test_table_reads_equal_contract_at_basis_vectors(n, rank):
     vecs = [_entries(rng, (n,)) for _ in range(4)] + [[0] * n, [Fraction(0)] * n] + E
     for s in range(rank):
         view = la.lead_slot(X, s, rank)
-        for v, got in zip(vecs, la.contract_each(view, vecs)):
+        for v, got in zip(vecs, la.contract_grid(view, vecs)):
             for q, idx in enumerate(itertools.product(range(n), repeat=rank - 1)):
                 args = [E[i] for i in idx]
                 args.insert(s, v)
