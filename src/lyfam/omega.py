@@ -34,10 +34,12 @@ from .semigroup import FiniteCommutativeSemigroup, product, product_of
 DEFAULT_BUDGET = 100000
 
 
-def ensure_budget(ncoords: int) -> None:
+def ensure_budget(ncoords: int, what: str = "computation") -> None:
     """Refuse computations whose coordinate count exceeds LYFAM_BUDGET
-    (DEFAULT_BUDGET if unset).  The count is of stored coordinates: for a
-    pair-degree cochain, those of its canonical tuples (SkewBasis.size)."""
+    (DEFAULT_BUDGET if unset); what names the computation in the message.
+    The count is of stored coordinates: for a pair-degree cochain, those of
+    its canonical tuples (SkewBasis.size), and for a dense table read from a
+    file, its entries."""
     raw = os.environ.get("LYFAM_BUDGET", DEFAULT_BUDGET)
     try:
         budget = int(raw)
@@ -46,7 +48,7 @@ def ensure_budget(ncoords: int) -> None:
             "LYFAM_BUDGET is not an integer: %r" % (raw,)) from None
     if ncoords > budget:
         raise BudgetExceededError(
-            "computation needs %d coordinates, budget is %d" % (ncoords, budget))
+            "%s needs %d coordinates, budget is %d" % (what, ncoords, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +545,9 @@ class SkewBasis:
         M, nA, d = self.semigroup.order, self.dim_alg, self.dim_coeff
         if self.degree == 1:
             return M * nA * d
-        J = M * nA
-        return (J * (J - 1) // 2) ** (self.degree[0] // 2) * d * (1 + J)
+        J, npairs = M * nA, self.degree[0] // 2
+        free = J ** (self.degree[0] - 2 * npairs)  # labels of an odd slot
+        return (J * (J - 1) // 2) ** npairs * d * free * (1 + J)
 
     def embed(self, idx) -> CochainFamily:
         return self.combine([int(k == idx) for k in range(self.size)])

@@ -20,13 +20,14 @@ import json
 import os
 import re
 from fractions import Fraction
+from math import prod
 
 from .errors import MalformedInputError
 from .linalg import vec_add, zero_vec, zeros
 from .ly import Cocycle23, LYAlgebra, Representation
 from .nsfamily import NSFamilyAlgebra
-from .omega import (CochainFamily, OmegaLYAlgebra, cochain_build,
-                    cochain_full_table)
+from .omega import (CochainFamily, OmegaLYAlgebra, SkewBasis, cochain_build,
+                    cochain_full_table, ensure_budget)
 from .rbfamily import TwistedRBContext
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup
@@ -112,9 +113,12 @@ def tensor_entries(t) -> list:
             for i, v in enumerate(vec) if v]
 
 
-def _filled(dims, entries):
+def _filled(dims, entries, what):
     """The zero table of shape dims with the scalar of each (index tuple,
-    scalar) of entries put in place, in order."""
+    scalar) of entries put in place, in order.  Its entry count is charged
+    to the budget before it is allocated; what names the table."""
+    ensure_budget(prod(dims), "the %s table (%s)" % (
+        what, " x ".join(map(str, dims))))
     t = zeros(*dims)
     for idx, v in entries:
         row = t
@@ -127,7 +131,7 @@ def _filled(dims, entries):
 def tensor_from_entries(entries, what, fields, dims) -> list:
     """The table of shape dims listed by the sparse entries of a file;
     what and fields name the tensor and its indices in messages."""
-    return _filled(dims, sparse_entries(entries, what, fields, dims))
+    return _filled(dims, sparse_entries(entries, what, fields, dims), what)
 
 
 def bilinear_from_json(d: dict) -> list:
@@ -194,7 +198,7 @@ def ly_from_json(d: dict) -> LYAlgebra:
     def half(key, fields, k):
         dims = (n,) * k
         return _filled(dims, _mirrored(
-            sparse_entries(d.get(key, []), key, fields, dims), key))
+            sparse_entries(d.get(key, []), key, fields, dims), key), key)
 
     return LYAlgebra(n, half("binary", "i,j,k", 3),
                      half("ternary", "i,j,k,l", 4))
@@ -354,6 +358,9 @@ def _read_cochain(d: dict):
     dim_alg = header_int(d, "dim_alg", "cochain")
     dim_coeff = header_int(d, "dim_coeff", "cochain")
     s = semigroup_from_json(d["semigroup"])
+    # every coordinate the cochain stores, before a vector is allocated
+    ensure_budget(SkewBasis(degree, s, dim_alg, dim_coeff).size,
+                  "the cochain of degree %s" % (degree,))
     arities = (1,) if degree == 1 else degree
     entries = d.get("entries", [])
     _require(isinstance(entries, list), "cochain entries must be a list")
@@ -407,7 +414,7 @@ def cochain_from_json(d: dict) -> CochainFamily:
         return CochainFamily(s, dim_alg, dim_coeff, 1, _filled(
             (s.order, dim_coeff, dim_alg),
             (((a, row, col), v) for ((a,), (col,)), vec in tables.items()
-             for row, v in enumerate(vec))))
+             for row, v in enumerate(vec)), "cochain"))
 
     def value(alphas, idxs):
         return tables.get((tuple(alphas), tuple(idxs))) or zero_vec(dim_coeff)

@@ -1,7 +1,13 @@
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lyfam
 
 from lyfam import serialize as sz
 from lyfam.cli import main
@@ -582,3 +588,55 @@ def test_validate_reads_a_bilinear_file(files, tmp_path, capsys):
                             "entries": [[0, 1, 0, "1"], [1, 0, 0, "-1"]]})
     assert main(["validate", str(bil), "bilinear"]) == 0
     assert main(["validate", a_path, "bilinear"]) == 2
+
+
+HUGE = 2 ** 70
+S1_JSON = {"kind": "semigroup", "order": 1, "table": [[0]], "unit": 0}
+# (file, kind, the table it would allocate and its entry count)
+OVERSIZED = {
+    "ly-dim": ({"kind": "ly", "dim": HUGE, "binary": [], "ternary": []}, "ly",
+               "the binary table (%d x %d x %d)" % ((HUGE,) * 3), HUGE ** 3),
+    "cocycle-space-dim": ({"kind": "cocycle", "algebra_dim": 2,
+                           "space_dim": HUGE, "gamma1": [], "gamma2": []},
+                          "cocycle", "the gamma1 table (2 x 2 x %d)" % HUGE,
+                          4 * HUGE),
+    "direction-order": ({"kind": "direction", "order": HUGE, "dim_l": 2,
+                         "dim_v": 2, "family": []}, "direction",
+                        "the family table (%d x 2 x 2)" % HUGE, 4 * HUGE),
+    "cochain-dim-coeff": ({"kind": "cochain", "degree": 1, "dim_alg": 2,
+                           "dim_coeff": HUGE, "semigroup": S1_JSON,
+                           "entries": []}, "cochain",
+                          "the cochain of degree 1", 2 * HUGE),
+}
+
+
+def _limited_address_space():
+    # 1 GiB for the child alone: an allocation the budget misses fails
+    # fast there instead of filling the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("case,verb", [(c, "validate") for c in OVERSIZED]
+                         + [("direction-order", "deform")])
+def test_oversized_headers_are_refused_before_allocation(tmp_path, a1, s1,
+                                                         case, verb):
+    d, kind, table, count = OVERSIZED[case]
+    path = tmp_path / "huge.json"
+    sz.save_json(str(path), d)
+    if verb == "validate":
+        argv = ["validate", str(path), kind]
+    else:
+        ctx = tmp_path / "ctx.json"
+        sz.save_json(str(ctx), sz.context_to_json(identity_family(a1, s1)))
+        argv = ["deform", str(ctx), str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(lyfam.__file__).parents[1]))
+    env.pop("LYFAM_BUDGET", None)
+    done = subprocess.run([sys.executable, "-m", "lyfam", "--json"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_limited_address_space)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout) == {
+        "status": "violations",
+        "summary": "error: %s needs %d coordinates, budget is 100000"
+                   % (table, count)}
