@@ -36,10 +36,9 @@ _SUMS = {}  # sign string -> its summing function (_summing), built once
 
 
 def _summing(signs):
-    """The function of a tuple of one vector per sign that adds and subtracts
-    them coordinate by coordinate, left to right with the signs, as a chain
-    of vec_add/vec_sub on whole vectors would.  It unpacks the tuple first,
-    so a tuple of another length is a ValueError."""
+    """The function of a tuple of one vector per sign (else a ValueError)
+    that sums them coordinate by coordinate, left to right with the signs,
+    as a chain of vec_add/vec_sub on whole vectors would."""
     if not signs or not set(signs) <= {"+", "-"}:
         raise ValueError("need one sign, '+' or '-', per term: %r" % (signs,))
     expr = "".join("%sc%d" % (s, k) for k, s in enumerate(signs)).lstrip("+")
@@ -159,11 +158,9 @@ def contract(table, *vecs):
 
 
 def _contract_list(table, vecs):
-    """[contract(table, v) for v in vecs], with plain counter loops (the
-    fastest form on CPython 3.11): the terms x * table[i] at the nonzero
-    x = v[i] (the grid's coefficient 1 * x is x), each coordinate summed
-    over them from the int 0 at the nonzero entries, and a matrix row by
-    row, each row over all the terms."""
+    """[contract(table, v) for v in vecs] in plain counter loops, the fastest
+    form on CPython 3.11: the grid's terms, with 1 * x as x, and a matrix
+    summed row by row, each row over all the terms."""
     leaf, out = table[0] if table else [], []
     if leaf and type(leaf[0]) is list:
         for v in vecs:
@@ -203,14 +200,12 @@ def contract_grid(table, *lists, columns=None):
     lists[k-1] (k >= 1), as the nested list out[j1]...[jk]: the one
     contraction kernel.  Each value sums the terms 1 * v1[i1] * ... * vk[ik]
     times table[i1]...[ik] at the nonzero coordinates, in the order of the
-    indices, each coordinate from the int 0 over the nonzero entries of the
-    leaves, so values, zero types and LinearForm key orders do not depend on
-    the lists.  One list is the straight path of _contract_list; with more,
-    the supports of the vectors are listed once per call, and the terms of
-    v1, ..., vr once for every combination that extends them.  With
-    columns=n each value, a matrix with n columns, is given by its columns,
-    as transpose(value, n).
-    """
+    indices, each coordinate from the int 0 over the nonzero entries, so no
+    value, zero type or LinearForm key order depends on the lists.  One list
+    takes the straight path of _contract_list; with more, the supports are
+    listed once per call, and the terms of v1, ..., vr formed once for all
+    the combinations that extend them.  With columns=n each value, a matrix
+    with n columns, is given by its columns, as transpose(value, n)."""
     if columns is None and len(lists) == 1:
         return _contract_list(table, lists[0])
     leaf = table  # every value has the shape of this leaf

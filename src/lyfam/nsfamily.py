@@ -125,8 +125,7 @@ def derived_brackets(N: NSFamilyAlgebra):
     # e_i . (e_j . e_k) at [a][b][j][k][i], star2(e_i, e_j) . e_k at [a][b][i][j][k]
     inner = [[[each(Y, vs) for vs in bl[b]] for b in m]
              for Y in (lead(X, 1, 2) for X in N.bullet)]
-    outer = [[[each(N.bullet[t[a][b]], vs) for vs in s2[a][b]] for b in m]
-             for a in m]
+    outer = [[[each(N.bullet[t[a][b]], vs) for vs in s2[a][b]] for b in m] for a in m]
     s3 = [[[[[vsum("+-+--", cu[b][a][k][j * d + i], cu[a][b][k][i * d + j],
                    inner[a][b][j][k][i], inner[b][a][i][k][j], outer[a][b][i][j][k])
               for k in n] for j in n] for i in n] for b in m] for a in m]

@@ -121,8 +121,7 @@ def _bracket_of_bracket(O: OmegaLYAlgebra, Y, depth):
     slot, at [a][b]...[i][j]: for Y = O.binary and depth 1, the vector
     [[e_i, e_j]_ab, e_k]_(ab)c at [a][b][c][i][j][k]."""
     t, m, B = O.semigroup.table, O.semigroup.elements, O.binary
-    return [[map_at(lambda X: [contract_grid(X, vs) for vs in B[a][b]],
-                    Y[t[a][b]], depth)
+    return [[map_at(lambda X: [contract_grid(X, vs) for vs in B[a][b]], Y[t[a][b]], depth)
              for b in m] for a in m]
 
 
