@@ -10,7 +10,8 @@ from lyfam.errors import (BudgetExceededError, MalformedInputError,
 from lyfam.nsfamily import ns_from_twisted_rb
 from lyfam.omega import (OmegaLYAlgebra, OmegaRepresentation, _canonical_tuples,
                          check_omega_ly_axioms, check_omega_representation,
-                         cochain_build, cochain_full_coords, cochain_reader,
+                         SkewBasis, cochain_build, cochain_coords,
+                         cochain_full_coords, cochain_reader,
                          delta_omega, delta_star_omega, ensure_budget,
                          omega_ly_from_ns_family, omega_ly_from_omega_lie,
                          omega_ly_from_reynolds, omega_cohomology_dims,
@@ -165,6 +166,14 @@ def test_skew_basis_counts(s1, s2):
     assert (ne, no) == (2, 4)
     assert skew_basis(1, (2, 2), s2).size == 2 * 2 * 2
     assert skew_basis((2, 3), (2, 2), s2).size == 6 * 2 + 6 * 4 * 2
+
+
+@pytest.mark.parametrize("degree", [(1, 2), (2, 3), (3, 4)])
+def test_skew_basis_size_counts_the_stored_coordinates(s2, degree):
+    # an odd leading degree, as a cochain file may have, adds a free label
+    c = cochain_build(s2, 2, 3, degree, lambda al, xs: [0] * 3,
+                      lambda al, xs: [0] * 3)
+    assert SkewBasis(degree, s2, 2, 3).size == len(cochain_coords(c))
 
 
 def test_skew_basis_elements_are_skew(s2):
