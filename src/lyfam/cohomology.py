@@ -447,8 +447,7 @@ def deformation_equivalence_witness(cx: RBFComplex, d1, d2):
     witness = DegreeZeroElement(
         [(vec_scale(cv, E[a]), E[b])
          for cv, (a, b) in zip(x, wedge) if cv])
-    check = basis1.project(partial_deg0(cx, witness))
-    if check != [v for v in target]:
+    if not equivalent_deformations_same_class(cx, f1, f2, witness):
         raise ConsistencyError("solved witness fails substitution")
     return witness
 

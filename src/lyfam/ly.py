@@ -93,9 +93,6 @@ class Cocycle23:
     def g1_of(self, x, y):
         return linalg.contract(self.gamma1, x, y)
 
-    def g2_of(self, x, y, z):
-        return linalg.contract(self.gamma2, x, y, z)
-
     def is_zero(self) -> bool:
         return (all(not any(v) for row in self.gamma1 for v in row)
                 and all(not any(v) for p in self.gamma2 for r in p for v in r))

@@ -70,11 +70,6 @@ class NSFamilyAlgebra:
         out = linalg.vec_sub(out, self.cu(a, g, y, x, z))
         return linalg.vec_add(out, self.sq(a, b, g, x, y, z))
 
-    def basis(self, i):
-        e = linalg.zero_vec(self.dim)
-        e[i] = 1
-        return e
-
     def invariant_report(self) -> Report:
         m, n = range(self.semigroup.order), range(self.dim)
         v, q, add = self.vee, self.ternary_square, linalg.vec_add

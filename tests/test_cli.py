@@ -256,6 +256,17 @@ def test_construct_chain_to_indexed_algebra(files, tmp_path):
     assert main(["validate", str(om), "omega-ly"]) == 0
 
 
+def test_validate_omega_ly_sweeps_skewness_once(files, monkeypatch):
+    from lyfam.omega import OmegaLYAlgebra
+    om = files[0] / "om.json"
+    sz.save_json(str(om), _object_json(files, "omega-ly"))
+    calls, report = [], OmegaLYAlgebra.invariant_report
+    monkeypatch.setattr(OmegaLYAlgebra, "invariant_report",
+                        lambda O: calls.append(O) or report(O))
+    assert main(["validate", str(om), "omega-ly"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("order,dim", [(1, 1), (2, 3)])
 def test_nijenhuis_context_of_wrong_shape_exits_one(files, capsys, order, dim):
     tmp, a_path, s_path, _, _ = files

@@ -1,6 +1,7 @@
 """The exact text of each refusal made from a failed law report: the
 operation's message with the first violation or the sorted law names,
-reached through the public function or through `lyfam --json`."""
+reached through the public function or through `lyfam --json`; and of each
+shape, degree and index refusal that no other test reaches."""
 import copy
 import json
 
@@ -11,18 +12,23 @@ from lyfam import cli, ly
 from lyfam import linalg as la
 from lyfam import serialize as sz
 from lyfam.cohomology import (DeformationDirection, RBFComplex,
-                              induced_omega_ly_on_V, partial_deg1)
-from lyfam.errors import PreconditionError
-from lyfam.ly import (Cocycle23, ly_from_leibniz, ly_from_lie,
+                              induced_omega_ly_on_V, partial_23, partial_deg1,
+                              partial_star_23)
+from lyfam.errors import MalformedInputError, PreconditionError
+from lyfam.ly import (Cocycle23, LYAlgebra, ly_from_leibniz, ly_from_lie,
                       ly_tensor_semigroup, zero_ly, zero_representation)
-from lyfam.nsfamily import ns_from_twisted_rb, ns_tensor_semigroup
-from lyfam.omega import (CochainFamily, delta_omega, omega_ly_from_ns_family,
+from lyfam.nsfamily import (check_ns_axioms, ns_from_twisted_rb,
+                            ns_tensor_semigroup)
+from lyfam.omega import (CochainFamily, delta_omega, delta_star_omega,
+                         omega_cohomology_dims, omega_ly_from_ns_family,
                          omega_ly_from_omega_lie, omega_ly_from_reynolds,
-                         zero_omega_ly, zero_omega_representation)
-from lyfam.rbfamily import (TwistedRBContext, bar_operator, identity_family,
-                            nijenhuis_induced_context, reynolds_as_twisted)
+                         skew_basis, zero_omega_ly, zero_omega_representation)
+from lyfam.rbfamily import (TwistedRBContext, bar_operator, check_morphism,
+                            identity_family, nijenhuis_induced_context,
+                            reynolds_as_twisted)
 from lyfam.report import Report
-from lyfam.semigroup import FiniteCommutativeSemigroup, trivial_semigroup
+from lyfam.semigroup import (FiniteCommutativeSemigroup, product, product_of,
+                             trivial_semigroup)
 
 S1 = trivial_semigroup()
 S2 = FiniteCommutativeSemigroup(2, [[0, 1], [1, 1]], unit=0)
@@ -82,6 +88,18 @@ def _jacobi_fails():
     """A skew bracket on dim 3 that is not a Lie bracket."""
     return skew_binary(3, [(0, 1, [0, 0, 1]), (0, 2, [1, 0, 0]), (1, 2, [0, 1, 0])])
 
+
+def _eta_not_a_morphism(eta):
+    """check_morphism of the identity family of A1 over S2 with itself,
+    along eta and the identity of V."""
+    ctx = identity_family(make_a1(), S2)
+    return check_morphism(ctx, ctx, eta, la.identity(ctx.dimV))
+
+
+# eta = 2 id breaks the binary bracket at (0, 2); eta = id + E_10 keeps it
+# at every pair up to (0, 2) and first breaks the ternary one, at (0, 2, 3)
+ETA_DOUBLED = [[2 * x for x in row] for row in la.identity(4)]
+ETA_SHEARED = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 A1_REYNOLDS_BAD = [la.identity(2), la.zeros(2, 2)]
 A2_NIJENHUIS_BAD = [[[1, 0, 0], [0, 0, 0], [0, 0, 0]]]
@@ -143,6 +161,12 @@ CALLS = [
     ("cochain_from_json", lambda mp: sz.cochain_from_json(NON_SKEW_COCHAIN),
      "the cochain is not skew: Violation(law='invariant:cochain-skew-even', "
      "witness=(0, (0, 0), (0, 0)), residual=(2, 0))"),
+    ("check_morphism binary", lambda mp: _eta_not_a_morphism(ETA_DOUBLED),
+     "eta is not an algebra morphism: "
+     "Violation(law='eta-binary', witness=(0, 2), residual=(-2, 0, 0, 0))"),
+    ("check_morphism ternary", lambda mp: _eta_not_a_morphism(ETA_SHEARED),
+     "eta is not an algebra morphism: "
+     "Violation(law='eta-ternary', witness=(0, 2, 3), residual=(0, -1, 0, 0))"),
 ]
 
 
@@ -152,6 +176,105 @@ def test_refusal_message(call, want, monkeypatch):
     with pytest.raises(PreconditionError) as exc:
         call(monkeypatch)
     assert str(exc.value) == want
+
+
+def _a1_complex():
+    """The complex of the identity family of A1 over S2."""
+    return RBFComplex(identity_family(make_a1(), S2))
+
+
+def _zero_omega():
+    """The zero indexed algebra of dim 1 over S1 and its zero module of
+    dim 1."""
+    O = zero_omega_ly(1, S1)
+    return O, zero_omega_representation(O, 1)
+
+
+def _family_over(s, family):
+    """The zero context on dim L = dim V = 1 over s, with this family."""
+    return TwistedRBContext(zero_ly(1), zero_representation(1, 1),
+                            Cocycle23([[[0]]], [[[[0]]]]), s, family)
+
+
+def _ns_over_s2():
+    return sz.ns_family_from_json({
+        "kind": "ns-family", "dim": 1, "semigroup": sz.semigroup_to_json(S2),
+        "bullet": [], "vee": [], "curly": [], "square": []})
+
+
+ONE_CHAIN = CochainFamily(S1, 1, 1, 1, [[[0]]])
+
+# (id, call, error, text): refusals of an input's shape, degree, index,
+# order or skewness, none of them made from a law report
+GUARDS = [
+    ("DeformationDirection.as_cochain order", lambda: DeformationDirection(
+        [la.zeros(4, 2)]).as_cochain(identity_family(make_a1(), S2)),
+     PreconditionError, "one direction matrix per index required"),
+    ("DeformationDirection.as_cochain shape", lambda: DeformationDirection(
+        [la.zeros(4, 2), la.zeros(4, 3)]).as_cochain(
+            identity_family(make_a1(), S2)),
+     PreconditionError, "direction matrices must be dim(L) x dim(V)"),
+    ("cohomology._coerce_deg1", lambda: partial_deg1(
+        _a1_complex(), la.zeros(2, 4, 2)),
+     PreconditionError, "expected a degree-1 cochain or direction"),
+    ("partial_23", lambda: partial_23(_a1_complex(), ONE_CHAIN),
+     PreconditionError, "expected a (2,3)-cochain"),
+    ("partial_star_23", lambda: partial_star_23(_a1_complex(), ONE_CHAIN),
+     PreconditionError, "expected a (2,3)-cochain"),
+    ("skew_basis", lambda: skew_basis((2, 4), (1, 1), S1),
+     PreconditionError, "degree must be 1 or (2n, 2n+1): (2, 4)"),
+    ("delta_omega", lambda: delta_omega(
+        *_zero_omega(), CochainFamily(S1, 2, 1, 1, [[[0, 0]]])),
+     PreconditionError, "cochain shape does not match algebra/module"),
+    ("delta_star_omega", lambda: delta_star_omega(*_zero_omega(), ONE_CHAIN),
+     PreconditionError, "input must have degree (2, 3)"),
+    ("omega_cohomology_dims", lambda: omega_cohomology_dims(
+        *_zero_omega(), -1),
+     PreconditionError, "max_n must be >= 0"),
+    ("TwistedRBContext shape", lambda: _family_over(S1, [[[0, 0]]]),
+     PreconditionError, "family matrix shape must be dim(L) x dim(V)"),
+    ("TwistedRBContext order", lambda: _family_over(S2, [[[0]]]),
+     PreconditionError, "one family matrix per semigroup element required"),
+    ("semigroup order", lambda: FiniteCommutativeSemigroup(0, []),
+     MalformedInputError, "semigroup order must be >= 1"),
+    ("semigroup shape", lambda: FiniteCommutativeSemigroup(2, [[0, 1]]),
+     MalformedInputError, "table shape does not match order"),
+    ("semigroup entry type", lambda: FiniteCommutativeSemigroup(1, [["0"]]),
+     MalformedInputError, "table[0][0] = '0' is not an integer"),
+    ("semigroup entry range", lambda: FiniteCommutativeSemigroup(1, [[1]]),
+     MalformedInputError, "table[0][0] = 1 out of range 0..0"),
+    ("semigroup unit type", lambda: FiniteCommutativeSemigroup(
+        1, [[0]], unit="0"),
+     MalformedInputError, "unit '0' is not an integer"),
+    ("semigroup unit range", lambda: FiniteCommutativeSemigroup(
+        1, [[0]], unit=1),
+     MalformedInputError, "unit index 1 out of range"),
+    ("product", lambda: product(S2, 0, 2),
+     MalformedInputError, "element index out of range: (0, 2)"),
+    ("product_of empty", lambda: product_of(S2, []),
+     PreconditionError, "product_of requires a nonempty list"),
+    ("product_of first", lambda: product_of(S2, [2, 0]),
+     MalformedInputError, "element index out of range: (2, 0)"),
+    ("product_of later", lambda: product_of(S2, [1, 0, 5]),
+     MalformedInputError, "element index out of range: (1, 5)"),
+    ("linalg.solve", lambda: la.solve([[1, 0]], [1, 2]),
+     PreconditionError, "solve: b.dim (2) != rows (1)"),
+    ("serialize.ly_to_json", lambda: sz.ly_to_json(
+        LYAlgebra(1, [[[1]]], [[[[0]]]])),
+     MalformedInputError, "algebra tensors are not skew; refusing to store "
+     "the half-tensor format"),
+    ("check_ns_axioms", lambda: check_ns_axioms(_ns_over_s2()),
+     PreconditionError, "NS-Lie-Yamaguti axioms apply to the "
+     "one-element-semigroup case"),
+]
+
+
+@pytest.mark.parametrize("call,error,want", [g[1:] for g in GUARDS],
+                         ids=[g[0] for g in GUARDS])
+def test_guard_message(call, error, want):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == want
 
 
 def _semidirect_with_bad_rho(tmp_path):
