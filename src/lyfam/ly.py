@@ -137,10 +137,13 @@ def require_fit(A: LYAlgebra, r: Representation, c: Cocycle23 | None = None):
 # ---------------------------------------------------------------------------
 # axiom checkers
 
-# each indexed law on the one-element semigroup: (LY law, number of semigroup
-# indices that lead its witness, group of the LY order)
-_LY_LAWS = {"OLY-5.2": ("LY-2.1", 3, 0), "OLY-5.3": ("LY-2.2", 4, 0),
-            "OLY-5.4": ("LY-2.3", 4, 1), "OLY-5.5": ("LY-2.4", 5, 1)}
+# each indexed law on the one-element semigroup: the number of semigroup
+# indices that lead its witness, then (law, group of the order) as a law of
+# an algebra and as a cocycle law, read in V off an extension
+_LY_LAWS = {"OLY-5.2": (3, ("LY-2.1", 0), ("COC-2.14", 0)),
+            "OLY-5.3": (4, ("LY-2.2", 0), ("COC-2.15", 1)),
+            "OLY-5.4": (4, ("LY-2.3", 1), ("COC-2.16", 1)),
+            "OLY-5.5": (5, ("LY-2.4", 1), ("COC-2.17", 1))}
 
 
 def _over_trivial_semigroup(A: LYAlgebra, r: Representation | None = None):
@@ -155,18 +158,25 @@ def _over_trivial_semigroup(A: LYAlgebra, r: Representation | None = None):
 
 def check_ly_axioms(A: LYAlgebra) -> Report:
     """The laws (2.1)-(2.4) at every basis tuple: the indexed laws
-    OLY-5.2...5.5 on the one-element semigroup, their witnesses without the
-    semigroup indices.  They are listed (2.1)/(2.2) first, then (2.3)/(2.4),
-    each group by witness, a witness before those that extend it: the order
-    of a sweep that checks (2.2) after (2.1) at each (i, j, k) and (2.4)
-    after (2.3) at each (a, c, i, j)."""
+    OLY-5.2...5.5 on the one-element semigroup, read by _read_laws."""
+    rep = A.invariant_report()  # also the skewness of A over S1
+    return _read_laws(rep, _over_trivial_semigroup(A), rep.ok, A.dim, 0)
+
+
+def _read_laws(rep, O, skew: bool, n: int, column: int) -> Report:
+    """rep extended by the violations of omega._omega_ly_report(O, skew), O
+    over the one-element semigroup, at the basis tuples of dim n without
+    their semigroup indices: the laws of O (column 0) or the cocycle laws in
+    the coordinates from n on (column 1), by group, each group by witness, a
+    witness before those that extend it: the order of a sweep that checks
+    (2.2) after (2.1) at each (i, j, k), (2.4) after (2.3) at each
+    (a, c, i, j), and COC-2.15...2.17 at each (i1, j1, i2, j2)."""
     from .omega import _omega_ly_report
-    rep, found = A.invariant_report(), []  # also the skewness of A over S1
-    for v in _omega_ly_report(_over_trivial_semigroup(A), rep.ok).violations:
-        law, skip, group = _LY_LAWS[v.law]
-        found.append((group, v.witness[skip:], law, v.residual))
-    for _, w, law, residual in sorted(found, key=lambda f: f[:2]):
-        rep.add(law, w, residual)
+    found = [(_LY_LAWS[v.law][1 + column], v.witness[_LY_LAWS[v.law][0]:],
+              v.residual[n * column:]) for v in _omega_ly_report(O, skew).violations]
+    for (law, _), w, residual in sorted(found, key=lambda f: (f[0][1], f[1])):
+        if max(w) < n:
+            rep.record(law, w, residual)
     return rep
 
 
@@ -230,34 +240,13 @@ def check_cocycle23(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:
 
 
 def _cocycle_report(A: LYAlgebra, r: Representation, c: Cocycle23) -> Report:
-    """check_cocycle23 of an r and a c that fit A."""
-    n, E = range(A.dim), linalg.identity(A.dim)
-    D = derived_D(A, r)
-    b, t, g1, g2 = A.binary, A.ternary, c.gamma1, c.gamma2
-    rho, theta = r.rho, r.theta
-    ct, mv, vsum = linalg.contract, linalg.mat_vec, linalg.vec_sum
-    rep = c.invariant_report().sweep([n] * 3, [
-        ("COC-2.14", lambda i1, j1, k: vsum(
-            "---++++++", mv(rho[i1], g1[j1][k]), mv(rho[j1], g1[k][i1]),
-            mv(rho[k], g1[i1][j1]), ct(g1, b[i1][j1], E[k]),
-            ct(g1, b[j1][k], E[i1]), ct(g1, b[k][i1], E[j1]),
-            g2[i1][j1][k], g2[k][i1][j1], g2[j1][k][i1]))])
-    return rep.sweep([n] * 4, [
-        ("COC-2.15", lambda i1, j1, i2, j2: vsum(
-            "++++++", mv(theta[i1][j2], g1[j1][i2]),
-            mv(theta[j1][j2], g1[i2][i1]), mv(theta[i2][j2], g1[i1][j1]),
-            ct(g2, b[i1][j1], E[i2], E[j2]), ct(g2, b[j1][i2], E[i1], E[j2]),
-            ct(g2, b[i2][i1], E[j1], E[j2]))),
-        ("COC-2.16", lambda i1, j1, i2, j2: vsum(
-            "-+++--", mv(rho[i2], g2[i1][j1][j2]), mv(rho[j2], g2[i1][j1][i2]),
-            ct(g2[i1][j1], b[i2][j2]), mv(D[i1][j1], g1[i2][j2]),
-            ct(g1, t[i1][j1][i2], E[j2]), ct(g1[i2], t[i1][j1][j2]))),
-        ("COC-2.17", lambda i1, j1, i2, j2: [vsum(
-            "-++---+-", mv(theta[j2][k], g2[i1][j1][i2]),
-            mv(theta[i2][k], g2[i1][j1][j2]), mv(D[i1][j1], g2[i2][j2][k]),
-            mv(D[i2][j2], g2[i1][j1][k]), ct(g2, t[i1][j1][i2], E[j2], E[k]),
-            ct(g2[i2], t[i1][j1][j2], E[k]), ct(g2[i1][j1], t[i2][j2][k]),
-            ct(g2[i2][j2], t[i1][j1][k])) for k in n], 1)])
+    """check_cocycle23 of an r and a c that fit A: the skewness of c, then
+    the laws read off the twisted semidirect product, which is skew, and so
+    screened, exactly when A and c are."""
+    from .omega import extension
+    rep = c.invariant_report()
+    E = extension(_over_trivial_semigroup(A, r), [[c.gamma1]], [[[c.gamma2]]])
+    return _read_laws(rep, E, rep.ok and A.invariant_report().ok, A.dim, 1)
 
 
 def gamma_ad(A: LYAlgebra) -> Cocycle23:

@@ -375,6 +375,46 @@ def _representation_laws(O: OmegaLYAlgebra, r: OmegaRepresentation, skew, D):
     return sweeps
 
 
+def extension(r: OmegaRepresentation, f, g) -> OmegaLYAlgebra:
+    """The indexed algebra on O + V, on the basis of the n vectors (e_i, 0)
+    and then the d vectors (0, u_k), of a representation r of O on V twisted
+    by the full tables f[a][b][i][j] and g[a][b][c][i][j][k] of a
+    (2,3)-cochain: [x, y]_ab = ([x, y]_ab, f_ab(x, y)), [x, v]_ab =
+    rho_ab(x)v = -[v, x]_ba, {x, y, z}_abc = ({x, y, z}_abc, g_abc(x, y, z)),
+    {x, y, w}_abc = D_abc(x, y)w, {x, v, z}_abc = -theta_acb(x, z)v,
+    {v, y, z}_abc = theta_bca(y, z)v, and 0 with two slots in V.  At basis
+    vectors at most one term of each part is nonzero, so each entry is read
+    from a table with its sign, and with zero coordinates as the int 0."""
+    O, d = r.algebra, r.dim
+    m, n, v0, zl = O.semigroup.elements, range(O.dim), O.dim, [0] * O.dim
+    # rho_ab(e_i)u_k at rc[a][b][i][k]; theta_abc(e_i, e_j)u_k and
+    # D_abc(e_i, e_j)u_k at tc and dc [a][b][c][i][j][k]
+    rc, tc, dc = (map_at(lambda X: transpose(X, d), X, k)
+                  for X, k in ((r.rho, 3), (r.theta, 5), (r.d_tensor(), 5)))
+
+    def entry(u, v, sign=1):
+        return [x if x else 0 for x in u] + [sign * x if x else 0 for x in v]
+
+    binary = [[zeros(*[v0 + d] * 3) for _ in m] for _ in m]
+    ternary = [[[zeros(*[v0 + d] * 4) for _ in m] for _ in m] for _ in m]
+    for a, b, i in itertools.product(m, m, n):
+        B = binary[a][b]
+        for j in n:
+            B[i][j] = entry(O.binary[a][b][i][j], f[a][b][i][j])
+        for k in range(d):
+            B[i][v0 + k], B[v0 + k][i] = entry(zl, rc[a][b][i][k]), \
+                entry(zl, rc[b][a][i][k], -1)
+        for c, j in itertools.product(m, n):
+            T = ternary[a][b][c]
+            for k in n:
+                T[i][j][k] = entry(O.ternary[a][b][c][i][j][k], g[a][b][c][i][j][k])
+            for k in range(d):
+                T[i][j][v0 + k] = entry(zl, dc[a][b][c][i][j][k])
+                T[i][v0 + k][j] = entry(zl, tc[a][c][b][i][j][k], -1)
+                T[v0 + k][i][j] = entry(zl, tc[b][c][a][i][j][k])
+    return OmegaLYAlgebra(v0 + d, O.semigroup, binary, ternary)
+
+
 # ---------------------------------------------------------------------------
 # cochain families
 

@@ -17,10 +17,10 @@ from functools import cached_property
 from . import linalg
 from .errors import PreconditionError
 from .ly import (Cocycle23, LYAlgebra, Representation, _cocycle_report,
-                 _representation_report, adjoint_representation,
-                 check_ly_axioms, derived_D, gamma_ad, joint_table,
-                 ly_tensor_semigroup, require_fit)
-from .omega import _screened
+                 _over_trivial_semigroup, _representation_report,
+                 adjoint_representation, check_ly_axioms, derived_D, gamma_ad,
+                 joint_table, ly_tensor_semigroup, require_fit)
+from .omega import _screened, extension
 from .report import Report
 from .semigroup import FiniteCommutativeSemigroup, product, product_of, \
     trivial_semigroup, validate_semigroup
@@ -461,45 +461,13 @@ def bar_operator(ctx: TwistedRBContext) -> TwistedRBContext:
 # semidirect product and the graph characterization
 
 def semidirect_product(A: LYAlgebra, r: Representation, c: Cocycle23) -> LYAlgebra:
-    """LY structure on L + V twisted by the cocycle, on the basis of the n
-    vectors (e_i, 0) and then the nv vectors (0, u_k):
-    [(x, u), (y, v)] = ([x, y], rho(x)v - rho(y)u + Gamma1(x, y)) and
-    {(x, u), (y, v), (z, w)} = ({x, y, z}, D(x, y)w - theta(x, z)v
-    + theta(y, z)u + Gamma2(x, y, z)).
-
-    At basis vectors at most one term of each part is nonzero, so every
-    entry is read from the tables of A, rho, theta, D and the cocycle, with
-    its sign, and with zero coordinates as the int 0."""
+    """LY structure on L + V twisted by the cocycle, omega.extension over
+    the one-element semigroup: [(x, u), (y, v)] = ([x, y], rho(x)v
+    - rho(y)u + Gamma1(x, y)) and {(x, u), (y, v), (z, w)} = ({x, y, z},
+    D(x, y)w - theta(x, z)v + theta(y, z)u + Gamma2(x, y, z))."""
     require_fit(A, r, c)
-    n, nv = A.dim, r.space_dim
-    N, zl, tp = n + nv, [0] * n, linalg.transpose
-    # rho(e_i)u_k at rc[i][k]; theta(e_i, e_j)u_k and D(e_i, e_j)u_k at
-    # tc[i][j][k] and dc[i][j][k]
-    rc = [tp(m, nv) for m in r.rho]
-    tc, dc = ([[tp(m, nv) for m in row] for row in X]
-              for X in (r.theta, derived_D(A, r)))
-
-    def entry(v, sign=1):
-        return [sign * x if x else 0 for x in v]
-
-    binary = [[[0] * N for _ in range(N)] for _ in range(N)]
-    ternary = [[[[0] * N for _ in range(N)] for _ in range(N)]
-               for _ in range(N)]
-    for i, j in itertools.product(range(n), repeat=2):
-        binary[i][j] = entry(A.binary[i][j]) + entry(c.gamma1[i][j])
-        for k in range(n):
-            ternary[i][j][k] = entry(A.ternary[i][j][k]) + \
-                entry(c.gamma2[i][j][k])
-        # one V slot, third, second or first: D(x, y)w, -theta(x, z)v and
-        # theta(y, z)u
-        for k in range(nv):
-            ternary[i][j][n + k] = zl + entry(dc[i][j][k])
-            ternary[i][n + k][j] = zl + entry(tc[i][j][k], -1)
-            ternary[n + k][i][j] = zl + entry(tc[i][j][k])
-    for i, k in itertools.product(range(n), range(nv)):
-        binary[i][n + k] = zl + entry(rc[i][k])
-        binary[n + k][i] = zl + entry(rc[i][k], -1)
-    return LYAlgebra(N, binary, ternary)
+    E = extension(_over_trivial_semigroup(A, r), [[c.gamma1]], [[[c.gamma2]]])
+    return LYAlgebra(E.dim, E.binary[0][0], E.ternary[0][0][0])
 
 
 def check_graph_subalgebra_family(ctx: TwistedRBContext) -> bool:

@@ -39,6 +39,9 @@ class FiniteCommutativeSemigroup:
                 raise MalformedInputError("unit %r is not an integer" % (self.unit,))
             if not 0 <= self.unit < m:
                 raise MalformedInputError("unit index %r out of range" % (self.unit,))
+        if self.names is not None and [type(x) for x in self.names] != [str] * m:
+            raise MalformedInputError(
+                "names %r are not %d strings, one per element" % (self.names, m))
 
     @property
     def elements(self):

@@ -164,7 +164,7 @@ def semigroup_from_json(d: dict) -> FiniteCommutativeSemigroup:
     _require(names is None or isinstance(names, list),
              "semigroup names must be a list")
     return FiniteCommutativeSemigroup(order=order, table=table, unit=d.get("unit"),
-                                      names=tuple(names) if names else None)
+                                      names=None if names is None else tuple(names))
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,10 @@ def test_malformed_headers_exit_two(files, capsys, kind, key, value):
     {"table": [[0, 1], [True, 1]]},
     {"unit": "0"},
     {"names": 5},
+    # names must be one string per element
+    {"names": [[1], None, "x"]},
+    {"names": []},
+    {"names": ["e", 1]},
 ])
 def test_malformed_semigroups_exit_two(files, capsys, change):
     tmp, a_path, s_path, _, _ = files

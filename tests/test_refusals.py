@@ -249,6 +249,10 @@ GUARDS = [
     ("semigroup unit range", lambda: FiniteCommutativeSemigroup(
         1, [[0]], unit=1),
      MalformedInputError, "unit index 1 out of range"),
+    ("semigroup names", lambda: FiniteCommutativeSemigroup(
+        2, [[0, 1], [1, 1]], unit=0, names=([1], None, "x")),
+     MalformedInputError,
+     "names ([1], None, 'x') are not 2 strings, one per element"),
     ("product", lambda: product(S2, 0, 2),
      MalformedInputError, "element index out of range: (0, 2)"),
     ("product_of empty", lambda: product_of(S2, []),
